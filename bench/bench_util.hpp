@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "codegen/codegen.hpp"
-#include "core/core.hpp"
+#include "core/campaign.hpp"
 #include "corpus/corpus.hpp"
 #include "support/config.hpp"
 
@@ -60,20 +60,20 @@ inline void hr(int width = 100) {
   std::fputc('\n', stdout);
 }
 
-/// Campaign options tuned so a full bench binary stays in the minutes
-/// range.
-inline core::CampaignOptions quick_campaign() {
-  core::CampaignOptions opts;
-  opts.pipeline.plan.max_chains = 8;
-  opts.pipeline.plan.time_budget_seconds = 20;
-  opts.pipeline.plan.max_expansions = 4000;
-  opts.sgc_max_chains = 4;
-  return opts;
-}
-
 /// Session concurrency for bench campaigns: bounded fan-out on top of the
 /// engine's shared pool (each session also parallelizes internally).
 inline int bench_concurrency() { return std::min(4, config().threads); }
+
+/// Campaign options tuned so a full bench binary stays in the minutes
+/// range.
+inline core::Campaign::Options quick_campaign() {
+  core::Campaign::Options opts;
+  opts.concurrency = bench_concurrency();
+  opts.pipeline.plan.max_chains = 8;
+  opts.pipeline.plan.time_budget_seconds = 20;
+  opts.pipeline.plan.max_expansions = 4000;
+  return opts;
+}
 
 /// Campaign jobs: every bench program under one obfuscation config.
 inline std::vector<core::Job> bench_jobs(

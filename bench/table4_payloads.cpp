@@ -4,13 +4,18 @@
 // mostly fail outright), and more than SGC; obfuscated rows dominate the
 // original row; parenthesized numbers are payloads newly introduced by the
 // obfuscation.
+//
+// One Campaign covers the whole (row × program) grid; the baseline tools
+// ride along in the on_job hook, which runs with each job's Session still
+// alive so they share its context and minimized library.
+#include <mutex>
+
 #include "bench_util.hpp"
+#include "baselines/baselines.hpp"
 
 int main() {
   using namespace gp;
   const auto programs = bench::bench_programs();
-  const auto campaign_opts = bench::quick_campaign();
-  const auto& goals = payload::Goal::all();
 
   std::printf("Table IV — payloads per tool, summed over %zu benchmark "
               "programs%s\n\n",
@@ -22,23 +27,52 @@ int main() {
     u64 gadgets_total = 0, gadgets_used = 0;
     int chains[3] = {0, 0, 0};
   };
-  std::vector<std::vector<ToolAgg>> totals;
-
   const auto rows = bench::table4_rows();
+  std::vector<std::vector<ToolAgg>> totals(rows.size(),
+                                           std::vector<ToolAgg>(4));
+  std::mutex totals_mu;
+
+  std::vector<core::Job> jobs;
   for (const auto& row : rows) {
-    std::vector<ToolAgg> agg(4);
-    for (const auto& program : programs) {
-      auto r = core::run_campaign(program.name, program.source, row.options,
-                                  campaign_opts);
-      for (size_t t = 0; t < r.tools.size(); ++t) {
-        agg[t].gadgets_total += r.tools[t].gadgets_total;
-        agg[t].gadgets_used += r.tools[t].gadgets_used;
-        for (size_t g = 0; g < goals.size(); ++g)
-          agg[t].chains[g] += r.tools[t].chains_per_goal[g];
-      }
-    }
-    totals.push_back(std::move(agg));
+    auto row_jobs = bench::bench_jobs(row.options, row.label);
+    jobs.insert(jobs.end(), row_jobs.begin(), row_jobs.end());
   }
+
+  auto copts = bench::quick_campaign();
+  copts.on_job = [&](const core::Job& job, core::Session& s,
+                     core::JobResult& r) {
+    const auto& goals = job.goals;
+    ToolAgg tools[4];
+    auto add = [&](int t, size_t g, const baselines::Result& res) {
+      tools[t].gadgets_total = res.gadgets_total;
+      tools[t].gadgets_used += res.gadgets_used;
+      tools[t].chains[g] = static_cast<int>(res.chains.size());
+    };
+    for (size_t g = 0; g < goals.size(); ++g)
+      add(0, g, baselines::rop_gadget(s.img(), goals[g]));
+    for (size_t g = 0; g < goals.size(); ++g)
+      add(1, g, baselines::angrop(s.ctx(), s.library(), s.img(), goals[g]));
+    for (size_t g = 0; g < goals.size(); ++g)
+      add(2, g, baselines::sgc(s.ctx(), s.library(), s.img(), goals[g], 4));
+    tools[3].gadgets_total = s.library().size();
+    for (size_t g = 0; g < goals.size(); ++g) {
+      tools[3].chains[g] = r.chains_per_goal[g];
+      for (const auto& c : r.chains[g])
+        tools[3].gadgets_used += c.gadgets.size();
+    }
+
+    size_t row = 0;
+    while (rows[row].label != job.obfuscation) ++row;
+    std::lock_guard<std::mutex> lock(totals_mu);
+    for (int t = 0; t < 4; ++t) {
+      ToolAgg& a = totals[row][t];
+      a.gadgets_total += tools[t].gadgets_total;
+      a.gadgets_used += tools[t].gadgets_used;
+      for (size_t g = 0; g < goals.size(); ++g)
+        a.chains[g] += tools[t].chains[g];
+    }
+  };
+  core::Campaign(core::Engine::shared(), copts).run(jobs);
 
   static const char* kTools[] = {"ROPGadget", "Angrop", "SGC",
                                  "Gadget-Planner"};

@@ -4,9 +4,10 @@
 #include <cstdio>
 
 #include "codegen/codegen.hpp"
-#include "core/core.hpp"
+#include "core/session.hpp"
 #include "corpus/corpus.hpp"
 #include "minic/minic.hpp"
+#include "obfuscate/obfuscate.hpp"
 
 int main(int argc, char** argv) {
   using namespace gp;
@@ -42,22 +43,23 @@ int main(int argc, char** argv) {
     core::PipelineOptions popts;
     popts.plan.max_chains = 8;
     popts.plan.time_budget_seconds = 15;
-    core::GadgetPlanner gp(img, popts);
+    core::Session session(core::Engine::shared(), img, popts);
+    session.prepare();
 
     u64 ret_g = 0, ind_g = 0;
-    for (const auto& g : gp.library().all()) {
+    for (const auto& g : session.library().all()) {
       if (g.end == gadget::EndKind::Ret) ++ret_g;
       if (g.end == gadget::EndKind::IndJmp ||
           g.end == gadget::EndKind::IndCall)
         ++ind_g;
     }
-    const auto chains = gp.find_chains(payload::Goal::execve());
+    const auto chains = session.find_chains(payload::Goal::execve());
     std::printf("%-16s %10zu %10zu %10llu %10llu %8zu\n", m.label,
-                img.code().size(), gp.library().size(),
+                img.code().size(), session.library().size(),
                 (unsigned long long)ret_g, (unsigned long long)ind_g,
                 chains.size());
-    ckpt_served += gp.report().store.hits + gp.report().store.resumes;
-    ckpt_written += gp.report().store.puts;
+    ckpt_served += session.report().store.hits + session.report().store.resumes;
+    ckpt_written += session.report().store.puts;
   }
   std::printf("\nhigher execve counts = more exploitable attack surface\n");
   if (ckpt_served + ckpt_written > 0)

@@ -5,8 +5,9 @@
 #include <cstdio>
 
 #include "codegen/codegen.hpp"
-#include "core/core.hpp"
+#include "core/session.hpp"
 #include "minic/minic.hpp"
+#include "obfuscate/obfuscate.hpp"
 #include "support/str.hpp"
 
 int main() {
@@ -34,18 +35,19 @@ int main() {
               img.code().size(), img.data().size());
 
   // 2. Extract + subsume + index gadgets.
-  core::GadgetPlanner gp(img);
+  core::Session session(core::Engine::shared(), img);
+  session.prepare();
   std::printf("gadget pool: %llu raw -> %llu after subsumption\n",
-              (unsigned long long)gp.report().pool_raw,
-              (unsigned long long)gp.report().pool_minimized);
+              (unsigned long long)session.report().pool_raw,
+              (unsigned long long)session.report().pool_minimized);
 
   // 3. Plan chains for execve("/bin/sh", 0, 0).
-  auto chains = gp.find_chains(payload::Goal::execve());
+  auto chains = session.find_chains(payload::Goal::execve());
   std::printf("validated execve chains: %zu\n", chains.size());
 
   // With GP_STORE_DIR set, stage outputs are checkpointed: a second run (or
   // a run resumed after a crash) serves them from the store.
-  const auto& store = gp.report().store;
+  const auto& store = session.report().store;
   if (store.hits + store.resumes + store.puts > 0)
     std::printf("checkpoints: %llu served (%llu from an earlier process), "
                 "%llu written\n",

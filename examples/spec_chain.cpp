@@ -6,9 +6,10 @@
 
 #include "baselines/baselines.hpp"
 #include "codegen/codegen.hpp"
-#include "core/core.hpp"
+#include "core/session.hpp"
 #include "corpus/corpus.hpp"
 #include "minic/minic.hpp"
+#include "obfuscate/obfuscate.hpp"
 #include "support/str.hpp"
 
 int main() {
@@ -28,13 +29,15 @@ int main() {
     core::PipelineOptions popts;
     popts.plan.max_chains = 6;
     popts.plan.time_budget_seconds = 30;
-    core::GadgetPlanner gp(img, popts);
+    core::Session session(core::Engine::shared(), img, popts);
+    session.prepare();
 
     const auto goal = payload::Goal::execve();
     auto rg = baselines::rop_gadget(img, goal);
-    auto an = baselines::angrop(gp.ctx(), gp.library(), img, goal);
-    auto sg = baselines::sgc(gp.ctx(), gp.library(), img, goal, 2, 10);
-    auto chains = gp.find_chains(goal);
+    auto an = baselines::angrop(session.ctx(), session.library(), img, goal);
+    auto sg =
+        baselines::sgc(session.ctx(), session.library(), img, goal, 2, 10);
+    auto chains = session.find_chains(goal);
 
     std::printf("  ROPGadget: %llu gadgets, %zu chains\n",
                 (unsigned long long)rg.gadgets_total, rg.chains.size());
@@ -43,7 +46,7 @@ int main() {
     std::printf("  SGC:       %llu gadgets, %zu chains\n",
                 (unsigned long long)sg.gadgets_total, sg.chains.size());
     std::printf("  Gadget-Planner: %zu gadgets, %zu chains\n",
-                gp.library().size(), chains.size());
+                session.library().size(), chains.size());
 
     // Show the most interesting chain: prefer one using CJ/IJ gadgets.
     if (shown_detail) {
@@ -59,7 +62,7 @@ int main() {
       std::printf("\n  chain (%d ret / %d ij / %d cj gadgets):\n",
                   best->ret_gadgets, best->ij_gadgets, best->cj_gadgets);
       for (const u32 gi : best->gadgets) {
-        const auto& g = gp.library()[gi];
+        const auto& g = session.library()[gi];
         std::printf("    @%s:", hex(g.addr).c_str());
         for (const auto& s : g.path)
           std::printf(" %s;", x86::to_string(s.inst).c_str());

@@ -115,8 +115,7 @@ Campaign::Summary Campaign::run(const std::vector<Job>& jobs) {
   // Each concurrent session runs on a share of the campaign budget; the
   // wall-clock deadline (if any) stays common to every lane.
   PipelineOptions popts = opts_.pipeline;
-  if (opts_.split_budget)
-    popts.governor = opts_.pipeline.governor.split_across(opts_.concurrency);
+  popts.governor = opts_.pipeline.governor.split_across(opts_.concurrency);
 
   engine_.pool().run(
       jobs.size(),
@@ -299,15 +298,11 @@ std::string Campaign::Summary::to_json() const {
          std::to_string(r.planner_stats.needs_truncated) +
          ", \"plan_unreachable_goals\": " +
          std::to_string(r.planner_stats.unreachable_goals) +
-         // Microsecond precheck time, plus the legacy ms counter derived
-         // from it (a sub-ms precheck used to truncate to "0 ms spent").
+         // Microsecond precheck time (a sub-ms precheck truncates to
+         // "0 ms spent").
          ", \"plan_unreachable_us\": " +
          std::to_string(static_cast<u64>(r.planner_stats.precheck_seconds *
                                          1e6)) +
-         ", \"plan_unreachable_ms\": " +
-         std::to_string(static_cast<u64>(r.planner_stats.precheck_seconds *
-                                         1e6) /
-                        1000) +
          "}, ";
     j += "\"goals\": {";
     for (size_t g = 0; g < r.chains_per_goal.size(); ++g) {

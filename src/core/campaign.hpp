@@ -88,13 +88,10 @@ class Campaign {
     /// pool is reentrant).
     int concurrency = 1;
     /// Per-session template. Campaign replaces pipeline.governor with a
-    /// per-session share of it (split_across(concurrency)) unless
-    /// split_budget is false.
+    /// per-session share of it (split_across(concurrency)): each
+    /// concurrent session's counted budgets are carved from the single
+    /// campaign-level budget, while the wall-clock deadline is shared.
     PipelineOptions pipeline;
-    /// Carve each concurrent session's counted budgets from the single
-    /// campaign-level budget instead of handing every session the full
-    /// one. The wall-clock deadline is always shared.
-    bool split_budget = true;
     /// Optional per-job hook, run on the campaign lane after the job's
     /// goals are planned and with the Session still alive — benches use it
     /// to drive baseline tools against the same library/context. Invoked

@@ -10,8 +10,7 @@
 // Per-image analyses are Sessions (session.hpp); corpus-scale fan-outs are
 // Campaigns (campaign.hpp). Many sessions may run concurrently against one
 // Engine: everything the engine hands out is either immutable (Config) or
-// internally synchronized (pool, stores, fault counters). The legacy
-// core::GadgetPlanner is a thin façade over Engine::shared() + Session.
+// internally synchronized (pool, stores, fault counters).
 #pragma once
 
 #include <atomic>

@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <thread>
 
 #include "gadget/serialize.hpp"
@@ -417,19 +416,9 @@ std::vector<payload::Chain> Session::find_chains(const payload::Goal& goal) {
           reg.counter("plan.failure_budget_cuts").add(s.failure_budget_cuts);
           // The precheck completes in sub-millisecond time, so a
           // per-call millisecond truncation always recorded 0 ("precheck
-          // never ran"). Record microseconds, and derive the legacy ms
-          // counter from the us total with a carried remainder so
-          // sub-millisecond calls still accumulate into it.
+          // never ran"). Record microseconds.
           reg.counter("plan.unreachable_us")
               .add(static_cast<u64>(s.precheck_seconds * 1e6));
-          {
-            static std::mutex mu;
-            static u64 carry_us = 0;
-            std::lock_guard<std::mutex> lock(mu);
-            carry_us += static_cast<u64>(s.precheck_seconds * 1e6);
-            reg.counter("plan.unreachable_ms").add(carry_us / 1000);
-            carry_us %= 1000;
-          }
         }
         return s.status;
       });

@@ -11,8 +11,7 @@
 // Each stage runs at most once; its output (the raw pool, the minimized
 // library) is immutable afterwards and every accessor observes the same
 // artifact. Stages are supervised (retry with widened budgets on
-// recoverable failure) and checkpointed through the engine's artifact
-// store exactly as the monolithic GadgetPlanner pipeline was.
+// recoverable failure) and checkpointed through the engine's artifact store.
 //
 // Concurrency contract: ONE thread drives a given session, but any number
 // of sessions may run concurrently against one Engine — each session owns

@@ -394,21 +394,24 @@ std::vector<Record> Extractor::extract_parallel(const ExtractOptions& opts,
   // Deterministic merge: remap every shard's records into the main context
   // in chunk (= offset) order, so the pool matches the sequential scan.
   std::vector<Record> out;
+  bool exhausted = false;
   for (Shard& s : shards) {
-    solver::Importer imp(*s.ctx, ctx_);
-    try {
-      for (Record& r : s.records)
-        out.push_back(import_record(imp, std::move(r)));
-    } catch (const ResourceExhausted& e) {
-      // The main context's node budget ran out mid-merge: the remaining
-      // records of this shard (and later shards) are dropped with a
-      // recorded reason rather than imported over budget.
-      stats_.paths_cut += 1;
-      stats_.status.merge(e.status());
-      stats_ += s.stats;
-      s.ctx.reset();
-      break;
+    if (!exhausted) {
+      solver::Importer imp(*s.ctx, ctx_);
+      try {
+        for (Record& r : s.records)
+          out.push_back(import_record(imp, std::move(r)));
+      } catch (const ResourceExhausted& e) {
+        // The main context's node budget ran out mid-merge: the remaining
+        // records of this shard (and later shards) are dropped with a
+        // recorded reason rather than imported over budget.
+        stats_.paths_cut += 1;
+        stats_.status.merge(e.status());
+        exhausted = true;
+      }
     }
+    // Every shard's offsets stay accounted, imported or not, so
+    // offsets_scanned + offsets_skipped still covers the code bytes.
     stats_ += s.stats;
     s.ctx.reset();  // drop the worker interner as soon as it is remapped
   }

@@ -148,7 +148,7 @@ struct Stats {
   /// before the budget ran out.
   u64 failure_budget_cuts = 0;
   /// Wall seconds the reachability precheck took (the "fail in
-  /// milliseconds, not minutes" budget; plan.unreachable_ms in metrics).
+  /// milliseconds, not minutes" budget; plan.unreachable_us in metrics).
   double precheck_seconds = 0;
   /// Ok for an uncut search; otherwise the first degradation reason.
   Status status;

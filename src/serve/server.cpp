@@ -310,8 +310,14 @@ void Server::stop(bool drain) {
     wait_drained();
   }
 
-  stop_workers_.store(true);
-  stop_watchdog_.store(true);
+  {
+    // Under mu_, the lock worker_loop waits on: an unlocked store could
+    // land between a worker's predicate check and its wait, and the
+    // notify below would then be lost.
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_workers_.store(true);
+    stop_watchdog_.store(true);
+  }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
   workers_.clear();

@@ -85,7 +85,8 @@ void configure(const Spec& spec);
 void disable();
 /// Load GP_FAULT from the environment if set; malformed specs fail fast
 /// with gp::Error (a chaos run must not silently run un-chaosed). Called
-/// once by core::GadgetPlanner; safe to call repeatedly.
+/// by the core::Engine and core::Session constructors; safe to call
+/// repeatedly.
 void configure_from_env();
 
 /// Is any fault point active? Single relaxed load.

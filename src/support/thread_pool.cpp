@@ -18,7 +18,12 @@ ThreadPool::ThreadPool(int workers) {
 }
 
 ThreadPool::~ThreadPool() {
-  stop_.store(true);
+  // The store happens under sleep_m_ so it cannot land between a worker's
+  // predicate check and its wait (a lost wakeup that hung the join).
+  {
+    std::lock_guard<std::mutex> lk(sleep_m_);
+    stop_.store(true);
+  }
   wake_cv_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
@@ -30,7 +35,10 @@ void ThreadPool::submit(Task t) {
     std::lock_guard<std::mutex> lk(queues_[idx]->m);
     queues_[idx]->q.push_back(std::move(t));
   }
-  pending_.fetch_add(1);
+  {
+    std::lock_guard<std::mutex> lk(sleep_m_);  // see ~ThreadPool
+    pending_.fetch_add(1);
+  }
   wake_cv_.notify_one();
 }
 

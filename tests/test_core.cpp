@@ -4,8 +4,9 @@
 #include <optional>
 #include <stdexcept>
 
+#include "baselines/baselines.hpp"
 #include "codegen/codegen.hpp"
-#include "core/core.hpp"
+#include "core/campaign.hpp"
 #include "corpus/corpus.hpp"
 #include "minic/minic.hpp"
 #include "support/metrics.hpp"
@@ -25,11 +26,12 @@ int main() {
   out(best); return best;
 })";
 
-TEST(GadgetPlanner, PipelineStagesReport) {
+TEST(Session, PipelineStagesReport) {
   auto prog = minic::compile_source(kCallRichSource);
   obf::obfuscate(prog, obf::Options::llvm_obf(7));
   auto img = codegen::compile(prog);
-  GadgetPlanner gp(img);
+  Session gp(Engine::shared(), img);
+  gp.prepare();
   const auto& rep = gp.report();
   EXPECT_GT(rep.pool_raw, 100u);
   EXPECT_LE(rep.pool_minimized, rep.pool_raw);
@@ -37,11 +39,12 @@ TEST(GadgetPlanner, PipelineStagesReport) {
   EXPECT_EQ(gp.library().size(), rep.pool_minimized);
 }
 
-TEST(GadgetPlanner, FindsChainsOnObfuscatedProgram) {
+TEST(Session, FindsChainsOnObfuscatedProgram) {
   auto prog = minic::compile_source(kCallRichSource);
   obf::obfuscate(prog, obf::Options::llvm_obf(7));
   auto img = codegen::compile(prog);
-  GadgetPlanner gp(img);
+  Session gp(Engine::shared(), img);
+  gp.prepare();
   auto chains = gp.find_chains(payload::Goal::execve());
   EXPECT_FALSE(chains.empty());
   for (const auto& c : chains) {
@@ -52,7 +55,7 @@ TEST(GadgetPlanner, FindsChainsOnObfuscatedProgram) {
   EXPECT_GT(gp.report().plan_seconds, 0.0);
 }
 
-TEST(GadgetPlanner, SubsumptionAblation) {
+TEST(Session, SubsumptionAblation) {
   auto prog = minic::compile_source(kCallRichSource);
   obf::obfuscate(prog, obf::Options::llvm_obf(7));
   auto img = codegen::compile(prog);
@@ -60,8 +63,10 @@ TEST(GadgetPlanner, SubsumptionAblation) {
   PipelineOptions with;
   PipelineOptions without;
   without.run_subsumption = false;
-  GadgetPlanner a(img, with);
-  GadgetPlanner b(img, without);
+  Session a(Engine::shared(), img, with);
+  a.prepare();
+  Session b(Engine::shared(), img, without);
+  b.prepare();
   EXPECT_LT(a.library().size(), b.library().size());
   // The minimized pool must not lose the ability to build chains.
   EXPECT_FALSE(a.find_chains(payload::Goal::execve()).empty());
@@ -271,21 +276,46 @@ TEST(Engine, SessionIdsAreUniqueAndNonZero) {
 }
 
 TEST(Campaign, RunsAllToolsOnObfuscatedBenchmark) {
-  CampaignOptions opts;
-  opts.pipeline.plan.max_chains = 4;
-  opts.pipeline.plan.time_budget_seconds = 20;
-  auto result = run_campaign("call_rich", kCallRichSource,
-                             obf::Options::llvm_obf(7), opts);
-  EXPECT_EQ(result.obfuscation, "sub+bcf+fla");
-  ASSERT_EQ(result.tools.size(), 4u);
-  EXPECT_EQ(result.tools[0].tool, "ROPGadget");
-  EXPECT_EQ(result.tools[3].tool, "Gadget-Planner");
+  Job job;
+  job.program = "call_rich";
+  job.source = kCallRichSource;
+  job.obf = obf::Options::llvm_obf(7);
+  Campaign::Options copts;
+  copts.pipeline.plan.max_chains = 4;
+  copts.pipeline.plan.time_budget_seconds = 20;
+  // The baselines ride along in the hook, on the job's context and library.
+  std::vector<int> rop_gadget, angrop, sgc;  // chains per goal
+  copts.on_job = [&](const Job& j, Session& s, JobResult&) {
+    for (const auto& goal : j.goals) {
+      rop_gadget.push_back(static_cast<int>(
+          baselines::rop_gadget(s.img(), goal).chains.size()));
+      angrop.push_back(static_cast<int>(
+          baselines::angrop(s.ctx(), s.library(), s.img(), goal)
+              .chains.size()));
+      sgc.push_back(static_cast<int>(
+          baselines::sgc(s.ctx(), s.library(), s.img(), goal, 4)
+              .chains.size()));
+    }
+  };
+  const auto sum = Campaign(Engine::shared(), copts).run({job});
+  ASSERT_EQ(sum.results.size(), 1u);
+  const JobResult& r = sum.results[0];
+  EXPECT_EQ(r.obfuscation, "sub+bcf+fla");
   // Obfuscated binary: Gadget-Planner finds chains the strict template
   // matcher cannot — the paper's headline result.
-  EXPECT_GT(result.tools[3].total_chains(), result.tools[0].total_chains());
-  EXPECT_GT(result.gp_avg_chain_len, 0.0);
-  for (const auto& t : result.tools)
-    EXPECT_EQ(t.chains_per_goal.size(), payload::Goal::all().size());
+  int rop_total = 0;
+  for (const int n : rop_gadget) rop_total += n;
+  EXPECT_GT(r.total_chains(), rop_total);
+  // Positive average chain length.
+  int insts = 0;
+  for (const auto& goal_chains : r.chains)
+    for (const auto& c : goal_chains) insts += c.total_insts;
+  EXPECT_GT(insts, 0);
+  const size_t goals = payload::Goal::all().size();
+  EXPECT_EQ(rop_gadget.size(), goals);
+  EXPECT_EQ(angrop.size(), goals);
+  EXPECT_EQ(sgc.size(), goals);
+  EXPECT_EQ(r.chains_per_goal.size(), goals);
 }
 
 TEST(Campaign, ThrowingOnJobHookIsContainedAndDeterministic) {
@@ -339,10 +369,8 @@ TEST(Campaign, ThrowingOnJobHookIsContainedAndDeterministic) {
 
 TEST(Session, UnreachablePrecheckCountsMicroseconds) {
   // The planner's reachability precheck finishes in well under a
-  // millisecond, so the old ms-granular counter truncated every
-  // observation to zero. plan.unreachable_us records the measured time;
-  // plan.unreachable_ms is derived from the us total with a carried
-  // remainder, so it can lag by at most one ms-quantum but never drifts.
+  // millisecond, so a ms-granular counter would truncate every
+  // observation to zero. plan.unreachable_us records the measured time.
   metrics::set_enabled(true);
   metrics::registry().reset();
 
@@ -355,28 +383,28 @@ TEST(Session, UnreachablePrecheckCountsMicroseconds) {
 
   const auto snap = metrics::registry().snapshot();
   ASSERT_TRUE(snap.counters.count("plan.unreachable_us"));
-  ASSERT_TRUE(snap.counters.count("plan.unreachable_ms"));
   const u64 us = snap.counters.at("plan.unreachable_us");
-  const u64 ms = snap.counters.at("plan.unreachable_ms");
   EXPECT_GT(us, 0u) << "precheck ran but recorded zero microseconds";
-  // Derived-counter invariant (± one quantum for the carried remainder,
-  // which may hold state from earlier sessions in this process).
-  EXPECT_LE(ms, us / 1000 + 1);
-  EXPECT_GE(ms + 1, us / 1000);
   metrics::set_enabled(false);
 }
 
 TEST(Campaign, OriginalProgramsYieldFewerChains) {
-  CampaignOptions opts;
-  opts.pipeline.plan.max_chains = 4;
-  opts.pipeline.plan.time_budget_seconds = 10;
-  auto original =
-      run_campaign("call_rich", kCallRichSource, obf::Options::none(), opts);
-  auto obfuscated = run_campaign("call_rich", kCallRichSource,
-                                 obf::Options::llvm_obf(7), opts);
+  std::vector<Job> jobs(2);
+  jobs[0].obf = obf::Options::none();
+  jobs[1].obf = obf::Options::llvm_obf(7);
+  for (Job& job : jobs) {
+    job.program = "call_rich";
+    job.source = kCallRichSource;
+  }
+  Campaign::Options copts;
+  copts.pipeline.plan.max_chains = 4;
+  copts.pipeline.plan.time_budget_seconds = 10;
+  const auto sum = Campaign(Engine::shared(), copts).run(jobs);
+  ASSERT_EQ(sum.results.size(), 2u);
+  const JobResult& original = sum.results[0];
+  const JobResult& obfuscated = sum.results[1];
   EXPECT_LT(original.code_bytes, obfuscated.code_bytes);
-  EXPECT_LE(original.tools[3].total_chains(),
-            obfuscated.tools[3].total_chains());
+  EXPECT_LE(original.total_chains(), obfuscated.total_chains());
 }
 
 }  // namespace

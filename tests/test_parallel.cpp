@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "codegen/codegen.hpp"
-#include "core/core.hpp"
+#include "core/campaign.hpp"
 #include "corpus/corpus.hpp"
 #include "gadget/gadget.hpp"
 #include "minic/minic.hpp"
@@ -261,10 +261,11 @@ TEST(Parallel, MinimizeObservesCancellation) {
   EXPECT_GT(kept.size(), 0u);
 }
 
-// The multi-tenant contract: N concurrent Sessions over distinct images on
-// one Engine produce byte-identical chains to N sequential GadgetPlanner
-// (facade) runs. Counted caps only — a wall-clock budget would make the
-// cut timing-dependent and the comparison meaningless.
+// The multi-tenant contract: N concurrent lazily-staged Sessions over
+// distinct images on one Engine produce byte-identical chains to N
+// sequential eagerly-prepared ones. Counted caps only — a wall-clock
+// budget would make the cut timing-dependent and the comparison
+// meaningless.
 TEST(Parallel, ConcurrentSessionsMatchSequentialFacade) {
   const char* names[] = {"bubble_sort", "gcd_lcm", "bit_tricks"};
   std::vector<image::Image> imgs;
@@ -277,10 +278,11 @@ TEST(Parallel, ConcurrentSessionsMatchSequentialFacade) {
   popts.plan.max_chains = 2;
   const auto goal = payload::Goal::execve();
 
-  // Sequential reference: the facade, one image at a time.
+  // Sequential reference: prepare() up front, one image at a time.
   std::vector<std::vector<std::vector<u8>>> ref;
   for (const auto& img : imgs) {
-    core::GadgetPlanner gp(img, popts);
+    core::Session gp(core::Engine::shared(), img, popts);
+    gp.prepare();
     ref.push_back(payload::encode_chains(gp.find_chains(goal)));
   }
 

@@ -10,10 +10,11 @@
 #include <vector>
 
 #include "codegen/codegen.hpp"
-#include "core/core.hpp"
+#include "core/session.hpp"
 #include "corpus/corpus.hpp"
 #include "lift/lift.hpp"
 #include "minic/minic.hpp"
+#include "obfuscate/obfuscate.hpp"
 #include "support/fault.hpp"
 #include "support/rng.hpp"
 #include "x86/decoder.hpp"
@@ -411,7 +412,8 @@ TEST(PipelineUnderFault, DegradesWithoutCrashingAndChainsStayValid) {
     popts.plan.restarts = 2;
     popts.plan.max_chains = 2;
 
-    core::GadgetPlanner gp(img, popts);
+    core::Session gp(core::Engine::shared(), img, popts);
+    gp.prepare();
     // Degradation is a Status, never a crash: whatever was cut is recorded
     // as a known (non-Internal) code.
     EXPECT_NE(gp.report().extract_status.code(), StatusCode::Internal);
@@ -434,7 +436,8 @@ TEST(PipelineUnderFault, TinyDeadlineStillBuildsAPipeline) {
   const image::Image& img = corpus_image();
   core::PipelineOptions popts;
   popts.governor.deadline_seconds = 1e-4;
-  core::GadgetPlanner gp(img, popts);
+  core::Session gp(core::Engine::shared(), img, popts);
+  gp.prepare();
   const auto& es = gp.extract_stats();
   EXPECT_EQ(es.offsets_scanned + es.offsets_skipped, img.code().size());
   EXPECT_GT(es.offsets_skipped, 0u);

@@ -15,9 +15,10 @@
 #include <random>
 
 #include "codegen/codegen.hpp"
-#include "core/core.hpp"
+#include "core/session.hpp"
 #include "gadget/serialize.hpp"
 #include "minic/minic.hpp"
+#include "obfuscate/obfuscate.hpp"
 #include "payload/serialize.hpp"
 #include "store/store.hpp"
 #include "support/fault.hpp"
@@ -450,7 +451,8 @@ TEST(CheckpointResume, WarmRunEmitsByteIdenticalPayloads) {
   base.plan.max_chains = 2;
   base.plan.time_budget_seconds = 60;
 
-  core::GadgetPlanner cold(img, base);
+  core::Session cold(core::Engine::shared(), img, base);
+  cold.prepare();
   const auto cold_chains = cold.find_chains(payload::Goal::execve());
   ASSERT_FALSE(cold_chains.empty());
   EXPECT_EQ(cold.report().store.puts, 0u);
@@ -459,12 +461,16 @@ TEST(CheckpointResume, WarmRunEmitsByteIdenticalPayloads) {
   core::PipelineOptions warm = base;
   warm.store_dir = dir.str();
 
-  core::GadgetPlanner writer(img, warm);  // populates the store
+  // Populates the store.
+  core::Session writer(core::Engine::shared(), img, warm);
+  writer.prepare();
   const auto first_chains = writer.find_chains(payload::Goal::execve());
   EXPECT_GE(writer.report().store.puts, 2u);  // extract + subsume (+ plan)
   EXPECT_EQ(writer.report().extract_runs.attempts, 1u);
 
-  core::GadgetPlanner reader(img, warm);  // everything served from disk
+  // Everything served from disk.
+  core::Session reader(core::Engine::shared(), img, warm);
+  reader.prepare();
   const auto warm_chains = reader.find_chains(payload::Goal::execve());
   const auto& runs = reader.report();
   EXPECT_EQ(runs.extract_runs.attempts, 0u);
@@ -492,14 +498,16 @@ TEST(CheckpointResume, ResumesFromTheLastGoodCheckpoint) {
   core::PipelineOptions partial;
   partial.store_dir = dir.str();
   partial.run_subsumption = false;
-  core::GadgetPlanner interrupted(img, partial);
+  core::Session interrupted(core::Engine::shared(), img, partial);
+  interrupted.prepare();
   EXPECT_EQ(interrupted.report().extract_runs.attempts, 1u);
 
   // The resumed full run serves extraction from the checkpoint and only
   // computes the missing stages.
   core::PipelineOptions full;
   full.store_dir = dir.str();
-  core::GadgetPlanner resumed(img, full);
+  core::Session resumed(core::Engine::shared(), img, full);
+  resumed.prepare();
   EXPECT_EQ(resumed.report().extract_runs.attempts, 0u);
   EXPECT_GE(resumed.report().extract_runs.cache_hits +
                 resumed.report().extract_runs.resumes,
@@ -508,7 +516,8 @@ TEST(CheckpointResume, ResumesFromTheLastGoodCheckpoint) {
 
   core::PipelineOptions none;
   none.store_dir.clear();
-  core::GadgetPlanner reference(img, none);
+  core::Session reference(core::Engine::shared(), img, none);
+  reference.prepare();
   EXPECT_EQ(resumed.report().pool_raw, reference.report().pool_raw);
   EXPECT_EQ(resumed.report().pool_minimized, reference.report().pool_minimized);
 }
@@ -518,7 +527,8 @@ TEST(CheckpointResume, CorruptedCheckpointIsTransparentlyRecomputed) {
   TempDir dir("heal");
   core::PipelineOptions opts;
   opts.store_dir = dir.str();
-  core::GadgetPlanner writer(img, opts);
+  core::Session writer(core::Engine::shared(), img, opts);
+  writer.prepare();
   ASSERT_GE(writer.report().store.puts, 1u);
 
   // Flip one bit in every artifact on disk.
@@ -532,14 +542,16 @@ TEST(CheckpointResume, CorruptedCheckpointIsTransparentlyRecomputed) {
         serial::write_file_atomic(entry.path().string(), damaged).ok());
   }
 
-  core::GadgetPlanner healed(img, opts);
+  core::Session healed(core::Engine::shared(), img, opts);
+  healed.prepare();
   EXPECT_EQ(healed.report().extract_runs.attempts, 1u);  // recomputed
   EXPECT_GE(healed.report().store.corrupt, 1u);
   EXPECT_EQ(healed.report().pool_raw, writer.report().pool_raw);
   EXPECT_EQ(healed.report().pool_minimized, writer.report().pool_minimized);
 
   // And the recomputed checkpoints are good again.
-  core::GadgetPlanner warm(img, opts);
+  core::Session warm(core::Engine::shared(), img, opts);
+  warm.prepare();
   EXPECT_EQ(warm.report().extract_runs.attempts, 0u);
 }
 
@@ -554,7 +566,8 @@ TEST(Supervisor, RetriesWithWidenedBudgetsUntilExtractionIsClean) {
   opts.supervise.budget_widen_factor = 8;
   opts.supervise.backoff_initial_ms = 0;  // don't sleep in tests
 
-  core::GadgetPlanner gp(img, opts);
+  core::Session gp(core::Engine::shared(), img, opts);
+  gp.prepare();
   const auto& runs = gp.report().extract_runs;
   EXPECT_GE(runs.attempts, 2u);
   EXPECT_GE(runs.retries, 1u);
@@ -571,7 +584,8 @@ TEST(Supervisor, ZeroRetriesKeepsTheDegradedResult) {
   opts.governor.max_sym_steps = 40;
   opts.supervise.max_retries = 0;
 
-  core::GadgetPlanner gp(img, opts);
+  core::Session gp(core::Engine::shared(), img, opts);
+  gp.prepare();
   EXPECT_EQ(gp.report().extract_runs.attempts, 1u);
   EXPECT_EQ(gp.report().extract_runs.retries, 0u);
   EXPECT_FALSE(gp.report().extract_status.ok());  // degraded, not retried
@@ -584,14 +598,16 @@ TEST(Supervisor, DegradedResultsAreNeverCheckpointed) {
   opts.store_dir = dir.str();
   opts.governor.max_sym_steps = 40;
   opts.supervise.max_retries = 0;
-  core::GadgetPlanner degraded(img, opts);
+  core::Session degraded(core::Engine::shared(), img, opts);
+  degraded.prepare();
   ASSERT_FALSE(degraded.report().extract_status.ok());
   EXPECT_EQ(degraded.report().store.puts, 0u);
 
   // A later unconstrained run must not inherit the partial pool.
   core::PipelineOptions clean;
   clean.store_dir = dir.str();
-  core::GadgetPlanner full(img, clean);
+  core::Session full(core::Engine::shared(), img, clean);
+  full.prepare();
   EXPECT_EQ(full.report().extract_runs.attempts, 1u);
   EXPECT_GT(full.report().pool_raw, degraded.report().pool_raw);
 }

@@ -156,6 +156,21 @@ TEST(ThreadPool, NestedRunDoesNotDeadlock) {
   EXPECT_EQ(n.load(), 32);
 }
 
+// Regression for a lost wakeup: ~ThreadPool and submit() used to publish
+// stop_/pending_ without holding sleep_m_, so a worker between its wait
+// predicate check and the wait itself could sleep through the notify and
+// hang the destructor's join. Before the fix this loop hung within a few
+// thousand iterations; a hang fails through the ctest TIMEOUT.
+TEST(ThreadPool, LifecycleStress) {
+  for (int iter = 0; iter < 3000; ++iter) {
+    ThreadPool pool(3);
+    std::atomic<int> n{0};
+    pool.run(
+        8, [&](int, u64) { n.fetch_add(1); }, 4);
+    ASSERT_EQ(n.load(), 8) << "iteration " << iter;
+  }
+}
+
 TEST(ThreadPool, ResolvePolicy) {
   EXPECT_EQ(ThreadPool::resolve(5), 5);
   EXPECT_GE(ThreadPool::resolve(0), 1);  // env / hardware fallback

@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "codegen/codegen.hpp"
-#include "core/core.hpp"
+#include "core/campaign.hpp"
 #include "corpus/corpus.hpp"
 #include "minic/minic.hpp"
 #include "support/config.hpp"
@@ -258,7 +258,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  core::GadgetPlanner gp(img);
+  core::Session gp(core::Engine::shared(), img);
+  gp.prepare();
   std::printf("pool: %llu raw -> %llu minimized\n",
               (unsigned long long)gp.report().pool_raw,
               (unsigned long long)gp.report().pool_minimized);
