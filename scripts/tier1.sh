@@ -13,10 +13,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== tier-1: build + full test suite =="
+echo "== tier-1: build + full test suite (GP_THREADS=1, then 4) =="
+# The sequential path and the parallel shard/lane paths are different
+# code; the suite must pass on both, whatever the host's core count.
 cmake -B build -S .
 cmake --build build -j
-(cd build && ctest --output-on-failure -j)
+for threads in 1 4; do
+  echo "-- ctest at GP_THREADS=$threads"
+  (cd build && GP_THREADS=$threads ctest --output-on-failure -j)
+done
 
 echo "== tier-1: kill-resume determinism drill =="
 # GP_THREADS=1 pins the exact sequential path: the subsumption winnow is

@@ -39,6 +39,17 @@ std::string hex16(u64 v) {
   return buf;
 }
 
+/// `"<stage>_<name>": value` for every counter in the stage's table: the
+/// registry name "<stage>.<name>" with '.' replaced by '_'.
+template <class S>
+void append_counters(std::string& j, const char* stage, const S& stats) {
+  for (const metrics::CounterField<S>& f : S::kCounters) {
+    if (j.back() != '{') j += ", ";
+    j += "\"" + std::string(stage) + "_" + f.name +
+         "\": " + std::to_string(stats.*f.field);
+  }
+}
+
 }  // namespace
 
 obf::Options profile_by_name(const std::string& name, u64 seed) {
@@ -144,9 +155,6 @@ Campaign::Summary Campaign::run(const std::vector<Job>& jobs) {
           r.chains.push_back(std::move(chains));
         }
         r.stages = session.report();
-        r.extract_stats = session.extract_stats();
-        r.subsume_stats = session.subsume_stats();
-        r.planner_stats = session.planner_stats();
         r.status = r.stages.worst_status();
         r.result_digest = serial::fnv1a(digest.bytes());
         r.seconds = secs_since(j0);
@@ -214,6 +222,67 @@ Campaign::Summary::CriticalPath Campaign::Summary::critical_path() const {
   return cp;
 }
 
+std::string JobResult::to_json() const {
+  const auto& s = stages;
+  std::string j = "{\"program\": \"" + json_escape(program) + "\", ";
+  j += "\"obfuscation\": \"" + json_escape(obfuscation) + "\", ";
+  j += "\"opt_level\": " + std::to_string(opt_level) + ", ";
+  j += "\"code_bytes\": " + std::to_string(code_bytes) + ", ";
+  j += "\"status\": \"" + std::string(status_code_name(status.code())) +
+       "\", ";
+  j += "\"extract_seconds\": " + format_double(s.extract_seconds) + ", ";
+  j += "\"subsume_seconds\": " + format_double(s.subsume_seconds) + ", ";
+  j += "\"plan_seconds\": " + format_double(s.plan_seconds) + ", ";
+  j += "\"job_seconds\": " + format_double(seconds) + ", ";
+  j += "\"start_seconds\": " + format_double(start_seconds) + ", ";
+  j += "\"end_seconds\": " + format_double(end_seconds) + ", ";
+  j += "\"pool_raw\": " + std::to_string(s.pool_raw) + ", ";
+  j += "\"pool_minimized\": " + std::to_string(s.pool_minimized) + ", ";
+  // kRssUnknown renders as -1: consumers must be able to tell "probe
+  // failed" from a real (even zero) measurement.
+  j += "\"rss_mb_after_plan\": " +
+       (s.rss_mb_after_plan == kRssUnknown
+            ? std::string("-1")
+            : std::to_string(s.rss_mb_after_plan)) +
+       ", ";
+  j += "\"attempts\": {\"extract\": " +
+       std::to_string(s.extract_runs.attempts) +
+       ", \"subsume\": " + std::to_string(s.subsume_runs.attempts) +
+       ", \"plan\": " + std::to_string(s.plan_runs.attempts) + "}, ";
+  j += "\"retries\": {\"extract\": " +
+       std::to_string(s.extract_runs.retries) +
+       ", \"subsume\": " + std::to_string(s.subsume_runs.retries) +
+       ", \"plan\": " + std::to_string(s.plan_runs.retries) + "}, ";
+  j += "\"backoff_seconds\": " +
+       format_double(s.extract_runs.backoff_seconds +
+                     s.subsume_runs.backoff_seconds +
+                     s.plan_runs.backoff_seconds) +
+       ", ";
+  j += "\"metrics\": {";
+  append_counters(j, "extract", s.extract);
+  append_counters(j, "subsume", s.subsume);
+  append_counters(j, "plan", s.plan);
+  j += "}, ";
+  j += "\"goals\": {";
+  for (size_t g = 0; g < chains_per_goal.size(); ++g) {
+    if (g) j += ", ";
+    const std::string name =
+        g < goal_names.size() ? goal_names[g] : std::to_string(g);
+    j += "\"" + json_escape(name) +
+         "\": " + std::to_string(chains_per_goal[g]);
+  }
+  j += "}, ";
+  j += "\"chains_per_goal\": [";
+  for (size_t g = 0; g < chains_per_goal.size(); ++g) {
+    if (g) j += ", ";
+    j += std::to_string(chains_per_goal[g]);
+  }
+  j += "], ";
+  j += "\"chains_total\": " + std::to_string(total_chains()) + ", ";
+  j += "\"digest\": \"" + hex16(result_digest) + "\"}";
+  return j;
+}
+
 std::string Campaign::Summary::to_json() const {
   std::string j;
   j += "{\n";
@@ -236,91 +305,7 @@ std::string Campaign::Summary::to_json() const {
        ", \"end_seconds\": " + format_double(cp.end_seconds) + "},\n";
   j += "  \"results\": [\n";
   for (size_t i = 0; i < results.size(); ++i) {
-    const JobResult& r = results[i];
-    const auto& s = r.stages;
-    j += "    {\"program\": \"" + json_escape(r.program) + "\", ";
-    j += "\"obfuscation\": \"" + json_escape(r.obfuscation) + "\", ";
-    j += "\"opt_level\": " + std::to_string(r.opt_level) + ", ";
-    j += "\"code_bytes\": " + std::to_string(r.code_bytes) + ", ";
-    j += "\"status\": \"" + std::string(status_code_name(r.status.code())) +
-         "\", ";
-    j += "\"extract_seconds\": " + format_double(s.extract_seconds) + ", ";
-    j += "\"subsume_seconds\": " + format_double(s.subsume_seconds) + ", ";
-    j += "\"plan_seconds\": " + format_double(s.plan_seconds) + ", ";
-    j += "\"job_seconds\": " + format_double(r.seconds) + ", ";
-    j += "\"start_seconds\": " + format_double(r.start_seconds) + ", ";
-    j += "\"end_seconds\": " + format_double(r.end_seconds) + ", ";
-    j += "\"pool_raw\": " + std::to_string(s.pool_raw) + ", ";
-    j += "\"pool_minimized\": " + std::to_string(s.pool_minimized) + ", ";
-    // kRssUnknown renders as -1: consumers must be able to tell "probe
-    // failed" from a real (even zero) measurement.
-    j += "\"rss_mb_after_plan\": " +
-         (s.rss_mb_after_plan == kRssUnknown
-              ? std::string("-1")
-              : std::to_string(s.rss_mb_after_plan)) +
-         ", ";
-    j += "\"attempts\": {\"extract\": " +
-         std::to_string(s.extract_runs.attempts) +
-         ", \"subsume\": " + std::to_string(s.subsume_runs.attempts) +
-         ", \"plan\": " + std::to_string(s.plan_runs.attempts) + "}, ";
-    j += "\"retries\": {\"extract\": " +
-         std::to_string(s.extract_runs.retries) +
-         ", \"subsume\": " + std::to_string(s.subsume_runs.retries) +
-         ", \"plan\": " + std::to_string(s.plan_runs.retries) + "}, ";
-    j += "\"backoff_seconds\": " +
-         format_double(s.extract_runs.backoff_seconds +
-                       s.subsume_runs.backoff_seconds +
-                       s.plan_runs.backoff_seconds) +
-         ", ";
-    j += "\"metrics\": {\"offsets_scanned\": " +
-         std::to_string(r.extract_stats.offsets_scanned) +
-         ", \"gadgets\": " + std::to_string(r.extract_stats.gadgets) +
-         ", \"paths_cut\": " + std::to_string(r.extract_stats.paths_cut) +
-         ", \"subsume_solver_checks\": " +
-         std::to_string(r.subsume_stats.solver_checks) +
-         ", \"subsume_structural_hits\": " +
-         std::to_string(r.subsume_stats.structural_hits) +
-         ", \"plan_expansions\": " +
-         std::to_string(r.planner_stats.expansions) +
-         ", \"plan_dead_ends\": " +
-         std::to_string(r.planner_stats.dead_ends) +
-         ", \"plan_concretize_calls\": " +
-         std::to_string(r.planner_stats.concretize_calls) +
-         ", \"plan_validated\": " +
-         std::to_string(r.planner_stats.validated) +
-         ", \"plan_index_hits\": " +
-         std::to_string(r.planner_stats.index_hits) +
-         ", \"plan_index_loads\": " +
-         std::to_string(r.planner_stats.index_loads) +
-         ", \"plan_nogood_hits\": " +
-         std::to_string(r.planner_stats.nogood_hits) +
-         ", \"plan_needs_truncated\": " +
-         std::to_string(r.planner_stats.needs_truncated) +
-         ", \"plan_unreachable_goals\": " +
-         std::to_string(r.planner_stats.unreachable_goals) +
-         // Microsecond precheck time (a sub-ms precheck truncates to
-         // "0 ms spent").
-         ", \"plan_unreachable_us\": " +
-         std::to_string(static_cast<u64>(r.planner_stats.precheck_seconds *
-                                         1e6)) +
-         "}, ";
-    j += "\"goals\": {";
-    for (size_t g = 0; g < r.chains_per_goal.size(); ++g) {
-      if (g) j += ", ";
-      const std::string name =
-          g < r.goal_names.size() ? r.goal_names[g] : std::to_string(g);
-      j += "\"" + json_escape(name) +
-           "\": " + std::to_string(r.chains_per_goal[g]);
-    }
-    j += "}, ";
-    j += "\"chains_per_goal\": [";
-    for (size_t g = 0; g < r.chains_per_goal.size(); ++g) {
-      if (g) j += ", ";
-      j += std::to_string(r.chains_per_goal[g]);
-    }
-    j += "], ";
-    j += "\"chains_total\": " + std::to_string(r.total_chains()) + ", ";
-    j += "\"digest\": \"" + hex16(r.result_digest) + "\"}";
+    j += "    " + results[i].to_json();
     j += (i + 1 < results.size()) ? ",\n" : "\n";
   }
   j += "  ]\n";

@@ -50,10 +50,7 @@ struct JobResult {
   int opt_level = 0;  // resolved level the job compiled at
   size_t code_bytes = 0;
 
-  StageReport stages;
-  gadget::ExtractStats extract_stats;
-  subsume::Stats subsume_stats;
-  planner::Stats planner_stats;
+  StageReport stages;  // includes the per-stage counters
 
   std::vector<std::string> goal_names;              // indexed like job.goals
   std::vector<int> chains_per_goal;                 // indexed like job.goals
@@ -78,6 +75,12 @@ struct JobResult {
   /// identical results iff their digests match, regardless of timing
   /// noise. The campaign determinism drill compares exactly this.
   u64 result_digest = 0;
+
+  /// This job's object in the gp-campaign-v1 "results" array: stage
+  /// seconds, pool sizes, statuses, chain counts, the digest, and a
+  /// "metrics" map holding every stage counter under its registry name
+  /// with '.' replaced by '_' ("plan.expansions" -> "plan_expansions").
+  std::string to_json() const;
 };
 
 class Campaign {

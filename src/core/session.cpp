@@ -188,6 +188,7 @@ Status Session::run_supervised(
 }
 
 void Session::canonicalize_pool(std::vector<gadget::Record>& pool) {
+  trace::Span span("canonicalize", "pool", id_);
   // Winnowing and planning must be pure functions of pool *content*, not
   // of however the expression arena happened to grow while computing it;
   // otherwise a resumed run — which decodes its pool from a checkpoint
@@ -255,8 +256,9 @@ Status Session::extract() {
           gadget::ExtractOptions eopts = opts_.extract;
           if (!eopts.governor) eopts.governor = &g;
           pool_ = extractor.extract(eopts);
-          extract_stats_ = extractor.stats();
-          return extract_stats_.status;
+          report_.extract = extractor.stats();
+          metrics::publish("extract", report_.extract);
+          return report_.extract.status;
         });
     // Only a clean run is durable: a budget-cut pool is valid but partial,
     // and caching it would freeze the degradation into future runs.
@@ -309,12 +311,16 @@ Status Session::subsume() {
       const std::vector<gadget::Record> raw = pool_;  // retries need the input
       report_.subsume_status =
           run_supervised("subsume", report_.subsume_runs, [&](Governor& g) {
-            subsume_stats_ = {};
+            report_.subsume = {};
             auto work = raw;
-            pool_ = subsume::minimize(*ctx_, std::move(work), &subsume_stats_,
+            pool_ = subsume::minimize(*ctx_, std::move(work), &report_.subsume,
                                       /*max_solver_checks=*/20'000,
                                       /*threads=*/0, &g);
-            return subsume_stats_.status;
+            metrics::publish("subsume", report_.subsume);
+            metrics::registry()
+                .histogram("subsume.pool_kept")
+                .observe(report_.subsume.kept);
+            return report_.subsume.status;
           });
       // The first cleanly-completed winnow becomes canonical. (Under an
       // exhausted solver-check budget the winnow result can depend on lane
@@ -386,40 +392,8 @@ std::vector<payload::Chain> Session::find_chains(const payload::Goal& goal) {
         }
         chains = planner.plan(goal, popts);
         const auto& s = planner.stats();
-        planner_stats_.expansions += s.expansions;
-        planner_stats_.successors += s.successors;
-        planner_stats_.dead_ends += s.dead_ends;
-        planner_stats_.linearizations += s.linearizations;
-        planner_stats_.concretize_calls += s.concretize_calls;
-        planner_stats_.validated += s.validated;
-        planner_stats_.deadline_cuts += s.deadline_cuts;
-        planner_stats_.index_hits += s.index_hits;
-        planner_stats_.index_builds += s.index_builds;
-        planner_stats_.index_loads += s.index_loads;
-        planner_stats_.nogood_hits += s.nogood_hits;
-        planner_stats_.nogood_learned += s.nogood_learned;
-        planner_stats_.needs_truncated += s.needs_truncated;
-        planner_stats_.unreachable_goals += s.unreachable_goals;
-        planner_stats_.failure_budget_cuts += s.failure_budget_cuts;
-        planner_stats_.precheck_seconds += s.precheck_seconds;
-        planner_stats_.status.merge(s.status);
-        if (metrics::enabled()) {
-          metrics::Registry& reg = metrics::registry();
-          reg.counter("plan.expansions").add(s.expansions);
-          reg.counter("plan.dead_ends").add(s.dead_ends);
-          reg.counter("plan.concretize_calls").add(s.concretize_calls);
-          reg.counter("plan.validated").add(s.validated);
-          reg.counter("plan.index_hits").add(s.index_hits);
-          reg.counter("plan.nogood_hits").add(s.nogood_hits);
-          reg.counter("plan.needs_truncated").add(s.needs_truncated);
-          reg.counter("plan.unreachable_goals").add(s.unreachable_goals);
-          reg.counter("plan.failure_budget_cuts").add(s.failure_budget_cuts);
-          // The precheck completes in sub-millisecond time, so a
-          // per-call millisecond truncation always recorded 0 ("precheck
-          // never ran"). Record microseconds.
-          reg.counter("plan.unreachable_us")
-              .add(static_cast<u64>(s.precheck_seconds * 1e6));
-        }
+        report_.plan += s;
+        metrics::publish("plan", s);
         return s.status;
       });
   if (store_ && canonical_library && st.ok())

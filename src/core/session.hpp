@@ -98,7 +98,8 @@ struct StageRuns {
   double backoff_seconds = 0;
 };
 
-/// Wall-clock and size accounting per pipeline stage (Table VII).
+/// Per-session accounting per pipeline stage: wall clock, sizes, counters
+/// (Table VII).
 struct StageReport {
   /// Per-stage wall time spent doing pipeline work: supervisor backoff
   /// sleep (StageRuns::backoff_seconds) is excluded.
@@ -124,6 +125,12 @@ struct StageReport {
   StageRuns extract_runs;
   StageRuns subsume_runs;
   StageRuns plan_runs;
+  /// Stage counters: extract/subsume hold the last attempt (a retry starts
+  /// over), plan sums every attempt of every goal. Session publishes each
+  /// attempt's counters to the registry as "<stage>.<name>".
+  gadget::ExtractStats extract;
+  subsume::Stats subsume;
+  planner::Stats plan;
   /// Artifact-store counters for this session's window (all zero when
   /// checkpointing is disabled).
   store::Stats store;
@@ -203,9 +210,9 @@ class Session {
   u64 id() const { return id_; }
 
   const StageReport& report() const { return report_; }
-  const planner::Stats& planner_stats() const { return planner_stats_; }
-  const gadget::ExtractStats& extract_stats() const { return extract_stats_; }
-  const subsume::Stats& subsume_stats() const { return subsume_stats_; }
+  const planner::Stats& planner_stats() const { return report_.plan; }
+  const gadget::ExtractStats& extract_stats() const { return report_.extract; }
+  const subsume::Stats& subsume_stats() const { return report_.subsume; }
   /// The session's governor (never null). Cancel it from another thread to
   /// stop the session cooperatively at the next poll point.
   Governor& governor() { return *gov_; }
@@ -261,9 +268,6 @@ class Session {
   std::unique_ptr<gadget::Library> lib_;
 
   StageReport report_;
-  planner::Stats planner_stats_;
-  gadget::ExtractStats extract_stats_;
-  subsume::Stats subsume_stats_;
 };
 
 }  // namespace gp::core

@@ -4,7 +4,6 @@
 #include <memory>
 
 #include "lift/lift.hpp"
-#include "support/metrics.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 #include "x86/decoder.hpp"
@@ -292,22 +291,6 @@ Record import_record(solver::Importer& imp, Record r) {
   return r;
 }
 
-/// Roll the per-extraction stat deltas into the process-wide registry so
-/// campaign summaries see totals across every session and shard.
-void mirror_extract_metrics(const ExtractStats& before,
-                            const ExtractStats& after) {
-  if (!metrics::enabled()) return;
-  metrics::Registry& reg = metrics::registry();
-  reg.counter("extract.offsets_scanned")
-      .add(after.offsets_scanned - before.offsets_scanned);
-  reg.counter("extract.gadgets").add(after.gadgets - before.gadgets);
-  reg.counter("extract.decode_failures")
-      .add(after.decode_failures - before.decode_failures);
-  reg.counter("extract.offsets_skipped")
-      .add(after.offsets_skipped - before.offsets_skipped);
-  reg.counter("extract.paths_cut").add(after.paths_cut - before.paths_cut);
-}
-
 }  // namespace
 
 std::vector<Record> Extractor::extract(const ExtractOptions& opts) {
@@ -317,13 +300,8 @@ std::vector<Record> Extractor::extract(const ExtractOptions& opts) {
   const u64 stride = static_cast<u64>(opts.stride);
   const u64 total = base < end ? (end - base + stride - 1) / stride : 0;
 
-  const ExtractStats before = stats_;
   const int threads = ThreadPool::resolve(opts.threads);
-  if (threads > 1 && total > 1) {
-    std::vector<Record> out = extract_parallel(opts, threads);
-    mirror_extract_metrics(before, stats_);
-    return out;
-  }
+  if (threads > 1 && total > 1) return extract_parallel(opts, threads);
 
   exec_.set_governor(opts.governor);
   std::vector<Record> out;
@@ -337,7 +315,6 @@ std::vector<Record> Extractor::extract(const ExtractOptions& opts) {
     exec_.begin_origin(addr);
     explore_offset(ctx_, exec_, img_, addr, opts, out, stats_);
   }
-  mirror_extract_metrics(before, stats_);
   return out;
 }
 

@@ -16,6 +16,7 @@
 #include "image/image.hpp"
 #include "solver/expr.hpp"
 #include "support/governor.hpp"
+#include "support/metrics.hpp"
 #include "support/status.hpp"
 #include "sym/exec.hpp"
 #include "x86/inst.hpp"
@@ -121,14 +122,18 @@ struct ExtractStats {
   /// Ok for a complete scan; otherwise the first degradation reason.
   Status status;
 
+  static constexpr metrics::CounterField<ExtractStats> kCounters[] = {
+      {"offsets_scanned", &ExtractStats::offsets_scanned},
+      {"decode_failures", &ExtractStats::decode_failures},
+      {"gadgets", &ExtractStats::gadgets},
+      {"with_cond_jump", &ExtractStats::with_cond_jump},
+      {"with_direct_jump", &ExtractStats::with_direct_jump},
+      {"offsets_skipped", &ExtractStats::offsets_skipped},
+      {"paths_cut", &ExtractStats::paths_cut},
+  };
+
   ExtractStats& operator+=(const ExtractStats& o) {
-    offsets_scanned += o.offsets_scanned;
-    decode_failures += o.decode_failures;
-    gadgets += o.gadgets;
-    with_cond_jump += o.with_cond_jump;
-    with_direct_jump += o.with_direct_jump;
-    offsets_skipped += o.offsets_skipped;
-    paths_cut += o.paths_cut;
+    metrics::add_counters(*this, o);
     status.merge(o.status);
     return *this;
   }

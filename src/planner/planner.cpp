@@ -22,13 +22,6 @@ using payload::Goal;
 using solver::ExprRef;
 using x86::Reg;
 
-namespace {
-double secs_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-}  // namespace
-
 void Options::append_key(serial::Writer& w) const {
   w.put_u32(kPlannerVersion);
   w.put_u32(static_cast<u32>(max_expansions));
@@ -430,7 +423,10 @@ bool Planner::precheck_unreachable(const Goal& goal, const Options& opts) {
     }
     unreachable = !any_feasible;
   }
-  stats_.precheck_seconds = secs_since(t0);
+  stats_.precheck_us = static_cast<u64>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count());
   if (unreachable) ++stats_.unreachable_goals;
   return unreachable;
 }

@@ -27,6 +27,7 @@
 #include "payload/payload.hpp"
 #include "planner/index.hpp"
 #include "support/config.hpp"
+#include "support/metrics.hpp"
 #include "support/serial.hpp"
 
 namespace gp::store {
@@ -147,11 +148,36 @@ struct Stats {
   /// 1 per plan() call). A cut search still returns every chain validated
   /// before the budget ran out.
   u64 failure_budget_cuts = 0;
-  /// Wall seconds the reachability precheck took (the "fail in
-  /// milliseconds, not minutes" budget; plan.unreachable_us in metrics).
-  double precheck_seconds = 0;
+  /// Wall microseconds the reachability precheck took (the "fail in
+  /// milliseconds, not minutes" budget; published as unreachable_us).
+  u64 precheck_us = 0;
   /// Ok for an uncut search; otherwise the first degradation reason.
   Status status;
+
+  static constexpr metrics::CounterField<Stats> kCounters[] = {
+      {"expansions", &Stats::expansions},
+      {"successors", &Stats::successors},
+      {"dead_ends", &Stats::dead_ends},
+      {"linearizations", &Stats::linearizations},
+      {"concretize_calls", &Stats::concretize_calls},
+      {"validated", &Stats::validated},
+      {"deadline_cuts", &Stats::deadline_cuts},
+      {"index_hits", &Stats::index_hits},
+      {"index_builds", &Stats::index_builds},
+      {"index_loads", &Stats::index_loads},
+      {"nogood_hits", &Stats::nogood_hits},
+      {"nogood_learned", &Stats::nogood_learned},
+      {"needs_truncated", &Stats::needs_truncated},
+      {"unreachable_goals", &Stats::unreachable_goals},
+      {"failure_budget_cuts", &Stats::failure_budget_cuts},
+      {"unreachable_us", &Stats::precheck_us},
+  };
+
+  Stats& operator+=(const Stats& o) {
+    metrics::add_counters(*this, o);
+    status.merge(o.status);
+    return *this;
+  }
 };
 
 class Planner {
@@ -165,8 +191,8 @@ class Planner {
                                    const Options& opts = {});
 
   /// Counters for the MOST RECENT plan() call (an explicit per-call
-  /// window, reset at entry — callers wanting totals across goals
-  /// accumulate themselves, as Session does).
+  /// window, reset at entry — callers wanting totals across goals sum
+  /// them with +=, as Session does).
   const Stats& stats() const { return stats_; }
 
  private:

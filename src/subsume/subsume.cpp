@@ -5,7 +5,6 @@
 #include <memory>
 #include <unordered_map>
 
-#include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 #include "support/trace.hpp"
@@ -294,15 +293,6 @@ std::vector<Record> minimize(solver::Context& ctx, std::vector<Record> pool,
   }
 
   local.kept = kept.size();
-  if (metrics::enabled()) {
-    metrics::Registry& reg = metrics::registry();
-    reg.counter("subsume.input").add(local.input);
-    reg.counter("subsume.removed").add(local.removed);
-    reg.counter("subsume.solver_checks").add(local.solver_checks);
-    reg.counter("subsume.structural_hits").add(local.structural_hits);
-    reg.counter("subsume.solver_unknown").add(local.solver_unknown);
-    reg.histogram("subsume.pool_kept").observe(local.kept);
-  }
   if (stats) *stats = local;
   return kept;
 }

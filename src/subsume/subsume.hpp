@@ -13,6 +13,7 @@
 
 #include "gadget/gadget.hpp"
 #include "solver/solver.hpp"
+#include "support/metrics.hpp"
 
 namespace gp::subsume {
 
@@ -20,6 +21,9 @@ struct Stats {
   u64 input = 0;
   u64 kept = 0;
   u64 removed = 0;
+  /// Budget units: semantic pair tests charged against max_solver_checks.
+  /// Most are settled by prefilters without a solver query, so this is not
+  /// the solver call count (the registry's solver.checks is).
   u64 solver_checks = 0;
   u64 structural_hits = 0;  // removed without touching the solver
   /// The solver-check budget ran out: the remainder of the pool was
@@ -37,14 +41,18 @@ struct Stats {
     return kept ? static_cast<double>(input) / static_cast<double>(kept) : 1.0;
   }
 
+  static constexpr metrics::CounterField<Stats> kCounters[] = {
+      {"input", &Stats::input},
+      {"kept", &Stats::kept},
+      {"removed", &Stats::removed},
+      {"solver_checks", &Stats::solver_checks},
+      {"structural_hits", &Stats::structural_hits},
+      {"solver_unknown", &Stats::solver_unknown},
+  };
+
   Stats& operator+=(const Stats& o) {
-    input += o.input;
-    kept += o.kept;
-    removed += o.removed;
-    solver_checks += o.solver_checks;
-    structural_hits += o.structural_hits;
+    metrics::add_counters(*this, o);
     budget_exhausted |= o.budget_exhausted;
-    solver_unknown += o.solver_unknown;
     status.merge(o.status);
     return *this;
   }

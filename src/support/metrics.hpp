@@ -2,11 +2,12 @@
 // always-on, low-overhead pipeline accounting (HPCToolkit-style "measure
 // everything, pay almost nothing").
 //
-// Where StageReport / ExtractStats / subsume::Stats are *per-session*
-// accounting threaded through return values, the registry is the
-// *process-wide* rollup: solver checks across every concurrent session,
-// thread-pool steals across every stage, store I/O across every campaign
-// job. Instrumentation sites cache a reference once and pay per event:
+// Per-stage counters live in per-session Stats structs, each naming them
+// once in a CounterField table; core::Session is the one place that
+// publishes them here (publish(), once per stage attempt). The registry is
+// the *process-wide* rollup of those plus sites that count directly:
+// solver checks, thread-pool steals, store I/O, across every concurrent
+// session. Such sites cache a reference once and pay per event:
 //
 //   static metrics::Counter& c = metrics::registry().counter("solver.checks");
 //   c.add();
@@ -158,5 +159,29 @@ class Registry {
 /// The process-wide registry (intentionally leaked: instrumentation sites
 /// may fire from worker threads during late shutdown).
 Registry& registry();
+
+/// One named u64 counter of a stage's Stats. Each Stats lists its counters
+/// once (`static constexpr CounterField<Stats> kCounters[]`); its +=, the
+/// registry rollup and the campaign per-job JSON all iterate that table.
+template <class S>
+struct CounterField {
+  const char* name;
+  u64 S::*field;
+};
+
+/// a += b over every counter in S::kCounters.
+template <class S>
+void add_counters(S& a, const S& b) {
+  for (const CounterField<S>& f : S::kCounters) a.*f.field += b.*f.field;
+}
+
+/// Add every counter of `stats` to the registry as "<prefix>.<name>".
+template <class S>
+void publish(const std::string& prefix, const S& stats) {
+  if (!enabled()) return;
+  Registry& reg = registry();
+  for (const CounterField<S>& f : S::kCounters)
+    reg.counter(prefix + "." + f.name).add(stats.*f.field);
+}
 
 }  // namespace gp::metrics

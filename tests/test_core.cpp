@@ -3,6 +3,7 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 
 #include "baselines/baselines.hpp"
 #include "codegen/codegen.hpp"
@@ -379,12 +380,69 @@ TEST(Session, UnreachablePrecheckCountsMicroseconds) {
   Session session(Engine::shared(), codegen::compile(prog));
   for (const auto& goal : payload::Goal::all())
     (void)session.find_chains(goal);
-  EXPECT_GT(session.planner_stats().precheck_seconds, 0.0);
+  EXPECT_GT(session.planner_stats().precheck_us, 0u);
 
   const auto snap = metrics::registry().snapshot();
   ASSERT_TRUE(snap.counters.count("plan.unreachable_us"));
   const u64 us = snap.counters.at("plan.unreachable_us");
   EXPECT_GT(us, 0u) << "precheck ran but recorded zero microseconds";
+  metrics::set_enabled(false);
+}
+
+TEST(Campaign, RegistryRollupMatchesJobStats) {
+  // Each stage names its counters once (Stats::kCounters). Session
+  // publishes every attempt's counters to the registry, and the per-job
+  // JSON serializes them from the same table, so with one attempt per
+  // stage the registry totals equal the per-job sums, counter for counter.
+  metrics::set_enabled(true);
+  metrics::registry().reset();
+
+  std::vector<Job> jobs;
+  for (const char* obf_name : {"none", "llvm-obf"}) {
+    Job job;
+    job.program = "call_rich";
+    job.source = kCallRichSource;
+    job.obfuscation = obf_name;
+    job.obf = profile_by_name(obf_name, 7);
+    job.goals = {payload::Goal::execve()};
+    jobs.push_back(std::move(job));
+  }
+  Campaign::Options copts;
+  copts.concurrency = 2;
+  copts.pipeline.plan.max_chains = 4;
+  copts.pipeline.store_dir = "";  // every stage runs; no checkpoint serves
+  const auto sum = Campaign(Engine::shared(), copts).run(jobs);
+  ASSERT_EQ(sum.results.size(), 2u);
+  for (const JobResult& r : sum.results) {
+    ASSERT_EQ(r.stages.extract_runs.attempts, 1u);
+    ASSERT_EQ(r.stages.subsume_runs.attempts, 1u);
+    ASSERT_EQ(r.stages.plan_runs.attempts, 1u);
+  }
+
+  const auto counters = metrics::registry().snapshot().counters;
+  auto check = [&](const std::string& stage, auto stats_of) {
+    using S = std::remove_cvref_t<decltype(stats_of(sum.results[0]))>;
+    for (const metrics::CounterField<S>& f : S::kCounters) {
+      u64 total = 0;
+      for (const JobResult& r : sum.results) {
+        const u64 v = stats_of(r).*f.field;
+        total += v;
+        const std::string json = r.to_json();
+        const std::string kv =
+            "\"" + stage + "_" + f.name + "\": " + std::to_string(v);
+        const size_t at = json.find(kv);
+        ASSERT_NE(at, std::string::npos) << kv;
+        const char next = json[at + kv.size()];
+        EXPECT_TRUE(next == ',' || next == '}') << kv << next;
+      }
+      const std::string name = stage + "." + f.name;
+      ASSERT_TRUE(counters.count(name)) << name << " never published";
+      EXPECT_EQ(counters.at(name), total) << name;
+    }
+  };
+  check("extract", [](const JobResult& r) { return r.stages.extract; });
+  check("subsume", [](const JobResult& r) { return r.stages.subsume; });
+  check("plan", [](const JobResult& r) { return r.stages.plan; });
   metrics::set_enabled(false);
 }
 
