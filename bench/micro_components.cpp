@@ -12,6 +12,7 @@
 #include "obfuscate/obfuscate.hpp"
 #include "solver/solver.hpp"
 #include "subsume/subsume.hpp"
+#include "support/rng.hpp"
 #include "sym/exec.hpp"
 #include "x86/decoder.hpp"
 
@@ -76,6 +77,31 @@ void BM_SolverEquivalenceQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SolverEquivalenceQuery);
+
+// A concretize-shaped query. concretize's SAT instances are mostly
+// decisions over payload bits the constraints leave free: on llvm-obf
+// binary_search each check has ~24k variables, ~1.9k decisions and no
+// conflicts. This one is a 64-bit multiply/add equation plus 24 free 64-bit
+// words that the formula mentions but barely constrains: ~17k SAT
+// variables, ~1.6k decisions, no conflicts.
+void BM_SatBitblasted64(benchmark::State& state) {
+  solver::Context ctx;
+  Rng rng(0x5a7b17);
+  const u64 k1 = rng.next() | 1, x0 = rng.next(), y0 = rng.next();
+  const auto x = ctx.var("x", 64), y = ctx.var("y", 64);
+  const auto k = [&](u64 v) { return ctx.constant(v, 64); };
+  std::vector<solver::ExprRef> query = {
+      ctx.eq(ctx.add(ctx.mul(x, k(k1)), y), k(x0 * k1 + y0))};
+  for (int i = 0; i < 24; ++i) {
+    const auto z = ctx.var("z" + std::to_string(i), 64);
+    query.push_back(ctx.ne(ctx.add(z, x), k(rng.next())));
+  }
+  for (auto _ : state) {
+    solver::Solver solver(ctx);
+    benchmark::DoNotOptimize(solver.check_sat(query));
+  }
+}
+BENCHMARK(BM_SatBitblasted64);
 
 void BM_EmulatorRun(benchmark::State& state) {
   const auto& img = test_image();

@@ -537,10 +537,13 @@ cmake --build build-tsan -j --target test_support test_parallel
 echo "== tier-1: robustness + fault-injection tests under ASan/UBSan =="
 # test_serve carries the journal corruption sweep (torn tail, bit flip,
 # torn append, version bump) — exactly the paths that unwind through
-# partially-parsed bytes, so they run under ASan here too.
+# partially-parsed bytes, so they run under ASan here too. The solver
+# suites run here as well: the SAT core's order heap is index arithmetic
+# (heap slots, child positions) of the kind ASan catches.
 cmake --preset asan
 cmake --build build-asan -j --target test_governor test_robustness test_store \
-  test_serve
+  test_serve test_solver
 (cd build-asan && ctest -L robustness --output-on-failure)
+(cd build-asan && ctest -R 'SatCore|Solver' --output-on-failure)
 
 echo "== tier-1: OK =="

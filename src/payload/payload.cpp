@@ -7,6 +7,7 @@
 
 #include "lift/lift.hpp"
 #include "support/rng.hpp"
+#include "support/trace.hpp"
 
 namespace gp::payload {
 
@@ -335,7 +336,8 @@ std::optional<Chain> concretize(solver::Context& ctx,
     constraints.push_back(ctx.bnot(fv));
   }
 
-  solver::Solver solver(ctx, /*conflict_budget=*/500'000, opts.governor);
+  solver::Solver solver(ctx, /*conflict_budget=*/500'000, opts.governor,
+                        solver::Caller::Concretize);
   const auto model = solver.check_sat(constraints);
   if (!model) {
     // An UNKNOWN answer (budget, deadline, injected fault) is a failure —
@@ -402,11 +404,14 @@ std::optional<Chain> concretize(solver::Context& ctx,
   }
 
   // End-to-end validation with randomized uncontrolled registers.
-  for (int trial = 0; trial < opts.validation_trials; ++trial) {
-    if (!validate(img, chain, goal, opts.stack_base,
-                  0xc0ffee + 7919 * trial)) {
-      ++cs.validation_failed;
-      return std::nullopt;
+  {
+    trace::Span span("plan.validate", "planner", opts.session_id);
+    for (int trial = 0; trial < opts.validation_trials; ++trial) {
+      if (!validate(img, chain, goal, opts.stack_base,
+                    0xc0ffee + 7919 * trial)) {
+        ++cs.validation_failed;
+        return std::nullopt;
+      }
     }
   }
   ++cs.ok;

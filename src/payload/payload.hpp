@@ -102,6 +102,8 @@ struct ConcretizeOptions {
   /// Resolved once from the gp::Config snapshot (GP_DEBUG_CONC2) instead
   /// of a per-constraint getenv in the composition loop.
   bool debug_conc2 = config().debug_conc2;
+  /// Owning session id for trace spans (0 = none).
+  u64 session_id = 0;
 };
 
 /// Compose, solve and validate. Returns nullopt if the sequence has no

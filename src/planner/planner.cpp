@@ -653,11 +653,15 @@ void Planner::run_round(const Goal& goal, const Options& opts,
       payload::ConcretizeOptions copts = opts.concretize;
       if (!copts.stats) copts.stats = &local_cs;
       if (!copts.governor) copts.governor = opts.governor;
+      copts.session_id = opts.session_id;
       // Caller-shared ConcretizeStats keep values from earlier calls;
       // clear the blame field so a stale mismatch from a PREVIOUS
       // concretization can never demote this sequence's providers.
       copts.stats->last_mismatch_reg = Reg::NONE;
-      auto chain = payload::concretize(ctx_, lib_, img_, seq, goal, copts);
+      auto chain = [&] {
+        trace::Span span("plan.concretize", "planner", opts.session_id);
+        return payload::concretize(ctx_, lib_, img_, seq, goal, copts);
+      }();
       if (!chain && opts.debug_conc &&
           stats_.concretize_calls <= 3) {
         fprintf(stderr, "--- failed sequence (%zu gadgets) ---\n", seq.size());

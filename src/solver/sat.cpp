@@ -15,7 +15,44 @@ u32 Sat::new_var() {
   polarity_.push_back(0);
   watches_.emplace_back();
   watches_.emplace_back();
+  heap_pos_.push_back(kNotInHeap);
+  heap_insert(v);
   return v;
+}
+
+void Sat::heap_insert(u32 v) {
+  heap_pos_[v] = static_cast<u32>(heap_.size());
+  heap_.push_back(v);
+  sift_up(heap_pos_[v]);
+}
+
+void Sat::sift_up(u32 pos) {
+  const u32 v = heap_[pos];
+  while (pos > 0) {
+    const u32 parent = (pos - 1) / 2;
+    if (!before(v, heap_[parent])) break;
+    heap_[pos] = heap_[parent];
+    heap_pos_[heap_[pos]] = pos;
+    pos = parent;
+  }
+  heap_[pos] = v;
+  heap_pos_[v] = pos;
+}
+
+void Sat::sift_down(u32 pos) {
+  const u32 v = heap_[pos];
+  const size_t n = heap_.size();
+  for (;;) {
+    size_t child = 2 * static_cast<size_t>(pos) + 1;
+    if (child >= n) break;
+    if (child + 1 < n && before(heap_[child + 1], heap_[child])) ++child;
+    if (!before(heap_[child], v)) break;
+    heap_[pos] = heap_[child];
+    heap_pos_[heap_[pos]] = pos;
+    pos = static_cast<u32>(child);
+  }
+  heap_[pos] = v;
+  heap_pos_[v] = pos;
 }
 
 bool Sat::add_clause(std::vector<Lit> lits) {
@@ -115,6 +152,11 @@ void Sat::bump(u32 v) {
   if (activity_[v] > 1e100) {
     for (auto& a : activity_) a *= 1e-100;
     activity_inc_ *= 1e-100;
+    // Scaling keeps the activity order but can create ties, and ties are
+    // ordered by index: rebuild rather than trust the old shape.
+    for (size_t i = heap_.size() / 2; i-- > 0;) sift_down(static_cast<u32>(i));
+  } else if (heap_pos_[v] != kNotInHeap) {
+    sift_up(heap_pos_[v]);
   }
 }
 
@@ -178,6 +220,7 @@ void Sat::backtrack(u32 target) {
     polarity_[v] = static_cast<u8>(assign_[v]);
     assign_[v] = 2;
     reason_[v] = kNoReason;
+    if (heap_pos_[v] == kNotInHeap) heap_insert(v);
   }
   trail_.resize(bound);
   trail_lim_.resize(target);
@@ -185,16 +228,18 @@ void Sat::backtrack(u32 target) {
 }
 
 Lit Sat::decide() {
-  u32 best = kNoReason;
-  double best_act = -1.0;
-  for (u32 v = 0; v < assign_.size(); ++v) {
-    if (assign_[v] == 2 && activity_[v] > best_act) {
-      best_act = activity_[v];
-      best = v;
-    }
+  // Pop the top until it is unassigned: variables assigned since they
+  // were inserted are removed lazily, here.
+  while (!heap_.empty()) {
+    const u32 best = heap_.front();
+    heap_pos_[best] = kNotInHeap;
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty()) sift_down(0);
+    if (assign_[best] == 2)
+      return polarity_[best] ? Lit::pos(best) : Lit::neg(best);
   }
-  if (best == kNoReason) return {kNoReason};
-  return polarity_[best] ? Lit::pos(best) : Lit::neg(best);
+  return {kNoReason};
 }
 
 SatResult Sat::solve(i64 conflict_budget, const Governor* governor) {

@@ -2,6 +2,20 @@
 // learning, VSIDS-style activity, geometric restarts. This is the decision
 // core underneath the bit-blaster (the role Z3's SAT engine plays for the
 // paper's constraint queries).
+//
+// Decisions come from an indexed binary max-heap of variables (MiniSat's
+// order heap, Een & Sorensson, SAT 2003), so a decision costs O(log V)
+// instead of a scan over every variable of a bit-blasted instance. The
+// heap order is (activity desc, var index asc): the next decision is the
+// unassigned variable with the highest activity, the lowest index among
+// equals. Every decision, and with it every conflict, learned clause and
+// model, depends on that tie-break, so the heap must keep it exactly:
+//  - every unassigned variable is in the heap (new_var inserts, backtrack
+//    reinserts); assigned ones may linger and are popped lazily by decide;
+//  - bump() only raises an activity, so a sift-up restores the order;
+//  - the 1e100 activity rescale can merge distinct activities into ties
+//    (or underflow them to 0), which can invert two entries under the
+//    index tie-break, so it rebuilds the heap.
 #pragma once
 
 #include <vector>
@@ -76,6 +90,16 @@ class Sat {
   void bump(u32 v);
   void decay();
 
+  // Order heap over variables; heap_pos_[v] is v's slot or kNotInHeap.
+  static constexpr u32 kNotInHeap = 0xffffffff;
+  bool before(u32 a, u32 b) const {
+    return activity_[a] > activity_[b] ||
+           (activity_[a] == activity_[b] && a < b);
+  }
+  void heap_insert(u32 v);
+  void sift_up(u32 pos);
+  void sift_down(u32 pos);
+
   std::vector<Clause> clauses_;
   std::vector<std::vector<Watch>> watches_;  // indexed by Lit.code
   std::vector<i8> assign_;
@@ -86,6 +110,8 @@ class Sat {
   size_t qhead_ = 0;
   std::vector<double> activity_;
   double activity_inc_ = 1.0;
+  std::vector<u32> heap_;      // variables, heap-ordered by before()
+  std::vector<u32> heap_pos_;  // indexed by variable
   std::vector<u8> seen_;
   std::vector<u8> polarity_;  // phase saving
   u64 conflicts_ = 0;

@@ -1,6 +1,7 @@
 #include "solver/solver.hpp"
 
 #include <algorithm>
+#include <chrono>
 
 #include "support/fault.hpp"
 #include "support/metrics.hpp"
@@ -31,6 +32,20 @@ void count_outcome(SatResult r) {
     case SatResult::Unsat: unsat.add(); break;
     case SatResult::Unknown: unknown.add(); break;
   }
+}
+
+/// The check-latency histogram of a caller tag; nullptr for untagged.
+metrics::Histogram* check_us(Caller c) {
+  static metrics::Histogram& subsume =
+      metrics::registry().histogram("solver.subsume.check_us");
+  static metrics::Histogram& concretize =
+      metrics::registry().histogram("solver.concretize.check_us");
+  switch (c) {
+    case Caller::Subsume: return &subsume;
+    case Caller::Concretize: return &concretize;
+    case Caller::None: break;
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -78,6 +93,7 @@ SatResult Solver::check_impl(const std::vector<ExprRef>& constraints,
   if (fault::enabled() && fault::should_fire(fault::Point::Solver))
     return unknown();
 
+  const auto t0 = std::chrono::steady_clock::now();
   BitBlaster bb(ctx_);
   std::vector<ExprRef> vars;
   for (const ExprRef c : constraints) {
@@ -91,6 +107,11 @@ SatResult Solver::check_impl(const std::vector<ExprRef>& constraints,
   for (const ExprRef v : vars) (void)bb.model_value(v);
 
   const SatResult r = bb.solve(conflict_budget_, governor_);
+  if (metrics::Histogram* h = check_us(caller_))
+    h->observe(static_cast<u64>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count()));
   if (r == SatResult::Unknown) return unknown();
   count_outcome(r);
   memo_[key_of(constraints)] = r == SatResult::Sat ? Memo::Sat : Memo::Unsat;

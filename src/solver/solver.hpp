@@ -25,11 +25,19 @@ namespace gp::solver {
 /// A satisfying assignment: variable ref -> 64-bit value.
 using Model = std::unordered_map<ExprRef, u64>;
 
+/// The pipeline layer issuing a Solver's queries. A tagged solver times
+/// each query that reaches the bit-blaster (not memo hits, not the
+/// constant fast path) into the `solver.<caller>.check_us` histogram.
+enum class Caller : u8 { None, Subsume, Concretize };
+
 class Solver {
  public:
   explicit Solver(Context& ctx, i64 conflict_budget = 2'000'000,
-                  Governor* governor = nullptr)
-      : ctx_(ctx), conflict_budget_(conflict_budget), governor_(governor) {}
+                  Governor* governor = nullptr, Caller caller = Caller::None)
+      : ctx_(ctx),
+        conflict_budget_(conflict_budget),
+        governor_(governor),
+        caller_(caller) {}
 
   /// Attach/detach the resource governor: each query then consumes one
   /// solver-check budget unit and the SAT core polls the deadline/cancel
@@ -82,6 +90,7 @@ class Solver {
   Context& ctx_;
   i64 conflict_budget_;
   Governor* governor_;
+  Caller caller_;
   std::unordered_map<u64, Memo> memo_;
   u64 queries_ = 0;
   u64 cache_hits_ = 0;

@@ -156,7 +156,8 @@ bool acquire_check(std::atomic<u64>& checks, u64 max_solver_checks) {
 void winnow_group(solver::Context& ctx, std::vector<Record>& group,
                   std::atomic<u64>& checks, u64 max_solver_checks,
                   Stats& stats, std::vector<u8>& keep, Governor* governor) {
-  solver::Solver solver(ctx, /*conflict_budget=*/50'000, governor);
+  solver::Solver solver(ctx, /*conflict_budget=*/50'000, governor,
+                        solver::Caller::Subsume);
   // Prefer shorter gadgets as representatives.
   std::sort(group.begin(), group.end(),
             [](const Record& a, const Record& b) {

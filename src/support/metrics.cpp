@@ -1,6 +1,8 @@
 #include "support/metrics.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <cmath>
 
 #include "support/config.hpp"
 #include "support/str.hpp"
@@ -47,6 +49,19 @@ void Histogram::observe(u64 v) {
   }
 }
 
+u64 Histogram::quantile(double q) const {
+  const u64 n = count();
+  if (n == 0) return 0;
+  const u64 rank =
+      std::max<u64>(1, static_cast<u64>(std::ceil(q * static_cast<double>(n))));
+  u64 seen = 0;
+  for (int bits = 0; bits < 64; ++bits) {
+    seen += bucket(bits);
+    if (seen >= rank) return std::min((u64{1} << bits) - 1, max());
+  }
+  return max();
+}
+
 void Histogram::reset() {
   for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
   count_.store(0, std::memory_order_relaxed);
@@ -81,7 +96,8 @@ Snapshot Registry::snapshot() const {
   for (const auto& [name, c] : counters_) s.counters[name] = c->value();
   for (const auto& [name, g] : gauges_) s.gauges[name] = g->value();
   for (const auto& [name, h] : histograms_)
-    s.histograms[name] = {h->count(), h->sum(), h->max(), h->mean()};
+    s.histograms[name] = {h->count(), h->sum(),         h->max(),
+                          h->mean(),  h->quantile(0.5), h->quantile(0.99)};
   return s;
 }
 
@@ -110,7 +126,9 @@ std::string Registry::to_json() const {
     std::snprintf(mean, sizeof mean, "%.2f", h.mean);
     j += "\"" + json_escape(name) + "\": {\"count\": " +
          std::to_string(h.count) + ", \"sum\": " + std::to_string(h.sum) +
-         ", \"max\": " + std::to_string(h.max) + ", \"mean\": " + mean + "}";
+         ", \"max\": " + std::to_string(h.max) + ", \"mean\": " + mean +
+         ", \"p50\": " + std::to_string(h.p50) +
+         ", \"p99\": " + std::to_string(h.p99) + "}";
   }
   j += "}}";
   return j;

@@ -107,6 +107,9 @@ class Histogram {
   u64 bucket(int bits) const {
     return buckets_[static_cast<size_t>(bits)].load(std::memory_order_relaxed);
   }
+  /// Upper bound on the q-quantile (q in [0, 1], nearest rank): the top of
+  /// the bucket holding that observation, capped at max(). 0 when empty.
+  u64 quantile(double q) const;
   void reset();
 
  private:
@@ -121,6 +124,8 @@ struct HistogramSummary {
   u64 sum = 0;
   u64 max = 0;
   double mean = 0;
+  u64 p50 = 0;  // Histogram::quantile bounds
+  u64 p99 = 0;
 };
 
 /// Read-only copy of every instrument at one moment.
@@ -141,7 +146,8 @@ class Registry {
 
   Snapshot snapshot() const;
   /// One JSON object: {"counters": {...}, "gauges": {...},
-  /// "histograms": {"name": {"count":..,"sum":..,"max":..,"mean":..}}}.
+  /// "histograms": {"name": {"count":..,"sum":..,"max":..,"mean":..,
+  /// "p50":..,"p99":..}}}.
   /// Names are json-escaped; zero-valued counters are kept (a zero is
   /// informative: the site was registered but never fired).
   std::string to_json() const;

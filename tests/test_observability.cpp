@@ -87,6 +87,15 @@ TEST_F(Observability, HistogramBucketsByBitWidthAndTracksMoments) {
   EXPECT_EQ(h.bucket(9), 1u);
 }
 
+TEST_F(Observability, HistogramQuantileIsBucketUpperBound) {
+  metrics::Histogram& h = metrics::registry().histogram("t.q");
+  EXPECT_EQ(h.quantile(0.5), 0u);
+  for (const u64 v : {0, 1, 5, 5, 300}) h.observe(v);
+  EXPECT_EQ(h.quantile(0.5), 7u);     // 3rd of 5 lies in the [4, 7] bucket
+  EXPECT_EQ(h.quantile(0.99), 300u);  // [256, 511] bucket, capped at max
+  EXPECT_EQ(h.quantile(0.0), 0u);
+}
+
 TEST_F(Observability, SnapshotAndJsonCoverAllInstrumentKinds) {
   metrics::registry().counter("t.c").add(3);
   metrics::registry().gauge("t.g").set(-2);
@@ -102,6 +111,7 @@ TEST_F(Observability, SnapshotAndJsonCoverAllInstrumentKinds) {
   EXPECT_NE(j.find("\"t.c\": 3"), std::string::npos) << j;
   EXPECT_NE(j.find("\"t.g\": -2"), std::string::npos) << j;
   EXPECT_NE(j.find("\"count\": 1"), std::string::npos) << j;
+  EXPECT_NE(j.find("\"p50\": 16, \"p99\": 16"), std::string::npos) << j;
 }
 
 TEST_F(Observability, MetricNamesAreJsonEscapedInOutput) {

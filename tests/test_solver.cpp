@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "solver/solver.hpp"
 #include "support/rng.hpp"
+#include "support/serial.hpp"
 
 namespace gp::solver {
 namespace {
@@ -152,6 +155,31 @@ TEST_F(ExprTest, EvalMatchesSemantics) {
 // SAT core
 // ---------------------------------------------------------------------------
 
+/// Pigeonhole P -> P-1 over fresh variables (pigeon-major). When `guard`
+/// is given, every clause also carries it, so the instance is UNSAT only
+/// under ~guard. Returns the variable of pigeon p in hole h at [p][h].
+std::vector<std::vector<u32>> add_pigeonhole(Sat& s, int P,
+                                             std::optional<Lit> guard = {}) {
+  const int H = P - 1;
+  std::vector<std::vector<u32>> v(P, std::vector<u32>(H));
+  for (auto& row : v)
+    for (u32& x : row) x = s.new_var();
+  auto add = [&](std::vector<Lit> c) {
+    if (guard) c.insert(c.begin(), *guard);
+    s.add_clause(std::move(c));
+  };
+  for (int p = 0; p < P; ++p) {
+    std::vector<Lit> c;
+    for (int h = 0; h < H; ++h) c.push_back(Lit::pos(v[p][h]));
+    add(std::move(c));
+  }
+  for (int h = 0; h < H; ++h)
+    for (int p1 = 0; p1 < P; ++p1)
+      for (int p2 = p1 + 1; p2 < P; ++p2)
+        add({Lit::neg(v[p1][h]), Lit::neg(v[p2][h])});
+  return v;
+}
+
 TEST(SatCore, TrivialSatAndUnsat) {
   Sat s;
   const u32 a = s.new_var(), b = s.new_var();
@@ -171,20 +199,101 @@ TEST(SatCore, TrivialSatAndUnsat) {
 TEST(SatCore, PigeonholeUnsat) {
   // 4 pigeons, 3 holes: classic small UNSAT requiring real search.
   Sat s;
-  const int P = 4, H = 3;
-  u32 v[4][3];
-  for (int p = 0; p < P; ++p)
-    for (int h = 0; h < H; ++h) v[p][h] = s.new_var();
-  for (int p = 0; p < P; ++p) {
-    std::vector<Lit> c;
-    for (int h = 0; h < H; ++h) c.push_back(Lit::pos(v[p][h]));
-    s.add_clause(c);
-  }
-  for (int h = 0; h < H; ++h)
-    for (int p1 = 0; p1 < P; ++p1)
-      for (int p2 = p1 + 1; p2 < P; ++p2)
-        s.add_clause({Lit::neg(v[p1][h]), Lit::neg(v[p2][h])});
+  add_pigeonhole(s, 4);
   EXPECT_EQ(s.solve(), SatResult::Unsat);
+}
+
+/// Pins the exact search: decisions, conflicts, learned clauses and models
+/// follow from the (activity desc, var index asc) decision order, so a
+/// change to the order structure that reorders even one decision moves the
+/// conflict total or a model. The constants were recorded from the linear
+/// scan the order heap replaced.
+TEST(SatCore, DecisionOrderPinned) {
+  Rng rng(4101);
+  constexpr int kInstances = 24;
+  constexpr int kVars = 120;
+  constexpr int kClauses = 492;  // ratio 4.1, near the 3-SAT threshold
+  u64 conflicts = 0;
+  int sat = 0;
+  u64 models = serial::fnv1a({});
+  for (int inst = 0; inst < kInstances; ++inst) {
+    Sat s;
+    for (int v = 0; v < kVars; ++v) s.new_var();
+    bool consistent = true;
+    for (int c = 0; c < kClauses; ++c) {
+      std::vector<Lit> lits;
+      for (int k = 0; k < 3; ++k) {
+        const u32 var = static_cast<u32>(rng.below(kVars));
+        lits.push_back(rng.chance(0.5) ? Lit::pos(var) : Lit::neg(var));
+      }
+      consistent = s.add_clause(std::move(lits)) && consistent;
+    }
+    if (!consistent) continue;
+    const SatResult r = s.solve();
+    ASSERT_NE(r, SatResult::Unknown);
+    conflicts += s.num_conflicts();
+    if (r != SatResult::Sat) continue;
+    ++sat;
+    std::vector<u8> bits(kVars);
+    for (int v = 0; v < kVars; ++v) bits[v] = s.model_value(v);
+    models = serial::fnv1a(bits, models);
+  }
+  EXPECT_EQ(sat, 19);
+  EXPECT_EQ(conflicts, 9'456u);
+  EXPECT_EQ(models, 10987286816866328655u);
+}
+
+/// Pigeonhole 9 -> 8 runs ~20k conflicts, so activity_inc crosses the 1e100
+/// rescale (about every 4,490 conflicts) four times. The exact conflict
+/// count pins the search through every rescale.
+TEST(SatCore, RescaleKeepsDecisionOrder) {
+  Sat s;
+  add_pigeonhole(s, 9);
+  EXPECT_EQ(s.solve(), SatResult::Unsat);
+  EXPECT_EQ(s.num_conflicts(), 20'381u);
+}
+
+/// The rescale can merge distinct activities into ties: an activity last
+/// bumped in the first few thousand conflicts underflows to 0 by the fourth
+/// rescale, and ties must still go to the lowest index. Here a selector
+/// `sel` guards a pigeonhole 9 -> 8: the solver refutes it under ~sel (~19k
+/// conflicts), learns sel, and then decides every remaining variable. Each
+/// of 30 gadgets has b < c < a and the clause (a | b | c). Side clauses pull
+/// a into early conflicts; b and c are in no other clause, so they are
+/// never bumped. By the end a's activity has underflowed to 0, so index
+/// order decides b, then c, both false, which forces a true. A heap that
+/// still ranks a above b after the tie decides a first, with its saved
+/// phase false, and ends with b or c true.
+TEST(SatCore, RescaleTiesBreakByIndex) {
+  constexpr int kGadgets = 30;
+  Sat s;
+  const u32 sel = s.new_var();
+  std::vector<u32> e(kGadgets);
+  for (u32& v : e) v = s.new_var();
+  const auto hole = add_pigeonhole(s, 9, Lit::pos(sel));
+  std::vector<u32> a(kGadgets), b(kGadgets), c(kGadgets);
+  for (int i = 0; i < kGadgets; ++i) {
+    b[i] = s.new_var();
+    c[i] = s.new_var();
+    a[i] = s.new_var();
+    const u32 x = s.new_var(), y = s.new_var();
+    // ~sel & ~e & ~g0 & ~g1 forces a = x = false and then y both ways: a
+    // conflict that bumps a.
+    const u32 g0 = hole[i % 9][0], g1 = hole[i % 9][1 + (i / 9) % 7];
+    const Lit S = Lit::pos(sel), E = Lit::pos(e[i]);
+    s.add_clause({Lit::pos(a[i]), Lit::pos(b[i]), Lit::pos(c[i])});
+    s.add_clause({S, Lit::pos(g0), Lit::neg(a[i])});
+    s.add_clause({S, Lit::pos(g1), Lit::neg(x)});
+    s.add_clause({S, E, Lit::pos(a[i]), Lit::pos(x), Lit::pos(y)});
+    s.add_clause({S, E, Lit::pos(a[i]), Lit::pos(x), Lit::neg(y)});
+  }
+  ASSERT_EQ(s.solve(), SatResult::Sat);
+  EXPECT_EQ(s.num_conflicts(), 19'264u);
+  for (int i = 0; i < kGadgets; ++i) {
+    EXPECT_TRUE(s.model_value(a[i])) << "gadget " << i;
+    EXPECT_FALSE(s.model_value(b[i])) << "gadget " << i;
+    EXPECT_FALSE(s.model_value(c[i])) << "gadget " << i;
+  }
 }
 
 /// Random 3-SAT cross-checked against brute force over <=14 variables.
