@@ -1,17 +1,38 @@
 #!/usr/bin/env bash
-# Tier-1 verification: full build + test suite, then the concurrency tests
-# again under ThreadSanitizer (catches data races the functional suite
-# can't), then the robustness/fault-injection suite under ASan+UBSan
-# (catches memory errors on the degradation paths, which by design unwind
-# through partially-built state), then a kill-resume drill: SIGKILL the
-# pipeline mid-extraction and prove the checkpoint store resumes it to
-# byte-identical payloads. Run from the repo root.
+# Tier-1 verification: a diagnostics lint, full build + test suite, then
+# the concurrency tests again under ThreadSanitizer (catches data races
+# the functional suite can't), then the robustness/fault-injection suite
+# under ASan+UBSan (catches memory errors on the degradation paths, which
+# by design unwind through partially-built state), then a kill-resume
+# drill: SIGKILL the pipeline mid-extraction and prove the checkpoint
+# store resumes it to byte-identical payloads. Run from the repo root.
 #
 # Suites carry ctest labels (unit / robustness / slow) so stages can select:
 #   ctest -L robustness        only the chaos/degradation suites
 #   ctest -LE slow             everything but the whole-pipeline sweeps
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "== tier-1: diagnostics lint =="
+# One diagnostics channel: library code reports through Stats counters,
+# the metrics registry and trace spans, never by printing to stderr, and
+# reads the environment only through gp::Config (support/config.cpp).
+# Each violation prints as file:line:text.
+lint_failed=0
+lint() { # rule, grep hits ("" = clean)
+  [ -z "$2" ] && return 0
+  echo "lint: $1"
+  echo "$2"
+  lint_failed=1
+}
+lint "stderr printer in src/" \
+  "$(grep -rnE 'fprintf\(\s*stderr|std::cerr' src || true)"
+lint "getenv outside src/support/config.cpp" \
+  "$(grep -rnE 'getenv\s*\(' src | grep -v '^src/support/config\.cpp:' || true)"
+lint "debug-trace env knob" \
+  "$(grep -rn 'GP_DEBU[G]_' src tools scripts || true)"
+[ "$lint_failed" -eq 0 ] || { echo "diagnostics lint failed"; exit 1; }
+echo "diagnostics lint ok"
 
 echo "== tier-1: build + full test suite (GP_THREADS=1, then 4) =="
 # The sequential path and the parallel shard/lane paths are different

@@ -207,7 +207,7 @@ Result angrop(solver::Context& ctx, const Library& lib,
   if (!sys) return result;
   seq.push_back(*sys);
 
-  auto chain = payload::concretize(ctx, lib, img, seq, goal, {});
+  auto chain = payload::concretize(ctx, lib, img, seq, goal).chain;
   if (chain) {
     result.gadgets_used = chain->gadgets.size();
     result.chains.push_back(std::move(*chain));

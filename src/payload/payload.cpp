@@ -1,8 +1,6 @@
 #include "payload/payload.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <unordered_map>
 
 #include "lift/lift.hpp"
@@ -69,39 +67,32 @@ namespace {
 /// Re-execute a gadget's recorded path on a shared symbolic state,
 /// collecting branch-decision constraints. Returns the final Flow.
 sym::Flow replay(sym::Executor& exec, solver::Context& ctx, sym::State& st,
-                 const Record& g, std::vector<ExprRef>& constraints,
-                 bool dbg) {
+                 const Record& g, std::vector<ExprRef>& constraints) {
   sym::Flow flow;
   for (const gadget::PathStep& step : g.path) {
     flow = exec.step(st, lift::lift(step.inst));
-    if (flow.kind == ir::JumpKind::CondDirect) {
-      const ExprRef c =
-          step.branch_taken ? flow.cond : ctx.bnot(flow.cond);
-      if (dbg && ctx.is_const(c, 0))
-        fprintf(stderr, "FALSE path-cond at gadget %llx inst %s\n",
-                (unsigned long long)g.addr,
-                x86::to_string(step.inst).c_str());
-      constraints.push_back(c);
-    }
+    if (flow.kind == ir::JumpKind::CondDirect)
+      constraints.push_back(step.branch_taken ? flow.cond
+                                              : ctx.bnot(flow.cond));
   }
   return flow;
 }
 
 }  // namespace
 
-std::optional<Chain> concretize(solver::Context& ctx,
-                                const gadget::Library& lib,
-                                const image::Image& img,
-                                const std::vector<u32>& ordered,
-                                const Goal& goal,
-                                const ConcretizeOptions& opts) {
+ConcretizeResult concretize(solver::Context& ctx, const gadget::Library& lib,
+                            const image::Image& img,
+                            const std::vector<u32>& ordered, const Goal& goal,
+                            const ConcretizeOptions& opts) {
   GP_CHECK(!ordered.empty(), "concretize: empty chain");
   GP_CHECK(lib[ordered.back()].end == EndKind::Syscall,
            "concretize: chain must end in a syscall gadget");
 
-  ConcretizeStats local;
-  ConcretizeStats& cs = opts.stats ? *opts.stats : local;
-  cs.last_mismatch_reg = x86::Reg::NONE;
+  ConcretizeResult r;
+  auto refuted = [&r](Refutation why) {
+    r.why = why;
+    return r;
+  };
 
   // Everything below builds expressions and steps the symbolic executor,
   // any of which can exhaust a governed budget; the catch at the end turns
@@ -111,30 +102,18 @@ std::optional<Chain> concretize(solver::Context& ctx,
   exec.set_governor(opts.governor);
   sym::State st = exec.initial_state();
   std::vector<ExprRef> constraints;
-  const bool dbg = opts.debug_conc2;
-  auto push_c = [&](ExprRef c, const char* tag) {
-    if (dbg && ctx.is_const(c, 0))
-      fprintf(stderr, "FALSE constraint from %s\n", tag);
-    constraints.push_back(c);
-  };
 
   for (size_t i = 0; i < ordered.size(); ++i) {
     const Record& g = lib[ordered[i]];
-    const sym::Flow flow = replay(exec, ctx, st, g, constraints, dbg);
+    const sym::Flow flow = replay(exec, ctx, st, g, constraints);
     if (i + 1 < ordered.size()) {
       // Link: this gadget's transfer must land on the next gadget.
-      if (flow.kind != ir::JumpKind::Indirect) {
-        ++cs.bad_flow;
-        return std::nullopt;
-      }
-      push_c(ctx.eq(flow.target_expr,
-                    ctx.constant(lib[ordered[i + 1]].addr, 64)),
-             "link");
-    } else {
-      if (flow.kind != ir::JumpKind::Syscall) {
-        ++cs.bad_flow;
-        return std::nullopt;
-      }
+      if (flow.kind != ir::JumpKind::Indirect)
+        return refuted(Refutation::BadFlow);
+      constraints.push_back(ctx.eq(
+          flow.target_expr, ctx.constant(lib[ordered[i + 1]].addr, 64)));
+    } else if (flow.kind != ir::JumpKind::Syscall) {
+      return refuted(Refutation::BadFlow);
     }
   }
 
@@ -264,16 +243,13 @@ std::optional<Chain> concretize(solver::Context& ctx,
     }
     for (auto& [base, grp] : groups) {
       const i64 span = grp.max_off - grp.min_off + 8;
-      if (span > static_cast<i64>(opts.max_payload)) {
-        ++cs.too_big;
-        return std::nullopt;
-      }
+      if (span > static_cast<i64>(opts.max_payload))
+        return refuted(Refutation::TooBig);
       const i64 region = next_free;
       next_free += (span + 7) & ~i64{7};
       // Aim the base so the lowest read lands at the region start.
-      push_c(ctx.eq(base,
-                    ctx.add(rsp0, ctx.constant(region - grp.min_off, 64))),
-             "region-aim");
+      constraints.push_back(ctx.eq(
+          base, ctx.add(rsp0, ctx.constant(region - grp.min_off, 64))));
       for (const auto& [ir, off] : grp.reads) {
         const i64 rel = off - grp.min_off;
         const i64 slot = (region + rel) & ~i64{7};
@@ -302,22 +278,16 @@ std::optional<Chain> concretize(solver::Context& ctx,
   for (const RegTarget& t : goal.regs) {
     const ExprRef final = st.regs[static_cast<int>(t.reg)];
     if (t.kind == RegTarget::Kind::Const) {
-      if (ctx.is_const(final) && ctx.const_val(final) != t.value) {
-        cs.last_mismatch_reg = t.reg;
-        if (dbg)
-          fprintf(stderr, "goal-const mismatch: %s = %llx want %llx\n",
-                  x86::reg_name(t.reg),
-                  (unsigned long long)ctx.const_val(final),
-                  (unsigned long long)t.value);
-      }
-      push_c(ctx.eq(final, ctx.constant(t.value, 64)), "goal-const");
+      if (ctx.is_const(final) && ctx.const_val(final) != t.value)
+        r.mismatch_reg = t.reg;
+      constraints.push_back(ctx.eq(final, ctx.constant(t.value, 64)));
     } else {
       GP_CHECK(t.bytes.size() <= 8, "pointer payload must fit one slot");
       const i64 slot = next_free;
       next_free += 8;
       pointer_slots.push_back({slot, t.bytes});
-      push_c(ctx.eq(final, ctx.add(rsp0, ctx.constant(slot, 64))),
-             "goal-pointer");
+      constraints.push_back(
+          ctx.eq(final, ctx.add(rsp0, ctx.constant(slot, 64))));
       u64 word = 0;
       for (size_t k = 0; k < t.bytes.size(); ++k)
         word |= static_cast<u64>(t.bytes[k]) << (8 * k);
@@ -342,38 +312,15 @@ std::optional<Chain> concretize(solver::Context& ctx,
   if (!model) {
     // An UNKNOWN answer (budget, deadline, injected fault) is a failure —
     // but not an UNSAT: the sequence might work with more budget.
-    if (solver.last_unknown()) {
-      ++cs.solver_unknown;
-      return std::nullopt;
-    }
-    ++cs.unsat;
-    if (dbg && cs.unsat <= 5) {
-      fprintf(stderr, "=== UNSAT constraint set (%zu) ===\n",
-              constraints.size());
-      for (const ExprRef c : constraints)
-        fprintf(stderr, "  %s\n", ctx.to_string(c).substr(0, 400).c_str());
-      // Greedy minimal-core search: drop constraints that keep UNSAT.
-      std::vector<ExprRef> core = constraints;
-      for (size_t i = 0; i < core.size();) {
-        std::vector<ExprRef> trial = core;
-        trial.erase(trial.begin() + i);
-        if (!solver.check_sat(trial)) core = trial;
-        else ++i;
-      }
-      fprintf(stderr, "=== minimal core (%zu) ===\n", core.size());
-      for (const ExprRef c : core)
-        fprintf(stderr, "  %s\n", ctx.to_string(c).substr(0, 600).c_str());
-    }
-    return std::nullopt;
+    return refuted(solver.last_unknown() ? Refutation::Unknown
+                                         : Refutation::Unsat);
   }
 
   // Payload = model values of the consumed stack slots.
   const i64 payload_len = next_free;
   if (payload_len < 0 ||
-      static_cast<size_t>(payload_len) > opts.max_payload) {
-    ++cs.too_big;
-    return std::nullopt;
-  }
+      static_cast<size_t>(payload_len) > opts.max_payload)
+    return refuted(Refutation::TooBig);
   std::vector<u8> payload(static_cast<size_t>(payload_len), 0);
   auto place = [&](i64 off, u64 word) {
     for (int k = 0; k < 8; ++k)
@@ -408,17 +355,14 @@ std::optional<Chain> concretize(solver::Context& ctx,
     trace::Span span("plan.validate", "planner", opts.session_id);
     for (int trial = 0; trial < opts.validation_trials; ++trial) {
       if (!validate(img, chain, goal, opts.stack_base,
-                    0xc0ffee + 7919 * trial)) {
-        ++cs.validation_failed;
-        return std::nullopt;
-      }
+                    0xc0ffee + 7919 * trial))
+        return refuted(Refutation::ValidationFailed);
     }
   }
-  ++cs.ok;
-  return chain;
+  r.chain = std::move(chain);
+  return r;
   } catch (const ResourceExhausted&) {
-    ++cs.resource_cut;
-    return std::nullopt;
+    return refuted(Refutation::ResourceCut);
   }
 }
 
@@ -438,17 +382,6 @@ bool validate(const image::Image& img, const Chain& chain, const Goal& goal,
   e.set_rip(chain.entry);
 
   const auto result = e.run(200'000);
-  if (config().debug_val) {
-    fprintf(stderr, "validate: stop=%s at rip=%llx steps=%llu syscall=%llu\n",
-            emu::stop_reason_name(result.reason),
-            (unsigned long long)result.rip,
-            (unsigned long long)result.steps,
-            (unsigned long long)result.syscall_no);
-    for (const RegTarget& t : goal.regs)
-      fprintf(stderr, "  %s = %llx (want %llx)\n", x86::reg_name(t.reg),
-              (unsigned long long)e.reg(t.reg),
-              (unsigned long long)t.value);
-  }
   if (result.reason != emu::StopReason::Syscall) return false;
   if (result.syscall_no != goal.syscall_no) return false;
   for (const RegTarget& t : goal.regs) {

@@ -24,7 +24,6 @@
 #include "emu/emu.hpp"
 #include "gadget/gadget.hpp"
 #include "solver/solver.hpp"
-#include "support/config.hpp"
 
 namespace gp::payload {
 
@@ -65,55 +64,51 @@ struct Chain {
   }
 };
 
-/// Failure accounting for concretize() (aggregated across calls when the
-/// same struct is passed repeatedly; used by planner stats and benches).
-struct ConcretizeStats {
-  u64 bad_flow = 0;      // inner gadget did not end in an indirect transfer
-  u64 negative_stack = 0;  // chain reads below the hijacked rsp
-  u64 unsat = 0;           // solver found no payload
+/// How a concretize() call ended: one value per way it can fail, or None
+/// for a validated chain. The planner counts each reason (plan.concretize_*).
+enum class Refutation : u8 {
+  None,              // validated chain
+  BadFlow,           // a gadget did not end in the transfer its slot needs
+  TooBig,            // payload (or a POINTER region) exceeded max_payload
+  Unsat,             // the solver proved that no payload exists
   /// The composition query came back UNKNOWN (conflict budget, governed
   /// deadline/solver-check budget, or an injected solver fault).
   /// Inconclusive is a failure — a chain is only emitted on a real model.
-  u64 solver_unknown = 0;
-  /// Calls cut by an exhausted step/node budget or cancellation while
-  /// re-executing the composed trace; the chain is dropped, never emitted
-  /// half-solved.
-  u64 resource_cut = 0;
-  u64 too_big = 0;         // payload exceeded max_payload
-  u64 validation_failed = 0;
-  u64 ok = 0;
+  Unknown,
+  /// An exhausted step/node budget or cancellation while re-executing the
+  /// composed trace; the chain is dropped, never emitted half-solved.
+  ResourceCut,
+  ValidationFailed,  // the emulator run did not reach the goal
+};
+
+struct ConcretizeResult {
+  std::optional<Chain> chain;  // set iff why == Refutation::None
+  Refutation why = Refutation::None;
   /// Goal register whose composed value was a constant that contradicted
-  /// the goal outright in the most recent failed call (NONE otherwise).
-  /// The planner uses this to blame and demote the responsible provider.
-  x86::Reg last_mismatch_reg = x86::Reg::NONE;
+  /// the goal outright (NONE otherwise). The planner uses this to blame
+  /// and demote the responsible provider.
+  x86::Reg mismatch_reg = x86::Reg::NONE;
 };
 
 struct ConcretizeOptions {
   u64 stack_base = image::kStackTop - 0x2000;  // rsp at hijack (ASLR off)
   size_t max_payload = 4096;
   int validation_trials = 2;  // random uncontrolled-register trials
-  ConcretizeStats* stats = nullptr;
   /// Shared resource governor (optional; must outlive the call): bounds
   /// the composition re-execution (sym steps / expr nodes) and the payload
   /// solve (solver checks, deadline watchdog). Exhaustion fails the call
-  /// (nullopt + a stats counter) — never a crash, never a partial chain.
+  /// (Unknown or ResourceCut) — never a crash, never a partial chain.
   Governor* governor = nullptr;
-  /// Constraint-builder tracing to stderr (false constraints, UNSAT cores).
-  /// Resolved once from the gp::Config snapshot (GP_DEBUG_CONC2) instead
-  /// of a per-constraint getenv in the composition loop.
-  bool debug_conc2 = config().debug_conc2;
   /// Owning session id for trace spans (0 = none).
   u64 session_id = 0;
 };
 
-/// Compose, solve and validate. Returns nullopt if the sequence has no
-/// satisfying payload or fails emulator validation.
-std::optional<Chain> concretize(solver::Context& ctx,
-                                const gadget::Library& lib,
-                                const image::Image& img,
-                                const std::vector<u32>& ordered,
-                                const Goal& goal,
-                                const ConcretizeOptions& opts = {});
+/// Compose, solve and validate. The result carries the chain, or the reason
+/// the sequence has none.
+ConcretizeResult concretize(solver::Context& ctx, const gadget::Library& lib,
+                            const image::Image& img,
+                            const std::vector<u32>& ordered, const Goal& goal,
+                            const ConcretizeOptions& opts = {});
 
 /// Re-run a finished chain in a fresh emulator and check the goal (used by
 /// tests and the examples; concretize() already did this once).

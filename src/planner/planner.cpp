@@ -4,8 +4,6 @@
 #include <chrono>
 
 #include "support/rng.hpp"
-#include <cstdlib>
-#include <cstdio>
 #include <queue>
 #include <set>
 
@@ -21,6 +19,23 @@ using payload::Chain;
 using payload::Goal;
 using solver::ExprRef;
 using x86::Reg;
+
+namespace {
+/// The Stats counter of concretizations that failed for reason `why`.
+u64& refutation_counter(Stats& s, payload::Refutation why) {
+  using payload::Refutation;
+  switch (why) {
+    case Refutation::BadFlow: return s.concretize_bad_flow;
+    case Refutation::TooBig: return s.concretize_too_big;
+    case Refutation::Unsat: return s.concretize_unsat;
+    case Refutation::Unknown: return s.concretize_unknown;
+    case Refutation::ResourceCut: return s.concretize_resource_cut;
+    case Refutation::ValidationFailed: return s.concretize_validation_failed;
+    case Refutation::None: break;
+  }
+  fail("refutation_counter: a failed concretization must name a reason");
+}
+}  // namespace
 
 void Options::append_key(serial::Writer& w) const {
   w.put_u32(kPlannerVersion);
@@ -183,30 +198,27 @@ std::vector<Planner::Plan> Planner::expand(const Plan& p,
   }
 
   int taken = 0;
-  int f_adm = 0, f_sys = 0, f_sd = 0, f_const = 0, f_goalc = 0, f_dead = 0;
   for (const auto& [cp, score] : ranked) {
     if (taken >= opts.max_candidates_per_goal) break;
     const Candidate& c = *cp;
     const u32 gi = c.gadget;
     const Record& g = lib_[gi];
-    if (!admissible(g, opts)) { ++f_adm; continue; }
+    if (!admissible(g, opts)) continue;
     // A chain's inner gadget must transfer control onward to a place the
     // payload can choose; a constant target (resolved jump table) would
     // force a specific successor address.
-    if (c.flags & Candidate::kSyscallEnd) { ++f_sys; continue; }
+    if (c.flags & Candidate::kSyscallEnd) continue;
     // Ret gadgets whose stack delta is symbolic are still usable when the
     // final rsp is attacker-aimable (a stack pivot, e.g. lea rsp,[rbp-K]
     // with a popped rbp); the composition solver aims the pivot into the
     // payload.
-    if (c.flags & Candidate::kStackBad) { ++f_sd; continue; }
-    if (c.flags & Candidate::kNextRipConst) { ++f_const; continue; }
+    if (c.flags & Candidate::kStackBad) continue;
+    if (c.flags & Candidate::kNextRipConst) continue;
     // A constant-valued setter cannot be steered; it only ever serves a
     // terminal goal whose target is that exact constant.
     if ((c.flags & Candidate::kConstValue) &&
-        !(consumer < 0 && goal_const_match(reg, c.const_value))) {
-      ++f_goalc;
+        !(consumer < 0 && goal_const_match(reg, c.const_value)))
       continue;
-    }
 
     Plan base = p;
     base.delta.pop_back();
@@ -325,17 +337,6 @@ std::vector<Planner::Plan> Planner::expand(const Plan& p,
       if (out.size() > 64) break;  // successor cap per expansion
     }
     if (!produced) {
-      ++f_dead;
-      if (opts.debug_plan && f_dead <= 2) {
-        fprintf(stderr, "    dead cand g[%u] threats=%zu beta=%zu:", gi,
-                threats.size(), base.beta.size());
-        for (auto& t : threats)
-          fprintf(stderr, " (B%d,P%d,C%d)", t.clobberer, t.producer,
-                  t.consumer);
-        fprintf(stderr, " | beta:");
-        for (auto& [x, y] : base.beta) fprintf(stderr, " %d<%d", x, y);
-        fprintf(stderr, "\n");
-      }
       ++stats_.dead_ends;
       continue;
     }
@@ -343,13 +344,6 @@ std::vector<Planner::Plan> Planner::expand(const Plan& p,
     ++stats_.successors;
   }
   if (out.empty()) ++stats_.dead_ends;
-  if (out.empty() && opts.debug_plan) {
-    fprintf(stderr,
-            "  expand(%s/%d): ranked=%zu taken=%d adm=%d sys=%d sd=%d "
-            "const=%d goalc=%d dead=%d\n",
-            x86::reg_name(reg), consumer, ranked.size(), taken, f_adm, f_sys,
-            f_sd, f_const, f_goalc, f_dead);
-  }
   return out;
 }
 
@@ -629,13 +623,6 @@ void Planner::run_round(const Goal& goal, const Options& opts,
     queue.pop();
     ++expansions;
     ++stats_.expansions;
-    if (opts.debug_plan && expansions <= 80) {
-      fprintf(stderr, "pop #%d delta=%zu alpha=%zu ncon=%d [", expansions,
-              best.delta.size(), best.alpha.size(), best.n_constraints);
-      for (auto& [r, c] : best.delta)
-        fprintf(stderr, "%s/%d ", x86::reg_name(r), c);
-      fprintf(stderr, "]\n");
-    }
 
     if (best.delta.empty()) {
       // Complete plan: linearize and concretize.
@@ -649,41 +636,24 @@ void Planner::run_round(const Goal& goal, const Options& opts,
       seq.push_back(best.terminal);
       if (!seen_sequences.insert(seq).second) continue;
       ++stats_.concretize_calls;
-      payload::ConcretizeStats local_cs;
       payload::ConcretizeOptions copts = opts.concretize;
-      if (!copts.stats) copts.stats = &local_cs;
       if (!copts.governor) copts.governor = opts.governor;
       copts.session_id = opts.session_id;
-      // Caller-shared ConcretizeStats keep values from earlier calls;
-      // clear the blame field so a stale mismatch from a PREVIOUS
-      // concretization can never demote this sequence's providers.
-      copts.stats->last_mismatch_reg = Reg::NONE;
-      auto chain = [&] {
+      auto res = [&] {
         trace::Span span("plan.concretize", "planner", opts.session_id);
         return payload::concretize(ctx_, lib_, img_, seq, goal, copts);
       }();
-      if (!chain && opts.debug_conc &&
-          stats_.concretize_calls <= 3) {
-        fprintf(stderr, "--- failed sequence (%zu gadgets) ---\n", seq.size());
-        for (const u32 gi : seq) {
-          const Record& g = lib_[gi];
-          fprintf(stderr, "g[%u] addr=%llx end=%s n=%d\n", gi,
-                  (unsigned long long)g.addr, end_kind_name(g.end), g.n_insts);
-          for (const auto& ps : g.path)
-            fprintf(stderr, "    %s\n", x86::to_string(ps.inst).c_str());
-        }
-      }
-      if (chain) {
+      if (res.chain) {
         ++stats_.validated;
-        chains.push_back(std::move(*chain));
+        chains.push_back(std::move(*res.chain));
       } else {
+        ++refutation_counter(stats_, res.why);
         for (const u32 gi : seq) ++failure_count_[gi];
         // When a provider's composed value was a flat-out wrong constant,
         // demote that provider hard: it can never serve this goal.
-        const x86::Reg bad = copts.stats->last_mismatch_reg;
-        if (bad != Reg::NONE) {
+        if (res.mismatch_reg != Reg::NONE) {
           for (const Step& s : best.alpha)
-            if (s.provides == bad && s.consumer < 0)
+            if (s.provides == res.mismatch_reg && s.consumer < 0)
               failure_count_[s.gadget] += 200;
         }
         // Give-up budget: a goal refuting every complete plan stops here

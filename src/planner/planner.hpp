@@ -72,11 +72,6 @@ struct Options {
   /// Expiry always returns the best-so-far chains, never throws.
   Governor* governor = nullptr;
   payload::ConcretizeOptions concretize;
-  /// Search/concretization failure tracing to stderr. Resolved once from
-  /// the gp::Config snapshot (GP_DEBUG_PLAN / GP_DEBUG_CONC) instead of a
-  /// per-iteration getenv in the expansion loop.
-  bool debug_plan = config().debug_plan;
-  bool debug_conc = config().debug_conc;
   // Ablation switches (the paper's thesis: baselines lack these).
   bool use_cond_gadgets = true;    // CDJ/CIJ paths
   bool use_indirect_gadgets = true;
@@ -121,6 +116,14 @@ struct Stats {
   u64 linearizations = 0;
   u64 concretize_calls = 0;
   u64 validated = 0;
+  /// Failed concretizations by payload::Refutation reason; together with
+  /// `validated` they sum to `concretize_calls`.
+  u64 concretize_bad_flow = 0;
+  u64 concretize_too_big = 0;
+  u64 concretize_unsat = 0;
+  u64 concretize_unknown = 0;
+  u64 concretize_resource_cut = 0;
+  u64 concretize_validation_failed = 0;
   /// Search rounds cut short by the deadline / governor (checked at every
   /// queue pop) or by an exhausted global budget mid-expansion. The chains
   /// found before the cut are still returned.
@@ -148,8 +151,8 @@ struct Stats {
   /// 1 per plan() call). A cut search still returns every chain validated
   /// before the budget ran out.
   u64 failure_budget_cuts = 0;
-  /// Wall microseconds the reachability precheck took (the "fail in
-  /// milliseconds, not minutes" budget; published as unreachable_us).
+  /// Wall microseconds the reachability precheck of every goal took,
+  /// reachable or not (the "fail in milliseconds, not minutes" budget).
   u64 precheck_us = 0;
   /// Ok for an uncut search; otherwise the first degradation reason.
   Status status;
@@ -161,6 +164,12 @@ struct Stats {
       {"linearizations", &Stats::linearizations},
       {"concretize_calls", &Stats::concretize_calls},
       {"validated", &Stats::validated},
+      {"concretize_bad_flow", &Stats::concretize_bad_flow},
+      {"concretize_too_big", &Stats::concretize_too_big},
+      {"concretize_unsat", &Stats::concretize_unsat},
+      {"concretize_unknown", &Stats::concretize_unknown},
+      {"concretize_resource_cut", &Stats::concretize_resource_cut},
+      {"concretize_validation_failed", &Stats::concretize_validation_failed},
       {"deadline_cuts", &Stats::deadline_cuts},
       {"index_hits", &Stats::index_hits},
       {"index_builds", &Stats::index_builds},
@@ -170,7 +179,7 @@ struct Stats {
       {"needs_truncated", &Stats::needs_truncated},
       {"unreachable_goals", &Stats::unreachable_goals},
       {"failure_budget_cuts", &Stats::failure_budget_cuts},
-      {"unreachable_us", &Stats::precheck_us},
+      {"precheck_us", &Stats::precheck_us},
   };
 
   Stats& operator+=(const Stats& o) {

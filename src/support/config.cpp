@@ -72,10 +72,6 @@ Config Config::from_env() {
   c.store_dir = env_str("GP_STORE_DIR");
   c.fault_spec = env_str("GP_FAULT");
 
-  c.debug_plan = env_flag("GP_DEBUG_PLAN");
-  c.debug_conc = env_flag("GP_DEBUG_CONC");
-  c.debug_conc2 = env_flag("GP_DEBUG_CONC2");
-  c.debug_val = env_flag("GP_DEBUG_VAL");
   c.bench_full = env_flag("GP_BENCH_FULL");
 
   // GP_OPT_LEVEL rejects out-of-range values instead of clamping: a level

@@ -3,18 +3,17 @@
 //
 // Config::from_env() (config.cpp) is the only place in src/ that calls
 // std::getenv — thread-pool sizing, governor budgets, retry policy, the
-// checkpoint-store directory, the fault-injection spec and all debug
-// tracing flags route through it. Two access patterns:
+// checkpoint-store directory, the fault-injection spec and the planner,
+// metrics and trace switches route through it. Two access patterns:
 //
 //   - Config::from_env()  parses the environment fresh on every call.
 //     Module-level from_env() helpers (GovernorOptions::from_env,
 //     SupervisorOptions::from_env, ThreadPool::env_threads, ...) delegate
 //     here so tests that setenv() mid-process observe the change.
 //   - config()            a process-wide immutable snapshot taken on first
-//     use. Hot paths (the planner's expansion loop, concretization's
-//     constraint builder) read debug flags from this snapshot instead of
-//     calling getenv per iteration; gp::Engine resolves its configuration
-//     from it exactly once.
+//     use. Option defaults (the planner's index switch, the fault spec)
+//     read this snapshot instead of calling getenv per use; gp::Engine
+//     resolves its configuration from it exactly once.
 //
 // The snapshot is deliberately immutable: a mid-run environment change
 // must never reshape an analysis that is already in flight.
@@ -46,14 +45,6 @@ struct Config {
   /// GP_FAULT: raw fault-injection spec text (parsed by gp::fault; "" =
   /// injection disabled).
   std::string fault_spec;
-
-  /// GP_DEBUG_PLAN / GP_DEBUG_CONC / GP_DEBUG_CONC2 / GP_DEBUG_VAL:
-  /// stderr tracing for the planner search, failed concretizations, the
-  /// constraint builder, and payload validation.
-  bool debug_plan = false;
-  bool debug_conc = false;
-  bool debug_conc2 = false;
-  bool debug_val = false;
 
   /// GP_BENCH_FULL: benchmark drivers sweep the whole corpus instead of
   /// the quick subset.

@@ -371,7 +371,7 @@ TEST(Campaign, ThrowingOnJobHookIsContainedAndDeterministic) {
 TEST(Session, UnreachablePrecheckCountsMicroseconds) {
   // The planner's reachability precheck finishes in well under a
   // millisecond, so a ms-granular counter would truncate every
-  // observation to zero. plan.unreachable_us records the measured time.
+  // observation to zero. plan.precheck_us records the measured time.
   metrics::set_enabled(true);
   metrics::registry().reset();
 
@@ -383,8 +383,8 @@ TEST(Session, UnreachablePrecheckCountsMicroseconds) {
   EXPECT_GT(session.planner_stats().precheck_us, 0u);
 
   const auto snap = metrics::registry().snapshot();
-  ASSERT_TRUE(snap.counters.count("plan.unreachable_us"));
-  const u64 us = snap.counters.at("plan.unreachable_us");
+  ASSERT_TRUE(snap.counters.count("plan.precheck_us"));
+  const u64 us = snap.counters.at("plan.precheck_us");
   EXPECT_GT(us, 0u) << "precheck ran but recorded zero microseconds";
   metrics::set_enabled(false);
 }
@@ -417,6 +417,13 @@ TEST(Campaign, RegistryRollupMatchesJobStats) {
     ASSERT_EQ(r.stages.extract_runs.attempts, 1u);
     ASSERT_EQ(r.stages.subsume_runs.attempts, 1u);
     ASSERT_EQ(r.stages.plan_runs.attempts, 1u);
+    // Every concretize call is validated or counted under one reason.
+    const planner::Stats& p = r.stages.plan;
+    EXPECT_EQ(p.concretize_calls,
+              p.validated + p.concretize_bad_flow + p.concretize_too_big +
+                  p.concretize_unsat + p.concretize_unknown +
+                  p.concretize_resource_cut +
+                  p.concretize_validation_failed);
   }
 
   const auto counters = metrics::registry().snapshot().counters;

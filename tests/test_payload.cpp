@@ -64,7 +64,8 @@ TEST(Concretize, PayloadLayoutIsChainOrder) {
   ASSERT_TRUE(rax && rdi && rsi && rdx && sys);
 
   auto chain = concretize(f.ctx, f.lib, f.img,
-                          {*rax, *rdi, *rsi, *rdx, *sys}, Goal::execve());
+                          {*rax, *rdi, *rsi, *rdx, *sys}, Goal::execve())
+                   .chain;
   ASSERT_TRUE(chain.has_value());
   EXPECT_EQ(chain->entry, 0x400000u);
 
@@ -100,14 +101,42 @@ TEST(Concretize, RejectsWrongOrderWhenValuesConflict) {
   const auto rdi = f.find(0x400002, EndKind::Ret);
   const auto sys = f.find(0x400008, EndKind::Syscall);
   ASSERT_TRUE(rdi && sys);
-  // rax/rsi/rdx never set: initial registers are randomized at validation,
-  // so this must fail (either UNSAT via flags or validation).
-  ConcretizeStats cs;
-  ConcretizeOptions opts;
-  opts.stats = &cs;
-  auto chain =
-      concretize(f.ctx, f.lib, f.img, {*rdi, *sys}, Goal::execve(), opts);
-  EXPECT_FALSE(chain.has_value());
+  // rax/rsi/rdx never set: the solver may pick their initial values, but
+  // validation randomizes uncontrolled registers, so the emulator run
+  // refutes the payload.
+  const auto r = concretize(f.ctx, f.lib, f.img, {*rdi, *sys}, Goal::execve());
+  EXPECT_FALSE(r.chain.has_value());
+  EXPECT_EQ(r.why, Refutation::ValidationFailed);
+  EXPECT_EQ(r.mismatch_reg, Reg::NONE);  // no goal register was constant
+}
+
+TEST(Concretize, BlamesTheRegisterWhoseConstantContradictsTheGoal) {
+  // mov rax, 60 composes to a constant that contradicts execve's rax = 59:
+  // the solver refutes the sequence and the result names rax, which is
+  // what the planner demotes.
+  Assembler a;
+  a.mov_imm(Reg::RAX, 60);  // 0x400000 (7 bytes)
+  a.ret();
+  a.pop(Reg::RDI);          // 0x400008
+  a.ret();
+  a.pop(Reg::RSI);          // 0x40000a
+  a.ret();
+  a.pop(Reg::RDX);          // 0x40000c
+  a.ret();
+  a.syscall();              // 0x40000e
+  Fixture f(a);
+  const auto rax = f.find(0x400000, EndKind::Ret);
+  const auto rdi = f.find(0x400008, EndKind::Ret);
+  const auto rsi = f.find(0x40000a, EndKind::Ret);
+  const auto rdx = f.find(0x40000c, EndKind::Ret);
+  const auto sys = f.find(0x40000e, EndKind::Syscall);
+  ASSERT_TRUE(rax && rdi && rsi && rdx && sys);
+
+  const auto r = concretize(f.ctx, f.lib, f.img,
+                            {*rax, *rdi, *rsi, *rdx, *sys}, Goal::execve());
+  EXPECT_FALSE(r.chain.has_value());
+  EXPECT_EQ(r.why, Refutation::Unsat);
+  EXPECT_EQ(r.mismatch_reg, Reg::RAX);
 }
 
 TEST(Concretize, PointerRedirectionThroughPoppedRegister) {
@@ -144,7 +173,7 @@ TEST(Concretize, PointerRedirectionThroughPoppedRegister) {
   auto chain = concretize(
       f.ctx, f.lib, f.img,
       {*pop_rbp, *mov_rax, *pop_rdi, *pop_rsi, *pop_rdx, *sys},
-      Goal::execve());
+      Goal::execve()).chain;
   ASSERT_TRUE(chain.has_value());
   // Validation inside concretize already proved rax becomes 59 through the
   // redirected pointer; double-check independently.
@@ -189,47 +218,40 @@ TEST(Concretize, GroupedReadsShareOneRegion) {
   auto chain = concretize(
       f.ctx, f.lib, f.img,
       {*pop_rbp, *sum_rax, *pop_rdi, *pop_rsi, *pop_rdx, *sys},
-      Goal::execve());
+      Goal::execve()).chain;
   ASSERT_TRUE(chain.has_value()) << "grouped POINTER reads must be solvable";
 }
 
 TEST(Concretize, StatsAccounting) {
   Assembler a = classic();
   Fixture f(a);
-  ConcretizeStats cs;
-  ConcretizeOptions opts;
-  opts.stats = &cs;
   const auto rax = f.find(0x400000, EndKind::Ret);
   const auto rdi = f.find(0x400002, EndKind::Ret);
   const auto rsi = f.find(0x400004, EndKind::Ret);
   const auto rdx = f.find(0x400006, EndKind::Ret);
   const auto sys = f.find(0x400008, EndKind::Syscall);
-  auto chain = concretize(f.ctx, f.lib, f.img,
-                          {*rax, *rdi, *rsi, *rdx, *sys}, Goal::execve(),
-                          opts);
-  ASSERT_TRUE(chain.has_value());
-  EXPECT_EQ(cs.ok, 1u);
-  EXPECT_EQ(cs.unsat, 0u);
-  EXPECT_EQ(cs.validation_failed, 0u);
+  const auto r = concretize(f.ctx, f.lib, f.img,
+                            {*rax, *rdi, *rsi, *rdx, *sys}, Goal::execve());
+  ASSERT_TRUE(r.chain.has_value());
+  EXPECT_EQ(r.why, Refutation::None);
+  EXPECT_EQ(r.mismatch_reg, Reg::NONE);
 }
 
 TEST(Concretize, PayloadSizeLimit) {
   Assembler a = classic();
   Fixture f(a);
-  ConcretizeStats cs;
   ConcretizeOptions opts;
-  opts.stats = &cs;
   opts.max_payload = 16;  // chain needs ~9 slots: must refuse
   const auto rax = f.find(0x400000, EndKind::Ret);
   const auto rdi = f.find(0x400002, EndKind::Ret);
   const auto rsi = f.find(0x400004, EndKind::Ret);
   const auto rdx = f.find(0x400006, EndKind::Ret);
   const auto sys = f.find(0x400008, EndKind::Syscall);
-  auto chain = concretize(f.ctx, f.lib, f.img,
-                          {*rax, *rdi, *rsi, *rdx, *sys}, Goal::execve(),
-                          opts);
-  EXPECT_FALSE(chain.has_value());
-  EXPECT_EQ(cs.too_big, 1u);
+  const auto r = concretize(f.ctx, f.lib, f.img,
+                            {*rax, *rdi, *rsi, *rdx, *sys}, Goal::execve(),
+                            opts);
+  EXPECT_FALSE(r.chain.has_value());
+  EXPECT_EQ(r.why, Refutation::TooBig);
 }
 
 TEST(Validate, ChecksRegisterFileAndPointerBytes) {
@@ -241,7 +263,8 @@ TEST(Validate, ChecksRegisterFileAndPointerBytes) {
   const auto rdx = f.find(0x400006, EndKind::Ret);
   const auto sys = f.find(0x400008, EndKind::Syscall);
   auto chain = concretize(f.ctx, f.lib, f.img,
-                          {*rax, *rdi, *rsi, *rdx, *sys}, Goal::execve());
+                          {*rax, *rdi, *rsi, *rdx, *sys}, Goal::execve())
+                   .chain;
   ASSERT_TRUE(chain.has_value());
 
   // Valid against its own goal, invalid against a different goal.

@@ -6,6 +6,7 @@
 #include "planner/planner.hpp"
 #include "store/store.hpp"
 #include "subsume/subsume.hpp"
+#include "support/fault.hpp"
 #include "x86/encoder.hpp"
 
 namespace gp::planner {
@@ -456,25 +457,6 @@ TEST(Planner, ReuseAcrossGoalsMatchesFreshPlanners) {
   ASSERT_FALSE(m1.empty());
 }
 
-TEST(Planner, SharedConcretizeStatsDoNotLeakBlame) {
-  // A caller-shared ConcretizeStats arrives poisoned with a stale
-  // last_mismatch_reg (say, from a previous goal). The planner must reset
-  // it before each concretize call so stale blame never demotes an
-  // innocent provider.
-  Assembler a = classic_rop();
-  Scenario s(a);
-  payload::ConcretizeStats shared;
-  shared.last_mismatch_reg = Reg::RDI;  // poison
-  Options with_stats;
-  with_stats.concretize.stats = &shared;
-  Planner p(s.ctx, s.lib, s.img);
-  const auto observed = p.plan(Goal::execve(), with_stats);
-  Planner q(s.ctx, s.lib, s.img);
-  const auto clean = q.plan(Goal::execve(), {});
-  expect_same_chains(observed, clean);
-  ASSERT_FALSE(clean.empty());
-}
-
 TEST(Planner, WarmStartMemoRoundTrip) {
   const std::string dir =
       testing::TempDir() + "gp_planner_warm_start_memo";
@@ -529,6 +511,41 @@ TEST(Planner, NeedsTruncationCountedNotSilent) {
   const auto chains = p.plan(Goal::execve(), o);
   EXPECT_FALSE(chains.empty());
   EXPECT_GT(p.stats().needs_truncated, 0u);
+}
+
+/// Failed concretizations summed over every refutation reason.
+u64 refuted(const Stats& st) {
+  return st.concretize_bad_flow + st.concretize_too_big +
+         st.concretize_unsat + st.concretize_unknown +
+         st.concretize_resource_cut + st.concretize_validation_failed;
+}
+
+TEST(Planner, EveryConcretizeCallCountsOneOutcome) {
+  // The unminimized pointer-chase pool offers rax providers whose payloads
+  // the emulator refutes, so the search sees both outcomes. Each call ends
+  // validated or with exactly one counted reason.
+  Assembler a = classic_rop();
+  for (int i = 0; i < 31; ++i) a.mov_load(Reg::RAX, x86::MemRef{Reg::RAX});
+  a.ret();
+  Scenario s(a, /*minimize_pool=*/false);
+  Options o;
+  o.max_candidates_per_goal = 64;
+
+  Planner p(s.ctx, s.lib, s.img);
+  EXPECT_FALSE(p.plan(Goal::execve(), o).empty());
+  const Stats& st = p.stats();
+  EXPECT_GT(st.validated, 0u);
+  EXPECT_GT(st.concretize_validation_failed, 0u);
+  EXPECT_EQ(st.concretize_calls, st.validated + refuted(st));
+
+  // Every solver query UNKNOWN: every call is counted, all as Unknown.
+  fault::ScopedSpec scoped("solver=1");
+  Planner q(s.ctx, s.lib, s.img);
+  EXPECT_TRUE(q.plan(Goal::execve(), o).empty());
+  const Stats& sq = q.stats();
+  EXPECT_GT(sq.concretize_calls, 0u);
+  EXPECT_EQ(sq.concretize_unknown, sq.concretize_calls);
+  EXPECT_EQ(sq.concretize_calls, sq.validated + refuted(sq));
 }
 
 }  // namespace

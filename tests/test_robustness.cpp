@@ -172,19 +172,15 @@ TEST(UnknownSoundness, ConcretizeTreatsUnknownAsFailureNotUnsat) {
   ASSERT_EQ(seq.size(), 5u);
 
   // Sanity: the chain concretizes with a working solver.
-  ASSERT_TRUE(
-      payload::concretize(ctx, lib, img, seq, Goal::execve()).has_value());
+  ASSERT_TRUE(payload::concretize(ctx, lib, img, seq, Goal::execve())
+                  .chain.has_value());
 
   {
     fault::ScopedSpec scoped("solver=1");
-    payload::ConcretizeStats cs;
-    payload::ConcretizeOptions opts;
-    opts.stats = &cs;
-    auto chain =
-        payload::concretize(ctx, lib, img, seq, Goal::execve(), opts);
-    EXPECT_FALSE(chain.has_value());
-    EXPECT_EQ(cs.solver_unknown, 1u);
-    EXPECT_EQ(cs.unsat, 0u);  // UNKNOWN must not masquerade as UNSAT
+    const auto r = payload::concretize(ctx, lib, img, seq, Goal::execve());
+    EXPECT_FALSE(r.chain.has_value());
+    // UNKNOWN must not masquerade as UNSAT.
+    EXPECT_EQ(r.why, payload::Refutation::Unknown);
   }
 
   // Same through a spent governor budget.
@@ -192,14 +188,11 @@ TEST(UnknownSoundness, ConcretizeTreatsUnknownAsFailureNotUnsat) {
   gopts.max_solver_checks = 1;
   Governor gov(gopts);
   ASSERT_TRUE(gov.solver_checks().try_consume());
-  payload::ConcretizeStats cs;
   payload::ConcretizeOptions opts;
-  opts.stats = &cs;
   opts.governor = &gov;
-  EXPECT_FALSE(
-      payload::concretize(ctx, lib, img, seq, Goal::execve(), opts)
-          .has_value());
-  EXPECT_EQ(cs.solver_unknown, 1u);
+  const auto r = payload::concretize(ctx, lib, img, seq, Goal::execve(), opts);
+  EXPECT_FALSE(r.chain.has_value());
+  EXPECT_EQ(r.why, payload::Refutation::Unknown);
 }
 
 TEST(UnknownSoundness, ConcretizeSymStepBudgetCutsCleanly) {
@@ -219,13 +212,11 @@ TEST(UnknownSoundness, ConcretizeSymStepBudgetCutsCleanly) {
   GovernorOptions gopts;
   gopts.max_sym_steps = 1;  // the replay needs several steps
   Governor gov(gopts);
-  payload::ConcretizeStats cs;
   payload::ConcretizeOptions opts;
-  opts.stats = &cs;
   opts.governor = &gov;
-  EXPECT_FALSE(payload::concretize(ctx, lib, img, seq, Goal::execve(), opts)
-                   .has_value());
-  EXPECT_EQ(cs.resource_cut, 1u);
+  const auto r = payload::concretize(ctx, lib, img, seq, Goal::execve(), opts);
+  EXPECT_FALSE(r.chain.has_value());
+  EXPECT_EQ(r.why, payload::Refutation::ResourceCut);
 }
 
 // ---------------------------------------------------------------------------
