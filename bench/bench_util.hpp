@@ -61,7 +61,7 @@ inline void hr(int width = 100) {
 }
 
 /// Session concurrency for bench campaigns: bounded fan-out on top of the
-/// engine's shared pool (each session also parallelizes internally).
+/// process-wide ThreadPool (each session also parallelizes internally).
 inline int bench_concurrency() { return std::min(4, config().threads); }
 
 /// Campaign options tuned so a full bench binary stays in the minutes

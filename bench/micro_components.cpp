@@ -11,7 +11,6 @@
 #include "minic/minic.hpp"
 #include "obfuscate/obfuscate.hpp"
 #include "solver/solver.hpp"
-#include "subsume/subsume.hpp"
 #include "support/rng.hpp"
 #include "sym/exec.hpp"
 #include "x86/decoder.hpp"
@@ -126,40 +125,6 @@ void BM_GadgetExtraction(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GadgetExtraction);
-
-// Thread-count sweep over the parallel offset scan (Arg = GP_THREADS
-// equivalent; 1 is the exact sequential path). On a multi-core host the
-// higher-arg rows measure the shard/merge speedup.
-void BM_GadgetExtractionThreads(benchmark::State& state) {
-  const auto& img = test_image();
-  gadget::ExtractOptions opts;
-  opts.threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    solver::Context ctx;
-    gadget::Extractor ex(ctx, img);
-    auto pool = ex.extract(opts);
-    benchmark::DoNotOptimize(pool.size());
-  }
-}
-BENCHMARK(BM_GadgetExtractionThreads)->Arg(1)->Arg(2)->Arg(4);
-
-// Thread-count sweep over subsumption minimization (the other hot stage):
-// one extraction up front, each iteration minimizes a copy of the pool.
-void BM_SubsumptionMinimizeThreads(benchmark::State& state) {
-  static solver::Context ctx;
-  static const std::vector<gadget::Record> pool = [] {
-    gadget::Extractor ex(ctx, test_image());
-    return ex.extract({});
-  }();
-  const int threads = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    subsume::Stats st;
-    auto kept = subsume::minimize(ctx, pool, &st,
-                                  /*max_solver_checks=*/20'000, threads);
-    benchmark::DoNotOptimize(kept.size());
-  }
-}
-BENCHMARK(BM_SubsumptionMinimizeThreads)->Arg(1)->Arg(2)->Arg(4);
 
 }  // namespace
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
 
 #include "codegen/codegen.hpp"
 #include "corpus/corpus.hpp"
@@ -11,6 +12,7 @@
 #include "support/config.hpp"
 #include "support/metrics.hpp"
 #include "support/str.hpp"
+#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
 namespace gp::core {
@@ -47,6 +49,22 @@ void append_counters(std::string& j, const char* stage, const S& stats) {
     if (j.back() != '{') j += ", ";
     j += "\"" + std::string(stage) + "_" + f.name +
          "\": " + std::to_string(stats.*f.field);
+  }
+}
+
+/// Runs `body`, turning an exception it throws into an Internal status
+/// naming `what`. Campaign lanes contain every job failure this way: an
+/// exception escaping a lane would rethrow out of ThreadPool::run after the
+/// barrier, discarding every other job's finished result.
+template <class F>
+Status contain(const char* what, F&& body) {
+  try {
+    body();
+    return Status();
+  } catch (const std::exception& e) {
+    return Status::internal(std::string(what) + " threw: " + e.what());
+  } catch (...) {
+    return Status::internal(std::string(what) + " threw");
   }
 }
 
@@ -101,7 +119,7 @@ Campaign::Summary Campaign::run(const std::vector<Job>& jobs) {
   const auto t0 = Clock::now();
   Summary sum;
   sum.concurrency = opts_.concurrency;
-  sum.pool_threads = engine_.pool().workers() + 1;
+  sum.pool_threads = ThreadPool::shared().workers() + 1;
   sum.results.resize(jobs.size());
   if (jobs.empty()) return sum;
 
@@ -128,7 +146,7 @@ Campaign::Summary Campaign::run(const std::vector<Job>& jobs) {
   PipelineOptions popts = opts_.pipeline;
   popts.governor = opts_.pipeline.governor.split_across(opts_.concurrency);
 
-  engine_.pool().run(
+  ThreadPool::shared().run(
       jobs.size(),
       [&](int /*lane*/, u64 i) {
         const Job& job = jobs[i];
@@ -141,22 +159,26 @@ Campaign::Summary Campaign::run(const std::vector<Job>& jobs) {
         trace::Span span("job:" + r.program + "/" + r.obfuscation, "job");
         const auto j0 = Clock::now();
         r.start_seconds = std::chrono::duration<double>(j0 - t0).count();
-        Session session(engine_, std::move(images[i]), popts);
-        span.set_session(session.id());
-        session.prepare();
-        serial::Writer digest;
-        for (const auto& goal : job.goals) {
-          auto chains = session.find_chains(goal);
-          digest.put_str(goal.name);
-          for (const auto& rec : payload::encode_chains(chains))
-            serial::put_record(digest, rec);
-          r.goal_names.push_back(goal.name);
-          r.chains_per_goal.push_back(static_cast<int>(chains.size()));
-          r.chains.push_back(std::move(chains));
-        }
-        r.stages = session.report();
-        r.status = r.stages.worst_status();
-        r.result_digest = serial::fnv1a(digest.bytes());
+        std::optional<Session> session;
+        const Status thrown = contain("job", [&] {
+          session.emplace(engine_, std::move(images[i]), popts);
+          span.set_session(session->id());
+          session->prepare();
+          serial::Writer digest;
+          for (const auto& goal : job.goals) {
+            auto chains = session->find_chains(goal);
+            digest.put_str(goal.name);
+            for (const auto& rec : payload::encode_chains(chains))
+              serial::put_record(digest, rec);
+            r.goal_names.push_back(goal.name);
+            r.chains_per_goal.push_back(static_cast<int>(chains.size()));
+            r.chains.push_back(std::move(chains));
+          }
+          r.stages = session->report();
+          r.status = r.stages.worst_status();
+          r.result_digest = serial::fnv1a(digest.bytes());
+        });
+        if (!thrown.ok()) r.status = thrown;
         r.seconds = secs_since(j0);
         r.end_seconds = secs_since(t0);
         if (metrics::enabled()) {
@@ -166,21 +188,12 @@ Campaign::Summary Campaign::run(const std::vector<Job>& jobs) {
           reg.histogram("campaign.job_ms")
               .observe(static_cast<u64>(r.seconds * 1e3));
         }
-        if (opts_.on_job) {
-          // A throwing hook must stay a per-job failure: letting it escape
-          // would rethrow out of pool().run after the barrier, discarding
-          // every other lane's finished results (and before the barrier
-          // there is nothing to protect the job-order results vector from a
-          // half-written entry). The job's chains and digest are already
-          // recorded above, so the digest stays deterministic.
-          try {
-            opts_.on_job(job, session, r);
-          } catch (const std::exception& e) {
-            r.status =
-                Status::internal(std::string("on_job hook threw: ") + e.what());
-          } catch (...) {
-            r.status = Status::internal("on_job hook threw");
-          }
+        if (thrown.ok() && opts_.on_job) {
+          // The job's chains and digest are already recorded, so a
+          // throwing hook leaves the digest deterministic.
+          const Status hook = contain(
+              "on_job hook", [&] { opts_.on_job(job, *session, r); });
+          if (!hook.ok()) r.status = hook;
         }
       },
       opts_.concurrency);

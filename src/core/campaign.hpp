@@ -63,7 +63,9 @@ struct JobResult {
 
   /// Worst stage status: Ok for a clean run, a degradation code
   /// (deadline/budget/fault/cancel) for a degraded-but-usable run,
-  /// Internal only when a stage kept failing through every retry.
+  /// Internal when a stage kept failing through every retry, or when the
+  /// job (a Session stage, a pipeline.on_stage hook) or its on_job hook
+  /// threw; the message names what threw, and every other job still runs.
   Status status;
   double seconds = 0;  // job wall clock (compile excluded)
   /// Job start/finish as offsets from the campaign clock — the timeline
@@ -99,7 +101,7 @@ class Campaign {
     /// goals are planned and with the Session still alive — benches use it
     /// to drive baseline tools against the same library/context. Invoked
     /// concurrently when concurrency > 1; the callback synchronizes its
-    /// own state.
+    /// own state. Not invoked for a job that threw.
     std::function<void(const Job&, Session&, JobResult&)> on_job;
   };
 
@@ -107,10 +109,10 @@ class Campaign {
     std::vector<JobResult> results;  // job order, independent of scheduling
     int jobs_ok = 0;        // every stage Ok
     int jobs_degraded = 0;  // budget/deadline/fault-cut but usable
-    int jobs_failed = 0;    // Internal status (should not happen)
+    int jobs_failed = 0;    // Internal status (see JobResult::status)
     double wall_seconds = 0;
     int concurrency = 1;
-    int pool_threads = 0;  // engine pool workers + the caller lane
+    int pool_threads = 0;  // shared pool workers + the caller lane
     /// Aggregate metrics-registry snapshot (metrics::Registry::to_json)
     /// taken when the campaign finished; "" when metrics were disabled.
     std::string metrics_json;

@@ -1,12 +1,10 @@
 #include "core/engine.hpp"
 
-#include <algorithm>
-
 #include "support/fault.hpp"
 
 namespace gp::core {
 
-Engine::Engine(Config cfg) : cfg_(std::move(cfg)), pool_(ThreadPool::shared()) {
+Engine::Engine(Config cfg) : cfg_(std::move(cfg)) {
   // Deterministic fault injection is armed once per process, before any
   // session runs a stage; a malformed GP_FAULT spec aborts here rather
   // than silently running an un-faulted experiment.
@@ -24,10 +22,6 @@ std::shared_ptr<store::ArtifactStore> Engine::store(const std::string& dir) {
   auto& slot = stores_[dir];
   if (!slot) slot = std::make_shared<store::ArtifactStore>(dir);
   return slot;
-}
-
-GovernorOptions Engine::session_budget(int concurrent_sessions) const {
-  return cfg_.governor.split_across(concurrent_sessions);
 }
 
 }  // namespace gp::core

@@ -2,7 +2,6 @@
 // substrate exactly once —
 //
 //   - the immutable gp::Config its sessions derive every knob from,
-//   - the shared work-stealing ThreadPool all parallel stages fan into,
 //   - the artifact-store handles (one per directory, shared by every
 //     session so concurrent sessions never race the whole-file manifest),
 //   - the armed deterministic fault harness (GP_FAULT).
@@ -10,7 +9,7 @@
 // Per-image analyses are Sessions (session.hpp); corpus-scale fan-outs are
 // Campaigns (campaign.hpp). Many sessions may run concurrently against one
 // Engine: everything the engine hands out is either immutable (Config) or
-// internally synchronized (pool, stores, fault counters).
+// internally synchronized (stores, fault counters).
 #pragma once
 
 #include <atomic>
@@ -21,16 +20,14 @@
 
 #include "store/store.hpp"
 #include "support/config.hpp"
-#include "support/thread_pool.hpp"
 
 namespace gp::core {
 
 class Engine {
  public:
-  /// An engine over an explicit configuration (tests, embedders). The
-  /// thread pool stays the process-wide one — worker threads are a true
-  /// process singleton — but config-derived policy (budgets, store
-  /// directory, retry counts) comes from `cfg`.
+  /// An engine over an explicit configuration (tests, embedders):
+  /// config-derived policy (budgets, store directory, retry counts) comes
+  /// from `cfg`.
   explicit Engine(Config cfg);
 
   /// The process-wide engine on the environment configuration (the
@@ -42,10 +39,6 @@ class Engine {
 
   const Config& config() const { return cfg_; }
 
-  /// The shared pool every parallel stage (extraction shards, subsumption
-  /// buckets, campaign lanes) fans into.
-  ThreadPool& pool() const { return pool_; }
-
   /// The artifact store backing `dir`, created on first use and cached for
   /// the engine's lifetime. One instance per directory: the store's
   /// manifest is rewritten whole-file on every put, so sessions sharing a
@@ -53,18 +46,12 @@ class Engine {
   /// for "" (checkpointing disabled).
   std::shared_ptr<store::ArtifactStore> store(const std::string& dir);
 
-  /// Governor options for one of `concurrent_sessions` sessions carving
-  /// this engine's budget: counted budgets split evenly (never below 1),
-  /// the wall-clock deadline left shared — all sessions race one clock.
-  GovernorOptions session_budget(int concurrent_sessions) const;
-
   /// Monotonic id for each Session opened on this engine (starts at 1; 0
   /// means "no session" in trace events).
   u64 next_session_id() { return next_session_id_.fetch_add(1) + 1; }
 
  private:
   Config cfg_;
-  ThreadPool& pool_;
   std::atomic<u64> next_session_id_{0};
   std::mutex stores_mu_;
   std::map<std::string, std::shared_ptr<store::ArtifactStore>> stores_;

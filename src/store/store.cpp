@@ -23,10 +23,6 @@ std::string hex16(u64 v) {
   return buf;
 }
 
-metrics::Counter& store_counter(const char* name) {
-  return metrics::registry().counter(std::string("store.") + name);
-}
-
 }  // namespace
 
 ArtifactStore::ArtifactStore(std::string dir, u32 version)
@@ -49,6 +45,13 @@ std::string ArtifactStore::key(const std::string& stage,
   w.put_str(stage);
   w.put_raw(material.bytes());
   return stage + "-" + hex16(serial::fnv1a(w.bytes()));
+}
+
+void ArtifactStore::bump(u64 Stats::*field, u64 n) {
+  stats_.*field += n;
+  for (const metrics::CounterField<Stats>& f : Stats::kCounters)
+    if (f.field == field)
+      metrics::registry().counter(std::string("store.") + f.name).add(n);
 }
 
 std::string ArtifactStore::path_for(const std::string& key) const {
@@ -80,20 +83,17 @@ Status ArtifactStore::put(const std::string& key,
     if (it->second.size == w.size() &&
         it->second.crc == serial::crc32(w.bytes()) &&
         std::filesystem::exists(path_for(key), ec)) {
-      ++stats_.put_noops;
-      store_counter("put_noops").add();
+      bump(&Stats::put_noops);
       return Status();
     }
   }
   Status st = serial::write_file_atomic(path_for(key), w.bytes());
   if (!st.ok()) {
-    ++stats_.put_failures;
-    store_counter("put_failures").add();
+    bump(&Stats::put_failures);
     return st;
   }
-  ++stats_.puts;
-  store_counter("puts").add();
-  store_counter("bytes_written").add(w.size());
+  bump(&Stats::puts);
+  bump(&Stats::bytes_written, w.size());
   // Manifest is updated strictly after the artifact is live: a crash (or
   // injected rename fault) between the two leaves an orphan file, which
   // get() classifies as stale and rebuilds — never a half-trusted entry.
@@ -109,19 +109,17 @@ std::optional<Artifact> ArtifactStore::get(const std::string& key) {
   if (it == manifest_.end()) {
     std::error_code ec;
     if (std::filesystem::exists(path, ec)) {
-      ++stats_.stale;  // orphan: written but never published in a manifest
-      store_counter("stale").add();
+      // Orphan: written but never published in a manifest.
+      bump(&Stats::stale);
     } else {
-      ++stats_.misses;
-      store_counter("misses").add();
+      bump(&Stats::misses);
     }
     return std::nullopt;
   }
 
   auto bytes = serial::read_file(path);
   if (!bytes.ok()) {
-    ++stats_.misses;
-    store_counter("misses").add();
+    bump(&Stats::misses);
     manifest_.erase(it);
     return std::nullopt;
   }
@@ -129,9 +127,8 @@ std::optional<Artifact> ArtifactStore::get(const std::string& key) {
   // and stale files even when the damage lands in padding the record CRCs
   // would not cover.
   const auto& data = bytes.value();
-  auto drop = [&](u64& counter, const char* why) -> std::optional<Artifact> {
-    ++counter;
-    store_counter(why).add();
+  auto drop = [&](u64 Stats::*why) -> std::optional<Artifact> {
+    bump(why);
     manifest_.erase(it);
     std::error_code ec;
     std::filesystem::remove(path, ec);
@@ -140,38 +137,32 @@ std::optional<Artifact> ArtifactStore::get(const std::string& key) {
   };
   if (data.size() != it->second.size ||
       serial::crc32(data) != it->second.crc)
-    return drop(stats_.corrupt, "corrupt");
+    return drop(&Stats::corrupt);
 
   serial::Reader r(data);
-  if (r.get_u32() != kArtifactMagic) return drop(stats_.corrupt, "corrupt");
-  if (r.get_u32() != version_) return drop(stats_.stale, "stale");
+  if (r.get_u32() != kArtifactMagic) return drop(&Stats::corrupt);
+  if (r.get_u32() != version_) return drop(&Stats::stale);
   auto header = serial::get_record(r);
-  if (!header) return drop(stats_.corrupt, "corrupt");
+  if (!header) return drop(&Stats::corrupt);
   serial::Reader hr(*header);
   const u64 writer_pid = hr.get_u64();
   const std::string stored_key = hr.get_str();
   const u32 count = hr.get_u32();
   if (!hr.ok() || !hr.at_end() || stored_key != key)
-    return drop(stats_.corrupt, "corrupt");
+    return drop(&Stats::corrupt);
 
   Artifact art;
   art.same_process = writer_pid == static_cast<u64>(::getpid());
   art.records.reserve(count);
   for (u32 i = 0; i < count; ++i) {
     auto rec = serial::get_record(r);
-    if (!rec) return drop(stats_.corrupt, "corrupt");
+    if (!rec) return drop(&Stats::corrupt);
     art.records.push_back(std::move(*rec));
   }
-  if (!r.at_end()) return drop(stats_.corrupt, "corrupt");
+  if (!r.at_end()) return drop(&Stats::corrupt);
 
-  store_counter("bytes_read").add(data.size());
-  if (art.same_process) {
-    ++stats_.hits;
-    store_counter("hits").add();
-  } else {
-    ++stats_.resumes;
-    store_counter("resumes").add();
-  }
+  bump(&Stats::bytes_read, data.size());
+  bump(art.same_process ? &Stats::hits : &Stats::resumes);
   return art;
 }
 

@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "support/metrics.hpp"
 #include "support/serial.hpp"
 #include "support/status.hpp"
 
@@ -55,19 +56,32 @@ struct Stats {
   /// the rewrite (and its fsync/rename) was skipped. Warm-start memo
   /// writers put identical content every run; this makes those puts free.
   u64 put_noops = 0;
+  u64 bytes_read = 0;     // artifact file bytes served by get()
+  u64 bytes_written = 0;  // artifact file bytes published by put()
+
+  /// Every counter, once: the store bumps the field and the registry's
+  /// "store.<name>" together, and since() diffs this list.
+  static constexpr metrics::CounterField<Stats> kCounters[] = {
+      {"hits", &Stats::hits},
+      {"resumes", &Stats::resumes},
+      {"misses", &Stats::misses},
+      {"corrupt", &Stats::corrupt},
+      {"stale", &Stats::stale},
+      {"puts", &Stats::puts},
+      {"put_failures", &Stats::put_failures},
+      {"put_noops", &Stats::put_noops},
+      {"bytes_read", &Stats::bytes_read},
+      {"bytes_written", &Stats::bytes_written},
+  };
 
   /// Field-wise difference (*this - baseline). Store handles are shared by
   /// every session on one directory; a session reports the activity of its
   /// own window by snapshotting stats at open and diffing at close.
   Stats since(const Stats& b) const {
-    return {hits - b.hits,
-            resumes - b.resumes,
-            misses - b.misses,
-            corrupt - b.corrupt,
-            stale - b.stale,
-            puts - b.puts,
-            put_failures - b.put_failures,
-            put_noops - b.put_noops};
+    Stats d;
+    for (const metrics::CounterField<Stats>& f : kCounters)
+      d.*f.field = this->*f.field - b.*f.field;
+    return d;
   }
 };
 
@@ -114,6 +128,9 @@ class ArtifactStore {
     u32 crc = 0;
   };
 
+  /// Adds `n` to `field` and to the registry's "store.<name>". Caller
+  /// holds mu_.
+  void bump(u64 Stats::*field, u64 n = 1);
   std::string path_for(const std::string& key) const;
   void load_manifest();
   Status save_manifest_locked();

@@ -6,7 +6,7 @@
 // once in a CounterField table; core::Session is the one place that
 // publishes them here (publish(), once per stage attempt). The registry is
 // the *process-wide* rollup of those plus sites that count directly:
-// solver checks, thread-pool steals, store I/O, across every concurrent
+// solver checks, thread-pool tasks, store I/O, across every concurrent
 // session. Such sites cache a reference once and pay per event:
 //
 //   static metrics::Counter& c = metrics::registry().counter("solver.checks");

@@ -1,12 +1,14 @@
-// Work-stealing thread pool shared by the gadget pipeline's parallel
-// stages (extraction sharding, subsumption buckets).
+// Thread pool shared by the gadget pipeline's parallel stages (extraction
+// shards, subsumption buckets, campaign lanes).
 //
-// Design: N worker threads, each with its own deque. New tasks round-robin
-// across the deques; a worker pops from the back of its own deque (LIFO,
-// cache-warm) and steals from the front of a victim's (FIFO, oldest first).
+// Design: N worker threads take lane tasks from one FIFO. One mutex guards
+// the queue and the stop flag; one condition variable wakes the workers.
 // `run()` is the only user-facing entry point: it executes `items` work
 // items with bounded parallelism, the calling thread participating as one
-// of the lanes, and it rethrows the first exception any item raised.
+// of the lanes, and it rethrows the first exception any item raised. A
+// run() queues at most `max_lanes - 1` tasks, each of which claims items
+// from a shared counter, so the queue sees a few tasks per run() — there is
+// no per-item task traffic to spread across per-worker queues.
 //
 // Thread-count policy (the GP_THREADS knob):
 //  - env_threads() reads GP_THREADS, defaulting to hardware_concurrency;
@@ -17,11 +19,9 @@
 //    pipeline.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -42,24 +42,15 @@ class ThreadPool {
 
   int workers() const { return static_cast<int>(threads_.size()); }
 
-  /// Per-worker activity snapshot. `run` counts tasks popped from the
-  /// worker's own deque, `stolen` counts tasks taken from a victim's,
-  /// `sleeps` counts trips through the idle wait. The last row aggregates
-  /// external callers (run() participants that are not pool threads).
-  struct WorkerStats {
-    u64 run = 0;
-    u64 stolen = 0;
-    u64 sleeps = 0;
-  };
-  std::vector<WorkerStats> worker_stats() const;
-
   /// Execute `fn(lane, item)` for every item in [0, items). At most
   /// `max_lanes` items run concurrently (the caller counts as one lane);
   /// lane ids are dense in [0, lanes) so callers can keep per-lane scratch
   /// state (e.g. a cloned solver context) without locking. Items are
   /// claimed dynamically from a shared counter, so uneven item costs
-  /// balance automatically. Blocks until every item completed; rethrows
-  /// the first exception thrown by any item.
+  /// balance automatically. Blocks until every item completed, running
+  /// queued tasks (its own or another run()'s) while it waits, so a run()
+  /// issued from inside an item cannot deadlock the pool. Rethrows the
+  /// first exception thrown by any item; the unclaimed items are skipped.
   void run(u64 items, const std::function<void(int lane, u64 item)>& fn,
            int max_lanes);
 
@@ -76,29 +67,17 @@ class ThreadPool {
 
  private:
   using Task = std::function<void()>;
-  struct Queue {
-    std::mutex m;
-    std::deque<Task> q;
-  };
 
-  void submit(Task t);
-  bool try_run_one(int self);
-  void worker_loop(int idx);
+  /// Runs the oldest queued task, if any. `lk` holds m_ on entry and on
+  /// return; it is released while the task runs.
+  bool run_one(std::unique_lock<std::mutex>& lk);
+  void worker_loop();
 
-  struct alignas(64) StatsCell {
-    std::atomic<u64> run{0};
-    std::atomic<u64> stolen{0};
-    std::atomic<u64> sleeps{0};
-  };
-
-  std::vector<std::unique_ptr<Queue>> queues_;
-  std::vector<std::unique_ptr<StatsCell>> stats_;  // workers + 1 (external)
-  std::vector<std::thread> threads_;
-  std::mutex sleep_m_;
+  std::mutex m_;  // guards queue_ and stop_
   std::condition_variable wake_cv_;
-  std::atomic<u64> pending_{0};
-  std::atomic<u64> rr_{0};
-  std::atomic<bool> stop_{false};
+  std::deque<Task> queue_;
+  bool stop_ = false;
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace gp

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -87,21 +88,6 @@ TEST(Engine, SharedIsProcessWideAndCachesStores) {
   // One instance per directory: the manifest is rewritten whole-file on
   // every put, so every session sharing a dir must share the instance.
   EXPECT_EQ(s1.get(), s2.get());
-}
-
-TEST(Engine, SessionBudgetSplitsCountedBudgetsNotDeadline) {
-  Config cfg = Config::from_env();
-  cfg.governor.max_solver_checks = 10;
-  cfg.governor.max_sym_steps = 3;
-  cfg.governor.max_expr_nodes = 0;  // unlimited stays unlimited
-  cfg.governor.deadline_seconds = 5.0;
-  Engine engine(cfg);
-
-  const GovernorOptions share = engine.session_budget(4);
-  EXPECT_EQ(share.max_solver_checks, 2u);
-  EXPECT_EQ(share.max_sym_steps, 1u);  // never rounds down to 0 (unlimited)
-  EXPECT_EQ(share.max_expr_nodes, 0u);
-  EXPECT_EQ(share.deadline_seconds, 5.0);  // wall clock is shared
 }
 
 TEST(Session, StagesAreLazyExplicitAndIdempotent) {
@@ -366,6 +352,32 @@ TEST(Campaign, ThrowingOnJobHookIsContainedAndDeterministic) {
   }
   const std::string msg = hostile.results[0].status.message();
   EXPECT_NE(msg.find("hook boom"), std::string::npos) << msg;
+
+  // A job whose Session throws (here its pipeline.on_stage hook) fails
+  // alone: the campaign returns, and the other job's result is the clean
+  // run's byte for byte.
+  copts.on_job = nullptr;
+  std::atomic<bool> thrown{false};
+  copts.pipeline.on_stage = [&](const char* stage) {
+    if (std::string(stage) == "extract" && !thrown.exchange(true))
+      throw std::runtime_error("stage boom");
+  };
+  const auto broken = Campaign(Engine::shared(), copts).run(make_jobs());
+  ASSERT_EQ(broken.results.size(), 2u);
+  EXPECT_EQ(broken.jobs_failed, 1);
+  int failed = 0;
+  for (size_t i = 0; i < 2; ++i) {
+    const JobResult& r = broken.results[i];
+    if (r.status.code() == StatusCode::Internal) {
+      ++failed;
+      EXPECT_NE(r.status.message().find("stage boom"), std::string::npos)
+          << r.status.message();
+    } else {
+      EXPECT_EQ(r.result_digest, clean.results[i].result_digest);
+      EXPECT_EQ(r.total_chains(), clean.results[i].total_chains());
+    }
+  }
+  EXPECT_EQ(failed, 1);
 }
 
 TEST(Session, UnreachablePrecheckCountsMicroseconds) {

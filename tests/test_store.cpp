@@ -22,6 +22,7 @@
 #include "payload/serialize.hpp"
 #include "store/store.hpp"
 #include "support/fault.hpp"
+#include "support/metrics.hpp"
 #include "support/serial.hpp"
 
 namespace gp {
@@ -309,12 +310,17 @@ TEST(Store, SingleBitCorruptionAtRandomOffsetsIsDetected) {
 }
 
 TEST(Store, TruncationReadsAsAbsent) {
+  metrics::set_enabled(true);
+  metrics::registry().reset();
   TempDir dir("trunc");
   store::ArtifactStore s(dir.str());
   serial::Writer m;
   m.put_str("x");
   const std::string key = s.key("subsume", m);
   ASSERT_TRUE(s.put(key, sample_records()).ok());
+  ASSERT_TRUE(s.put(key, sample_records()).ok());  // identical: a no-op
+  ASSERT_TRUE(s.get(key).has_value());
+  EXPECT_FALSE(s.get("subsume-0000000000000000").has_value());
 
   const std::string path = dir.str() + "/" + key + ".gpa";
   auto bytes = serial::read_file(path);
@@ -325,6 +331,21 @@ TEST(Store, TruncationReadsAsAbsent) {
 
   EXPECT_FALSE(s.get(key).has_value());
   EXPECT_EQ(s.stats().corrupt, 1u);
+
+  // Each event is counted once, in the store's stats and the registry
+  // alike.
+  const store::Stats st = s.stats();
+  EXPECT_EQ(st.puts, 1u);
+  EXPECT_EQ(st.put_noops, 1u);
+  EXPECT_EQ(st.hits, 1u);
+  EXPECT_EQ(st.misses, 1u);
+  EXPECT_EQ(st.bytes_read, bytes.value().size());
+  EXPECT_EQ(st.bytes_written, bytes.value().size());
+  for (const auto& f : store::Stats::kCounters)
+    EXPECT_EQ(metrics::registry().counter(std::string("store.") + f.name)
+                  .value(),
+              st.*f.field)
+        << f.name;
 }
 
 TEST(Store, OrphanArtifactWithoutManifestEntryIsStale) {

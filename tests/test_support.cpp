@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "support/common.hpp"
@@ -156,11 +157,11 @@ TEST(ThreadPool, NestedRunDoesNotDeadlock) {
   EXPECT_EQ(n.load(), 32);
 }
 
-// Regression for a lost wakeup: ~ThreadPool and submit() used to publish
-// stop_/pending_ without holding sleep_m_, so a worker between its wait
-// predicate check and the wait itself could sleep through the notify and
-// hang the destructor's join. Before the fix this loop hung within a few
-// thousand iterations; a hang fails through the ctest TIMEOUT.
+// Regression for a lost wakeup: the stop flag and the queued-task count
+// were once published without holding the mutex the workers wait on, so a
+// worker between its wait predicate check and the wait itself could sleep
+// through the notify and hang the destructor's join. That loop hung within
+// a few thousand iterations; a hang fails through the ctest TIMEOUT.
 TEST(ThreadPool, LifecycleStress) {
   for (int iter = 0; iter < 3000; ++iter) {
     ThreadPool pool(3);
@@ -168,6 +169,44 @@ TEST(ThreadPool, LifecycleStress) {
     pool.run(
         8, [&](int, u64) { n.fetch_add(1); }, 4);
     ASSERT_EQ(n.load(), 8) << "iteration " << iter;
+  }
+}
+
+// Several external callers share one small pool; every item issues a
+// nested run(), and one caller's item throws. Every caller must return (a
+// hang fails through the ctest TIMEOUT), only the throwing caller may see
+// the exception, and every other run() executes each item exactly once.
+TEST(ThreadPool, ConcurrentCallersNestAndContainOneThrow) {
+  constexpr int kCallers = 4;
+  constexpr u64 kItems = 32, kInner = 4;
+  for (int round = 0; round < 200; ++round) {
+    ThreadPool pool(2);
+    std::vector<std::atomic<int>> hits(kCallers * kItems * kInner);
+    std::vector<int> threw(kCallers, 0);
+    std::vector<std::thread> callers;
+    for (int c = 0; c < kCallers; ++c)
+      callers.emplace_back([&, c] {
+        try {
+          pool.run(
+              kItems,
+              [&](int, u64 i) {
+                if (c == 0 && i == 5) fail("boom");
+                pool.run(
+                    kInner,
+                    [&](int, u64 j) {
+                      hits[(c * kItems + i) * kInner + j].fetch_add(1);
+                    },
+                    2);
+              },
+              3);
+        } catch (const Error&) {
+          threw[c] = 1;
+        }
+      });
+    for (std::thread& t : callers) t.join();
+    ASSERT_EQ(threw, std::vector<int>({1, 0, 0, 0})) << "round " << round;
+    for (u64 k = kItems * kInner; k < hits.size(); ++k)
+      ASSERT_EQ(hits[k].load(), 1) << "round " << round << " slot " << k;
   }
 }
 
