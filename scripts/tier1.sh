@@ -559,12 +559,14 @@ echo "== tier-1: robustness + fault-injection tests under ASan/UBSan =="
 # test_serve carries the journal corruption sweep (torn tail, bit flip,
 # torn append, version bump) — exactly the paths that unwind through
 # partially-parsed bytes, so they run under ASan here too. The solver
-# suites run here as well: the SAT core's order heap is index arithmetic
-# (heap slots, child positions) of the kind ASan catches.
+# suites run here as well: the SAT core's order heap (heap slots, child
+# positions) and the expression interner's open-addressing table (probe
+# and growth slot arithmetic) are index arithmetic of the kind ASan
+# catches.
 cmake --preset asan
 cmake --build build-asan -j --target test_governor test_robustness test_store \
   test_serve test_solver
 (cd build-asan && ctest -L robustness --output-on-failure)
-(cd build-asan && ctest -R 'SatCore|Solver' --output-on-failure)
+(cd build-asan && ctest -R 'SatCore|Solver|ExprTest' --output-on-failure)
 
 echo "== tier-1: OK =="

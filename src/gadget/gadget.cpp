@@ -275,20 +275,23 @@ bool scan_stopped(Governor* gov, ExtractStats& stats) {
   return false;
 }
 
-/// Remap a record produced in a worker context into the main context.
-Record import_record(solver::Importer& imp, Record r) {
-  for (auto& e : r.final_regs) e = imp.import(e);
-  for (auto& e : r.precond) e = imp.import(e);
-  r.next_rip = imp.import(r.next_rip);
+/// Rewrite a shard record's refs into the main context through the
+/// shard's replay table.
+void remap_record(Record& r, const std::vector<ExprRef>& table) {
+  const auto map = [&](ExprRef& e) {
+    if (e != solver::kNoExpr) e = table[e];
+  };
+  for (auto& e : r.final_regs) map(e);
+  for (auto& e : r.precond) map(e);
+  map(r.next_rip);
   for (auto& w : r.writes) {
-    w.addr = imp.import(w.addr);
-    w.value = imp.import(w.value);
+    map(w.addr);
+    map(w.value);
   }
   for (auto& ir : r.ind_reads) {
-    ir.addr = imp.import(ir.addr);
-    ir.var = imp.import(ir.var);
+    map(ir.addr);
+    map(ir.var);
   }
-  return r;
 }
 
 }  // namespace
@@ -368,29 +371,38 @@ std::vector<Record> Extractor::extract_parallel(const ExtractOptions& opts,
       },
       threads);
 
-  // Deterministic merge: remap every shard's records into the main context
-  // in chunk (= offset) order, so the pool matches the sequential scan.
+  // Deterministic merge: replay every shard's nodes into the main context
+  // in chunk (= offset) order. A shard lists its nodes in the order its
+  // offsets first created them, and the sequential scan appends exactly the
+  // ones the main context still lacks, in that order; so the replay
+  // rebuilds the sequential context ref for ref, and records remap through
+  // the replay table. One reserve covers every shard.
+  size_t total_nodes = ctx_.num_nodes();
+  for (const Shard& s : shards) total_nodes += s.ctx->num_nodes();
+  ctx_.reserve(total_nodes);
   std::vector<Record> out;
   bool exhausted = false;
   for (Shard& s : shards) {
     if (!exhausted) {
-      solver::Importer imp(*s.ctx, ctx_);
       try {
-        for (Record& r : s.records)
-          out.push_back(import_record(imp, std::move(r)));
+        const std::vector<ExprRef> table = ctx_.replay(*s.ctx);
+        for (Record& r : s.records) {
+          remap_record(r, table);
+          out.push_back(std::move(r));
+        }
       } catch (const ResourceExhausted& e) {
-        // The main context's node budget ran out mid-merge: the remaining
-        // records of this shard (and later shards) are dropped with a
-        // recorded reason rather than imported over budget.
+        // An allocation fault hit mid-replay: this shard's records (and
+        // later shards') are dropped with a recorded reason rather than
+        // remapped through a partial table.
         stats_.paths_cut += 1;
         stats_.status.merge(e.status());
         exhausted = true;
       }
     }
-    // Every shard's offsets stay accounted, imported or not, so
+    // Every shard's offsets stay accounted, replayed or not, so
     // offsets_scanned + offsets_skipped still covers the code bytes.
     stats_ += s.stats;
-    s.ctx.reset();  // drop the worker interner as soon as it is remapped
+    s.ctx.reset();  // drop the worker interner as soon as it is replayed
   }
   return out;
 }

@@ -89,9 +89,10 @@ struct ExtractOptions {
   bool drop_wild_stores = false;
   /// Worker threads for the offset scan. 0 = the GP_THREADS env knob
   /// (default hardware_concurrency); 1 = the exact sequential path.
-  /// Any value yields the same gadget pool: workers explore disjoint
-  /// offset shards in private solver contexts and the results are remapped
-  /// into the main context in offset order.
+  /// Any value yields the same gadget pool and the same context, ref for
+  /// ref: workers explore disjoint offset shards in private solver
+  /// contexts, which the merge replays into the main context in offset
+  /// order.
   int threads = 0;
   /// Shared resource governor (optional; must outlive the call). The scan
   /// polls its deadline/cancel token at every offset — on all worker lanes

@@ -23,39 +23,68 @@ bool commutative(Op op) {
 
 u64 all_ones(u8 width) { return truncate(~u64{0}, width); }
 
-}  // namespace
-
-size_t Context::NodeHash::operator()(const Node& n) const {
-  size_t h = static_cast<size_t>(n.op) * 0x9e3779b97f4a7c15ULL;
-  auto mix = [&h](u64 v) {
-    h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
-  mix(n.width);
-  mix(n.aux);
-  mix(n.a);
-  mix(n.b);
-  mix(n.c);
-  mix(n.cval);
-  return h;
+/// 32-bit hash of a node's full content (two multiply-xorshift rounds over
+/// the packed fields). Its low bits index the intern table, so they must
+/// mix every field.
+u32 node_hash(const Node& n) {
+  const u64 w0 = u64{static_cast<u8>(n.op)} | u64{n.width} << 8 |
+                 u64{n.aux} << 16 | u64{n.a} << 32;
+  const u64 w1 = u64{n.b} | u64{n.c} << 32;
+  u64 h = w0 * 0x9e3779b97f4a7c15ULL;
+  h = (h ^ (h >> 32) ^ w1) * 0xbf58476d1ce4e5b9ULL;
+  h = (h ^ (h >> 29) ^ n.cval) * 0x94d049bb133111ebULL;
+  return static_cast<u32>(h >> 32);
 }
 
-bool Context::NodeEq::operator()(const Node& x, const Node& y) const {
+bool same_node(const Node& x, const Node& y) {
   return x.op == y.op && x.width == y.width && x.aux == y.aux && x.a == y.a &&
          x.b == y.b && x.c == y.c && x.cval == y.cval;
 }
 
+constexpr size_t kMinSlots = 64;
+
+}  // namespace
+
 Context::Context() {
+  slots_.resize(kMinSlots);
   false_ = constant(0, 1);
   true_ = constant(1, 1);
 }
 
-ExprRef Context::intern(Node n) {
-  auto it = interned_.find(n);
-  if (it != interned_.end()) return it->second;
+void Context::fit_table(size_t n) {
+  size_t capacity = slots_.size();
+  while (capacity < 2 * n) capacity *= 2;
+  if (capacity == slots_.size()) return;
+  std::vector<Slot> grown(capacity);
+  const size_t mask = capacity - 1;
+  for (const Slot& s : slots_) {
+    if (s.ref == kNoExpr) continue;
+    size_t i = s.hash & mask;
+    while (grown[i].ref != kNoExpr) i = (i + 1) & mask;
+    grown[i] = s;
+  }
+  slots_ = std::move(grown);
+}
+
+void Context::reserve(size_t n) {
+  nodes_.reserve(n);
+  fit_table(n);
+}
+
+size_t Context::probe(const Node& n, u32 h) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = h & mask;
+  while (slots_[i].ref != kNoExpr &&
+         !(slots_[i].hash == h && same_node(nodes_[slots_[i].ref], n)))
+    i = (i + 1) & mask;
+  return i;
+}
+
+ExprRef Context::append(const Node& n, bool draw_budget) {
   // Only genuinely fresh nodes count against the governor's node budget (a
   // hash-cons hit allocates nothing); exhaustion surfaces as a
   // ResourceExhausted unwound to the nearest stage boundary.
-  if (governor_ && !governor_->expr_nodes().try_consume())
+  if (draw_budget && governor_ && !governor_->expr_nodes().try_consume())
     throw ResourceExhausted(
         Status::budget_exhausted("expression-node budget"));
   if (fault::enabled() && fault::should_fire(fault::Point::Alloc))
@@ -66,7 +95,31 @@ ExprRef Context::intern(Node n) {
   interned.add();
   const auto ref = static_cast<ExprRef>(nodes_.size());
   nodes_.push_back(n);
-  interned_.emplace(n, ref);
+  return ref;
+}
+
+void Context::index_from(ExprRef first) {
+  fit_table(nodes_.size());
+  const size_t mask = slots_.size() - 1;
+  for (size_t r = first; r < nodes_.size(); ++r) {
+    const u32 h = node_hash(nodes_[r]);
+    size_t i = h & mask;
+    while (slots_[i].ref != kNoExpr) i = (i + 1) & mask;
+    slots_[i] = {static_cast<ExprRef>(r), h};
+  }
+}
+
+ExprRef Context::intern(const Node& n) {
+  const u32 h = node_hash(n);
+  const size_t i = probe(n, h);
+  if (slots_[i].ref != kNoExpr) return slots_[i].ref;
+  const ExprRef ref = append(n, /*draw_budget=*/true);
+  // Keep the table at most half full: a growing table re-probes.
+  if (2 * nodes_.size() <= slots_.size()) {
+    slots_[i] = {ref, h};
+  } else {
+    index_from(ref);
+  }
   return ref;
 }
 
@@ -86,27 +139,37 @@ ExprRef Context::var(const std::string& name, u8 width) {
              "variable re-declared with different width: " + name);
     return it->second;
   }
+  const ExprRef ref = new_var(name, width, /*draw_budget=*/true);
+  index_from(ref);
+  return ref;
+}
+
+ExprRef Context::new_var(const std::string& name, u8 width,
+                         bool draw_budget) {
+  // A variable's id is fresh, so its node cannot be interned yet: no probe.
   Node n;
   n.op = Op::Var;
   n.width = width;
   n.cval = var_names_.size();
+  const ExprRef ref = append(n, draw_budget);
   var_names_.push_back(name);
-  const ExprRef ref = intern(n);
   vars_by_name_.emplace(name, ref);
   return ref;
 }
 
-ExprRef Context::binary(Op op, ExprRef a, ExprRef b) {
-  // Canonical operand order for commutative ops: a constant always goes on
-  // the right (the (base + offset) normal form the memory model relies on);
-  // otherwise order by node index for hash-consing.
-  if (commutative(op)) {
-    if (nodes_[a].op == Op::Const && nodes_[b].op != Op::Const) {
-      std::swap(a, b);
-    } else if (nodes_[b].op != Op::Const && a > b) {
-      std::swap(a, b);
-    }
+void Context::order_operands(Op op, ExprRef& a, ExprRef& b) const {
+  // A constant always goes on the right (the (base + offset) normal form
+  // the memory model relies on); otherwise order by ref for hash-consing.
+  if (!commutative(op)) return;
+  if (nodes_[a].op == Op::Const && nodes_[b].op != Op::Const) {
+    std::swap(a, b);
+  } else if (nodes_[b].op != Op::Const && a > b) {
+    std::swap(a, b);
   }
+}
+
+ExprRef Context::binary(Op op, ExprRef a, ExprRef b) {
+  order_operands(op, a, b);
   Node n;
   n.op = op;
   n.width = nodes_[a].width;
@@ -114,6 +177,50 @@ ExprRef Context::binary(Op op, ExprRef a, ExprRef b) {
   n.a = a;
   n.b = b;
   return intern(n);
+}
+
+std::vector<ExprRef> Context::replay(const Context& src) {
+  // Both contexts are hash-consed, so distinct src nodes denote distinct
+  // terms and map to distinct nodes here. Hence a node over an operand this
+  // replay appended is new itself, and any other node can only match a node
+  // that predates the replay: lookups need only the table as it was, and
+  // the appended nodes join it in one pass at the end.
+  const auto first = static_cast<ExprRef>(nodes_.size());
+  const auto appended = [first](ExprRef e) {
+    return e != kNoExpr && e >= first;
+  };
+  std::vector<ExprRef> out(src.nodes_.size());
+  const auto map = [&](ExprRef e) { return e == kNoExpr ? e : out[e]; };
+  try {
+    for (size_t r = 0; r < out.size(); ++r) {
+      Node n = src.nodes_[r];
+      if (n.op == Op::Var) {
+        const std::string& name = src.var_names_[n.cval];
+        auto it = vars_by_name_.find(name);
+        out[r] = it != vars_by_name_.end()
+                     ? it->second
+                     : new_var(name, n.width, /*draw_budget=*/false);
+        continue;
+      }
+      n.a = map(n.a);
+      n.b = map(n.b);
+      n.c = map(n.c);
+      order_operands(n.op, n.a, n.b);
+      if (!appended(n.a) && !appended(n.b) && !appended(n.c)) {
+        const size_t i = probe(n, node_hash(n));
+        if (slots_[i].ref != kNoExpr) {
+          out[r] = slots_[i].ref;
+          continue;
+        }
+      }
+      out[r] = append(n, /*draw_budget=*/false);
+    }
+  } catch (const ResourceExhausted&) {
+    index_from(first);  // a cut replay still leaves every node interned
+    throw;
+  }
+  index_from(first);
+  return out;
 }
 
 ExprRef Context::add(ExprRef a, ExprRef b) {
@@ -585,40 +692,6 @@ std::string Context::to_string(ExprRef e) const {
     case Op::Concat: return bin("++");
   }
   return "<bad>";
-}
-
-ExprRef Importer::import(ExprRef e) {
-  if (e == kNoExpr) return kNoExpr;
-  auto hit = memo_.find(e);
-  if (hit != memo_.end()) return hit->second;
-  const Node n = src_.node(e);
-  ExprRef out = kNoExpr;
-  switch (n.op) {
-    case Op::Const: out = dst_.constant(n.cval, n.width); break;
-    case Op::Var: out = dst_.var(src_.var_name(e), n.width); break;
-    case Op::Add: out = dst_.add(import(n.a), import(n.b)); break;
-    case Op::Mul: out = dst_.mul(import(n.a), import(n.b)); break;
-    case Op::And: out = dst_.band(import(n.a), import(n.b)); break;
-    case Op::Or: out = dst_.bor(import(n.a), import(n.b)); break;
-    case Op::Xor: out = dst_.bxor(import(n.a), import(n.b)); break;
-    case Op::Shl: out = dst_.shl(import(n.a), import(n.b)); break;
-    case Op::LShr: out = dst_.lshr(import(n.a), import(n.b)); break;
-    case Op::AShr: out = dst_.ashr(import(n.a), import(n.b)); break;
-    case Op::Not: out = dst_.bnot(import(n.a)); break;
-    case Op::Neg: out = dst_.neg(import(n.a)); break;
-    case Op::Eq: out = dst_.eq(import(n.a), import(n.b)); break;
-    case Op::Ult: out = dst_.ult(import(n.a), import(n.b)); break;
-    case Op::Slt: out = dst_.slt(import(n.a), import(n.b)); break;
-    case Op::Ite:
-      out = dst_.ite(import(n.a), import(n.b), import(n.c));
-      break;
-    case Op::ZExt: out = dst_.zext(import(n.a), n.width); break;
-    case Op::SExt: out = dst_.sext(import(n.a), n.width); break;
-    case Op::Extract: out = dst_.extract(import(n.a), n.aux, n.width); break;
-    case Op::Concat: out = dst_.concat(import(n.a), import(n.b)); break;
-  }
-  memo_.emplace(e, out);
-  return out;
 }
 
 }  // namespace gp::solver

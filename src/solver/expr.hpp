@@ -132,6 +132,24 @@ class Context {
   /// its (atomic) node budget.
   Context clone() const { return *this; }
 
+  /// Pre-size for `n` nodes in total: the node array and the intern table
+  /// then grow no further until `n` is passed.
+  void reserve(size_t n);
+
+  /// Append every node of `src` this context lacks, in src's creation
+  /// order. Each node is re-interned as is, except that variables bind by
+  /// name and commutative operands are re-ordered by this context's refs.
+  /// A context appends a node when it first creates it, so replaying the
+  /// private contexts of a sharded scan in scan order builds, ref for ref,
+  /// the context the scan would have built alone. Returns the destination
+  /// ref of every src ref: out[r] for src ref r.
+  ///
+  /// Replayed nodes do not draw on the governor's expr-node budget: the
+  /// source context paid for each of them when it interned it. The
+  /// allocation fault point still fires, so a replay can throw
+  /// ResourceExhausted part-way through.
+  std::vector<ExprRef> replay(const Context& src);
+
   /// Attach a resource governor (nullptr detaches). Fresh node interning
   /// then consumes the governor's expr-node budget; exhaustion throws
   /// ResourceExhausted for the nearest stage boundary to convert to a
@@ -140,41 +158,39 @@ class Context {
   Governor* governor() const { return governor_; }
 
  private:
-  ExprRef intern(Node n);
-  ExprRef binary(Op op, ExprRef a, ExprRef b);
+  /// One intern-table entry: the node's ref (kNoExpr = empty) and the
+  /// node's 32-bit hash, which both places the entry (its low bits) and
+  /// screens probes without touching the node array.
+  struct Slot {
+    ExprRef ref = kNoExpr;
+    u32 hash = 0;
+  };
 
-  struct NodeHash {
-    size_t operator()(const Node& n) const;
-  };
-  struct NodeEq {
-    bool operator()(const Node& x, const Node& y) const;
-  };
+  /// Hash-cons `n`: its ref if interned, else a fresh one.
+  ExprRef intern(const Node& n);
+  /// Slot holding `n`, or the empty slot where the probe for it ends.
+  size_t probe(const Node& n, u32 hash) const;
+  /// Append a node the table lacks without indexing it; the caller calls
+  /// index_from(). Draws on the governor's node budget if asked.
+  ExprRef append(const Node& n, bool draw_budget);
+  /// Enter nodes [first, num_nodes()) into the intern table.
+  void index_from(ExprRef first);
+  /// Append (unindexed) a variable not yet declared.
+  ExprRef new_var(const std::string& name, u8 width, bool draw_budget);
+  ExprRef binary(Op op, ExprRef a, ExprRef b);
+  /// Canonical operand order for commutative ops (binary() and replay()).
+  void order_operands(Op op, ExprRef& a, ExprRef& b) const;
+  /// Grow the intern table (by doubling) to at least twice `n` slots.
+  void fit_table(size_t n);
 
   Governor* governor_ = nullptr;
   std::vector<Node> nodes_;
-  std::unordered_map<Node, ExprRef, NodeHash, NodeEq> interned_;
+  /// Open-addressing hash-cons table over nodes_, linear probing, at most
+  /// half full.
+  std::vector<Slot> slots_;
   std::vector<std::string> var_names_;
   std::unordered_map<std::string, ExprRef> vars_by_name_;
   ExprRef true_ = kNoExpr, false_ = kNoExpr;
-};
-
-/// Rebuilds expressions from one Context inside another: variables map by
-/// name, constants by value, everything else re-runs the destination's
-/// smart constructors (so imported terms re-canonicalize and intern like
-/// natively built ones). This is how worker-local extraction results are
-/// remapped into the main analysis context. One Importer per (src, dst)
-/// pair; the memo makes repeated imports of a shared sub-DAG O(1).
-class Importer {
- public:
-  Importer(const Context& src, Context& dst) : src_(src), dst_(dst) {}
-
-  /// Translate `e` (owned by src) into dst. kNoExpr passes through.
-  ExprRef import(ExprRef e);
-
- private:
-  const Context& src_;
-  Context& dst_;
-  std::unordered_map<ExprRef, ExprRef> memo_;
 };
 
 }  // namespace gp::solver

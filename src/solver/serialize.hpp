@@ -5,9 +5,8 @@
 // encode — in ref order, which is topological because operands intern
 // before their users — and assigns them compact stable ids. Decoding
 // replays each node through the destination context's public smart
-// constructors, exactly like solver::Importer does for cross-context
-// remaps: variables rebind by name, constants by value, everything else
-// re-simplifies. Replaying an already-canonical node through the (pure,
+// constructors: variables rebind by name, constants by value, everything
+// else re-simplifies. Replaying an already-canonical node through the (pure,
 // deterministic) constructors reproduces a structurally identical node, so
 //   encode(ctx, roots) |> decode(fresh_ctx)
 // yields terms that print, evaluate and solve identically — the property

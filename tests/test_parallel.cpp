@@ -1,22 +1,24 @@
 // Determinism of the parallel pipeline: extraction and subsumption must
 // yield the same gadget pool at any thread count. Workers explore offset
-// shards in private solver contexts, so equality across runs is checked
-// with a canonical cross-context expression form (commutative operand
-// order in an interned DAG depends on context-local ref numbering).
+// shards in private solver contexts, and the merge replays those contexts
+// into the main one in offset order, so a sharded extraction builds the
+// sequential scan's context ref for ref. Pools are therefore compared by
+// their refs and by their store encoding (gadget::encode_pool), byte for
+// byte.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <string>
 #include <thread>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "codegen/codegen.hpp"
 #include "core/campaign.hpp"
 #include "corpus/corpus.hpp"
 #include "gadget/gadget.hpp"
+#include "gadget/serialize.hpp"
 #include "minic/minic.hpp"
 #include "obfuscate/obfuscate.hpp"
 #include "payload/serialize.hpp"
@@ -48,87 +50,22 @@ const image::Image& obfuscated_image() {
   return img;
 }
 
-using Memo = std::unordered_map<solver::ExprRef, std::string>;
-
-/// Canonical string form of an expression, independent of the owning
-/// context's ref numbering: commutative operand lists are re-sorted by
-/// canonical form and constants always print their width.
-std::string canon(const solver::Context& ctx, solver::ExprRef e, Memo& memo) {
-  if (e == solver::kNoExpr) return "-";
-  auto it = memo.find(e);
-  if (it != memo.end()) return it->second;
-  const solver::Node& n = ctx.node(e);
-  std::string s;
-  switch (n.op) {
-    case solver::Op::Const:
-      s = "c" + std::to_string(n.cval) + "w" + std::to_string(n.width);
-      break;
-    case solver::Op::Var:
-      s = "v" + ctx.var_name(e) + "w" + std::to_string(n.width);
-      break;
-    default: {
-      std::vector<std::string> ops;
-      if (n.a != solver::kNoExpr) ops.push_back(canon(ctx, n.a, memo));
-      if (n.b != solver::kNoExpr) ops.push_back(canon(ctx, n.b, memo));
-      if (n.c != solver::kNoExpr) ops.push_back(canon(ctx, n.c, memo));
-      switch (n.op) {
-        case solver::Op::Add:
-        case solver::Op::Mul:
-        case solver::Op::And:
-        case solver::Op::Or:
-        case solver::Op::Xor:
-        case solver::Op::Eq:
-          std::sort(ops.begin(), ops.end());
-          break;
-        default:
-          break;
-      }
-      s = "(" + std::to_string(static_cast<int>(n.op)) + "w" +
-          std::to_string(n.width) + "x" + std::to_string(n.aux);
-      for (const std::string& o : ops) s += " " + o;
-      s += ")";
+/// Every expression ref the pool's records hold, in field order.
+std::vector<solver::ExprRef> refs(const std::vector<Record>& pool) {
+  std::vector<solver::ExprRef> out;
+  for (const Record& r : pool) {
+    out.insert(out.end(), r.final_regs.begin(), r.final_regs.end());
+    out.insert(out.end(), r.precond.begin(), r.precond.end());
+    out.push_back(r.next_rip);
+    for (const auto& w : r.writes) {
+      out.push_back(w.addr);
+      out.push_back(w.value);
+    }
+    for (const auto& ir : r.ind_reads) {
+      out.push_back(ir.addr);
+      out.push_back(ir.var);
     }
   }
-  memo.emplace(e, s);
-  return s;
-}
-
-/// Full content signature of a record (context-independent).
-std::string sig(const solver::Context& ctx, const Record& r, Memo& memo) {
-  std::string s = std::to_string(r.addr) + "|" + std::to_string(r.len) + "|" +
-                  std::to_string(r.n_insts) + "|" +
-                  std::to_string(static_cast<int>(r.end)) + "|" +
-                  std::to_string(r.has_cond_jump) +
-                  std::to_string(r.has_direct_jump) +
-                  std::to_string(r.aliased_memory) + "|" +
-                  std::to_string(r.clobbered) + "," +
-                  std::to_string(r.controlled) + "," +
-                  std::to_string(r.settable) + "|" +
-                  (r.stack_delta ? std::to_string(*r.stack_delta) : "-");
-  s += "|regs";
-  for (const solver::ExprRef e : r.final_regs) s += ";" + canon(ctx, e, memo);
-  s += "|pre";
-  for (const solver::ExprRef e : r.precond) s += ";" + canon(ctx, e, memo);
-  s += "|rip;" + canon(ctx, r.next_rip, memo);
-  s += "|wr";
-  for (const auto& w : r.writes)
-    s += ";" + canon(ctx, w.addr, memo) + ":" + canon(ctx, w.value, memo) +
-         ":" + std::to_string(w.width);
-  s += "|ind";
-  for (const auto& ir : r.ind_reads)
-    s += ";" + canon(ctx, ir.addr, memo) + ":" + canon(ctx, ir.var, memo);
-  s += "|stk";
-  for (const i64 off : r.stack_reads) s += ";" + std::to_string(off);
-  s += "|path" + std::to_string(r.path.size());
-  return s;
-}
-
-std::vector<std::string> sigs(const solver::Context& ctx,
-                              const std::vector<Record>& pool) {
-  Memo memo;
-  std::vector<std::string> out;
-  out.reserve(pool.size());
-  for (const Record& r : pool) out.push_back(sig(ctx, r, memo));
   return out;
 }
 
@@ -158,9 +95,12 @@ TEST(Parallel, ExtractionMatchesSequential) {
 
     expect_stats_equal(e1.stats(), en.stats());
     ASSERT_EQ(p1.size(), pn.size()) << "threads=" << threads;
-    // The chunk-ordered merge reproduces the sequential scan order exactly,
-    // so the pools match record-for-record, not just as sets.
-    EXPECT_EQ(sigs(c1, p1), sigs(cn, pn)) << "threads=" << threads;
+    // The chunk-ordered replay rebuilds the sequential context ref for
+    // ref, so the pools match record for record and byte for byte.
+    EXPECT_EQ(c1.num_nodes(), cn.num_nodes()) << "threads=" << threads;
+    EXPECT_EQ(refs(p1), refs(pn)) << "threads=" << threads;
+    EXPECT_EQ(encode_pool(c1, p1), encode_pool(cn, pn))
+        << "threads=" << threads;
   }
 }
 
@@ -185,7 +125,50 @@ TEST(Parallel, MinimizeMatchesSequential) {
     expect_stats_equal(s1, sn);
     EXPECT_FALSE(sn.budget_exhausted);
     ASSERT_EQ(k1.size(), kn.size()) << "threads=" << threads;
-    EXPECT_EQ(sigs(ctx, k1), sigs(ctx, kn)) << "threads=" << threads;
+    EXPECT_EQ(refs(k1), refs(kn)) << "threads=" << threads;
+    EXPECT_EQ(encode_pool(ctx, k1), encode_pool(ctx, kn))
+        << "threads=" << threads;
+  }
+}
+
+// Sharded extraction once interned nodes in a different order than the
+// sequential scan, and commutative operands follow ref order. On
+// hash_table/none that turned `rax0*rcx0` into `rcx0*rax0` at 2+ threads,
+// and subsumption then hit the solver's conflict budget on two pairs the
+// sequential pool settles in milliseconds. Pools must be byte-identical at
+// any thread count, and that binary's winnow must decide every pair.
+TEST(Parallel, CorpusPoolsAreThreadCountInvariant) {
+  const std::pair<const char*, const char*> binaries[] = {
+      {"hash_table", "none"},
+      {"fibonacci", "llvm-obf"},
+      {"state_machine", "virtualize"},
+  };
+  for (const auto& [program, profile] : binaries) {
+    const std::string label = std::string(program) + "/" + profile;
+    auto prog = minic::compile_source(corpus::by_name(program).source);
+    obf::obfuscate(prog, core::profile_by_name(profile, /*seed=*/7));
+    const image::Image img = codegen::compile(prog);
+
+    solver::Context c1, c4;
+    Extractor e1(c1, img), e4(c4, img);
+    ExtractOptions o1, o4;
+    o1.threads = 1;
+    o4.threads = 4;
+    const auto p1 = e1.extract(o1);
+    const auto p4 = e4.extract(o4);
+    ASSERT_FALSE(p1.empty()) << label;
+    EXPECT_EQ(c1.num_nodes(), c4.num_nodes()) << label;
+    EXPECT_EQ(encode_pool(c1, p1), encode_pool(c4, p4)) << label;
+    if (label != "hash_table/none") continue;
+
+    subsume::Stats s1, s4;
+    const auto k1 = subsume::minimize(c1, p1, &s1, /*max_solver_checks=*/20'000,
+                                      /*threads=*/1);
+    const auto k4 = subsume::minimize(c4, p4, &s4, /*max_solver_checks=*/20'000,
+                                      /*threads=*/4);
+    ASSERT_FALSE(s1.budget_exhausted);  // so the 4-lane winnow is exact too
+    EXPECT_EQ(s4.solver_unknown, 0u);
+    EXPECT_EQ(encode_pool(c1, k1), encode_pool(c4, k4));
   }
 }
 
@@ -343,7 +326,9 @@ TEST(Parallel, EnvKnobDrivesPipeline) {
 
   expect_stats_equal(e1.stats(), ee.stats());
   ASSERT_EQ(p1.size(), pe.size());
-  EXPECT_EQ(sigs(c1, p1), sigs(ce, pe));
+  EXPECT_EQ(c1.num_nodes(), ce.num_nodes());
+  EXPECT_EQ(refs(p1), refs(pe));
+  EXPECT_EQ(encode_pool(c1, p1), encode_pool(ce, pe));
 }
 
 TEST(Parallel, MetricsAndTraceTotalsAreExactUnderContention) {

@@ -3,6 +3,8 @@
 #include <optional>
 
 #include "solver/solver.hpp"
+#include "support/fault.hpp"
+#include "support/governor.hpp"
 #include "support/rng.hpp"
 #include "support/serial.hpp"
 
@@ -149,6 +151,152 @@ TEST_F(ExprTest, EvalMatchesSemantics) {
   EXPECT_EQ(ctx.eval(ctx.add(x, y), env), 10u);
   EXPECT_EQ(ctx.eval(ctx.shl(x, y), env), 56u);
   EXPECT_EQ(ctx.eval(ctx.slt(ctx.neg(x), y), env), 1u);
+}
+
+TEST_F(ExprTest, InternTableSurvivesGrowth) {
+  // 14,000 distinct nodes take the table from its initial 64 slots through
+  // nine doublings; re-interning each term must return its original ref.
+  const ExprRef x = ctx.var("x", 64);
+  const auto build = [&](Context& k) {
+    std::vector<ExprRef> refs;
+    for (u64 i = 2; i < 3502; ++i) {
+      const ExprRef kc = k.constant(i, 64);
+      const ExprRef m = k.mul(x, kc);
+      refs.insert(refs.end(), {kc, k.add(x, kc), m, k.extract(m, 0, 32)});
+    }
+    return refs;
+  };
+  const size_t before = ctx.num_nodes();
+  const std::vector<ExprRef> first = build(ctx);
+  EXPECT_EQ(ctx.num_nodes() - before, first.size());  // all distinct
+  EXPECT_EQ(build(ctx), first);
+  EXPECT_EQ(ctx.num_nodes() - before, first.size());  // nothing re-added
+
+  // A pre-sized table hands out the same refs.
+  Context sized;
+  sized.reserve(20'000);
+  EXPECT_EQ(sized.var("x", 64), x);
+  EXPECT_EQ(build(sized), first);
+}
+
+TEST_F(ExprTest, CloneInternsPrivately) {
+  const ExprRef x = ctx.var("x", 64);
+  const ExprRef y = ctx.var("y", 64);
+  const ExprRef sum = ctx.add(x, y);
+  const size_t n0 = ctx.num_nodes();
+
+  Context copy = ctx.clone();
+  EXPECT_EQ(copy.add(y, x), sum);  // shared terms hash-cons to shared refs
+  const ExprRef z = copy.var("z", 64);
+  const ExprRef prod = copy.mul(z, sum);
+  for (u64 i = 0; i < 300; ++i) copy.constant(1000 + i, 64);  // grow it
+  EXPECT_EQ(copy.num_nodes(), n0 + 302);
+
+  // The original neither sees the clone's nodes nor shifts its own refs.
+  EXPECT_EQ(ctx.num_nodes(), n0);
+  EXPECT_EQ(ctx.add(y, x), sum);
+  const ExprRef w = ctx.var("w", 64);
+  EXPECT_EQ(w, z);  // both took ref n0, each in its own context
+  EXPECT_EQ(ctx.var_name(w), "w");
+  EXPECT_EQ(copy.var_name(z), "z");
+  EXPECT_EQ(ctx.num_nodes(), n0 + 1);
+  EXPECT_EQ(ctx.mul(w, sum), prod);  // next ref again, different term
+  EXPECT_EQ(ctx.to_string(prod), "((x + y) * w)");
+  EXPECT_EQ(copy.to_string(prod), "((x + y) * z)");
+}
+
+/// Field-for-field equality of two contexts' node arrays (variables by
+/// name).
+void expect_same_nodes(const Context& x, const Context& y) {
+  ASSERT_EQ(x.num_nodes(), y.num_nodes());
+  for (ExprRef r = 0; r < x.num_nodes(); ++r) {
+    const Node& a = x.node(r);
+    const Node& b = y.node(r);
+    EXPECT_EQ(a.op, b.op) << "ref " << r;
+    EXPECT_EQ(a.width, b.width) << "ref " << r;
+    EXPECT_EQ(a.aux, b.aux) << "ref " << r;
+    EXPECT_EQ(a.a, b.a) << "ref " << r;
+    EXPECT_EQ(a.b, b.b) << "ref " << r;
+    EXPECT_EQ(a.c, b.c) << "ref " << r;
+    if (a.op == Op::Var) {
+      EXPECT_EQ(x.var_name(r), y.var_name(r)) << "ref " << r;
+    } else {
+      EXPECT_EQ(a.cval, b.cval) << "ref " << r;
+    }
+  }
+}
+
+TEST_F(ExprTest, ReplayRebuildsTheDirectContext) {
+  // The destination already holds x < y. The shard is a fresh context that
+  // meets y first, so its refs order the pair the other way round.
+  const ExprRef x = ctx.var("x", 64);
+  const ExprRef y = ctx.var("y", 64);
+  const auto build = [](Context& k) {
+    const ExprRef ky = k.var("y", 64);
+    const ExprRef kx = k.var("x", 64);
+    const ExprRef sum = k.add(ky, kx);
+    const ExprRef z = k.var("z", 64);  // first seen in the shard
+    const ExprRef off = k.add(sum, k.constant(8, 64));
+    const ExprRef m = k.mul(z, off);
+    const ExprRef lhs = k.bxor(m, kx);
+    return k.eq(lhs, k.bnot(ky));
+  };
+  Context direct = ctx.clone();
+  const ExprRef root_direct = build(direct);
+  Context shard;
+  const ExprRef root_shard = build(shard);
+
+  // Replayed nodes were paid for by the shard: a one-node budget on the
+  // destination is still untouched afterwards.
+  GovernorOptions gopts;
+  gopts.max_expr_nodes = 1;
+  Governor gov(gopts);
+  ctx.set_governor(&gov);
+  const std::vector<ExprRef> table = ctx.replay(shard);
+  EXPECT_EQ(gov.expr_nodes().used(), 0u);
+  ctx.set_governor(nullptr);
+
+  expect_same_nodes(ctx, direct);
+  EXPECT_EQ(table[root_shard], root_direct);
+  EXPECT_EQ(ctx.to_string(table[root_shard]),
+            "((x ^ (z * ((x + y) + 0x8))) == ~y)");
+
+  // The commutative swap: the shard holds y + x, the destination x + y.
+  const ExprRef sum_shard = shard.add(shard.var("x", 64), shard.var("y", 64));
+  EXPECT_EQ(shard.node(sum_shard).a, shard.var("y", 64));
+  EXPECT_EQ(ctx.node(table[sum_shard]).a, x);
+  EXPECT_EQ(ctx.node(table[sum_shard]).b, y);
+
+  // Replaying again finds every node and appends none.
+  const size_t n = ctx.num_nodes();
+  EXPECT_EQ(ctx.replay(shard), table);
+  EXPECT_EQ(ctx.num_nodes(), n);
+}
+
+TEST_F(ExprTest, CutReplayLeavesEveryNodeInterned) {
+  // An allocation fault can stop a replay part-way. The nodes appended
+  // before it must still hash-cons, or a second replay would append them
+  // again under new refs.
+  const auto build = [](Context& k) {
+    ExprRef acc = k.var("x", 64);
+    for (u64 i = 1; i <= 64; ++i)
+      acc = k.mul(k.add(acc, k.constant(i, 64)), acc);
+    return acc;
+  };
+  Context direct;
+  const ExprRef root_direct = build(direct);
+  Context shard;
+  const ExprRef root_shard = build(shard);
+
+  {
+    fault::ScopedSpec faults("seed=3,alloc=0.05");
+    EXPECT_THROW(ctx.replay(shard), ResourceExhausted);
+  }
+  ASSERT_GT(ctx.num_nodes(), 3u);  // the cut came after some appends
+  ASSERT_LT(ctx.num_nodes(), direct.num_nodes());
+  const std::vector<ExprRef> table = ctx.replay(shard);
+  expect_same_nodes(ctx, direct);
+  EXPECT_EQ(table[root_shard], root_direct);
 }
 
 // ---------------------------------------------------------------------------
