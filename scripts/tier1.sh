@@ -140,7 +140,7 @@ python3 - BENCH_pipeline.json <<'PY'
 import json, sys
 s = json.load(open(sys.argv[1]))
 res = s["results"]
-counters = ("plan_index_hits", "plan_index_loads", "plan_nogood_hits",
+counters = ("plan_index_hits", "plan_nogood_hits",
             "plan_needs_truncated", "plan_unreachable_goals")
 for r in res:
     for c in counters:
@@ -192,8 +192,8 @@ PY
 
 # Disabled-mode cost: GP_METRICS=0 GP_TRACE=0 must stay within noise of
 # the default instrumented run. The bound is deliberately generous (25%)
-# so loaded CI machines don't flake; the real claim lives in
-# bench/observability_overhead (~2%).
+# so loaded CI machines don't flake; the traced cost is measured by
+# perfbench's trace.overhead_frac.
 python3 - "$PIPELINE" <<'PY'
 import os, subprocess, sys, time
 pipeline = sys.argv[1]

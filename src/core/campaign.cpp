@@ -266,11 +266,6 @@ std::string JobResult::to_json() const {
        std::to_string(s.extract_runs.retries) +
        ", \"subsume\": " + std::to_string(s.subsume_runs.retries) +
        ", \"plan\": " + std::to_string(s.plan_runs.retries) + "}, ";
-  j += "\"backoff_seconds\": " +
-       format_double(s.extract_runs.backoff_seconds +
-                     s.subsume_runs.backoff_seconds +
-                     s.plan_runs.backoff_seconds) +
-       ", ";
   j += "\"metrics\": {";
   append_counters(j, "extract", s.extract);
   append_counters(j, "subsume", s.subsume);

@@ -3,9 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "gadget/serialize.hpp"
 #include "payload/serialize.hpp"
@@ -110,7 +108,6 @@ Status Session::run_supervised(
     const std::function<Status(Governor&)>& body) {
   const SupervisorOptions& sup = opts_.supervise;
   double widen = 1.0;
-  double backoff_ms = sup.backoff_initial_ms;
   Status st;
   for (int attempt = 0;; ++attempt) {
     Governor* g = gov_.get();
@@ -160,29 +157,12 @@ Status Session::run_supervised(
                              c == StatusCode::Internal;
     // Deadline expiry and cancellation are terminal: the wall clock is the
     // caller's hard contract, so a retry could only fail the same way.
+    // Anything else retries at once: every recoverable failure is
+    // deterministic (a counted budget, a seeded GP_FAULT decision, a thrown
+    // invariant), so sleeping first would only spend wall time.
     if (!recoverable || attempt >= sup.max_retries || gov_->should_stop()) {
       if (invariant_error) std::rethrow_exception(invariant_error);
       return st;
-    }
-
-    double sleep_ms = backoff_ms;
-    backoff_ms *= sup.backoff_multiplier;
-    const double remain_s = gov_->deadline().remaining_seconds();
-    if (remain_s <= 0) return st;
-    if (!gov_->deadline().unlimited())
-      sleep_ms = std::min(sleep_ms, remain_s * 1000.0 / 2);
-    if (sleep_ms > 0) {
-      // Backoff is deliberate idleness, not stage work: attribute it to
-      // runs.backoff_seconds so stage timing can exclude it (measured, not
-      // assumed — an oversleeping OS timer must not leak into stage time).
-      trace::Span span("backoff", "supervisor", id_);
-      const auto s0 = Clock::now();
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(sleep_ms));
-      runs.backoff_seconds += secs_since(s0);
-      static metrics::Counter& backoff_ms =
-          metrics::registry().counter("supervisor.backoff_ms");
-      backoff_ms.add(static_cast<u64>(sleep_ms));
     }
   }
 }
@@ -196,10 +176,8 @@ void Session::canonicalize_pool(std::vector<gadget::Record>& pool) {
   // kill-resume byte-identity guarantee would not hold. encode_pool is
   // content-determined, so decoding it into a fresh context pins both
   // paths to the same arena state.
-  pool_digest_ = 0;  // stale digests must never key a memo for a new pool
   try {
     const auto records = gadget::encode_pool(*ctx_, pool);
-    pool_digest_ = gadget::pool_digest(records);
     auto fresh = std::make_unique<solver::Context>();
     fresh->set_governor(gov_.get());
     if (auto decoded = gadget::decode_pool(*fresh, records)) {
@@ -208,9 +186,7 @@ void Session::canonicalize_pool(std::vector<gadget::Record>& pool) {
     }
   } catch (const ResourceExhausted&) {
     // Out of budget mid-reencode: keep the in-process pool. The run is
-    // already degraded and degraded results are never checkpointed — a
-    // zero digest likewise disables planner memo persistence.
-    pool_digest_ = 0;
+    // already degraded and degraded results are never checkpointed.
   }
 }
 
@@ -266,8 +242,7 @@ Status Session::extract() {
       store_->put(extract_key, gadget::encode_pool(*ctx_, pool_));
     canonicalize_pool(pool_);
   }
-  report_.extract_seconds =
-      secs_since(t0) - report_.extract_runs.backoff_seconds;
+  report_.extract_seconds = secs_since(t0);
   report_.pool_raw = pool_.size();
   report_.rss_mb_after_extract = current_rss_mb();
   snapshot_store_stats();
@@ -295,7 +270,7 @@ Status Session::subsume() {
       serial::Writer material;
       append_image_key(material);
       gadget::append_extract_key(material, opts_.extract);
-      material.put_u64(/*max_solver_checks=*/20'000);
+      material.put_u64(subsume::kSolverCheckBudget);
       subsume_key = store_->key("subsume", material);
       if (auto art = store_->get(subsume_key)) {
         if (auto decoded = gadget::decode_pool(*ctx_, art->records)) {
@@ -314,7 +289,7 @@ Status Session::subsume() {
             report_.subsume = {};
             auto work = raw;
             pool_ = subsume::minimize(*ctx_, std::move(work), &report_.subsume,
-                                      /*max_solver_checks=*/20'000,
+                                      subsume::kSolverCheckBudget,
                                       /*threads=*/0, &g);
             metrics::publish("subsume", report_.subsume);
             metrics::registry()
@@ -330,8 +305,7 @@ Status Session::subsume() {
         store_->put(subsume_key, gadget::encode_pool(*ctx_, pool_));
     }
   }
-  report_.subsume_seconds =
-      secs_since(t1) - report_.subsume_runs.backoff_seconds;
+  report_.subsume_seconds = secs_since(t1);
   report_.pool_minimized = pool_.size();
   report_.rss_mb_after_subsume = current_rss_mb();
   snapshot_store_stats();
@@ -346,9 +320,6 @@ std::vector<payload::Chain> Session::find_chains(const payload::Goal& goal) {
   if (opts_.on_stage) opts_.on_stage("plan");
   trace::Span span("plan", "stage", id_);
   auto t0 = Clock::now();
-  // find_chains accumulates plan_seconds across goals; subtract only the
-  // backoff accrued during THIS call.
-  const double backoff0 = report_.plan_runs.backoff_seconds;
 
   // Chains are only exchanged with the store when the library they index
   // is the canonical one (no stage upstream ran degraded).
@@ -379,19 +350,15 @@ std::vector<payload::Chain> Session::find_chains(const payload::Goal& goal) {
   std::vector<payload::Chain> chains;
   const Status st =
       run_supervised("plan", report_.plan_runs, [&](Governor& g) {
-        planner::Planner planner(*ctx_, *lib_, *img_);
+        // prepare() has fixed ctx_ and lib_ for good, so one planner (and
+        // the index its first plan() builds) serves every goal.
+        if (!planner_)
+          planner_ = std::make_unique<planner::Planner>(*ctx_, *lib_, *img_);
         planner::Options popts = opts_.plan;
         if (!popts.governor) popts.governor = &g;
         popts.session_id = id_;
-        // Warm-start memos (candidate index, nogood tables) only make
-        // sense against the canonical pool: a degraded pool's digest
-        // would key memos nothing else can ever reuse.
-        if (store_ && canonical_library && pool_digest_ != 0) {
-          popts.memo_store = store_.get();
-          popts.pool_digest = pool_digest_;
-        }
-        chains = planner.plan(goal, popts);
-        const auto& s = planner.stats();
+        chains = planner_->plan(goal, popts);
+        const auto& s = planner_->stats();
         report_.plan += s;
         metrics::publish("plan", s);
         return s.status;
@@ -399,8 +366,7 @@ std::vector<payload::Chain> Session::find_chains(const payload::Goal& goal) {
   if (store_ && canonical_library && st.ok())
     store_->put(plan_key, payload::encode_chains(chains));
   snapshot_store_stats();
-  report_.plan_seconds +=
-      secs_since(t0) - (report_.plan_runs.backoff_seconds - backoff0);
+  report_.plan_seconds += secs_since(t0);
   report_.rss_mb_after_plan = current_rss_mb();
   report_.plan_status = st;
   return chains;

@@ -38,14 +38,12 @@ namespace gp::core {
 
 /// Retry policy for the stage supervisor: a stage that fails for a
 /// *recoverable* reason (exhausted counted budget, injected fault, internal
-/// error) is re-run up to max_retries more times, each retry after an
-/// exponentially longer backoff and with every counted budget widened by
-/// budget_widen_factor. Deadline expiry and cancellation are never retried
-/// — wall-clock budgets and the caller's cancel are hard contracts.
+/// error) is re-run at once, up to max_retries more times, with every
+/// counted budget widened by budget_widen_factor per retry. Deadline
+/// expiry and cancellation are never retried — wall-clock budgets and the
+/// caller's cancel are hard contracts.
 struct SupervisorOptions {
   int max_retries = 2;             // extra attempts after the first
-  double backoff_initial_ms = 25;  // sleep before the first retry
-  double backoff_multiplier = 4;   // backoff growth per retry
   double budget_widen_factor = 4;  // counted-budget growth per retry
 
   /// GP_RETRIES overrides max_retries (>= 0; unset/unparsable keeps the
@@ -91,18 +89,12 @@ struct StageRuns {
   u32 retries = 0;     // attempts the supervisor re-ran after a failure
   u32 cache_hits = 0;  // outputs served from a checkpoint this process wrote
   u32 resumes = 0;     // outputs served from an earlier process's checkpoint
-  /// Wall time the supervisor spent asleep between attempts. Excluded from
-  /// the stage's StageReport seconds — those measure pipeline work, and
-  /// counting deliberate backoff sleep as stage time made retried stages
-  /// look pathologically slow (the Table VII double-count bug).
-  double backoff_seconds = 0;
 };
 
 /// Per-session accounting per pipeline stage: wall clock, sizes, counters
 /// (Table VII).
 struct StageReport {
-  /// Per-stage wall time spent doing pipeline work: supervisor backoff
-  /// sleep (StageRuns::backoff_seconds) is excluded.
+  /// Per-stage wall time, every attempt included.
   double extract_seconds = 0;
   double subsume_seconds = 0;
   double plan_seconds = 0;
@@ -226,8 +218,8 @@ class Session {
   /// Run `body` as a restartable unit: attempt 0 under the session
   /// governor; on a recoverable failure (budget exhaustion, injected
   /// fault, internal error — never deadline expiry or cancellation),
-  /// retry after exponential backoff under a fresh governor with widened
-  /// counted budgets, up to opts_.supervise.max_retries extra attempts.
+  /// retry at once under a fresh governor with widened counted budgets,
+  /// up to opts_.supervise.max_retries extra attempts.
   /// `body` receives the governor for that attempt and returns the stage
   /// Status; throws from the final attempt propagate.
   Status run_supervised(const char* stage, StageRuns& runs,
@@ -261,11 +253,11 @@ class Session {
   bool extracted_ = false;  // stage-1 artifact exists
   bool subsumed_ = false;   // stage-2 artifact (lib_) exists
   std::vector<gadget::Record> pool_;  // raw pool between stages 1 and 2
-  /// Content digest of the current canonical pool (gadget::pool_digest of
-  /// its encoded form); 0 until canonicalize_pool succeeds. Keys the
-  /// planner's warm-start memos (candidate index, nogood tables).
-  u64 pool_digest_ = 0;
   std::unique_ptr<gadget::Library> lib_;
+  /// The session's one planner, created by the first find_chains() that
+  /// misses its plan checkpoint; its candidate index is built once and
+  /// serves every goal.
+  std::unique_ptr<planner::Planner> planner_;
 
   StageReport report_;
 };

@@ -32,9 +32,8 @@ std::optional<std::vector<Record>> decode_pool(
 void append_extract_key(serial::Writer& w, const ExtractOptions& opts);
 
 /// Content digest of an encoded pool (fnv1a with per-record length
-/// framing, so record boundaries are part of the identity). The planner's
-/// warm-start memos are keyed on it: same pool bytes, same digest, in any
-/// process.
+/// framing, so record boundaries are part of the identity): same pool
+/// bytes, same digest, in any process.
 u64 pool_digest(const std::vector<std::vector<u8>>& records);
 
 }  // namespace gp::gadget

@@ -190,7 +190,6 @@ Candidate analyze_candidate(solver::Context& ctx, const gadget::Library& lib,
 GadgetIndex GadgetIndex::build(solver::Context& ctx,
                                const gadget::Library& lib) {
   GadgetIndex idx;
-  idx.pool_size_ = lib.size();
   for (int r = 0; r < x86::kNumRegs; ++r) {
     const Reg reg = static_cast<Reg>(r);
     const auto& controlling = lib.controlling(reg);
@@ -258,102 +257,6 @@ bool GadgetIndex::goal_unreachable(const gadget::Library& lib,
     if (!provided) return true;
   }
   return false;
-}
-
-std::vector<std::vector<u8>> GadgetIndex::encode() const {
-  std::vector<std::vector<u8>> records;
-  serial::Writer header;
-  header.put_u32(kIndexFormatVersion);
-  header.put_u64(pool_size_);
-  header.put_u32(static_cast<u32>(x86::kNumRegs));
-  records.push_back(header.take());
-  for (int r = 0; r < x86::kNumRegs; ++r) {
-    serial::Writer w;
-    const auto& bucket = by_reg_[static_cast<size_t>(r)];
-    w.put_u32(static_cast<u32>(bucket.size()));
-    for (const Candidate& c : bucket) {
-      w.put_u32(c.gadget);
-      w.put_u64(static_cast<u64>(static_cast<i64>(c.base_score)));
-      w.put_u32(c.dag_size);
-      w.put_u64(c.const_value);
-      w.put_u16(c.flags);
-      w.put_u8(c.n_needs);
-      for (u8 i = 0; i < c.n_needs; ++i) w.put_u8(c.needs[i]);
-    }
-    records.push_back(w.take());
-  }
-  return records;
-}
-
-std::optional<GadgetIndex> GadgetIndex::decode(
-    const std::vector<std::vector<u8>>& records, u64 expect_pool_size) {
-  if (records.size() != 1 + static_cast<size_t>(x86::kNumRegs))
-    return std::nullopt;
-  serial::Reader header(records[0]);
-  const u32 version = header.get_u32();
-  const u64 pool_size = header.get_u64();
-  const u32 n_regs = header.get_u32();
-  if (!header.ok() || !header.at_end() || version != kIndexFormatVersion ||
-      pool_size != expect_pool_size ||
-      n_regs != static_cast<u32>(x86::kNumRegs))
-    return std::nullopt;
-
-  GadgetIndex idx;
-  idx.pool_size_ = pool_size;
-  for (int r = 0; r < x86::kNumRegs; ++r) {
-    serial::Reader w(records[1 + static_cast<size_t>(r)]);
-    const u32 count = w.get_u32();
-    if (!w.ok()) return std::nullopt;
-    auto& bucket = idx.by_reg_[static_cast<size_t>(r)];
-    bucket.reserve(count);
-    for (u32 i = 0; i < count; ++i) {
-      Candidate c;
-      c.gadget = w.get_u32();
-      c.base_score = static_cast<i32>(static_cast<i64>(w.get_u64()));
-      c.dag_size = w.get_u32();
-      c.const_value = w.get_u64();
-      c.flags = w.get_u16();
-      c.n_needs = w.get_u8();
-      if (!w.ok() || c.gadget >= pool_size || c.n_needs > c.needs.size())
-        return std::nullopt;
-      for (u8 n = 0; n < c.n_needs; ++n) {
-        c.needs[n] = w.get_u8();
-        if (c.needs[n] >= x86::kNumRegs ||
-            static_cast<Reg>(c.needs[n]) == Reg::RSP)
-          return std::nullopt;
-      }
-      bucket.push_back(c);
-    }
-    if (!w.ok() || !w.at_end()) return std::nullopt;
-  }
-  return idx;
-}
-
-std::vector<std::vector<u8>> NogoodTable::encode() const {
-  std::vector<u64> sorted(set_.begin(), set_.end());
-  std::sort(sorted.begin(), sorted.end());
-  serial::Writer w;
-  w.put_u32(kIndexFormatVersion);
-  w.put_u64(static_cast<u64>(sorted.size()));
-  for (const u64 fp : sorted) w.put_u64(fp);
-  return {w.take()};
-}
-
-void NogoodTable::merge_decode(const std::vector<std::vector<u8>>& records) {
-  if (records.size() != 1) return;
-  serial::Reader r(records[0]);
-  const u32 version = r.get_u32();
-  const u64 count = r.get_u64();
-  if (!r.ok() || version != kIndexFormatVersion ||
-      count * 8 != r.remaining())
-    return;
-  std::vector<u64> fps;
-  fps.reserve(count);
-  for (u64 i = 0; i < count; ++i) fps.push_back(r.get_u64());
-  if (!r.ok() || !r.at_end()) return;
-  const bool was_dirty = dirty_;
-  for (const u64 fp : fps) set_.insert(fp);
-  dirty_ = was_dirty;  // persisted entries are not new learning
 }
 
 }  // namespace gp::planner

@@ -1,5 +1,4 @@
-// Postcondition-indexed gadget store + dead-end (nogood) memo for the
-// partial-order planner.
+// Postcondition-indexed gadget store for the partial-order planner.
 //
 // The planner's expand() used to recompute, for every candidate of every
 // expansion, the full semantic profile of a (gadget, register) pair: the
@@ -19,30 +18,19 @@
 // result digests across GP_PLAN_INDEX=0/1 to prove it.
 //
 // The index is a pure function of pool content (admissibility stays a
-// runtime Record-field check so one index serves every ablation), which
-// makes it content-addressable: Planner persists it in the ArtifactStore
-// keyed on (pool digest, kIndexFormatVersion) and repeated campaigns over
-// the same pool start warm. NogoodTable entries (search states proven to
-// have zero successors) are likewise persisted per (pool digest, planner
-// options, goal).
+// runtime Record-field check so one index serves every ablation), so a
+// Planner builds it once and reuses it for every goal it plans; Session
+// keeps one Planner per library for exactly that reason.
 #pragma once
 
 #include <array>
-#include <optional>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
 #include "gadget/gadget.hpp"
 #include "payload/payload.hpp"
-#include "support/serial.hpp"
 
 namespace gp::planner {
-
-/// Bumped whenever Candidate layout or analyze_candidate() semantics
-/// change; persisted indexes and nogood memos from another version read as
-/// stale and are rebuilt.
-constexpr u32 kIndexFormatVersion = 2;
 
 /// Order-independent combine of per-element hashes: elements are sorted,
 /// then folded with a position-mixing sequence hash, so the same multiset
@@ -123,9 +111,6 @@ class GadgetIndex {
     return by_reg_[static_cast<size_t>(reg)];
   }
 
-  /// Gadget count of the pool this index was built for (decode validation).
-  u64 pool_size() const { return pool_size_; }
-
   /// Fixpoint closure of registers establishable under `f`: reg r is in
   /// the closure iff some candidate for r passes the position filters and
   /// admissibility and every register it needs is itself establishable.
@@ -140,46 +125,8 @@ class GadgetIndex {
   bool goal_unreachable(const gadget::Library& lib, const payload::Goal& goal,
                         const AdmissionFlags& f) const;
 
-  std::vector<std::vector<u8>> encode() const;
-  /// Rebuild from store records; nullopt on corruption, version skew or a
-  /// pool-size mismatch (the digest key should prevent the latter, but
-  /// nothing from disk is trusted).
-  static std::optional<GadgetIndex> decode(
-      const std::vector<std::vector<u8>>& records, u64 expect_pool_size);
-
  private:
   std::array<std::vector<Candidate>, x86::kNumRegs> by_reg_;
-  u64 pool_size_ = 0;
-};
-
-/// Learned dead ends: fingerprints of search states whose expand() provably
-/// returns zero successors. Sound across rounds and runs — a state's
-/// successor set is empty independently of the restart rotation and the
-/// failure counts (those only permute candidate order, and order is
-/// irrelevant when nothing survives the filters).
-class NogoodTable {
- public:
-  bool contains(u64 fp) const { return set_.count(fp) != 0; }
-  void insert(u64 fp) {
-    if (set_.insert(fp).second) dirty_ = true;
-  }
-  size_t size() const { return set_.size(); }
-  void clear() {
-    set_.clear();
-    dirty_ = false;
-  }
-  /// Any entries learned since the last decode/clear? (save gate)
-  bool dirty() const { return dirty_; }
-
-  /// Sorted fingerprints (stable bytes for content-addressed storage).
-  std::vector<std::vector<u8>> encode() const;
-  /// Merge persisted fingerprints into the table (fail-soft: a corrupt
-  /// record merges nothing). Merged entries do not mark the table dirty.
-  void merge_decode(const std::vector<std::vector<u8>>& records);
-
- private:
-  std::unordered_set<u64> set_;
-  bool dirty_ = false;
 };
 
 }  // namespace gp::planner

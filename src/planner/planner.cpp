@@ -7,7 +7,6 @@
 #include <queue>
 #include <set>
 
-#include "store/store.hpp"
 #include "support/trace.hpp"
 
 namespace gp::planner {
@@ -352,29 +351,11 @@ void Planner::ensure_index(const Options& opts) {
     index_.reset();
     return;
   }
-  if (index_ && index_->pool_size() == lib_.size()) return;
-  index_.reset();
+  if (index_) return;
   try {
     trace::Span span("plan.index", "planner", opts.session_id);
-    std::string key;
-    if (opts.memo_store && opts.pool_digest != 0) {
-      serial::Writer material;
-      material.put_u64(opts.pool_digest);
-      material.put_u32(kIndexFormatVersion);
-      key = opts.memo_store->key("planidx", material);
-      if (auto art = opts.memo_store->get(key)) {
-        if (auto idx = GadgetIndex::decode(art->records, lib_.size())) {
-          index_ = std::move(*idx);
-          ++stats_.index_loads;
-          return;
-        }
-      }
-    }
     index_ = GadgetIndex::build(ctx_, lib_);
     ++stats_.index_builds;
-    // The index is a pure function of pool content; a failed put only
-    // costs the next run a rebuild.
-    if (!key.empty()) (void)opts.memo_store->put(key, index_->encode());
   } catch (const ResourceExhausted&) {
     // Budget died mid-build: fall back to the per-expansion linear path,
     // which produces identical results. Not a degradation of output, so
@@ -425,31 +406,12 @@ bool Planner::precheck_unreachable(const Goal& goal, const Options& opts) {
   return unreachable;
 }
 
-std::string Planner::nogood_key(const Options& opts, const Goal& goal) const {
-  if (!opts.use_nogoods || !opts.memo_store || opts.pool_digest == 0)
-    return {};
-  serial::Writer material;
-  material.put_u64(opts.pool_digest);
-  material.put_u32(kIndexFormatVersion);
-  opts.append_key(material);
-  // Goal content, not just the name: nogoods are per search problem.
-  material.put_str(goal.name);
-  material.put_u64(goal.syscall_no);
-  material.put_u32(static_cast<u32>(goal.regs.size()));
-  for (const payload::RegTarget& t : goal.regs) {
-    material.put_u8(static_cast<u8>(t.reg));
-    material.put_u8(static_cast<u8>(t.kind));
-    material.put_u64(t.value);
-    material.put_bytes(t.bytes);
-  }
-  return opts.memo_store->key("plannogood", material);
-}
-
 std::vector<Chain> Planner::plan(const Goal& goal, const Options& opts) {
   goal_ = &goal;
-  // Explicit per-call windows: one goal's stats, concretization failures
-  // and usability memo must not leak into the next goal's search on a
-  // reused planner.
+  // Explicit per-call windows: one goal's stats, concretization failures,
+  // usability memo and nogoods must not leak into the next goal's search
+  // on a reused planner. Only the candidate index (pool content) carries
+  // over.
   usable_memo_.clear();
   failure_count_.clear();
   nogoods_.clear();
@@ -463,11 +425,6 @@ std::vector<Chain> Planner::plan(const Goal& goal, const Options& opts) {
   // producer closure; it is what the linear path relies on.)
   for (const payload::RegTarget& t : goal.regs)
     if (!reg_usable(t.reg, opts)) return chains;
-
-  const std::string nkey = nogood_key(opts, goal);
-  if (!nkey.empty())
-    if (auto art = opts.memo_store->get(nkey))
-      nogoods_.merge_decode(art->records);
 
   std::set<std::vector<u32>> seen_sequences;
   // The round deadline is the tighter of the local time budget and the
@@ -487,11 +444,6 @@ std::vector<Chain> Planner::plan(const Goal& goal, const Options& opts) {
     if (deadline.expired()) break;
     if (opts.governor && opts.governor->should_stop()) break;
   }
-  // Persist newly learned dead ends even for a budget-cut search: each
-  // entry is sound on its own (a zero-successor state stays zero forever),
-  // so a warm start never changes results, only skips re-refutation.
-  if (!nkey.empty() && nogoods_.dirty())
-    (void)opts.memo_store->put(nkey, nogoods_.encode());
   return chains;
 }
 
@@ -535,8 +487,9 @@ u64 Planner::state_fingerprint(const Plan& p) const {
   // focused open goal (delta.back), the open-goal count (the
   // max_open_goals cap), the exact alpha step sequence (threat analysis,
   // consumer indices, the gadget cap) and the normalized ordering
-  // constraints (linearization). Goal and options ride in the memo KEY,
-  // not here; rotation and failure counts are excluded by design — they
+  // constraints (linearization). Goal and options are fixed for the
+  // table's lifetime (it is cleared per plan() call), so they are not
+  // here; rotation and failure counts are excluded by design — they
   // permute candidate order, and emptiness is order-independent.
   serial::Writer w;
   w.put_u32(p.terminal);
@@ -673,7 +626,7 @@ void Planner::run_round(const Goal& goal, const Options& opts,
     u64 state_fp = 0;
     if (opts.use_nogoods) {
       state_fp = state_fingerprint(best);
-      if (nogoods_.contains(state_fp)) {
+      if (nogoods_.count(state_fp)) {
         ++stats_.nogood_hits;
         ++stats_.dead_ends;
         continue;

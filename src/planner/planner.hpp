@@ -22,6 +22,7 @@
 #include <set>
 #include <span>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "gadget/gadget.hpp"
 #include "payload/payload.hpp"
@@ -30,14 +31,10 @@
 #include "support/metrics.hpp"
 #include "support/serial.hpp"
 
-namespace gp::store {
-class ArtifactStore;
-}
-
 namespace gp::planner {
 
 /// Planner algorithm revision. Folded into Options::append_key, so every
-/// plan-stage artifact (chains, nogood memos) from an older search
+/// plan-stage artifact (chains) from an older search
 /// algorithm reads as a different key and is recomputed — bumping this is
 /// how a behaviour-changing planner fix invalidates stale checkpoints
 /// without touching the global store format version.
@@ -84,19 +81,8 @@ struct Options {
   /// path. Defaults from the GP_PLAN_INDEX knob.
   bool use_index = config().plan_index;
   /// Remember zero-successor search states so they are never re-expanded
-  /// within or across restart rounds (and, with memo_store, across runs).
+  /// within or across the restart rounds of one plan() call.
   bool use_nogoods = config().plan_index;
-
-  /// Optional warm-start persistence: when set (with a nonzero
-  /// pool_digest), the built index is stored under (pool digest, index
-  /// format version) and learned nogoods under (pool digest, append_key,
-  /// goal), so repeated campaigns over the same pool skip the build and
-  /// start with the previous run's learned dead ends. Both artifacts are
-  /// performance hints only — they never change results.
-  store::ArtifactStore* memo_store = nullptr;
-  /// Content digest of the gadget pool (gadget::pool_digest); 0 disables
-  /// memo persistence.
-  u64 pool_digest = 0;
   /// Owning session id for trace spans (0 = none).
   u64 session_id = 0;
 
@@ -104,8 +90,8 @@ struct Options {
   /// artifact-store key writer. Time budget and governor are excluded on
   /// purpose: results are only checkpointed when the search ran uncut, and
   /// an uncut search is deterministic regardless of how much budget was
-  /// left over. use_index/use_nogoods and the memo fields are likewise
-  /// excluded: they accelerate the search without changing its output.
+  /// left over. use_index/use_nogoods are likewise excluded: they
+  /// accelerate the search without changing its output.
   void append_key(serial::Writer& w) const;
 };
 
@@ -131,9 +117,9 @@ struct Stats {
   /// Expansions served from prescored GadgetIndex buckets (vs the linear
   /// re-analysis fallback).
   u64 index_hits = 0;
-  /// GadgetIndex builds / warm loads from the memo store this call.
+  /// GadgetIndex builds this call (0 when an earlier plan() call on the
+  /// same Planner already built it).
   u64 index_builds = 0;
-  u64 index_loads = 0;
   /// Queue pops answered by the nogood table (state already proven to have
   /// zero successors — the expand scan is skipped entirely).
   u64 nogood_hits = 0;
@@ -173,7 +159,6 @@ struct Stats {
       {"deadline_cuts", &Stats::deadline_cuts},
       {"index_hits", &Stats::index_hits},
       {"index_builds", &Stats::index_builds},
-      {"index_loads", &Stats::index_loads},
       {"nogood_hits", &Stats::nogood_hits},
       {"nogood_learned", &Stats::nogood_learned},
       {"needs_truncated", &Stats::needs_truncated},
@@ -201,7 +186,8 @@ class Planner {
 
   /// Counters for the MOST RECENT plan() call (an explicit per-call
   /// window, reset at entry — callers wanting totals across goals sum
-  /// them with +=, as Session does).
+  /// them with +=, as Session does). The candidate index is the one thing
+  /// that outlives a call: it is built by the first plan() and reused.
   const Stats& stats() const { return stats_; }
 
  private:
@@ -241,7 +227,7 @@ class Planner {
   static std::optional<std::vector<int>> linearize(const Plan& p);
   std::vector<Plan> expand(const Plan& p, const Options& opts);
 
-  /// Build (or warm-load from the memo store) the candidate index; resets
+  /// Build the candidate index unless an earlier call already did; resets
   /// it when use_index is off. On budget exhaustion mid-build the planner
   /// falls back to the linear path — identical results, just slower.
   void ensure_index(const Options& opts);
@@ -250,8 +236,6 @@ class Planner {
   /// exactly the cases where the full search would burn its budget to find
   /// nothing.
   bool precheck_unreachable(const payload::Goal& goal, const Options& opts);
-  /// Memo key for the per-goal nogood artifact ("" = persistence off).
-  std::string nogood_key(const Options& opts, const payload::Goal& goal) const;
 
   /// Has this call consumed the max_concretize_failures give-up budget?
   /// (Counted on the per-call stats window, so it is deterministic and
@@ -285,7 +269,11 @@ class Planner {
   std::unordered_map<u32, int> failure_count_;
   int rotation_ = 0;  // current restart round (rotates candidate ranking)
   std::optional<GadgetIndex> index_;
-  NogoodTable nogoods_;
+  /// Learned dead ends: fingerprints of search states whose expand()
+  /// provably returns zero successors. Sound across restart rounds — a
+  /// state's successor set is empty independently of the rotation and the
+  /// failure counts (those only permute candidate order).
+  std::unordered_set<u64> nogoods_;
   Stats stats_;
 };
 

@@ -72,21 +72,6 @@ Status ArtifactStore::put(const std::string& key,
   for (const auto& rec : records) serial::put_record(w, rec);
 
   std::lock_guard<std::mutex> lock(mu_);
-  // Identical-content rewrite elision: when the manifest already records
-  // exactly these bytes and the artifact file is still present, the write
-  // (temp file + rename + manifest rewrite) is pure churn — skip it.
-  // Content must match bit-for-bit (size AND crc), so a stale or corrupt
-  // file still gets replaced; cross-process re-puts differ in the header
-  // pid and take the full path, preserving hit-vs-resume attribution.
-  if (const auto it = manifest_.find(key); it != manifest_.end()) {
-    std::error_code ec;
-    if (it->second.size == w.size() &&
-        it->second.crc == serial::crc32(w.bytes()) &&
-        std::filesystem::exists(path_for(key), ec)) {
-      bump(&Stats::put_noops);
-      return Status();
-    }
-  }
   Status st = serial::write_file_atomic(path_for(key), w.bytes());
   if (!st.ok()) {
     bump(&Stats::put_failures);

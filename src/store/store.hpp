@@ -52,10 +52,6 @@ struct Stats {
   u64 stale = 0;        // version/manifest mismatch or orphan file
   u64 puts = 0;
   u64 put_failures = 0;
-  /// put() calls whose bytes already matched the manifest entry on disk —
-  /// the rewrite (and its fsync/rename) was skipped. Warm-start memo
-  /// writers put identical content every run; this makes those puts free.
-  u64 put_noops = 0;
   u64 bytes_read = 0;     // artifact file bytes served by get()
   u64 bytes_written = 0;  // artifact file bytes published by put()
 
@@ -69,7 +65,6 @@ struct Stats {
       {"stale", &Stats::stale},
       {"puts", &Stats::puts},
       {"put_failures", &Stats::put_failures},
-      {"put_noops", &Stats::put_noops},
       {"bytes_read", &Stats::bytes_read},
       {"bytes_written", &Stats::bytes_written},
   };

@@ -17,6 +17,11 @@
 
 namespace gp::subsume {
 
+/// Default max_solver_checks of minimize(). Session's winnow runs under it
+/// and folds it into the subsume checkpoint key, so changing the budget
+/// also re-keys every stored minimized pool.
+constexpr u64 kSolverCheckBudget = 20'000;
+
 struct Stats {
   u64 input = 0;
   u64 kept = 0;
@@ -76,7 +81,7 @@ struct Stats {
 std::vector<gadget::Record> minimize(solver::Context& ctx,
                                      std::vector<gadget::Record> pool,
                                      Stats* stats = nullptr,
-                                     u64 max_solver_checks = 20'000,
+                                     u64 max_solver_checks = kSolverCheckBudget,
                                      int threads = 0,
                                      Governor* governor = nullptr);
 

@@ -66,7 +66,7 @@ Config Config::from_env() {
     char* end = nullptr;
     const long n = std::strtol(s, &end, 10);
     if (end && end != s && *end == '\0' && n >= 0)
-      c.max_retries = static_cast<int>(n);
+      c.max_retries = static_cast<int>(std::min<long>(n, 100));
   }
 
   c.store_dir = env_str("GP_STORE_DIR");

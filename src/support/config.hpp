@@ -36,7 +36,8 @@ struct Config {
   /// the pipeline resource budgets (zero fields = unlimited).
   GovernorOptions governor;
 
-  /// GP_RETRIES: extra supervised attempts per stage after the first.
+  /// GP_RETRIES: extra supervised attempts per stage after the first
+  /// (clamped to [0, 100]; negative/unparsable = default 2).
   int max_retries = 2;
 
   /// GP_STORE_DIR: artifact-store directory ("" = checkpointing disabled).

@@ -74,8 +74,8 @@ class Deadline {
   bool expired() const { return !unlimited_ && Clock::now() > at_; }
   Clock::time_point time_point() const { return at_; }
   /// Seconds until expiry; +inf when unlimited, exactly 0 once expired.
-  /// Clamped so downstream arithmetic (backoff budgets, deadline splits)
-  /// can never be driven negative by an already-expired deadline.
+  /// Clamped so a caller's arithmetic can never be driven negative by an
+  /// already-expired deadline.
   double remaining_seconds() const {
     if (unlimited_) return std::numeric_limits<double>::infinity();
     return std::max(

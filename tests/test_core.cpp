@@ -11,6 +11,7 @@
 #include "core/campaign.hpp"
 #include "corpus/corpus.hpp"
 #include "minic/minic.hpp"
+#include "payload/serialize.hpp"
 #include "support/metrics.hpp"
 
 namespace gp::core {
@@ -399,6 +400,43 @@ TEST(Session, UnreachablePrecheckCountsMicroseconds) {
   const u64 us = snap.counters.at("plan.precheck_us");
   EXPECT_GT(us, 0u) << "precheck ran but recorded zero microseconds";
   metrics::set_enabled(false);
+}
+
+TEST(Session, OnePlannerIndexServesEveryGoal) {
+  // The session keeps one planner, so the candidate index is built by the
+  // first goal and reused by the rest, and reuse changes no chain.
+  auto prog = minic::compile_source(kCallRichSource);
+  obf::obfuscate(prog, obf::Options::llvm_obf(7));
+  const auto img = codegen::compile(prog);
+  PipelineOptions opts;
+  opts.store_dir.clear();  // in-memory reuse only, no checkpoints
+
+  Session all(Engine::shared(), img, opts);
+  std::vector<std::vector<std::vector<u8>>> per_goal;
+  for (const auto& goal : payload::Goal::all())
+    per_goal.push_back(payload::encode_chains(all.find_chains(goal)));
+  EXPECT_EQ(all.report().plan.index_builds, 1u);
+  EXPECT_EQ(all.report().plan_runs.attempts, payload::Goal::all().size());
+
+  // The first goal matches a fresh session that plans only that goal.
+  Session one(Engine::shared(), img, opts);
+  EXPECT_EQ(payload::encode_chains(one.find_chains(payload::Goal::all()[0])),
+            per_goal[0]);
+
+  // Every goal matches a fresh Planner per goal over one shared session
+  // context: later goals search a context that the earlier goals'
+  // concretizations grew, so the reference keeps the same goal order.
+  Session ref(Engine::shared(), img, opts);
+  ref.prepare();
+  size_t g = 0;
+  for (const auto& goal : payload::Goal::all()) {
+    planner::Planner fresh(ref.ctx(), ref.library(), ref.img());
+    EXPECT_EQ(payload::encode_chains(fresh.plan(goal, opts.plan)),
+              per_goal[g++])
+        << goal.name;
+    EXPECT_EQ(fresh.stats().index_builds, 1u);
+  }
+  EXPECT_GT(per_goal[0].size(), 1u) << "execve found no chain";
 }
 
 TEST(Campaign, RegistryRollupMatchesJobStats) {

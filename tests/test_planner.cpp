@@ -1,10 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
-
 #include "planner/index.hpp"
 #include "planner/planner.hpp"
-#include "store/store.hpp"
 #include "subsume/subsume.hpp"
 #include "support/fault.hpp"
 #include "x86/encoder.hpp"
@@ -298,53 +295,6 @@ TEST(MultisetHash, DuplicatesDoNotCancel) {
   EXPECT_NE(multiset_hash(ab, 7), multiset_hash(ab, 8));  // seed matters
 }
 
-TEST(NogoodTable, EncodeMergeRoundTrip) {
-  NogoodTable t;
-  t.insert(5);
-  t.insert(9);
-  t.insert(5);  // duplicate: no-op
-  EXPECT_TRUE(t.dirty());
-  EXPECT_EQ(t.size(), 2u);
-  NogoodTable u;
-  u.merge_decode(t.encode());
-  EXPECT_FALSE(u.dirty());  // merged entries are not new learning
-  EXPECT_EQ(u.size(), 2u);
-  EXPECT_TRUE(u.contains(5));
-  EXPECT_TRUE(u.contains(9));
-  EXPECT_FALSE(u.contains(7));
-  // Corrupt record: fail-soft, nothing merged.
-  NogoodTable v;
-  v.merge_decode({{1, 2, 3}});
-  EXPECT_EQ(v.size(), 0u);
-}
-
-TEST(GadgetIndex, EncodeDecodeRoundTrip) {
-  Assembler a = classic_rop();
-  Scenario s(a);
-  GadgetIndex idx = GadgetIndex::build(s.ctx, s.lib);
-  const auto recs = idx.encode();
-  auto back = GadgetIndex::decode(recs, s.lib.size());
-  ASSERT_TRUE(back.has_value());
-  for (int r = 0; r < x86::kNumRegs; ++r) {
-    const auto reg = static_cast<Reg>(r);
-    const auto xs = idx.candidates(reg);
-    const auto ys = back->candidates(reg);
-    ASSERT_EQ(xs.size(), ys.size());
-    for (size_t i = 0; i < xs.size(); ++i) {
-      EXPECT_EQ(xs[i].gadget, ys[i].gadget);
-      EXPECT_EQ(xs[i].base_score, ys[i].base_score);
-      EXPECT_EQ(xs[i].dag_size, ys[i].dag_size);
-      EXPECT_EQ(xs[i].const_value, ys[i].const_value);
-      EXPECT_EQ(xs[i].flags, ys[i].flags);
-      EXPECT_EQ(xs[i].n_needs, ys[i].n_needs);
-      EXPECT_EQ(xs[i].needs, ys[i].needs);
-    }
-  }
-  // Pool-size skew (a digest collision would be needed to hit this in the
-  // store, but disk content is never trusted): read as absent.
-  EXPECT_FALSE(GadgetIndex::decode(recs, s.lib.size() + 1).has_value());
-}
-
 /// Candidate-set equivalence on a scenario: the indexed search and the
 /// linear reference path must emit byte-identical chains.
 void expect_index_linear_parity(Assembler& a, const Goal& goal) {
@@ -455,38 +405,6 @@ TEST(Planner, ReuseAcrossGoalsMatchesFreshPlanners) {
   expect_same_chains(e1, e2);
   expect_same_chains(m1, m2);
   ASSERT_FALSE(m1.empty());
-}
-
-TEST(Planner, WarmStartMemoRoundTrip) {
-  const std::string dir =
-      testing::TempDir() + "gp_planner_warm_start_memo";
-  std::filesystem::remove_all(dir);
-  store::ArtifactStore store(dir);
-
-  Assembler a = classic_rop();
-  Scenario s(a);
-  Options opts;
-  opts.use_index = true;
-  opts.use_nogoods = true;
-  opts.memo_store = &store;
-  opts.pool_digest = 0xfeedbeef;  // any nonzero digest keys the memo
-
-  Planner first(s.ctx, s.lib, s.img);
-  const auto cold = first.plan(Goal::execve(), opts);
-  ASSERT_FALSE(cold.empty());
-  EXPECT_EQ(first.stats().index_builds, 1u);
-  EXPECT_EQ(first.stats().index_loads, 0u);
-
-  // A fresh planner on the same store warm-loads the index instead of
-  // rebuilding — and the chains are byte-identical (hints, not results).
-  Planner second(s.ctx, s.lib, s.img);
-  const auto warm = second.plan(Goal::execve(), opts);
-  EXPECT_EQ(second.stats().index_builds, 0u);
-  EXPECT_EQ(second.stats().index_loads, 1u);
-  expect_same_chains(cold, warm);
-  EXPECT_GE(store.stats().hits, 1u);
-
-  std::filesystem::remove_all(dir);
 }
 
 TEST(Planner, NeedsTruncationCountedNotSilent) {

@@ -244,6 +244,11 @@ TEST(Config, FromEnvParsesEveryKnobFresh) {
   // from_env() is a fresh parse every call: a later setenv is observed.
   setenv("GP_RETRIES", "1", 1);
   EXPECT_EQ(Config::from_env().max_retries, 1);
+  // Values past int range clamp instead of wrapping to 1 or INT_MIN.
+  setenv("GP_RETRIES", "4294967297", 1);
+  EXPECT_EQ(Config::from_env().max_retries, 100);
+  setenv("GP_RETRIES", "2147483648", 1);
+  EXPECT_EQ(Config::from_env().max_retries, 100);
 
   for (const char* knob : {"GP_THREADS", "GP_RETRIES", "GP_STORE_DIR",
                            "GP_FAULT", "GP_DEADLINE_MS", "GP_SOLVER_CHECKS"})
