@@ -560,9 +560,9 @@ echo "== tier-1: robustness + fault-injection tests under ASan/UBSan =="
 # torn append, version bump) — exactly the paths that unwind through
 # partially-parsed bytes, so they run under ASan here too. The solver
 # suites run here as well: the SAT core's order heap (heap slots, child
-# positions) and the expression interner's open-addressing table (probe
-# and growth slot arithmetic) are index arithmetic of the kind ASan
-# catches.
+# positions) and clause arena (clause offsets), the bit-blaster's gate
+# table and the expression interner's open-addressing table (probe and
+# growth slot arithmetic) are index arithmetic of the kind ASan catches.
 cmake --preset asan
 cmake --build build-asan -j --target test_governor test_robustness test_store \
   test_serve test_solver

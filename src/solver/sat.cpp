@@ -55,43 +55,55 @@ void Sat::sift_down(u32 pos) {
   heap_pos_[v] = pos;
 }
 
-bool Sat::add_clause(std::vector<Lit> lits) {
+bool Sat::add_clause(std::span<const Lit> in) {
   if (unsat_) return false;
   GP_CHECK(trail_lim_.empty(), "add_clause only at decision level 0");
 
   // Deduplicate; drop clauses containing both l and ~l (tautology) or
-  // literals already false at level 0.
-  std::sort(lits.begin(), lits.end(),
+  // literals already false at level 0. The kept literals are compacted to
+  // the front of scratch_, in sorted order.
+  scratch_.assign(in.begin(), in.end());
+  std::sort(scratch_.begin(), scratch_.end(),
             [](Lit a, Lit b) { return a.code < b.code; });
-  std::vector<Lit> out;
-  for (size_t i = 0; i < lits.size(); ++i) {
-    if (i + 1 < lits.size() && lits[i + 1].code == (lits[i].code ^ 1))
+  size_t n = 0;
+  Lit prev{kNoReason};
+  for (size_t i = 0; i < scratch_.size(); ++i) {
+    const Lit l = scratch_[i];
+    if (i + 1 < scratch_.size() && scratch_[i + 1].code == (l.code ^ 1))
       return true;  // tautology
-    if (i > 0 && lits[i] == lits[i - 1]) continue;
-    const i8 v = value(lits[i]);
+    if (l == prev) continue;
+    prev = l;
+    const i8 v = value(l);
     if (v == 1) return true;  // already satisfied at level 0
     if (v == 0) continue;     // already false: drop literal
-    out.push_back(lits[i]);
+    scratch_[n++] = l;
   }
 
-  if (out.empty()) {
+  if (n == 0) {
     unsat_ = true;
     return false;
   }
-  if (out.size() == 1) {
-    enqueue(out[0], kNoReason);
+  if (n == 1) {
+    enqueue(scratch_[0], kNoReason);
     if (propagate() != kNoReason) {
       unsat_ = true;
       return false;
     }
     return true;
   }
-
-  const u32 idx = static_cast<u32>(clauses_.size());
-  watches_[(~out[0]).code].push_back({idx, out[1]});
-  watches_[(~out[1]).code].push_back({idx, out[0]});
-  clauses_.push_back({std::move(out), false});
+  store(std::span<const Lit>(scratch_.data(), n), false);
   return true;
+}
+
+u32 Sat::store(std::span<const Lit> ls, bool learned) {
+  GP_CHECK(arena_.size() + ls.size() <= 0xffffffffu, "clause arena full");
+  const u32 idx = static_cast<u32>(clauses_.size());
+  clauses_.push_back({static_cast<u32>(arena_.size()),
+                      static_cast<u32>(ls.size()), learned});
+  arena_.insert(arena_.end(), ls.begin(), ls.end());
+  watches_[(~ls[0]).code].push_back({idx, ls[1]});
+  watches_[(~ls[1]).code].push_back({idx, ls[0]});
+  return idx;
 }
 
 void Sat::enqueue(Lit l, u32 reason) {
@@ -113,19 +125,20 @@ u32 Sat::propagate() {
         ws[keep++] = w;
         continue;
       }
-      Clause& c = clauses_[w.clause];
+      Lit* c = lits(w.clause);
+      const u32 size = clauses_[w.clause].size;
       // Ensure the false literal (~p) is at position 1.
-      if (c.lits[0] == ~p) std::swap(c.lits[0], c.lits[1]);
-      if (value(c.lits[0]) == 1) {
-        ws[keep++] = {w.clause, c.lits[0]};
+      if (c[0] == ~p) std::swap(c[0], c[1]);
+      if (value(c[0]) == 1) {
+        ws[keep++] = {w.clause, c[0]};
         continue;
       }
       // Look for a new literal to watch.
       bool moved = false;
-      for (size_t k = 2; k < c.lits.size(); ++k) {
-        if (value(c.lits[k]) != 0) {
-          std::swap(c.lits[1], c.lits[k]);
-          watches_[(~c.lits[1]).code].push_back({w.clause, c.lits[0]});
+      for (u32 k = 2; k < size; ++k) {
+        if (value(c[k]) != 0) {
+          std::swap(c[1], c[k]);
+          watches_[(~c[1]).code].push_back({w.clause, c[0]});
           moved = true;
           break;
         }
@@ -133,14 +146,14 @@ u32 Sat::propagate() {
       if (moved) continue;
       // Unit or conflict.
       ws[keep++] = w;
-      if (value(c.lits[0]) == 0) {
+      if (value(c[0]) == 0) {
         // Conflict: copy the remaining watches and report.
         for (size_t j = i + 1; j < ws.size(); ++j) ws[keep++] = ws[j];
         ws.resize(keep);
         qhead_ = trail_.size();
         return w.clause;
       }
-      enqueue(c.lits[0], w.clause);
+      enqueue(c[0], w.clause);
     }
     ws.resize(keep);
   }
@@ -162,9 +175,9 @@ void Sat::bump(u32 v) {
 
 void Sat::decay() { activity_inc_ *= 1.0 / 0.95; }
 
-void Sat::analyze(u32 confl, std::vector<Lit>& learnt, u32& backtrack_level) {
-  learnt.clear();
-  learnt.push_back({0});  // placeholder for the asserting literal
+void Sat::analyze(u32 confl, u32& backtrack_level) {
+  learnt_.clear();
+  learnt_.push_back({0});  // placeholder for the asserting literal
   int counter = 0;
   Lit p{0};
   bool first = true;
@@ -172,16 +185,17 @@ void Sat::analyze(u32 confl, std::vector<Lit>& learnt, u32& backtrack_level) {
   const u32 cur_level = static_cast<u32>(trail_lim_.size());
 
   for (;;) {
-    const Clause& c = clauses_[confl];
-    for (size_t j = first ? 0 : 1; j < c.lits.size(); ++j) {
-      const Lit q = c.lits[j];
+    const Lit* c = lits(confl);
+    const u32 size = clauses_[confl].size;
+    for (u32 j = first ? 0 : 1; j < size; ++j) {
+      const Lit q = c[j];
       if (!seen_[q.var()] && level_[q.var()] > 0) {
         seen_[q.var()] = 1;
         bump(q.var());
         if (level_[q.var()] >= cur_level) {
           ++counter;
         } else {
-          learnt.push_back(q);
+          learnt_.push_back(q);
         }
       }
     }
@@ -197,19 +211,19 @@ void Sat::analyze(u32 confl, std::vector<Lit>& learnt, u32& backtrack_level) {
     confl = reason_[p.var()];
     GP_CHECK(confl != kNoReason, "analyze hit a decision without reason");
   }
-  learnt[0] = ~p;
+  learnt_[0] = ~p;
 
   // Backtrack level: highest level among the other literals.
   backtrack_level = 0;
   size_t max_i = 1;
-  for (size_t i = 1; i < learnt.size(); ++i) {
-    if (level_[learnt[i].var()] > backtrack_level) {
-      backtrack_level = level_[learnt[i].var()];
+  for (size_t i = 1; i < learnt_.size(); ++i) {
+    if (level_[learnt_[i].var()] > backtrack_level) {
+      backtrack_level = level_[learnt_[i].var()];
       max_i = i;
     }
   }
-  if (learnt.size() > 1) std::swap(learnt[1], learnt[max_i]);
-  for (const Lit l : learnt) seen_[l.var()] = 0;
+  if (learnt_.size() > 1) std::swap(learnt_[1], learnt_[max_i]);
+  for (const Lit l : learnt_) seen_[l.var()] = 0;
 }
 
 void Sat::backtrack(u32 target) {
@@ -266,20 +280,14 @@ SatResult Sat::solve(i64 conflict_budget, const Governor* governor) {
         return SatResult::Unknown;
       if (trail_lim_.empty()) return SatResult::Unsat;
 
-      std::vector<Lit> learnt;
       u32 bt_level = 0;
-      analyze(confl, learnt, bt_level);
+      analyze(confl, bt_level);
       backtrack(bt_level);
 
-      if (learnt.size() == 1) {
-        enqueue(learnt[0], kNoReason);
+      if (learnt_.size() == 1) {
+        enqueue(learnt_[0], kNoReason);
       } else {
-        const u32 idx = static_cast<u32>(clauses_.size());
-        watches_[(~learnt[0]).code].push_back({idx, learnt[1]});
-        watches_[(~learnt[1]).code].push_back({idx, learnt[0]});
-        const Lit assert_lit = learnt[0];
-        clauses_.push_back({std::move(learnt), true});
-        enqueue(assert_lit, idx);
+        enqueue(learnt_[0], store(learnt_, true));
       }
       decay();
     } else {

@@ -16,8 +16,24 @@
 //  - the 1e100 activity rescale can merge distinct activities into ties
 //    (or underflow them to 0), which can invert two entries under the
 //    index tie-break, so it rebuilds the heap.
+//
+// Clause storage is flat (MiniSat's clause arena): every clause, original
+// or learned, is a run of literals in one arena plus a {start, size,
+// learned} header, so adding a clause allocates nothing once the arena has
+// grown. The search depends on the storage only through three orders,
+// which the arena keeps exactly:
+//  - clause index order: clause i is the i-th clause stored (units and
+//    clauses dropped by normalisation take no index), and watches name
+//    clauses by index;
+//  - literal order: a stored clause holds its literals sorted by code with
+//    duplicates and level-0-false literals removed; propagation reorders
+//    them in place, only by swaps;
+//  - watch push order: a new clause pushes its watch for lits[0] before
+//    the one for lits[1], each at the back of the watched literal's list.
 #pragma once
 
+#include <initializer_list>
+#include <span>
 #include <vector>
 
 #include "support/common.hpp"
@@ -46,7 +62,10 @@ class Sat {
 
   /// Add a clause (disjunction). An empty clause makes the instance
   /// trivially UNSAT. Returns false if the formula is already known UNSAT.
-  bool add_clause(std::vector<Lit> lits);
+  bool add_clause(std::span<const Lit> lits);
+  bool add_clause(std::initializer_list<Lit> lits) {
+    return add_clause(std::span<const Lit>(lits.begin(), lits.size()));
+  }
 
   /// Solve. `conflict_budget` < 0 means unlimited. When a governor is
   /// given, the propagation/decision loop polls its deadline and cancel
@@ -67,9 +86,11 @@ class Sat {
  private:
   static constexpr u32 kNoReason = 0xffffffff;
 
+  /// A clause's literals are arena_[start, start + size).
   struct Clause {
-    std::vector<Lit> lits;
-    bool learned = false;
+    u32 start;
+    u32 size;
+    bool learned;
   };
   struct Watch {
     u32 clause;
@@ -82,9 +103,14 @@ class Sat {
     if (a == 2) return 2;
     return static_cast<i8>(a ^ static_cast<i8>(l.sign()));
   }
+  Lit* lits(u32 clause) { return arena_.data() + clauses_[clause].start; }
+  /// Store `ls` (size >= 2) as the next clause and watch its first two
+  /// literals; returns its index.
+  u32 store(std::span<const Lit> ls, bool learned);
   void enqueue(Lit l, u32 reason);
   u32 propagate();  // returns conflicting clause index or kNoReason
-  void analyze(u32 confl, std::vector<Lit>& learnt, u32& backtrack_level);
+  /// Build the 1-UIP clause of conflict `confl` in learnt_.
+  void analyze(u32 confl, u32& backtrack_level);
   void backtrack(u32 level);
   Lit decide();
   void bump(u32 v);
@@ -100,7 +126,10 @@ class Sat {
   void sift_up(u32 pos);
   void sift_down(u32 pos);
 
+  std::vector<Lit> arena_;
   std::vector<Clause> clauses_;
+  std::vector<Lit> scratch_;  // add_clause's normalised copy
+  std::vector<Lit> learnt_;   // analyze's learned clause
   std::vector<std::vector<Watch>> watches_;  // indexed by Lit.code
   std::vector<i8> assign_;
   std::vector<u32> level_;

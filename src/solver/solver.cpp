@@ -93,20 +93,28 @@ SatResult Solver::check_impl(const std::vector<ExprRef>& constraints,
   if (fault::enabled() && fault::should_fire(fault::Point::Solver))
     return unknown();
 
+  // The latency observation covers the whole query: blasting, the solve,
+  // model extraction and freeing the CNF.
   const auto t0 = std::chrono::steady_clock::now();
-  BitBlaster bb(ctx_);
-  std::vector<ExprRef> vars;
-  for (const ExprRef c : constraints) {
-    bb.assert_true(c);
-    for (const ExprRef v : ctx_.variables(c)) vars.push_back(v);
-  }
-  std::sort(vars.begin(), vars.end());
-  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
-  // Blast all variables before solving so model extraction never has to add
-  // clauses mid-model.
-  for (const ExprRef v : vars) (void)bb.model_value(v);
+  SatResult r = SatResult::Unknown;
+  Model m;
+  {
+    BitBlaster bb(ctx_);
+    std::vector<ExprRef> vars;
+    for (const ExprRef c : constraints) {
+      bb.assert_true(c);
+      for (const ExprRef v : ctx_.variables(c)) vars.push_back(v);
+    }
+    std::sort(vars.begin(), vars.end());
+    vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+    // Blast all variables before solving so model extraction never has to
+    // add clauses mid-model.
+    for (const ExprRef v : vars) (void)bb.model_value(v);
 
-  const SatResult r = bb.solve(conflict_budget_, governor_);
+    r = bb.solve(conflict_budget_, governor_);
+    if (r == SatResult::Sat && model)
+      for (const ExprRef v : vars) m[v] = bb.model_value(v);
+  }
   if (metrics::Histogram* h = check_us(caller_))
     h->observe(static_cast<u64>(
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -115,11 +123,7 @@ SatResult Solver::check_impl(const std::vector<ExprRef>& constraints,
   if (r == SatResult::Unknown) return unknown();
   count_outcome(r);
   memo_[key_of(constraints)] = r == SatResult::Sat ? Memo::Sat : Memo::Unsat;
-  if (r == SatResult::Sat && model) {
-    Model m;
-    for (const ExprRef v : vars) m[v] = bb.model_value(v);
-    *model = std::move(m);
-  }
+  if (r == SatResult::Sat && model) *model = std::move(m);
   return r;
 }
 

@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <limits>
 #include <memory>
 
 #include "support/status.hpp"
@@ -73,14 +72,6 @@ class Deadline {
   bool unlimited() const { return unlimited_; }
   bool expired() const { return !unlimited_ && Clock::now() > at_; }
   Clock::time_point time_point() const { return at_; }
-  /// Seconds until expiry; +inf when unlimited, exactly 0 once expired.
-  /// Clamped so a caller's arithmetic can never be driven negative by an
-  /// already-expired deadline.
-  double remaining_seconds() const {
-    if (unlimited_) return std::numeric_limits<double>::infinity();
-    return std::max(
-        0.0, std::chrono::duration<double>(at_ - Clock::now()).count());
-  }
   /// The earlier of two deadlines.
   static Deadline earlier(const Deadline& a, const Deadline& b) {
     if (a.unlimited_) return b;

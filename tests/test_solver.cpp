@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <span>
 
+#include "solver/bitblast.hpp"
 #include "solver/solver.hpp"
 #include "support/fault.hpp"
 #include "support/governor.hpp"
@@ -444,6 +447,46 @@ TEST(SatCore, RescaleTiesBreakByIndex) {
   }
 }
 
+/// add_clause normalises before storing: duplicates merge, tautologies and
+/// clauses already true at level 0 are skipped, literals false at level 0
+/// are dropped (a clause left with one literal is enqueued, not stored), and
+/// an empty clause makes the instance UNSAT.
+TEST(SatCore, AddClauseNormalises) {
+  Sat s;
+  const u32 a = s.new_var(), b = s.new_var(), c = s.new_var(),
+            d = s.new_var();
+  const std::vector<Lit> dup = {Lit::pos(a), Lit::pos(b), Lit::pos(a)};
+  EXPECT_TRUE(s.add_clause(std::span<const Lit>(dup)));
+  EXPECT_EQ(s.num_clauses(), 1u);
+
+  EXPECT_TRUE(s.add_clause({Lit::pos(c), Lit::neg(d), Lit::neg(c)}));
+  EXPECT_EQ(s.num_clauses(), 1u);  // tautology dropped
+
+  EXPECT_TRUE(s.add_clause({Lit::neg(a)}));  // unit: enqueued, not stored
+  EXPECT_EQ(s.num_clauses(), 1u);
+  // ~a at level 0 made b true through the deduplicated clause (a | b).
+  EXPECT_TRUE(s.add_clause({Lit::pos(b), Lit::pos(c), Lit::pos(d)}));
+  EXPECT_EQ(s.num_clauses(), 1u);  // true at level 0: skipped
+
+  // a is false at level 0, so (a | c | d) is stored as (c | d).
+  EXPECT_TRUE(s.add_clause({Lit::pos(a), Lit::pos(c), Lit::pos(d)}));
+  EXPECT_EQ(s.num_clauses(), 2u);
+  // (a | ~c) loses a and becomes the unit ~c, which forces d.
+  EXPECT_TRUE(s.add_clause({Lit::pos(a), Lit::neg(c)}));
+  EXPECT_EQ(s.num_clauses(), 2u);
+  ASSERT_EQ(s.solve(), SatResult::Sat);
+  EXPECT_FALSE(s.model_value(a));
+  EXPECT_TRUE(s.model_value(b));
+  EXPECT_FALSE(s.model_value(c));
+  EXPECT_TRUE(s.model_value(d));
+
+  Sat e;
+  e.new_var();
+  EXPECT_FALSE(e.add_clause(std::span<const Lit>()));
+  EXPECT_EQ(e.num_clauses(), 0u);
+  EXPECT_EQ(e.solve(), SatResult::Unsat);
+}
+
 /// Random 3-SAT cross-checked against brute force over <=14 variables.
 TEST(SatCore, RandomAgainstBruteForce) {
   Rng rng(2024);
@@ -517,6 +560,117 @@ class SolverTest : public ::testing::Test {
   Solver solver{ctx};
   ExprRef c(u64 v, u8 w = 64) { return ctx.constant(v, w); }
 };
+
+struct Blasted {
+  SatResult result;
+  size_t clauses;
+  u64 conflicts;
+  u64 model;  // fnv of the free variables' values, in ref order
+};
+
+/// Blast `query` in the order Solver::check uses (each constraint, then
+/// every free variable by ref), solve, and digest the model.
+Blasted blast_and_solve(Context& ctx, const std::vector<ExprRef>& query) {
+  BitBlaster bb(ctx);
+  std::vector<ExprRef> vars;
+  for (const ExprRef q : query) {
+    bb.assert_true(q);
+    for (const ExprRef v : ctx.variables(q)) vars.push_back(v);
+  }
+  std::sort(vars.begin(), vars.end());
+  vars.erase(std::unique(vars.begin(), vars.end()), vars.end());
+  for (const ExprRef v : vars) (void)bb.model_value(v);
+  const SatResult r = bb.solve();
+  std::vector<u8> bytes;
+  if (r == SatResult::Sat) {
+    for (const ExprRef v : vars) {
+      const u64 x = bb.model_value(v);
+      for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<u8>(x >> 8 * i));
+    }
+  }
+  return {r, bb.num_clauses(), bb.num_conflicts(), serial::fnv1a(bytes)};
+}
+
+/// Pins the bit-blasted encoding: the blast order decides every SAT
+/// variable number and clause index, and through the decision heap's index
+/// tie-break every decision, conflict and model. The constants were
+/// recorded from the map-based gate cache and per-clause vectors that the
+/// flat gate table and clause arena replaced.
+TEST_F(SolverTest, BitblastEncodingPinned) {
+  // The BM_SatBitblasted64 query: one 64-bit linear equation over x, y
+  // and 24 disequalities z_i + x != k_i.
+  {
+    Rng rng(0x5a7b17);
+    const u64 k1 = rng.next() | 1, x0 = rng.next(), y0 = rng.next();
+    const ExprRef x = ctx.var("x", 64), y = ctx.var("y", 64);
+    std::vector<ExprRef> query = {
+        ctx.eq(ctx.add(ctx.mul(x, c(k1)), y), c(x0 * k1 + y0))};
+    for (int i = 0; i < 24; ++i) {
+      const ExprRef z = ctx.var("z" + std::to_string(i), 64);
+      query.push_back(ctx.ne(ctx.add(z, x), c(rng.next())));
+    }
+    const Blasted b = blast_and_solve(ctx, query);
+    EXPECT_EQ(b.result, SatResult::Sat);
+    EXPECT_EQ(b.clauses, 52'698u);
+    EXPECT_EQ(b.conflicts, 0u);
+    EXPECT_EQ(b.model, 6485619281041364076u);
+  }
+  // Mul, shifts, ite and extract over 32 bits, with a 12x12-bit factoring
+  // core that needs real search.
+  {
+    const ExprRef a = ctx.var("a", 32), b = ctx.var("b", 32);
+    const ExprRef cnt = ctx.zext(ctx.extract(b, 0, 5), 32);
+    const ExprRef sh = ctx.shl(ctx.mul(a, b), cnt);
+    const ExprRef r = ctx.ite(ctx.slt(a, b), ctx.lshr(sh, c(3, 32)),
+                              ctx.ashr(a, cnt));
+    const ExprRef fa = ctx.zext(ctx.extract(a, 0, 12), 32);
+    const ExprRef fb = ctx.zext(ctx.extract(b, 0, 12), 32);
+    const std::vector<ExprRef> query = {
+        ctx.eq(ctx.mul(fa, fb), c(3001u * 2999u, 32)),
+        ctx.ult(c(1, 32), fa),
+        ctx.ult(c(1, 32), fb),
+        ctx.ult(ctx.band(a, b), ctx.add(a, c(7, 32))),
+        ctx.ne(ctx.extract(r, 4, 8), c(0xa5, 8)),
+        ctx.ne(ctx.concat(ctx.extract(a, 16, 16), ctx.extract(b, 0, 16)),
+               c(0xdeadbeef, 32))};
+    const Blasted bl = blast_and_solve(ctx, query);
+    EXPECT_EQ(bl.result, SatResult::Sat);
+    EXPECT_EQ(bl.clauses, 15'691u);
+    EXPECT_EQ(bl.conflicts, 929u);
+    EXPECT_EQ(bl.model, 13233312698412964915u);
+  }
+}
+
+/// Enough distinct gates to double the gate table several times: the
+/// model must still satisfy the formula under Context::eval, and asserting
+/// an already-blasted term again must add no clause.
+TEST_F(SolverTest, GateTableGrowth) {
+  Rng rng(31);
+  const ExprRef x = ctx.var("x", 64), y = ctx.var("y", 64);
+  const u64 xv = rng.next(), yv = rng.next();
+  const u64 k = rng.next() | 1;
+  // Two 64-bit multiplies and a variable shift: tens of thousands of gates.
+  const ExprRef lhs = ctx.bxor(ctx.mul(ctx.add(x, c(k)), y),
+                               ctx.shl(ctx.mul(x, c(k)), y));
+  std::unordered_map<ExprRef, u64> env{{x, xv}, {y, yv}};
+  const ExprRef goal = ctx.eq(lhs, c(ctx.eval(lhs, env)));
+
+  BitBlaster bb(ctx);
+  bb.assert_true(goal);
+  const size_t clauses = bb.num_clauses();
+  EXPECT_GT(clauses, 20'000u);
+  bb.assert_true(goal);
+  EXPECT_EQ(bb.num_clauses(), clauses);
+  (void)bb.model_value(x);
+  (void)bb.model_value(y);
+  EXPECT_EQ(bb.num_clauses(), clauses);  // variables were blasted in goal
+  ASSERT_EQ(bb.solve(), SatResult::Sat);
+  std::unordered_map<ExprRef, u64> model{{x, bb.model_value(x)},
+                                         {y, bb.model_value(y)}};
+  EXPECT_EQ(ctx.eval(goal, model), 1u);
+  EXPECT_EQ(bb.model_value(goal), 1u);
+  EXPECT_EQ(bb.model_value(lhs), ctx.eval(lhs, model));
+}
 
 TEST_F(SolverTest, SimpleEquationModel) {
   ExprRef x = ctx.var("x", 64);
