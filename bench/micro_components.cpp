@@ -70,9 +70,11 @@ void BM_SolverEquivalenceQuery(benchmark::State& state) {
   const auto lhs = ctx.bxor(a, b);
   const auto rhs =
       ctx.bor(ctx.band(ctx.bnot(a), b), ctx.band(a, ctx.bnot(b)));
+  // Equivalent iff the disequality is UNSAT.
+  const std::vector<solver::ExprRef> query = {ctx.ne(lhs, rhs)};
   for (auto _ : state) {
     solver::Solver solver(ctx);
-    benchmark::DoNotOptimize(solver.prove_equal(lhs, rhs));
+    benchmark::DoNotOptimize(solver.check(query));
   }
 }
 BENCHMARK(BM_SolverEquivalenceQuery);
@@ -97,7 +99,9 @@ void BM_SatBitblasted64(benchmark::State& state) {
   }
   for (auto _ : state) {
     solver::Solver solver(ctx);
-    benchmark::DoNotOptimize(solver.check_sat(query));
+    solver::Model model;
+    benchmark::DoNotOptimize(solver.check(query, &model));
+    benchmark::DoNotOptimize(model);
   }
 }
 BENCHMARK(BM_SatBitblasted64);

@@ -50,7 +50,6 @@ ModeResult run_mode(const image::Image& img, bool indexed) {
   planner::Planner p(ctx, lib, img);
   planner::Options opts;
   opts.use_index = indexed;
-  opts.use_nogoods = indexed;
   ModeResult r;
   const double t0 = now_s();
   r.chains = p.plan(payload::Goal::execve(), opts);

@@ -104,11 +104,15 @@ int main() {
     solver::ExprRef pre2 = ctx.t();
     for (const auto c : record->precond) pre2 = ctx.band(pre2, c);
     std::printf("\nsubsumption (eq. 1) against plain `pop rax; ret`:\n");
-    std::printf("  pre_2 -> pre_1 (true):   %s\n",
-                solver.prove_implies(pre2, ctx.t()) ? "holds" : "fails");
+    // Each claim is proven by refutation: its negation is UNSAT.
+    const bool implied = solver.check(std::vector{pre2, ctx.bnot(ctx.t())}) ==
+                         solver::SatResult::Unsat;
+    std::printf("  pre_2 -> pre_1 (true):   %s\n", implied ? "holds" : "fails");
     const bool same_rax =
-        solver.prove_equal(g1.final_regs[static_cast<int>(Reg::RAX)],
-                           record->final_regs[static_cast<int>(Reg::RAX)]);
+        solver.check(std::vector{
+            ctx.ne(g1.final_regs[static_cast<int>(Reg::RAX)],
+                   record->final_regs[static_cast<int>(Reg::RAX)])}) ==
+        solver::SatResult::Unsat;
     std::printf("  rax post-states equal:   %s\n", same_rax ? "yes" : "no");
   }
   return 0;

@@ -165,7 +165,8 @@ echo "== tier-1: observability drill =="
 # The campaign above also wrote a Chrome trace (--trace-out). It must
 # parse, every job must carry a job span, every session all three stage
 # spans, and the summary the aggregate metrics block plus the
-# critical-path verdict.
+# critical-path verdict. Solver accounting: every check() counts exactly
+# one outcome (there is no query memo), so checks == sat + unsat + unknown.
 python3 - BENCH_pipeline.json "$KR_TMP/trace.json" <<'PY'
 import json, sys
 summary, trace = (json.load(open(p)) for p in sys.argv[1:3])
@@ -184,6 +185,10 @@ with_all = [s for s in sessions.values()
 assert len(with_all) >= summary["jobs"], (len(with_all), summary["jobs"])
 counters = summary["metrics"]["counters"]
 assert counters["solver.checks"] > 0 and counters["extract.gadgets"] > 0
+outcomes = sum(counters[f"solver.{k}"] for k in ("sat", "unsat", "unknown"))
+assert counters["solver.checks"] == outcomes, (counters["solver.checks"],
+                                               outcomes)
+assert "solver.cache_hits" not in counters
 cp = summary["critical_path"]
 assert cp["job"] >= 0 and cp["stage"] in ("extract", "subsume", "plan"), cp
 print(f'observability: {len(jobs)} job spans, {len(with_all)} sessions '

@@ -308,12 +308,13 @@ ConcretizeResult concretize(solver::Context& ctx, const gadget::Library& lib,
 
   solver::Solver solver(ctx, /*conflict_budget=*/500'000, opts.governor,
                         solver::Caller::Concretize);
-  const auto model = solver.check_sat(constraints);
-  if (!model) {
+  solver::Model model;
+  const solver::SatResult sat = solver.check(constraints, &model);
+  if (sat != solver::SatResult::Sat) {
     // An UNKNOWN answer (budget, deadline, injected fault) is a failure —
     // but not an UNSAT: the sequence might work with more budget.
-    return refuted(solver.last_unknown() ? Refutation::Unknown
-                                         : Refutation::Unsat);
+    return refuted(sat == solver::SatResult::Unknown ? Refutation::Unknown
+                                                     : Refutation::Unsat);
   }
 
   // Payload = model values of the consumed stack slots.
@@ -331,8 +332,8 @@ ConcretizeResult concretize(solver::Context& ctx, const gadget::Library& lib,
   offsets.erase(std::unique(offsets.begin(), offsets.end()), offsets.end());
   for (const i64 off : offsets) {
     const ExprRef var = ctx.var(sym::stack_var(off), 64);
-    auto it = model->find(var);
-    place(off, it == model->end() ? 0 : it->second);
+    auto it = model.find(var);
+    place(off, it == model.end() ? 0 : it->second);
   }
 
   Chain chain;

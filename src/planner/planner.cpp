@@ -97,8 +97,8 @@ std::optional<std::vector<int>> Planner::linearize(const Plan& p) {
 }
 
 bool Planner::reg_usable(Reg reg, const Options& opts) {
-  auto it = usable_memo_.find(static_cast<int>(reg));
-  if (it != usable_memo_.end()) return it->second;
+  auto it = usable_by_reg_.find(static_cast<int>(reg));
+  if (it != usable_by_reg_.end()) return it->second;
   bool usable = false;
   if (index_) {
     for (const Candidate& c : index_->candidates(reg)) {
@@ -127,7 +127,7 @@ bool Planner::reg_usable(Reg reg, const Options& opts) {
       break;
     }
   }
-  usable_memo_.emplace(static_cast<int>(reg), usable);
+  usable_by_reg_.emplace(static_cast<int>(reg), usable);
   return usable;
 }
 
@@ -412,7 +412,7 @@ std::vector<Chain> Planner::plan(const Goal& goal, const Options& opts) {
   // usability memo and nogoods must not leak into the next goal's search
   // on a reused planner. Only the candidate index (pool content) carries
   // over.
-  usable_memo_.clear();
+  usable_by_reg_.clear();
   failure_count_.clear();
   nogoods_.clear();
   stats_ = Stats{};
@@ -624,7 +624,7 @@ void Planner::run_round(const Goal& goal, const Options& opts,
     // exactly like the re-scan it replaces — queue evolution and budget
     // consumption are identical with learning on or off.
     u64 state_fp = 0;
-    if (opts.use_nogoods) {
+    if (opts.use_index) {
       state_fp = state_fingerprint(best);
       if (nogoods_.count(state_fp)) {
         ++stats_.nogood_hits;
@@ -634,7 +634,7 @@ void Planner::run_round(const Goal& goal, const Options& opts,
     }
 
     std::vector<Plan> successors = expand(best, opts);
-    if (successors.empty() && opts.use_nogoods) {
+    if (successors.empty() && opts.use_index) {
       nogoods_.insert(state_fp);
       ++stats_.nogood_learned;
     }

@@ -75,14 +75,13 @@ struct Options {
   bool use_direct_merged = true;   // gadgets spanning direct jumps
 
   /// Search over the precomputed GadgetIndex instead of re-analyzing every
-  /// candidate per expansion, learn nogoods, and run the reachability
-  /// precheck. Results are bit-identical either way (the tier-1 harness
-  /// diffs digests across the two modes); off is the linear reference
-  /// path. Defaults from the GP_PLAN_INDEX knob.
+  /// candidate per expansion, run the reachability precheck, and learn
+  /// nogoods (zero-successor search states are never re-expanded within or
+  /// across the restart rounds of one plan() call). Results are
+  /// bit-identical either way (the tier-1 harness diffs digests across the
+  /// two modes); off is the linear reference path. Defaults from the
+  /// GP_PLAN_INDEX knob.
   bool use_index = config().plan_index;
-  /// Remember zero-successor search states so they are never re-expanded
-  /// within or across the restart rounds of one plan() call.
-  bool use_nogoods = config().plan_index;
   /// Owning session id for trace spans (0 = none).
   u64 session_id = 0;
 
@@ -90,8 +89,8 @@ struct Options {
   /// artifact-store key writer. Time budget and governor are excluded on
   /// purpose: results are only checkpointed when the search ran uncut, and
   /// an uncut search is deterministic regardless of how much budget was
-  /// left over. use_index/use_nogoods are likewise excluded: they
-  /// accelerate the search without changing its output.
+  /// left over. use_index is likewise excluded: it accelerates the
+  /// search without changing its output.
   void append_key(serial::Writer& w) const;
 };
 
@@ -261,7 +260,7 @@ class Planner {
   const gadget::Library& lib_;
   const image::Image& img_;
   const payload::Goal* goal_ = nullptr;  // active goal during plan()
-  std::unordered_map<int, bool> usable_memo_;
+  std::unordered_map<int, bool> usable_by_reg_;
   /// Adaptive diversification: gadgets implicated in failed
   /// concretizations are deprioritized in later candidate rankings.
   /// Scoped per plan() call — one goal's failures must not punish

@@ -9,18 +9,9 @@
 namespace gp::solver {
 namespace {
 
-u64 key_of(const std::vector<ExprRef>& constraints) {
-  std::vector<ExprRef> sorted(constraints);
-  std::sort(sorted.begin(), sorted.end());
-  sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
-  u64 h = 0x243f6a8885a308d3ULL;
-  for (const ExprRef e : sorted)
-    h ^= e + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
-/// Process-wide rollup alongside the per-Solver counters: one relaxed add
-/// per outcome, visible in campaign summaries and --report.
+/// Process-wide rollup: one relaxed add per outcome, visible in campaign
+/// summaries and --report. Every check() counts exactly one outcome, so
+/// solver.checks == solver.sat + solver.unsat + solver.unknown.
 void count_outcome(SatResult r) {
   static metrics::Counter& sat = metrics::registry().counter("solver.sat");
   static metrics::Counter& unsat =
@@ -50,22 +41,18 @@ metrics::Histogram* check_us(Caller c) {
 
 }  // namespace
 
-SatResult Solver::check_impl(const std::vector<ExprRef>& constraints,
-                             std::optional<Model>* model) {
-  ++queries_;
+SatResult Solver::check(std::span<const ExprRef> constraints, Model* model) {
   {
     static metrics::Counter& checks =
         metrics::registry().counter("solver.checks");
     checks.add();
   }
-  last_unknown_ = false;
 
   // Constant-only fast path (free: no budget consumed, always conclusive).
   bool all_const_true = true;
   for (const ExprRef c : constraints) {
     GP_CHECK(ctx_.width(c) == 1, "constraint must be width 1");
     if (ctx_.is_const(c, 0)) {
-      memo_[key_of(constraints)] = Memo::Unsat;
       count_outcome(SatResult::Unsat);
       return SatResult::Unsat;
     }
@@ -77,15 +64,12 @@ SatResult Solver::check_impl(const std::vector<ExprRef>& constraints,
     return SatResult::Sat;
   }
 
-  auto unknown = [&] {
-    last_unknown_ = true;
-    ++unknowns_;
+  auto unknown = [] {
     count_outcome(SatResult::Unknown);
     return SatResult::Unknown;
   };
   // Governed exhaustion and injected solver timeouts both surface as
-  // UNKNOWN before any bit-blasting happens; UNKNOWN is never memoized, so
-  // a later run with budget left can still answer.
+  // UNKNOWN before any bit-blasting happens.
   if (governor_) {
     if (governor_->should_stop()) return unknown();
     if (!governor_->solver_checks().try_consume()) return unknown();
@@ -122,56 +106,8 @@ SatResult Solver::check_impl(const std::vector<ExprRef>& constraints,
             .count()));
   if (r == SatResult::Unknown) return unknown();
   count_outcome(r);
-  memo_[key_of(constraints)] = r == SatResult::Sat ? Memo::Sat : Memo::Unsat;
   if (r == SatResult::Sat && model) *model = std::move(m);
   return r;
-}
-
-std::optional<Model> Solver::check_sat(
-    const std::vector<ExprRef>& constraints) {
-  std::optional<Model> model;
-  check_impl(constraints, &model);
-  return model;
-}
-
-SatResult Solver::check(const std::vector<ExprRef>& constraints) {
-  const u64 key = key_of(constraints);
-  auto it = memo_.find(key);
-  if (it != memo_.end()) {
-    ++cache_hits_;
-    static metrics::Counter& hits =
-        metrics::registry().counter("solver.cache_hits");
-    hits.add();
-    last_unknown_ = false;
-    return it->second == Memo::Sat ? SatResult::Sat : SatResult::Unsat;
-  }
-  return check_impl(constraints, nullptr);
-}
-
-bool Solver::is_sat(const std::vector<ExprRef>& constraints) {
-  return check(constraints) == SatResult::Sat;
-}
-
-bool Solver::prove_valid(ExprRef e) {
-  if (ctx_.is_const(e)) return ctx_.const_val(e) == 1;
-  // Proven valid only when the negation is conclusively UNSAT; an UNKNOWN
-  // refutation attempt proves nothing.
-  return check({ctx_.bnot(e)}) == SatResult::Unsat;
-}
-
-bool Solver::prove_equal(ExprRef a, ExprRef b) {
-  if (a == b) return true;
-  if (ctx_.width(a) != ctx_.width(b)) return false;
-  if (ctx_.is_const(a) && ctx_.is_const(b))
-    return ctx_.const_val(a) == ctx_.const_val(b);
-  return check({ctx_.ne(a, b)}) == SatResult::Unsat;
-}
-
-bool Solver::prove_implies(ExprRef antecedent, ExprRef consequent) {
-  if (consequent == ctx_.t()) return true;
-  if (antecedent == ctx_.f()) return true;
-  if (antecedent == consequent) return true;
-  return check({antecedent, ctx_.bnot(consequent)}) == SatResult::Unsat;
 }
 
 }  // namespace gp::solver

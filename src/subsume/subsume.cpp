@@ -63,10 +63,26 @@ u64 fingerprint(const Record& r) {
   return h;
 }
 
+/// Does `antecedent` imply `consequent` (both width 1)? Asked as a
+/// refutation: Yes only when {antecedent, !consequent} is conclusively
+/// UNSAT, Unknown when that query was cut before an answer.
+Verdict implies(solver::Context& ctx, solver::Solver& solver,
+                ExprRef antecedent, ExprRef consequent) {
+  if (consequent == ctx.t() || antecedent == ctx.f() ||
+      antecedent == consequent)
+    return Verdict::Yes;
+  const ExprRef refutation[] = {antecedent, ctx.bnot(consequent)};
+  switch (solver.check(refutation)) {
+    case solver::SatResult::Unsat: return Verdict::Yes;
+    case solver::SatResult::Sat: return Verdict::No;
+    case solver::SatResult::Unknown: break;
+  }
+  return Verdict::Unknown;
+}
+
 /// Structural post-state equality: identical interned exprs for every
 /// clobbered register, the transfer target, and all memory writes.
-bool post_equal_structural(solver::Context& ctx, const Record& a,
-                           const Record& b) {
+bool post_equal_structural(const Record& a, const Record& b) {
   if (a.end != b.end) return false;
   if (a.clobbered != b.clobbered) return false;
   if (a.next_rip != b.next_rip) return false;
@@ -79,7 +95,6 @@ bool post_equal_structural(solver::Context& ctx, const Record& a,
         a.writes[i].width != b.writes[i].width)
       return false;
   }
-  (void)ctx;
   return true;
 }
 
@@ -87,50 +102,53 @@ bool post_equal_structural(solver::Context& ctx, const Record& a,
 /// Checked component-by-component with the cheap structural test first, so
 /// a mismatch in any single register bails out after one small query — the
 /// difference between minutes and milliseconds on obfuscated pools.
-bool post_equal_solver(solver::Context& ctx, solver::Solver& solver,
-                       const Record& a, const Record& b) {
+Verdict post_equal_solver(solver::Context& ctx, solver::Solver& solver,
+                          const Record& a, const Record& b) {
   if (a.next_rip == solver::kNoExpr || b.next_rip == solver::kNoExpr) {
-    if (a.next_rip != b.next_rip) return false;
+    if (a.next_rip != b.next_rip) return Verdict::No;
   }
-  if (a.writes.size() != b.writes.size()) return false;
+  if (a.writes.size() != b.writes.size()) return Verdict::No;
   for (size_t i = 0; i < a.writes.size(); ++i)
-    if (a.writes[i].width != b.writes[i].width) return false;
+    if (a.writes[i].width != b.writes[i].width) return Verdict::No;
 
   const ExprRef pre = ctx.band(conj(ctx, a.precond), conj(ctx, b.precond));
   auto equal_under_pre = [&](ExprRef x, ExprRef y) {
-    if (x == y) return true;  // interned: structurally identical
+    if (x == y) return Verdict::Yes;  // interned: structurally identical
     const ExprRef claim = ctx.eq(x, y);
-    if (refuted_by_sampling(ctx, pre, claim)) return false;
+    if (refuted_by_sampling(ctx, pre, claim)) return Verdict::No;
     // Very large expression pairs that survive sampling are treated as
     // unequal rather than bit-blasted (keeping both gadgets is sound).
-    if (ctx.dag_size(x) + ctx.dag_size(y) > 400) return false;
-    return solver.prove_implies(pre, claim);
+    if (ctx.dag_size(x) + ctx.dag_size(y) > 400) return Verdict::No;
+    return implies(ctx, solver, pre, claim);
   };
 
-  for (int i = 0; i < x86::kNumRegs; ++i)
-    if (!equal_under_pre(a.final_regs[i], b.final_regs[i])) return false;
-  if (a.next_rip != solver::kNoExpr &&
-      !equal_under_pre(a.next_rip, b.next_rip))
-    return false;
-  for (size_t i = 0; i < a.writes.size(); ++i) {
-    if (!equal_under_pre(a.writes[i].addr, b.writes[i].addr)) return false;
-    if (!equal_under_pre(a.writes[i].value, b.writes[i].value)) return false;
+  // The first component that is not proven equal decides the pair.
+  Verdict v = Verdict::Yes;
+  for (int i = 0; i < x86::kNumRegs && v == Verdict::Yes; ++i)
+    v = equal_under_pre(a.final_regs[i], b.final_regs[i]);
+  if (v == Verdict::Yes && a.next_rip != solver::kNoExpr)
+    v = equal_under_pre(a.next_rip, b.next_rip);
+  for (size_t i = 0; i < a.writes.size() && v == Verdict::Yes; ++i) {
+    v = equal_under_pre(a.writes[i].addr, b.writes[i].addr);
+    if (v == Verdict::Yes)
+      v = equal_under_pre(a.writes[i].value, b.writes[i].value);
   }
-  return true;
+  return v;
 }
 
 }  // namespace
 
-bool subsumes(solver::Context& ctx, solver::Solver& solver, const Record& g1,
-              const Record& g2) {
+Verdict subsumes(solver::Context& ctx, solver::Solver& solver,
+                 const Record& g1, const Record& g2) {
   // pre_2 -> pre_1 (g1's pre-condition is no stronger than g2's).
   const ExprRef pre1 = conj(ctx, g1.precond);
   const ExprRef pre2 = conj(ctx, g2.precond);
   if (pre1 != ctx.t()) {
-    if (refuted_by_sampling(ctx, pre2, pre1)) return false;
-    if (!solver.prove_implies(pre2, pre1)) return false;
+    if (refuted_by_sampling(ctx, pre2, pre1)) return Verdict::No;
+    if (const Verdict v = implies(ctx, solver, pre2, pre1); v != Verdict::Yes)
+      return v;
   }
-  if (post_equal_structural(ctx, g1, g2)) return true;
+  if (post_equal_structural(g1, g2)) return Verdict::Yes;
   return post_equal_solver(ctx, solver, g1, g2);
 }
 
@@ -187,7 +205,7 @@ void winnow_group(solver::Context& ctx, std::vector<Record>& group,
     for (const Record* rep : reps) {
       // Fast path first: identical interned post-state and trivially
       // comparable pre-conditions.
-      if (post_equal_structural(ctx, *rep, cand) &&
+      if (post_equal_structural(*rep, cand) &&
           rep->precond == cand.precond) {
         redundant = true;
         ++stats.structural_hits;
@@ -203,10 +221,9 @@ void winnow_group(solver::Context& ctx, std::vector<Record>& group,
         continue;
       }
       ++stats.solver_checks;
-      const u64 unknowns_before = solver.unknowns();
-      bool did_subsume = false;
+      Verdict verdict = Verdict::No;
       try {
-        did_subsume = subsumes(ctx, solver, *rep, cand);
+        verdict = subsumes(ctx, solver, *rep, cand);
       } catch (const ResourceExhausted& e) {
         // The expr-node budget died while building the query terms:
         // inconclusive, so keep the candidate and go structural-only.
@@ -214,8 +231,8 @@ void winnow_group(solver::Context& ctx, std::vector<Record>& group,
         stats.status.merge(e.status());
         break;
       }
-      if (solver.unknowns() > unknowns_before) ++stats.solver_unknown;
-      if (did_subsume) {
+      if (verdict == Verdict::Unknown) ++stats.solver_unknown;
+      if (verdict == Verdict::Yes) {
         redundant = true;
         break;
       }

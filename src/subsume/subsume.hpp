@@ -85,8 +85,13 @@ std::vector<gadget::Record> minimize(solver::Context& ctx,
                                      int threads = 0,
                                      Governor* governor = nullptr);
 
+/// Three-valued answer of a pair test. Unknown: a solver query was cut
+/// before it proved or refuted the pair, which minimize() counts in
+/// Stats::solver_unknown and treats as "not subsumed".
+enum class Verdict : u8 { No, Yes, Unknown };
+
 /// Does g1 subsume g2 (eq. 1)? Exposed for tests.
-bool subsumes(solver::Context& ctx, solver::Solver& solver,
-              const gadget::Record& g1, const gadget::Record& g2);
+Verdict subsumes(solver::Context& ctx, solver::Solver& solver,
+                 const gadget::Record& g1, const gadget::Record& g2);
 
 }  // namespace gp::subsume

@@ -301,10 +301,8 @@ void expect_index_linear_parity(Assembler& a, const Goal& goal) {
   Scenario s(a);
   Options on;
   on.use_index = true;
-  on.use_nogoods = true;
   Options off;
   off.use_index = false;
-  off.use_nogoods = false;
   Planner pi(s.ctx, s.lib, s.img);
   const auto indexed = pi.plan(goal, on);
   Planner pl(s.ctx, s.lib, s.img);
@@ -374,7 +372,6 @@ TEST(Planner, UnreachableGoalFastFails) {
   Planner p(s.ctx, s.lib, s.img);
   Options on;
   on.use_index = true;
-  on.use_nogoods = true;
   EXPECT_TRUE(p.plan(Goal::execve(), on).empty());
   EXPECT_EQ(p.stats().unreachable_goals, 1u);
   EXPECT_EQ(p.stats().expansions, 0u);  // rejected before any search
@@ -383,7 +380,6 @@ TEST(Planner, UnreachableGoalFastFails) {
   Planner lin(s.ctx, s.lib, s.img);
   Options off;
   off.use_index = false;
-  off.use_nogoods = false;
   EXPECT_TRUE(lin.plan(Goal::execve(), off).empty());
   EXPECT_EQ(lin.stats().unreachable_goals, 0u);
   EXPECT_GT(lin.stats().expansions, 0u);

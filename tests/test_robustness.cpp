@@ -55,40 +55,42 @@ Assembler classic_rop() {
 // ---------------------------------------------------------------------------
 
 TEST(UnknownSoundness, ExhaustedBudgetNeverProves) {
+  using solver::SatResult;
   solver::Context ctx;
   const auto x = ctx.var("x", 64);
   const auto lt5 = ctx.ult(x, ctx.constant(5, 64));
   const auto lt10 = ctx.ult(x, ctx.constant(10, 64));
+  // lt5 -> lt10 is proven when its refutation {lt5, !lt10} is UNSAT.
+  const std::vector<solver::ExprRef> valid = {lt5, ctx.bnot(lt10)};
+  const std::vector<solver::ExprRef> invalid = {lt10, ctx.bnot(lt5)};
 
   {
     solver::Solver s(ctx);
-    ASSERT_TRUE(s.prove_implies(lt5, lt10));  // genuinely valid
-    ASSERT_FALSE(s.prove_implies(lt10, lt5));
+    ASSERT_EQ(s.check(valid), SatResult::Unsat);  // genuinely valid
+    ASSERT_EQ(s.check(invalid), SatResult::Sat);
   }
 
-  // A spent solver-check budget makes every query UNKNOWN — which must
-  // surface as "not proven", not as a fake proof (the historical bug:
-  // prove_implies returned !is_sat, so UNKNOWN proved anything).
+  // A spent solver-check budget makes every query UNKNOWN — a third answer,
+  // never the UNSAT that would prove the implication (the historical bug: a
+  // bool implication check returned "not SAT", so UNKNOWN proved anything).
   GovernorOptions gopts;
   gopts.max_solver_checks = 1;
   Governor gov(gopts);
   ASSERT_TRUE(gov.solver_checks().try_consume());
 
   solver::Solver s(ctx, /*conflict_budget=*/2'000'000, &gov);
-  EXPECT_FALSE(s.prove_implies(lt5, lt10));
-  EXPECT_TRUE(s.last_unknown());
-  EXPECT_EQ(s.unknowns(), 1u);
-  EXPECT_EQ(s.check({lt5}), solver::SatResult::Unknown);
+  EXPECT_EQ(s.check(valid), SatResult::Unknown);
+  EXPECT_EQ(s.check(std::vector{lt5}), SatResult::Unknown);
 
-  // UNKNOWN is never memoized: the identical query answers correctly once
-  // the governor is lifted (the old code cached UNKNOWN as UNSAT).
-  s.set_governor(nullptr);
-  EXPECT_TRUE(s.prove_implies(lt5, lt10));
-  EXPECT_FALSE(s.last_unknown());
-  EXPECT_EQ(s.check({lt5}), solver::SatResult::Sat);
+  // Nothing is remembered: the identical queries answer correctly on a
+  // solver with budget left.
+  solver::Solver fresh(ctx);
+  EXPECT_EQ(fresh.check(valid), SatResult::Unsat);
+  EXPECT_EQ(fresh.check(std::vector{lt5}), SatResult::Sat);
 }
 
 TEST(UnknownSoundness, CancelledGovernorIsInconclusive) {
+  using solver::SatResult;
   solver::Context ctx;
   const auto x = ctx.var("x", 64);
   const auto lt5 = ctx.ult(x, ctx.constant(5, 64));
@@ -97,14 +99,14 @@ TEST(UnknownSoundness, CancelledGovernorIsInconclusive) {
   Governor gov;
   gov.cancel();
   solver::Solver s(ctx, 2'000'000, &gov);
-  EXPECT_FALSE(s.prove_implies(lt5, lt10));
-  EXPECT_TRUE(s.last_unknown());
+  EXPECT_EQ(s.check(std::vector{lt5, ctx.bnot(lt10)}), SatResult::Unknown);
   // Constant-only queries stay conclusive even when governed out.
-  EXPECT_TRUE(s.prove_valid(ctx.t()));
-  EXPECT_FALSE(s.is_sat({ctx.f()}));
+  EXPECT_EQ(s.check(std::vector{ctx.t()}), SatResult::Sat);
+  EXPECT_EQ(s.check(std::vector{ctx.f()}), SatResult::Unsat);
 }
 
 TEST(UnknownSoundness, InjectedSolverFaultIsInconclusive) {
+  using solver::SatResult;
   solver::Context ctx;
   const auto x = ctx.var("x", 64);
   const auto lt5 = ctx.ult(x, ctx.constant(5, 64));
@@ -112,10 +114,10 @@ TEST(UnknownSoundness, InjectedSolverFaultIsInconclusive) {
 
   fault::ScopedSpec scoped("solver=1");
   solver::Solver s(ctx);
-  EXPECT_EQ(s.check({lt5}), solver::SatResult::Unknown);
-  EXPECT_FALSE(s.prove_implies(lt5, lt10));  // valid, but unknowable here
-  EXPECT_FALSE(s.prove_implies(lt10, lt5));  // invalid: also "not proven"
-  EXPECT_GE(s.unknowns(), 3u);
+  EXPECT_EQ(s.check(std::vector{lt5}), SatResult::Unknown);
+  // A valid and an invalid implication are both unknowable here.
+  EXPECT_EQ(s.check(std::vector{lt5, ctx.bnot(lt10)}), SatResult::Unknown);
+  EXPECT_EQ(s.check(std::vector{lt10, ctx.bnot(lt5)}), SatResult::Unknown);
 }
 
 TEST(UnknownSoundness, MinimizeKeepsBothWhenInconclusive) {
@@ -153,7 +155,7 @@ TEST(UnknownSoundness, MinimizeKeepsBothWhenInconclusive) {
   subsume::Stats st;
   kept = subsume::minimize(ctx, pair, &st, 20'000, /*threads=*/1);
   EXPECT_EQ(kept.size(), 2u);
-  EXPECT_GT(st.solver_unknown, 0u);
+  EXPECT_EQ(st.solver_unknown, 1u);  // one pair, one inconclusive verdict
 }
 
 TEST(UnknownSoundness, ConcretizeTreatsUnknownAsFailureNotUnsat) {

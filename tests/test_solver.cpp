@@ -559,6 +559,20 @@ class SolverTest : public ::testing::Test {
   Context ctx;
   Solver solver{ctx};
   ExprRef c(u64 v, u8 w = 64) { return ctx.constant(v, w); }
+  /// A model of the conjunction `q`; nullopt unless it is Sat.
+  std::optional<Model> model_of(const std::vector<ExprRef>& q) {
+    Model m;
+    if (solver.check(q, &m) != SatResult::Sat) return std::nullopt;
+    return m;
+  }
+  /// `a == b` under every assignment: their disequality is Unsat.
+  bool proven_equal(ExprRef a, ExprRef b) {
+    return solver.check(std::vector{ctx.ne(a, b)}) == SatResult::Unsat;
+  }
+  /// `a -> b` under every assignment: {a, !b} is Unsat.
+  bool proven_implies(ExprRef a, ExprRef b) {
+    return solver.check(std::vector{a, ctx.bnot(b)}) == SatResult::Unsat;
+  }
 };
 
 struct Blasted {
@@ -675,7 +689,7 @@ TEST_F(SolverTest, GateTableGrowth) {
 TEST_F(SolverTest, SimpleEquationModel) {
   ExprRef x = ctx.var("x", 64);
   // x + 5 == 12
-  auto m = solver.check_sat({ctx.eq(ctx.add(x, c(5)), c(12))});
+  auto m = model_of({ctx.eq(ctx.add(x, c(5)), c(12))});
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ((*m)[x], 7u);
 }
@@ -683,7 +697,7 @@ TEST_F(SolverTest, SimpleEquationModel) {
 TEST_F(SolverTest, UnsatContradiction) {
   ExprRef x = ctx.var("x", 64);
   EXPECT_FALSE(
-      solver.check_sat({ctx.eq(x, c(1)), ctx.eq(x, c(2))}).has_value());
+      model_of({ctx.eq(x, c(1)), ctx.eq(x, c(2))}).has_value());
 }
 
 TEST_F(SolverTest, XorDecomposition) {
@@ -693,7 +707,7 @@ TEST_F(SolverTest, XorDecomposition) {
   ExprRef b = ctx.var("b", 64);
   ExprRef lhs = ctx.bxor(a, b);
   ExprRef rhs = ctx.bor(ctx.band(ctx.bnot(a), b), ctx.band(a, ctx.bnot(b)));
-  EXPECT_TRUE(solver.prove_equal(lhs, rhs));
+  EXPECT_TRUE(proven_equal(lhs, rhs));
 }
 
 TEST_F(SolverTest, AddDecomposition) {
@@ -702,38 +716,38 @@ TEST_F(SolverTest, AddDecomposition) {
   ExprRef b = ctx.var("b", 64);
   ExprRef rhs =
       ctx.add(ctx.bxor(a, b), ctx.mul(c(2), ctx.band(a, b)));
-  EXPECT_TRUE(solver.prove_equal(ctx.add(a, b), rhs));
+  EXPECT_TRUE(proven_equal(ctx.add(a, b), rhs));
 }
 
 TEST_F(SolverTest, NotEqualCatchesDifference) {
   ExprRef a = ctx.var("a", 64);
-  EXPECT_FALSE(solver.prove_equal(ctx.add(a, c(1)), ctx.add(a, c(2))));
-  EXPECT_FALSE(solver.prove_equal(ctx.mul(a, c(2)), ctx.shl(a, c(2))));
-  EXPECT_TRUE(solver.prove_equal(ctx.mul(a, c(2)), ctx.shl(a, c(1))));
+  EXPECT_FALSE(proven_equal(ctx.add(a, c(1)), ctx.add(a, c(2))));
+  EXPECT_FALSE(proven_equal(ctx.mul(a, c(2)), ctx.shl(a, c(2))));
+  EXPECT_TRUE(proven_equal(ctx.mul(a, c(2)), ctx.shl(a, c(1))));
 }
 
 TEST_F(SolverTest, OpaquePredicateAlwaysTrue) {
   // x*x + x is even: the bogus-control-flow opaque predicate.
   ExprRef x = ctx.var("x", 64);
   ExprRef e = ctx.band(ctx.add(ctx.mul(x, x), x), c(1));
-  EXPECT_TRUE(solver.prove_equal(e, c(0)));
+  EXPECT_TRUE(proven_equal(e, c(0)));
 }
 
 TEST_F(SolverTest, Implication) {
   ExprRef x = ctx.var("x", 64);
   ExprRef stronger = ctx.eq(x, c(5));
   ExprRef weaker = ctx.ult(x, c(10));
-  EXPECT_TRUE(solver.prove_implies(stronger, weaker));
-  EXPECT_FALSE(solver.prove_implies(weaker, stronger));
-  EXPECT_TRUE(solver.prove_implies(ctx.f(), stronger));
-  EXPECT_TRUE(solver.prove_implies(stronger, ctx.t()));
+  EXPECT_TRUE(proven_implies(stronger, weaker));
+  EXPECT_FALSE(proven_implies(weaker, stronger));
+  EXPECT_TRUE(proven_implies(ctx.f(), stronger));
+  EXPECT_TRUE(proven_implies(stronger, ctx.t()));
 }
 
 TEST_F(SolverTest, SignedComparisons) {
   ExprRef x = ctx.var("x", 64);
   // x < 0 signed AND x > 10 unsigned is satisfiable (negative values are
   // huge unsigned).
-  auto m = solver.check_sat({ctx.slt(x, c(0)), ctx.ult(c(10), x)});
+  auto m = model_of({ctx.slt(x, c(0)), ctx.ult(c(10), x)});
   ASSERT_TRUE(m.has_value());
   EXPECT_TRUE(static_cast<i64>((*m)[x]) < 0);
 }
@@ -741,7 +755,7 @@ TEST_F(SolverTest, SignedComparisons) {
 TEST_F(SolverTest, ShiftSemantics) {
   ExprRef x = ctx.var("x", 8);
   // (x << 1) == 0x54  ->  x == 0x2a or 0xaa (top bit shifted out).
-  auto m = solver.check_sat({ctx.eq(ctx.shl(x, c(1, 8)), c(0x54, 8))});
+  auto m = model_of({ctx.eq(ctx.shl(x, c(1, 8)), c(0x54, 8))});
   ASSERT_TRUE(m.has_value());
   const u64 v = (*m)[x];
   EXPECT_EQ((v << 1) & 0xff, 0x54u);
@@ -751,22 +765,37 @@ TEST_F(SolverTest, IteBlasting) {
   ExprRef x = ctx.var("x", 64);
   ExprRef cond = ctx.ult(x, c(100));
   ExprRef e = ctx.ite(cond, c(1), c(2));
-  auto m = solver.check_sat({ctx.eq(e, c(2))});
+  auto m = model_of({ctx.eq(e, c(2))});
   ASSERT_TRUE(m.has_value());
   EXPECT_GE((*m)[x], 100u);
 }
 
-TEST_F(SolverTest, MemoCacheHits) {
+TEST_F(SolverTest, RepeatedQueryConsumesBudget) {
+  // Every check() is a fresh query: asking the same question again draws
+  // another solver-check unit, so a budget of two answers exactly two.
   ExprRef x = ctx.var("x", 64);
-  ExprRef q = ctx.eq(x, c(3));
-  EXPECT_TRUE(solver.is_sat({q}));
-  const u64 before = solver.cache_hits();
-  EXPECT_TRUE(solver.is_sat({q}));
-  EXPECT_GT(solver.cache_hits(), before);
+  const std::vector<ExprRef> q = {ctx.eq(x, c(3))};
+  GovernorOptions gopts;
+  gopts.max_solver_checks = 2;
+  Governor gov(gopts);
+  Solver governed(ctx, /*conflict_budget=*/2'000'000, &gov);
+  EXPECT_EQ(governed.check(q), SatResult::Sat);
+  EXPECT_EQ(governed.check(q), SatResult::Sat);
+  EXPECT_EQ(governed.check(q), SatResult::Unknown);
+}
+
+TEST_F(SolverTest, ModelFilledOnlyOnSat) {
+  ExprRef x = ctx.var("x", 64);
+  Model m{{x, 99}};
+  EXPECT_EQ(solver.check(std::vector{ctx.eq(x, c(1)), ctx.eq(x, c(2))}, &m),
+            SatResult::Unsat);
+  EXPECT_EQ(m.at(x), 99u);  // untouched
+  EXPECT_EQ(solver.check(std::vector{ctx.eq(x, c(3))}, &m), SatResult::Sat);
+  EXPECT_EQ(m.at(x), 3u);
 }
 
 /// Property: for random expression trees, solver-found models actually
-/// evaluate to satisfy the constraint (model soundness), and prove_equal
+/// evaluate to satisfy the constraint (model soundness), and proven_equal
 /// agrees with randomized evaluation (no false equivalences on sampled
 /// points).
 TEST_F(SolverTest, RandomExpressionModelSoundness) {
@@ -790,7 +819,7 @@ TEST_F(SolverTest, RandomExpressionModelSoundness) {
     }
     ExprRef e = pool.back();
     const u64 target = rng.below(1 << 16);
-    auto m = solver.check_sat({ctx.eq(e, c(target, 16))});
+    auto m = model_of({ctx.eq(e, c(target, 16))});
     if (m.has_value()) {
       std::unordered_map<ExprRef, u64> env(m->begin(), m->end());
       EXPECT_EQ(ctx.eval(e, env), target) << ctx.to_string(e);
