@@ -93,13 +93,9 @@ echo "== tier-1: campaign batch run (4 concurrent sessions) =="
 # one engine. The JSON summary must parse, no job may fail outright
 # (degraded-but-usable statuses are acceptable), and — the multi-tenant
 # determinism claim — the per-job result digests must be byte-identical to
-# a sequential (--jobs 1) run of the same campaign. The sequential run
-# additionally disables the planner's candidate index + nogood learning
-# (GP_PLAN_INDEX=0), so the single digest diff proves BOTH invariants at
-# once: concurrency does not change results, and the indexed search is a
-# pure accelerator over the linear reference path. The 4-way summary is
-# kept as the BENCH_pipeline.json perf artifact (per-stage seconds, pool
-# sizes, chain counts per job).
+# a sequential (--jobs 1) run of the same campaign: concurrency does not
+# change results. The 4-way summary is kept as the BENCH_pipeline.json
+# perf artifact (per-stage seconds, pool sizes, chain counts per job).
 # Campaign exit codes are 0 ok / 3 degraded / 4 failed; degraded jobs
 # (deadline/budget, still usable) are acceptable here — the python below
 # separately asserts that nothing failed outright.
@@ -108,7 +104,7 @@ rc=0
   --summary BENCH_pipeline.json --trace-out "$KR_TMP/trace.json" || rc=$?
 [ "$rc" -eq 0 ] || [ "$rc" -eq 3 ]
 rc=0
-GP_PLAN_INDEX=0 "$PIPELINE" --campaign --profiles llvm-obf --goal execve \
+"$PIPELINE" --campaign --profiles llvm-obf --goal execve \
   --jobs 1 --summary "$KR_TMP/campaign-seq.json" >/dev/null || rc=$?
 [ "$rc" -eq 0 ] || [ "$rc" -eq 3 ]
 python3 - BENCH_pipeline.json "$KR_TMP/campaign-seq.json" <<'PY'
@@ -120,31 +116,33 @@ bad = [r for r in par["results"] if r["status"] == "internal"]
 assert par["jobs_failed"] == 0 and not bad, f"failed jobs: {bad}"
 dig = lambda s: {(r["program"], r["obfuscation"], r["opt_level"]): r["digest"]
                  for r in s["results"]}
-assert dig(par) == dig(seq), \
-    "concurrency or the planner index changed campaign results"
+assert dig(par) == dig(seq), "concurrency changed campaign results"
 print(f'campaign: {par["jobs"]} jobs ok, '
-      f'4-way indexed digests == sequential linear-reference digests')
+      f'4-way digests == sequential digests')
 PY
 
-echo "== tier-1: planner index + dead-end learning drill =="
-# Three claims over the indexed campaign run:
+echo "== tier-1: planner index drill =="
+# Three claims over the campaign run:
 #  1. Unreachable goals fail fast: any job the reachability precheck
 #     rejected must spend under a second in the plan stage (they used to
 #     burn the full ~57s search budget each to find nothing).
-#  2. Nogood learning keeps the search out of known dead ends: the
-#     aggregate dead-end/expansion ratio stays bounded (the pre-index
-#     planner sat near 195 dead ends per expansion on this corpus).
-#  3. The new planner counters are present and the index actually served
-#     the search (hits > 0 across the campaign).
+#  2. The search stays out of dead ends: the aggregate dead-end/expansion
+#     ratio stays bounded (the pre-index planner sat near 195 dead ends
+#     per expansion on this corpus).
+#  3. The planner counters are present and the index actually served the
+#     search (hits > 0 across the campaign). Counters of deleted planner
+#     machinery must not come back.
 python3 - BENCH_pipeline.json <<'PY'
 import json, sys
 s = json.load(open(sys.argv[1]))
 res = s["results"]
-counters = ("plan_index_hits", "plan_nogood_hits",
-            "plan_needs_truncated", "plan_unreachable_goals")
+counters = ("plan_index_hits", "plan_needs_truncated",
+            "plan_unreachable_goals")
 for r in res:
     for c in counters:
         assert c in r["metrics"], f'{r["program"]}: missing {c}'
+    for c in ("plan_nogood_hits", "plan_nogood_learned"):
+        assert c not in r["metrics"], f'{r["program"]}: stale counter {c}'
 unreachable = [r for r in res if r["metrics"]["plan_unreachable_goals"] > 0]
 slow = [(r["program"], r["obfuscation"], r["plan_seconds"])
         for r in unreachable if r["plan_seconds"] >= 1.0]

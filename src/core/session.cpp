@@ -368,7 +368,7 @@ std::vector<payload::Chain> Session::find_chains(const payload::Goal& goal) {
   snapshot_store_stats();
   report_.plan_seconds += secs_since(t0);
   report_.rss_mb_after_plan = current_rss_mb();
-  report_.plan_status = st;
+  report_.plan_status.merge(st);
   return chains;
 }
 

@@ -37,8 +37,11 @@ bool admissible(const Record& g, const AdmissionFlags& f) {
   return true;
 }
 
+namespace {
+/// The full semantic profile of lib[gi] as a provider of `reg`; `rsp0` is
+/// the initial-rsp variable that stack-relative writes are based on.
 Candidate analyze_candidate(solver::Context& ctx, const gadget::Library& lib,
-                            u32 gi, Reg reg) {
+                            u32 gi, Reg reg, ExprRef rsp0) {
   const Record& g = lib[gi];
   Candidate c;
   c.gadget = gi;
@@ -99,12 +102,9 @@ Candidate analyze_candidate(solver::Context& ctx, const gadget::Library& lib,
   // the no-alias memory model cannot see; validation usually rejects such
   // chains, so prefer gadgets without them.
   int wild_writes = 0;
-  {
-    const ExprRef rsp0v = ctx.var(sym::initial_reg_var(Reg::RSP), 64);
-    for (const auto& w : g.writes) {
-      const auto bo = sym::split_base_offset(ctx, w.addr);
-      if (!bo || bo->base != rsp0v) ++wild_writes;
-    }
+  for (const auto& w : g.writes) {
+    const auto bo = sym::split_base_offset(ctx, w.addr);
+    if (!bo || bo->base != rsp0) ++wild_writes;
   }
 
   // Prefer clean ret gadgets with simple transfer targets; complex
@@ -186,9 +186,11 @@ Candidate analyze_candidate(solver::Context& ctx, const gadget::Library& lib,
   }
   return c;
 }
+}  // namespace
 
 GadgetIndex GadgetIndex::build(solver::Context& ctx,
                                const gadget::Library& lib) {
+  const ExprRef rsp0 = ctx.var(sym::initial_reg_var(Reg::RSP), 64);
   GadgetIndex idx;
   for (int r = 0; r < x86::kNumRegs; ++r) {
     const Reg reg = static_cast<Reg>(r);
@@ -196,7 +198,7 @@ GadgetIndex GadgetIndex::build(solver::Context& ctx,
     auto& bucket = idx.by_reg_[static_cast<size_t>(r)];
     bucket.reserve(controlling.size());
     for (const u32 gi : controlling)
-      bucket.push_back(analyze_candidate(ctx, lib, gi, reg));
+      bucket.push_back(analyze_candidate(ctx, lib, gi, reg, rsp0));
   }
   return idx;
 }

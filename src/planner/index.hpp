@@ -9,13 +9,7 @@
 // per-pair computation into one precomputed Candidate per (register,
 // controlling gadget), built once per pool and shared by every goal,
 // round and restart; expand() becomes a cheap filter over prescored
-// buckets.
-//
-// Equivalence contract: analyze_candidate() is the ONE implementation of
-// the per-candidate semantics. The index stores its output verbatim and
-// the linear (index-disabled) path calls it per expansion, so the two
-// modes produce byte-identical chains — the tier-1 harness diffs campaign
-// result digests across GP_PLAN_INDEX=0/1 to prove it.
+// buckets. The index is the planner's only candidate source.
 //
 // The index is a pure function of pool content (admissibility stays a
 // runtime Record-field check so one index serves every ablation), so a
@@ -91,22 +85,15 @@ struct AdmissionFlags {
 /// Planner::admissible delegates here.)
 bool admissible(const gadget::Record& g, const AdmissionFlags& f);
 
-/// Compute the full semantic profile of lib[gi] as a provider of `reg`.
-/// This is the one transcription of expand()'s per-candidate analysis —
-/// both the index build and the linear fallback call it, which is what
-/// makes the two modes bit-identical.
-Candidate analyze_candidate(solver::Context& ctx, const gadget::Library& lib,
-                            u32 gi, x86::Reg reg);
-
 class GadgetIndex {
  public:
   /// Analyze every (register, controlling gadget) pair of `lib`. May throw
-  /// ResourceExhausted under a counted budget; callers fall back to the
-  /// linear path (identical results, just slower).
+  /// ResourceExhausted under a counted budget (its one intern, the initial
+  /// rsp variable, already exists in any pool with a decoded ret gadget).
   static GadgetIndex build(solver::Context& ctx, const gadget::Library& lib);
 
-  /// Prescored candidates for `reg`, in lib.controlling(reg) order (the
-  /// order the linear path scans, so stable sorts tie-break identically).
+  /// Prescored candidates for `reg`, in lib.controlling(reg) order (so
+  /// stable sorts tie-break by pool order).
   std::span<const Candidate> candidates(x86::Reg reg) const {
     return by_reg_[static_cast<size_t>(reg)];
   }

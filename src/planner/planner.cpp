@@ -11,9 +11,7 @@
 
 namespace gp::planner {
 
-using gadget::EndKind;
 using gadget::Record;
-using gadget::reg_bit;
 using payload::Chain;
 using payload::Goal;
 using solver::ExprRef;
@@ -100,32 +98,14 @@ bool Planner::reg_usable(Reg reg, const Options& opts) {
   auto it = usable_by_reg_.find(static_cast<int>(reg));
   if (it != usable_by_reg_.end()) return it->second;
   bool usable = false;
-  if (index_) {
-    for (const Candidate& c : index_->candidates(reg)) {
-      if (!admissible(lib_[c.gadget], opts)) continue;
-      if (c.position_filtered()) continue;
-      if ((c.flags & Candidate::kConstValue) &&
-          !goal_const_match(reg, c.const_value))
-        continue;
-      usable = true;
-      break;
-    }
-  } else {
-    for (const u32 gi : lib_.controlling(reg)) {
-      const Record& g = lib_[gi];
-      if (!admissible(g, opts)) continue;
-      if (g.end == EndKind::Syscall) continue;
-      if (!g.stack_delta && g.end == EndKind::Ret &&
-          !g.can_set(x86::Reg::RSP))
-        continue;
-      if (g.next_rip != solver::kNoExpr && ctx_.is_const(g.next_rip))
-        continue;
-      const ExprRef fin = g.final_regs[static_cast<int>(reg)];
-      if (ctx_.is_const(fin) && !goal_const_match(reg, ctx_.const_val(fin)))
-        continue;
-      usable = true;
-      break;
-    }
+  for (const Candidate& c : index_->candidates(reg)) {
+    if (!admissible(lib_[c.gadget], opts)) continue;
+    if (c.position_filtered()) continue;
+    if ((c.flags & Candidate::kConstValue) &&
+        !goal_const_match(reg, c.const_value))
+      continue;
+    usable = true;
+    break;
   }
   usable_by_reg_.emplace(static_cast<int>(reg), usable);
   return usable;
@@ -141,23 +121,9 @@ std::vector<Planner::Plan> Planner::expand(const Plan& p,
   // Paper: pick an open pre-condition, find gadgets that can fulfil it.
   const auto [reg, consumer] = p.delta.back();
 
-  // Candidate profiles: served from the prescored index when built, else
-  // analyzed here per expansion (the linear reference path). Both sides
-  // are the same analyze_candidate(), over the same lib_.controlling(reg)
-  // order, so ranking ties and the rotation shuffle permute identically —
-  // the two modes are bit-for-bit equivalent.
-  std::vector<Candidate> scratch;
-  std::span<const Candidate> cands;
-  if (index_) {
-    cands = index_->candidates(reg);
-    ++stats_.index_hits;
-  } else {
-    const auto& controlling = lib_.controlling(reg);
-    scratch.reserve(controlling.size());
-    for (const u32 gi : controlling)
-      scratch.push_back(analyze_candidate(ctx_, lib_, gi, reg));
-    cands = scratch;
-  }
+  // Candidate profiles, prescored in lib_.controlling(reg) order.
+  const std::span<const Candidate> cands = index_->candidates(reg);
+  ++stats_.index_hits;
 
   // Rank candidates: fewest register dependencies first (a self-dependent
   // setter like `add rax, rcx; ret` technically "sets" rax but re-opens the
@@ -204,15 +170,12 @@ std::vector<Planner::Plan> Planner::expand(const Plan& p,
     const Record& g = lib_[gi];
     if (!admissible(g, opts)) continue;
     // A chain's inner gadget must transfer control onward to a place the
-    // payload can choose; a constant target (resolved jump table) would
-    // force a specific successor address.
-    if (c.flags & Candidate::kSyscallEnd) continue;
-    // Ret gadgets whose stack delta is symbolic are still usable when the
-    // final rsp is attacker-aimable (a stack pivot, e.g. lea rsp,[rbp-K]
-    // with a popped rbp); the composition solver aims the pivot into the
-    // payload.
-    if (c.flags & Candidate::kStackBad) continue;
-    if (c.flags & Candidate::kNextRipConst) continue;
+    // payload can choose: not a syscall, not a ret with a symbolic stack
+    // delta and no attacker-aimable rsp (a pivot such as lea rsp,[rbp-K]
+    // with a popped rbp stays usable; the composition solver aims it into
+    // the payload), and not a constant target (a resolved jump table would
+    // force a specific successor address).
+    if (c.position_filtered()) continue;
     // A constant-valued setter cannot be steered; it only ever serves a
     // terminal goal whose target is that exact constant.
     if ((c.flags & Candidate::kConstValue) &&
@@ -247,6 +210,16 @@ std::vector<Planner::Plan> Planner::expand(const Plan& p,
     }
 
     if (needs_unmet) {
+      ++stats_.dead_ends;
+      continue;
+    }
+    if (static_cast<int>(base.delta.size()) > opts.max_open_goals) {
+      ++stats_.dead_ends;
+      continue;
+    }
+    // A plan at the gadget cap with goals still open can never complete.
+    if (!base.delta.empty() &&
+        static_cast<int>(base.alpha.size()) >= opts.max_plan_gadgets) {
       ++stats_.dead_ends;
       continue;
     }
@@ -303,37 +276,15 @@ std::vector<Planner::Plan> Planner::expand(const Plan& p,
     // Keep only the first acyclic resolution: beta variants almost always
     // linearize to the same gadget sequence, and the restart rounds provide
     // better diversity than threat-ordering permutations.
-    {
-      std::vector<std::vector<std::pair<int, int>>> pruned;
-      for (const auto& extra : resolutions) {
-        Plan probe = base;
-        for (const auto& e : extra) probe.beta.push_back(e);
-        if (linearize(probe)) {
-          pruned.push_back(extra);
-          break;
-        }
-      }
-      resolutions = std::move(pruned);
-    }
-
-    if (static_cast<int>(base.delta.size()) > opts.max_open_goals) {
-      ++stats_.dead_ends;
-      continue;
-    }
-    // A plan at the gadget cap with goals still open can never complete.
-    if (!base.delta.empty() &&
-        static_cast<int>(base.alpha.size()) >= opts.max_plan_gadgets) {
-      ++stats_.dead_ends;
-      continue;
-    }
     bool produced = false;
     for (const auto& extra : resolutions) {
-      Plan np = base;
-      for (const auto& e : extra) np.beta.push_back(e);
-      if (!linearize(np)) continue;
-      out.push_back(std::move(np));
-      produced = true;
-      if (out.size() > 64) break;  // successor cap per expansion
+      Plan probe = base;
+      for (const auto& e : extra) probe.beta.push_back(e);
+      if (linearize(probe)) {
+        out.push_back(std::move(probe));
+        produced = true;
+        break;
+      }
     }
     if (!produced) {
       ++stats_.dead_ends;
@@ -346,58 +297,30 @@ std::vector<Planner::Plan> Planner::expand(const Plan& p,
   return out;
 }
 
-void Planner::ensure_index(const Options& opts) {
-  if (!opts.use_index) {
-    index_.reset();
-    return;
+bool Planner::terminal_feasible(const Record& s, const Goal& goal) const {
+  for (const payload::RegTarget& t : goal.regs) {
+    if (!s.clobbers(t.reg)) continue;  // a producer will set it
+    if (!s.can_set(t.reg)) return false;
+    const ExprRef fin = s.final_regs[static_cast<int>(t.reg)];
+    if (ctx_.is_const(fin) &&
+        !(t.kind == payload::RegTarget::Kind::Const &&
+          ctx_.const_val(fin) == t.value))
+      return false;
   }
-  if (index_) return;
-  try {
-    trace::Span span("plan.index", "planner", opts.session_id);
-    index_ = GadgetIndex::build(ctx_, lib_);
-    ++stats_.index_builds;
-  } catch (const ResourceExhausted&) {
-    // Budget died mid-build: fall back to the per-expansion linear path,
-    // which produces identical results. Not a degradation of output, so
-    // the status stays untouched.
-    index_.reset();
-  }
+  return true;
 }
 
 bool Planner::precheck_unreachable(const Goal& goal, const Options& opts) {
-  if (!index_) return false;
   const auto t0 = std::chrono::steady_clock::now();
   trace::Span span("plan.precheck", "planner", opts.session_id);
   const AdmissionFlags flags{opts.use_cond_gadgets, opts.use_indirect_gadgets,
                              opts.use_direct_merged};
-  bool unreachable = index_->goal_unreachable(lib_, goal, flags);
-  if (!unreachable) {
-    // Terminal feasibility: some admissible syscall gadget must be able to
-    // seed a plan (mirrors run_round's seeding filter — a gadget that
-    // forces a goal register to the wrong constant cannot terminate any
-    // chain).
-    bool any_feasible = false;
-    for (const u32 si : lib_.syscalls()) {
-      const Record& s = lib_[si];
-      if (!admissible(s, opts)) continue;
-      bool feasible = true;
-      for (const payload::RegTarget& t : goal.regs) {
-        const ExprRef fin = s.final_regs[static_cast<int>(t.reg)];
-        if (s.clobbers(t.reg)) {
-          if (!s.can_set(t.reg)) feasible = false;
-          if (ctx_.is_const(fin) &&
-              !(t.kind == payload::RegTarget::Kind::Const &&
-                ctx_.const_val(fin) == t.value))
-            feasible = false;
-        }
-      }
-      if (feasible) {
-        any_feasible = true;
-        break;
-      }
-    }
-    unreachable = !any_feasible;
-  }
+  const auto seeds_plan = [&](u32 si) {
+    return admissible(lib_[si], opts) && terminal_feasible(lib_[si], goal);
+  };
+  const bool unreachable =
+      index_->goal_unreachable(lib_, goal, flags) ||
+      std::ranges::none_of(lib_.syscalls(), seeds_plan);
   stats_.precheck_us = static_cast<u64>(
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::steady_clock::now() - t0)
@@ -408,23 +331,28 @@ bool Planner::precheck_unreachable(const Goal& goal, const Options& opts) {
 
 std::vector<Chain> Planner::plan(const Goal& goal, const Options& opts) {
   goal_ = &goal;
-  // Explicit per-call windows: one goal's stats, concretization failures,
-  // usability memo and nogoods must not leak into the next goal's search
-  // on a reused planner. Only the candidate index (pool content) carries
-  // over.
+  // Explicit per-call windows: one goal's stats, concretization failures
+  // and usability memo must not leak into the next goal's search on a
+  // reused planner. Only the candidate index (pool content) carries over.
   usable_by_reg_.clear();
   failure_count_.clear();
-  nogoods_.clear();
   stats_ = Stats{};
   std::vector<Chain> chains;
 
-  ensure_index(opts);
+  if (!index_) {
+    try {
+      trace::Span span("plan.index", "planner", opts.session_id);
+      index_ = GadgetIndex::build(ctx_, lib_);
+      ++stats_.index_builds;
+    } catch (const ResourceExhausted& e) {
+      // A budget died mid-build: end the call like a search cut
+      // mid-expansion, with no chains and the degradation recorded.
+      ++stats_.deadline_cuts;
+      stats_.status.merge(e.status());
+      return chains;
+    }
+  }
   if (precheck_unreachable(goal, opts)) return chains;
-  // Fail fast: if any goal register has no statically usable provider at
-  // all, no plan can ever complete. (Strictly weaker than the precheck's
-  // producer closure; it is what the linear path relies on.)
-  for (const payload::RegTarget& t : goal.regs)
-    if (!reg_usable(t.reg, opts)) return chains;
 
   std::set<std::vector<u32>> seen_sequences;
   // The round deadline is the tighter of the local time budget and the
@@ -482,38 +410,6 @@ u64 Planner::visited_fingerprint(const Plan& p) const {
   return multiset_hash(parts, 0x9e3779b97f4a7c15ULL + p.terminal);
 }
 
-u64 Planner::state_fingerprint(const Plan& p) const {
-  // Everything a zero-successor expand() verdict can depend on: the
-  // focused open goal (delta.back), the open-goal count (the
-  // max_open_goals cap), the exact alpha step sequence (threat analysis,
-  // consumer indices, the gadget cap) and the normalized ordering
-  // constraints (linearization). Goal and options are fixed for the
-  // table's lifetime (it is cleared per plan() call), so they are not
-  // here; rotation and failure counts are excluded by design — they
-  // permute candidate order, and emptiness is order-independent.
-  serial::Writer w;
-  w.put_u32(p.terminal);
-  w.put_u32(static_cast<u32>(p.alpha.size()));
-  for (const Step& s : p.alpha) {
-    w.put_u32(s.gadget);
-    w.put_u8(static_cast<u8>(s.provides));
-    w.put_i64(s.consumer);
-  }
-  std::vector<std::pair<int, int>> beta = p.beta;
-  std::sort(beta.begin(), beta.end());
-  beta.erase(std::unique(beta.begin(), beta.end()), beta.end());
-  w.put_u32(static_cast<u32>(beta.size()));
-  for (const auto& [before, after] : beta) {
-    w.put_i64(before);
-    w.put_i64(after);
-  }
-  w.put_u32(static_cast<u32>(p.delta.size()));
-  const auto& [reg, consumer] = p.delta.back();
-  w.put_u8(static_cast<u8>(reg));
-  w.put_i64(consumer);
-  return serial::fnv1a(w.bytes());
-}
-
 void Planner::run_round(const Goal& goal, const Options& opts,
                         std::vector<Chain>& chains,
                         std::set<std::vector<u32>>& seen_sequences,
@@ -525,28 +421,14 @@ void Planner::run_round(const Goal& goal, const Options& opts,
   for (const u32 si : lib_.syscalls()) {
     const Record& s = lib_[si];
     if (!admissible(s, opts)) continue;
-    Plan p;
-    p.terminal = si;
-    bool feasible = true;
-    for (const payload::RegTarget& t : goal.regs) {
-      // If the syscall gadget itself forces this register, it must either
-      // leave it alone (a producer will set it) or be able to establish it
-      // itself (payload slots / transferred registers). A constant final
-      // value is only viable when it matches the goal outright.
-      const ExprRef fin = s.final_regs[static_cast<int>(t.reg)];
-      if (s.clobbers(t.reg)) {
-        if (!s.can_set(t.reg)) feasible = false;
-        if (ctx_.is_const(fin) &&
-            !(t.kind == payload::RegTarget::Kind::Const &&
-              ctx_.const_val(fin) == t.value))
-          feasible = false;
-      }
-      p.delta.push_back({t.reg, -1});
-    }
-    if (!feasible) {
+    if (!terminal_feasible(s, goal)) {
       ++stats_.dead_ends;
       continue;
     }
+    Plan p;
+    p.terminal = si;
+    for (const payload::RegTarget& t : goal.regs)
+      p.delta.push_back({t.reg, -1});
     queue.push(std::move(p));
   }
 
@@ -617,28 +499,7 @@ void Planner::run_round(const Goal& goal, const Options& opts,
       continue;
     }
 
-    // Dead-end learning: a state whose expand() provably produced zero
-    // successors stays barren in every later round (candidate ROTATION
-    // only permutes order, never the filter outcomes), so answer repeat
-    // visits from the table. The pop above already charged the expansion,
-    // exactly like the re-scan it replaces — queue evolution and budget
-    // consumption are identical with learning on or off.
-    u64 state_fp = 0;
-    if (opts.use_index) {
-      state_fp = state_fingerprint(best);
-      if (nogoods_.count(state_fp)) {
-        ++stats_.nogood_hits;
-        ++stats_.dead_ends;
-        continue;
-      }
-    }
-
-    std::vector<Plan> successors = expand(best, opts);
-    if (successors.empty() && opts.use_index) {
-      nogoods_.insert(state_fp);
-      ++stats_.nogood_learned;
-    }
-    for (Plan& np : successors) {
+    for (Plan& np : expand(best, opts)) {
       // Dedupe structurally identical plans (same gadgets, orderings and
       // open goals) that different expansion orders keep regenerating.
       // (per-round scope; rounds re-explore with rotated rankings)

@@ -22,12 +22,10 @@
 #include <set>
 #include <span>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "gadget/gadget.hpp"
 #include "payload/payload.hpp"
 #include "planner/index.hpp"
-#include "support/config.hpp"
 #include "support/metrics.hpp"
 #include "support/serial.hpp"
 
@@ -54,8 +52,7 @@ struct Options {
   /// solver work each; jobs that do find chains never exceeded 10
   /// failures, so the default keeps a >10x margin). A COUNTED budget,
   /// not wall clock: the cut point is deterministic, so results stay
-  /// reproducible and checkpointable, and it applies identically with
-  /// the index on or off. 0 = unlimited.
+  /// reproducible and checkpointable. 0 = unlimited.
   int max_concretize_failures = 128;
   double time_budget_seconds = 60.0;
   /// Diversification: the search restarts this many times, rotating the
@@ -74,14 +71,6 @@ struct Options {
   bool use_indirect_gadgets = true;
   bool use_direct_merged = true;   // gadgets spanning direct jumps
 
-  /// Search over the precomputed GadgetIndex instead of re-analyzing every
-  /// candidate per expansion, run the reachability precheck, and learn
-  /// nogoods (zero-successor search states are never re-expanded within or
-  /// across the restart rounds of one plan() call). Results are
-  /// bit-identical either way (the tier-1 harness diffs digests across the
-  /// two modes); off is the linear reference path. Defaults from the
-  /// GP_PLAN_INDEX knob.
-  bool use_index = config().plan_index;
   /// Owning session id for trace spans (0 = none).
   u64 session_id = 0;
 
@@ -89,8 +78,7 @@ struct Options {
   /// artifact-store key writer. Time budget and governor are excluded on
   /// purpose: results are only checkpointed when the search ran uncut, and
   /// an uncut search is deterministic regardless of how much budget was
-  /// left over. use_index is likewise excluded: it accelerates the
-  /// search without changing its output.
+  /// left over.
   void append_key(serial::Writer& w) const;
 };
 
@@ -110,20 +98,14 @@ struct Stats {
   u64 concretize_resource_cut = 0;
   u64 concretize_validation_failed = 0;
   /// Search rounds cut short by the deadline / governor (checked at every
-  /// queue pop) or by an exhausted global budget mid-expansion. The chains
-  /// found before the cut are still returned.
+  /// queue pop) or by an exhausted global budget mid-expansion or during
+  /// the index build. The chains found before the cut are still returned.
   u64 deadline_cuts = 0;
-  /// Expansions served from prescored GadgetIndex buckets (vs the linear
-  /// re-analysis fallback).
+  /// Expansions served from prescored GadgetIndex buckets.
   u64 index_hits = 0;
   /// GadgetIndex builds this call (0 when an earlier plan() call on the
   /// same Planner already built it).
   u64 index_builds = 0;
-  /// Queue pops answered by the nogood table (state already proven to have
-  /// zero successors — the expand scan is skipped entirely).
-  u64 nogood_hits = 0;
-  /// Zero-successor states learned this call.
-  u64 nogood_learned = 0;
   /// Accepted candidates whose indirect-read dependency walk hit the
   /// expansion cap: deep pointer-dependency chains beyond the cap are
   /// treated as met, which this counter makes visible instead of silent.
@@ -158,8 +140,6 @@ struct Stats {
       {"deadline_cuts", &Stats::deadline_cuts},
       {"index_hits", &Stats::index_hits},
       {"index_builds", &Stats::index_builds},
-      {"nogood_hits", &Stats::nogood_hits},
-      {"nogood_learned", &Stats::nogood_learned},
       {"needs_truncated", &Stats::needs_truncated},
       {"unreachable_goals", &Stats::unreachable_goals},
       {"failure_budget_cuts", &Stats::failure_budget_cuts},
@@ -214,7 +194,8 @@ class Planner {
 
   bool admissible(const gadget::Record& g, const Options& opts) const;
   /// Is there any statically usable provider for `reg`? (memoized per
-  /// plan() call; terminal_const_ok allows exact-constant terminal matches)
+  /// plan() call; a constant provider counts only when it matches a Const
+  /// goal target exactly)
   bool reg_usable(x86::Reg reg, const Options& opts);
   /// Does the provided constant exactly match a Const goal target for reg?
   bool goal_const_match(x86::Reg reg, u64 value) const;
@@ -226,10 +207,12 @@ class Planner {
   static std::optional<std::vector<int>> linearize(const Plan& p);
   std::vector<Plan> expand(const Plan& p, const Options& opts);
 
-  /// Build the candidate index unless an earlier call already did; resets
-  /// it when use_index is off. On budget exhaustion mid-build the planner
-  /// falls back to the linear path — identical results, just slower.
-  void ensure_index(const Options& opts);
+  /// Can syscall gadget `s` terminate a chain for `goal`? A goal register
+  /// the gadget itself clobbers must stay establishable by it, and a
+  /// constant final value must match the goal outright. Seeds run_round's
+  /// queue and the precheck's terminal test alike.
+  bool terminal_feasible(const gadget::Record& s,
+                         const payload::Goal& goal) const;
   /// Sound fast-fail: true when the goal provably has no chain (missing
   /// producer closure for a goal register or no feasible syscall gadget) —
   /// exactly the cases where the full search would burn its budget to find
@@ -237,8 +220,7 @@ class Planner {
   bool precheck_unreachable(const payload::Goal& goal, const Options& opts);
 
   /// Has this call consumed the max_concretize_failures give-up budget?
-  /// (Counted on the per-call stats window, so it is deterministic and
-  /// identical with the index on or off.)
+  /// (Counted on the per-call stats window, so it is deterministic.)
   bool failure_budget_spent(const Options& opts) const {
     return opts.max_concretize_failures > 0 &&
            stats_.concretize_calls - stats_.validated >=
@@ -249,12 +231,6 @@ class Planner {
   /// over the step/open-goal multiset (multiset_hash — duplicate steps do
   /// not cancel).
   u64 visited_fingerprint(const Plan& p) const;
-  /// Nogood identity of a search state: everything expand() reads —
-  /// terminal, the alpha step sequence, normalized beta, the focused open
-  /// goal and the open-goal count. Rotation and failure counts are
-  /// deliberately absent (they permute candidate order; a zero-successor
-  /// result is order-independent).
-  u64 state_fingerprint(const Plan& p) const;
 
   solver::Context& ctx_;
   const gadget::Library& lib_;
@@ -268,11 +244,6 @@ class Planner {
   std::unordered_map<u32, int> failure_count_;
   int rotation_ = 0;  // current restart round (rotates candidate ranking)
   std::optional<GadgetIndex> index_;
-  /// Learned dead ends: fingerprints of search states whose expand()
-  /// provably returns zero successors. Sound across restart rounds — a
-  /// state's successor set is empty independently of the rotation and the
-  /// failure counts (those only permute candidate order).
-  std::unordered_set<u64> nogoods_;
   Stats stats_;
 };
 

@@ -86,8 +86,6 @@ Config Config::from_env() {
     c.opt_level = static_cast<int>(v);
   }
 
-  c.plan_index = env_bool("GP_PLAN_INDEX", true);
-
   c.metrics = env_bool("GP_METRICS", true);
   c.trace = env_bool("GP_TRACE", false);
   if (const u64 buf = env_u64("GP_TRACE_BUF"))

@@ -3,17 +3,17 @@
 //
 // Config::from_env() (config.cpp) is the only place in src/ that calls
 // std::getenv — thread-pool sizing, governor budgets, retry policy, the
-// checkpoint-store directory, the fault-injection spec and the planner,
-// metrics and trace switches route through it. Two access patterns:
+// checkpoint-store directory, the fault-injection spec and the metrics and
+// trace switches route through it. Two access patterns:
 //
 //   - Config::from_env()  parses the environment fresh on every call.
 //     Module-level from_env() helpers (GovernorOptions::from_env,
 //     SupervisorOptions::from_env, ThreadPool::env_threads, ...) delegate
 //     here so tests that setenv() mid-process observe the change.
 //   - config()            a process-wide immutable snapshot taken on first
-//     use. Option defaults (the planner's index switch, the fault spec)
-//     read this snapshot instead of calling getenv per use; gp::Engine
-//     resolves its configuration from it exactly once.
+//     use. The fault-injection harness reads this snapshot instead of
+//     calling getenv per use; gp::Engine resolves its configuration from
+//     it exactly once.
 //
 // The snapshot is deliberately immutable: a mid-run environment change
 // must never reshape an analysis that is already in flight.
@@ -56,12 +56,6 @@ struct Config {
   /// there is no silent fallback, because a mis-set level would skew
   /// every measurement downstream.
   int opt_level = 0;
-
-  /// GP_PLAN_INDEX: the planner's precomputed candidate index, nogood
-  /// learning and reachability precheck. On by default — "0"/"false"/"off"
-  /// selects the linear reference path (same results, used by the tier-1
-  /// digest-identity drill).
-  bool plan_index = true;
 
   /// GP_METRICS: process-wide metrics registry (support/metrics). On by
   /// default — "0"/"false"/"off" disables collection (instrumentation

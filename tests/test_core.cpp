@@ -13,6 +13,7 @@
 #include "minic/minic.hpp"
 #include "payload/serialize.hpp"
 #include "support/metrics.hpp"
+#include "x86/encoder.hpp"
 
 namespace gp::core {
 namespace {
@@ -437,6 +438,41 @@ TEST(Session, OnePlannerIndexServesEveryGoal) {
     EXPECT_EQ(fresh.stats().index_builds, 1u);
   }
   EXPECT_GT(per_goal[0].size(), 1u) << "execve found no chain";
+}
+
+TEST(Session, PlanStatusKeepsAnEarlierGoalsCut) {
+  // plan_status is the first reason the plan stage ran degraded, so a
+  // clean goal planned after a cut one must not reset it to Ok.
+  x86::Assembler a;
+  a.pop(x86::Reg::RAX);
+  a.ret();
+  a.pop(x86::Reg::RSI);
+  a.ret();
+  a.pop(x86::Reg::RDX);
+  a.ret();
+  a.mov(x86::Reg::RDI, x86::Reg::RBX);  // rdi only from rbx, which no
+  a.ret();                              // gadget sets: execve unreachable
+  a.syscall();
+  PipelineOptions opts;
+  opts.store_dir.clear();
+  opts.plan.time_budget_seconds = 0;  // every search is cut at its first pop
+  Session session(Engine::shared(),
+                  image::Image(a.finish(), {}, image::kCodeBase), opts);
+
+  const payload::Goal set_rax{
+      "set_rax", 60,
+      {{x86::Reg::RAX, payload::RegTarget::Kind::Const, 60, {}}}};
+  EXPECT_TRUE(session.find_chains(set_rax).empty());
+  ASSERT_EQ(session.report().plan_status.code(), StatusCode::DeadlineExceeded);
+  EXPECT_EQ(session.planner_stats().deadline_cuts, 1u);
+
+  // The precheck rejects execve before any search: a clean plan() call.
+  EXPECT_TRUE(session.find_chains(payload::Goal::execve()).empty());
+  EXPECT_EQ(session.planner_stats().unreachable_goals, 1u);
+  EXPECT_EQ(session.planner_stats().deadline_cuts, 1u);
+  EXPECT_EQ(session.report().plan_status.code(), StatusCode::DeadlineExceeded);
+  EXPECT_EQ(session.report().worst_status().code(),
+            StatusCode::DeadlineExceeded);
 }
 
 TEST(Campaign, RegistryRollupMatchesJobStats) {

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "planner/index.hpp"
 #include "planner/planner.hpp"
 #include "subsume/subsume.hpp"
@@ -74,6 +77,8 @@ TEST(Planner, BuildsValidatedExecveChain) {
   EXPECT_TRUE(payload::validate(s.img, c, Goal::execve(),
                                 image::kStackTop - 0x2000, 0x1234567));
   EXPECT_GT(planner.stats().validated, 0u);
+  EXPECT_EQ(planner.stats().index_builds, 1u);
+  EXPECT_GT(planner.stats().index_hits, 0u);  // every expansion is indexed
 }
 
 TEST(Planner, BuildsMprotectAndMmapChains) {
@@ -264,11 +269,9 @@ TEST(Payload, GoalDefinitions) {
   EXPECT_TRUE(has_path);
 }
 
-// ---- GadgetIndex / nogood / reachability battery ----
+// ---- GadgetIndex / reachability battery ----
 
-/// Byte-level chain equality: gadget sequences AND payloads. This is the
-/// test-side analogue of the tier-1 digest diff — the index and nogood
-/// machinery must be pure accelerators.
+/// Byte-level chain equality: gadget sequences AND payloads.
 void expect_same_chains(const std::vector<Chain>& x,
                         const std::vector<Chain>& y) {
   ASSERT_EQ(x.size(), y.size());
@@ -295,64 +298,6 @@ TEST(MultisetHash, DuplicatesDoNotCancel) {
   EXPECT_NE(multiset_hash(ab, 7), multiset_hash(ab, 8));  // seed matters
 }
 
-/// Candidate-set equivalence on a scenario: the indexed search and the
-/// linear reference path must emit byte-identical chains.
-void expect_index_linear_parity(Assembler& a, const Goal& goal) {
-  Scenario s(a);
-  Options on;
-  on.use_index = true;
-  Options off;
-  off.use_index = false;
-  Planner pi(s.ctx, s.lib, s.img);
-  const auto indexed = pi.plan(goal, on);
-  Planner pl(s.ctx, s.lib, s.img);
-  const auto linear = pl.plan(goal, off);
-  expect_same_chains(indexed, linear);
-  ASSERT_FALSE(indexed.empty());
-  EXPECT_GT(pi.stats().index_hits, 0u);   // the fast path actually ran
-  EXPECT_EQ(pl.stats().index_hits, 0u);   // the reference never indexes
-}
-
-TEST(Planner, IndexMatchesLinearClassicRop) {
-  Assembler a = classic_rop();
-  expect_index_linear_parity(a, Goal::execve());
-}
-
-TEST(Planner, IndexMatchesLinearConditionalGadgets) {
-  // The Fig. 6 pool: the only rsi-setter carries a conditional-jump
-  // precondition, so the search has real dead ends for nogoods to learn.
-  Assembler a;
-  a.pop(Reg::RAX);
-  a.ret();
-  a.pop(Reg::RDI);
-  a.ret();
-  a.pop(Reg::RDX);
-  a.ret();
-  auto trap = a.new_label();
-  a.pop(Reg::RSI);
-  a.alu(Mnemonic::TEST, Reg::RAX, Reg::RAX);
-  a.jcc(Cond::NE, trap);
-  a.ret();
-  a.bind(trap);
-  a.int3();
-  a.syscall();
-  expect_index_linear_parity(a, Goal::execve());
-}
-
-TEST(Planner, IndexMatchesLinearJop) {
-  Assembler a;
-  a.pop(Reg::RAX);
-  a.ret();
-  a.pop(Reg::RDI);
-  a.ret();
-  a.pop(Reg::RDX);
-  a.ret();
-  a.pop(Reg::RSI);
-  a.jmp_reg(Reg::RAX);
-  a.syscall();
-  expect_index_linear_parity(a, Goal::execve());
-}
-
 TEST(Planner, UnreachableGoalFastFails) {
   // The only rdi-setter is a register transfer from rbx — and nothing in
   // the pool establishes rbx. reg_usable(rdi) alone is fooled (a static
@@ -370,19 +315,47 @@ TEST(Planner, UnreachableGoalFastFails) {
   a.syscall();
   Scenario s(a);
   Planner p(s.ctx, s.lib, s.img);
-  Options on;
-  on.use_index = true;
-  EXPECT_TRUE(p.plan(Goal::execve(), on).empty());
+  EXPECT_TRUE(p.plan(Goal::execve(), {}).empty());
   EXPECT_EQ(p.stats().unreachable_goals, 1u);
   EXPECT_EQ(p.stats().expansions, 0u);  // rejected before any search
-  // Soundness cross-check: the linear reference also finds nothing — it
-  // just burns search budget discovering it.
-  Planner lin(s.ctx, s.lib, s.img);
-  Options off;
-  off.use_index = false;
-  EXPECT_TRUE(lin.plan(Goal::execve(), off).empty());
-  EXPECT_EQ(lin.stats().unreachable_goals, 0u);
-  EXPECT_GT(lin.stats().expansions, 0u);
+
+  // Soundness, by brute force over the pool: count the sequences of up to
+  // 4 distinct non-syscall gadgets, then a syscall gadget, that concretize.
+  const std::vector<u32>& terminals = s.lib.syscalls();
+  ASSERT_FALSE(terminals.empty());
+  std::vector<u32> inner;
+  for (u32 gi = 0; gi < s.lib.size(); ++gi)
+    if (std::find(terminals.begin(), terminals.end(), gi) == terminals.end())
+      inner.push_back(gi);
+  const auto concretizable = [&](const Goal& goal) {
+    size_t found = 0;
+    std::vector<u32> seq;
+    std::function<void()> extend = [&] {
+      for (const u32 si : terminals) {
+        seq.push_back(si);
+        found += payload::concretize(s.ctx, s.lib, s.img, seq, goal)
+                     .chain.has_value();
+        seq.pop_back();
+      }
+      if (seq.size() == 4) return;
+      for (const u32 gi : inner) {
+        if (std::find(seq.begin(), seq.end(), gi) != seq.end()) continue;
+        seq.push_back(gi);
+        extend();
+        seq.pop_back();
+      }
+    };
+    extend();
+    return found;
+  };
+  EXPECT_EQ(concretizable(Goal::execve()), 0u);
+  // Positive control: the same enumeration does find chains once rdi is
+  // dropped from the goal (pop rax / pop rsi / pop rdx, then syscall).
+  Goal no_rdi = Goal::execve();
+  std::erase_if(no_rdi.regs, [](const payload::RegTarget& t) {
+    return t.reg == Reg::RDI;
+  });
+  EXPECT_GT(concretizable(no_rdi), 0u);
 }
 
 TEST(Planner, ReuseAcrossGoalsMatchesFreshPlanners) {
@@ -413,10 +386,9 @@ TEST(Planner, NeedsTruncationCountedNotSilent) {
   Scenario s(a, /*minimize_pool=*/false);
 
   bool truncated = false;
-  for (const u32 gi : s.lib.controlling(Reg::RAX)) {
-    const Candidate c = analyze_candidate(s.ctx, s.lib, gi, Reg::RAX);
+  const GadgetIndex index = GadgetIndex::build(s.ctx, s.lib);
+  for (const Candidate& c : index.candidates(Reg::RAX))
     truncated |= (c.flags & Candidate::kNeedsTruncated) != 0;
-  }
   EXPECT_TRUE(truncated);
 
   Planner p(s.ctx, s.lib, s.img);
