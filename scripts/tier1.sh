@@ -298,7 +298,8 @@ echo "== tier-1: serve drill (concurrency, SIGKILL, resume, shed, drain) =="
 #   3. A restarted daemon on the same store resumes the reissued requests
 #      warm (cache hits / resumes observed) to byte-identical digests.
 #   4. With GP_SERVE_QUEUE-sized admission (queue=1, max-active=1) a
-#      burst is shed with RETRY_AFTER (gp_client exit 5, serve.shed > 0).
+#      burst is shed with RETRY_AFTER (gp_client exit 5, serve.shed > 0,
+#      every shed counted as queue-full).
 #   5. SIGTERM drains: admitted work finishes, exit status 0, manifest
 #      on disk.
 #   6. Journal replay: a SIGKILLed daemon's *backlog* (admitted, not yet
@@ -428,7 +429,14 @@ import json, sys
 stats = json.load(open(sys.argv[1]))
 counters = stats["metrics"]["counters"]
 assert counters.get("serve.shed", 0) >= int(sys.argv[2]), counters
+# queue-full is the only admission limit a live daemon sheds on (draining
+# aside), so the per-reason counter must account for every shed.
+assert counters["serve.shed"] == counters.get("serve.shed.queue-full", 0), \
+    counters
 assert stats["serve"]["queue_limit"] == 1
+# The job deadline is what frees a worker; no separate watchdog exists.
+assert "watchdog_kills" not in stats["serve"], stats["serve"]
+assert "serve.watchdog_kills" not in counters, counters
 print(f'   shed {counters["serve.shed"]} requests '
       f'(client saw {sys.argv[2]} exit-5s), counters live')
 PY
@@ -484,7 +492,7 @@ echo "-- quarantine pass: a job that crashes the daemon twice is poisoned"
 # the reply, but the reply write can lose), so admitting the poison job
 # retries — an identical resubmit dedupes onto the journaled record, and
 # every extra daemon death only pushes the job further past the
-# GP_SERVE_POISON_RETRIES threshold.
+# kPoisonRetries (2) threshold.
 rm -rf "$SV/store-q"; mkdir -p "$SV/store-q"
 jid=
 for _ in 1 2 3; do

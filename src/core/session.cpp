@@ -167,7 +167,9 @@ Status Session::run_supervised(
   }
 }
 
-void Session::canonicalize_pool(std::vector<gadget::Record>& pool) {
+void Session::canonicalize_pool(
+    std::vector<gadget::Record>& pool,
+    const std::vector<std::vector<u8>>& records) {
   trace::Span span("canonicalize", "pool", id_);
   // Winnowing and planning must be pure functions of pool *content*, not
   // of however the expression arena happened to grow while computing it;
@@ -177,7 +179,6 @@ void Session::canonicalize_pool(std::vector<gadget::Record>& pool) {
   // content-determined, so decoding it into a fresh context pins both
   // paths to the same arena state.
   try {
-    const auto records = gadget::encode_pool(*ctx_, pool);
     auto fresh = std::make_unique<solver::Context>();
     fresh->set_governor(gov_.get());
     if (auto decoded = gadget::decode_pool(*fresh, records)) {
@@ -236,11 +237,13 @@ Status Session::extract() {
           metrics::publish("extract", report_.extract);
           return report_.extract.status;
         });
-    // Only a clean run is durable: a budget-cut pool is valid but partial,
-    // and caching it would freeze the degradation into future runs.
+    // One encoding serves the checkpoint and the canonical re-decode. Only
+    // a clean run is durable: a budget-cut pool is valid but partial, and
+    // caching it would freeze the degradation into future runs.
+    const auto records = gadget::encode_pool(*ctx_, pool_);
     if (store_ && report_.extract_status.ok())
-      store_->put(extract_key, gadget::encode_pool(*ctx_, pool_));
-    canonicalize_pool(pool_);
+      store_->put(extract_key, records);
+    canonicalize_pool(pool_, records);
   }
   report_.extract_seconds = secs_since(t0);
   report_.pool_raw = pool_.size();
@@ -259,6 +262,9 @@ Status Session::subsume() {
   // attributed to its own span, not folded into this one.
   trace::Span span("subsume", "stage", id_);
   auto t1 = Clock::now();
+  // encode_pool always emits a header record, so empty means "not encoded
+  // yet"; a stored winnow reuses its checkpoint encoding below.
+  std::vector<std::vector<u8>> records;
   if (opts_.run_subsumption) {
     bool have_min = false;
     std::string subsume_key;
@@ -301,8 +307,10 @@ Status Session::subsume() {
       // exhausted solver-check budget the winnow result can depend on lane
       // scheduling, so pinning the first result in the store is what makes
       // later resumed runs byte-identical.)
-      if (store_ && canonical_input && report_.subsume_status.ok())
-        store_->put(subsume_key, gadget::encode_pool(*ctx_, pool_));
+      if (store_ && canonical_input && report_.subsume_status.ok()) {
+        records = gadget::encode_pool(*ctx_, pool_);
+        store_->put(subsume_key, records);
+      }
     }
   }
   report_.subsume_seconds = secs_since(t1);
@@ -310,7 +318,8 @@ Status Session::subsume() {
   report_.rss_mb_after_subsume = current_rss_mb();
   snapshot_store_stats();
 
-  canonicalize_pool(pool_);
+  if (records.empty()) records = gadget::encode_pool(*ctx_, pool_);
+  canonicalize_pool(pool_, records);
   lib_ = std::make_unique<gadget::Library>(std::move(pool_));
   return report_.subsume_status;
 }

@@ -229,10 +229,11 @@ class Session {
   /// data) and the store format version.
   void append_image_key(serial::Writer& w) const;
 
-  /// Re-intern `pool` from its serialized form into a fresh context so the
-  /// next stage sees state that depends only on pool content — the same
-  /// state a resumed run reconstructs from a checkpoint.
-  void canonicalize_pool(std::vector<gadget::Record>& pool);
+  /// Re-intern `pool` from `records` (its gadget::encode_pool form) into a
+  /// fresh context so the next stage sees state that depends only on pool
+  /// content — the same state a resumed run reconstructs from a checkpoint.
+  void canonicalize_pool(std::vector<gadget::Record>& pool,
+                         const std::vector<std::vector<u8>>& records);
 
   /// Refresh report_.store with this session's window of store activity.
   void snapshot_store_stats();

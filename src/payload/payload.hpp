@@ -96,7 +96,7 @@ struct ConcretizeOptions {
   int validation_trials = 2;  // random uncontrolled-register trials
   /// Shared resource governor (optional; must outlive the call): bounds
   /// the composition re-execution (sym steps / expr nodes) and the payload
-  /// solve (solver checks, deadline watchdog). Exhaustion fails the call
+  /// solve (solver checks, deadline polls). Exhaustion fails the call
   /// (Unknown or ResourceCut) — never a crash, never a partial chain.
   Governor* governor = nullptr;
   /// Owning session id for trace spans (0 = none).

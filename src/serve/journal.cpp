@@ -42,6 +42,16 @@ std::vector<u8> event_payload(JournalEvent e, const std::string& job_id) {
   return w.take();
 }
 
+std::vector<u8> admit_payload(const JobSpec& spec, const std::string& job_id,
+                              u32 dead_incarnations) {
+  serial::Writer w;
+  w.put_u8(static_cast<u8>(JournalEvent::kAdmit));
+  w.put_str(job_id);
+  w.put_u32(dead_incarnations);
+  spec.encode(w);
+  return w.take();
+}
+
 int close_quiet(int fd) {
   if (fd >= 0) ::close(fd);
   return -1;
@@ -106,7 +116,6 @@ Status Journal::open() {
       bool parsed = true;
       switch (event) {
         case JournalEvent::kAdmit: {
-          const std::string klass = pr.get_str();
           const u32 carried = pr.get_u32();
           auto spec = JobSpec::decode(pr);
           if (!pr.ok() || !spec) {
@@ -119,7 +128,6 @@ Status Journal::open() {
           job = ReplayedJob{};  // a re-admit after Done restarts the cycle
           job.spec = std::move(*spec);
           job.job_id = id;
-          job.klass = klass;
           job.dead_incarnations = carried;
           break;
         }
@@ -147,15 +155,9 @@ Status Journal::open() {
           }
           break;
         }
-        case JournalEvent::kShed:
-          (void)pr.get_str();  // audit-only; reason unused on replay
-          parsed = pr.ok();
-          break;
         case JournalEvent::kQuarantined: {
-          (void)pr.get_str();
-          parsed = pr.ok();
           auto it = index.find(id);
-          if (parsed && it != index.end()) {
+          if (it != index.end()) {
             result.jobs[it->second].open = false;
             result.jobs[it->second].quarantined = true;
           }
@@ -214,7 +216,7 @@ ReplayResult Journal::take_replay() {
   return r;
 }
 
-Status Journal::append_locked(const std::vector<u8>& payload, bool sync) {
+Status Journal::append_locked(const std::vector<u8>& payload) {
   if (fd_ < 0) return Status::internal("journal not open");
   const std::vector<u8> rec = frame(payload);
   if (fault::should_fire(fault::Point::JournalAppend)) {
@@ -242,28 +244,21 @@ Status Journal::append_locked(const std::vector<u8>& payload, bool sync) {
                             std::strerror(n < 0 ? errno : EIO));
   }
   size_ += rec.size();
-  if (sync) (void)::fdatasync(fd_);
+  (void)::fdatasync(fd_);
   metrics::registry().counter("serve.journal_appends").add();
   return Status();
 }
 
-Status Journal::append_admit(const JobSpec& spec, const std::string& job_id,
-                             const std::string& klass,
-                             u32 dead_incarnations) {
-  serial::Writer w;
-  w.put_u8(static_cast<u8>(JournalEvent::kAdmit));
-  w.put_str(job_id);
-  w.put_str(klass);
-  w.put_u32(dead_incarnations);
-  spec.encode(w);
+Status Journal::append_admit(const JobSpec& spec,
+                             const std::string& job_id) {
+  const std::vector<u8> payload = admit_payload(spec, job_id, 0);
   std::lock_guard<std::mutex> lock(mu_);
-  return append_locked(w.bytes(), /*sync=*/true);
+  return append_locked(payload);
 }
 
 Status Journal::append_start(const std::string& job_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  return append_locked(event_payload(JournalEvent::kStart, job_id),
-                       /*sync=*/true);
+  return append_locked(event_payload(JournalEvent::kStart, job_id));
 }
 
 Status Journal::append_done(const std::string& job_id, u8 status_code,
@@ -274,48 +269,18 @@ Status Journal::append_done(const std::string& job_id, u8 status_code,
   w.put_u8(status_code);
   w.put_u64(digest);
   std::lock_guard<std::mutex> lock(mu_);
-  return append_locked(w.bytes(), /*sync=*/true);
-}
-
-Status Journal::append_shed(const std::string& job_id,
-                            const std::string& reason) {
-  serial::Writer w;
-  w.put_u8(static_cast<u8>(JournalEvent::kShed));
-  w.put_str(job_id);
-  w.put_str(reason);
-  std::lock_guard<std::mutex> lock(mu_);
-  // Audit trail only: a lost Shed record costs nothing durable, so skip
-  // the fsync — shed storms must stay cheap.
-  return append_locked(w.bytes(), /*sync=*/false);
-}
-
-Status Journal::append_quarantined(const std::string& job_id,
-                                   const std::string& reason) {
-  serial::Writer w;
-  w.put_u8(static_cast<u8>(JournalEvent::kQuarantined));
-  w.put_str(job_id);
-  w.put_str(reason);
-  std::lock_guard<std::mutex> lock(mu_);
-  return append_locked(w.bytes(), /*sync=*/true);
+  return append_locked(w.bytes());
 }
 
 Status Journal::compact(const std::vector<LiveJob>& live, bool clean) {
   serial::Writer out;
   out.put_raw(header_bytes());
   for (const LiveJob& job : live) {
-    serial::Writer admit;
-    admit.put_u8(static_cast<u8>(JournalEvent::kAdmit));
-    admit.put_str(job.job_id);
-    admit.put_str(job.klass);
-    admit.put_u32(job.dead_incarnations);
-    job.spec.encode(admit);
-    serial::put_record(out, admit.bytes());
+    serial::put_record(
+        out, admit_payload(job.spec, job.job_id, job.dead_incarnations));
     if (job.quarantined) {
-      serial::Writer q;
-      q.put_u8(static_cast<u8>(JournalEvent::kQuarantined));
-      q.put_str(job.job_id);
-      q.put_str("compacted");
-      serial::put_record(out, q.bytes());
+      serial::put_record(out,
+                         event_payload(JournalEvent::kQuarantined, job.job_id));
     } else if (job.started) {
       serial::put_record(out,
                          event_payload(JournalEvent::kStart, job.job_id));

@@ -12,9 +12,9 @@
 //
 // Design rules, inherited from the artifact store's discipline:
 //  - Appends are a single write() of a complete framed record followed by
-//    fdatasync (audit-only Shed records skip the sync). A crash mid-append
-//    leaves a torn tail whose CRC/length check fails on the next replay —
-//    the tail then reads as end-of-log, never as a crash or a bad record.
+//    fdatasync. A crash mid-append leaves a torn tail whose CRC/length
+//    check fails on the next replay — the tail then reads as end-of-log,
+//    never as a crash or a bad record.
 //  - Nothing in the file is trusted. A bad magic or bumped version reads
 //    as an empty log (the file is rotated to a fresh header); a corrupt or
 //    truncated record ends the replay at the last good record.
@@ -26,7 +26,7 @@
 // ends — and no CleanShutdown marker — means that incarnation of the job
 // died in flight. Replay counts such dead incarnations per job id (plus
 // any count carried over by compaction); the server quarantines jobs at
-// the GP_SERVE_POISON_RETRIES threshold.
+// kPoisonRetries (server.hpp) dead incarnations.
 //
 // Thread safety: all methods are serialized by an internal mutex; the
 // server additionally calls every append under its own registry lock so
@@ -46,22 +46,20 @@ namespace gp::serve {
 
 /// Bumped on any journal layout change; an old-version file reads as an
 /// empty log and is rotated.
-constexpr u32 kJournalVersion = 1;
+constexpr u32 kJournalVersion = 2;
 
 enum class JournalEvent : u8 {
-  kAdmit = 1,        // job admitted: spec + class + carried incarnations
+  kAdmit = 1,        // job admitted: spec + carried incarnations
   kStart = 2,        // a worker began running the job
   kDone = 3,         // terminal outcome: status code + digest
-  kShed = 4,         // admission refused (audit trail; not fsynced)
-  kQuarantined = 5,  // poison threshold crossed; answered `poisoned`
-  kCleanShutdown = 6,  // drain completed; open entries are not poison
+  kQuarantined = 4,  // poison threshold crossed; answered `poisoned`
+  kCleanShutdown = 5,  // drain completed; open entries are not poison
 };
 
 /// One job's state as reconstructed by replay().
 struct ReplayedJob {
   JobSpec spec;
   std::string job_id;
-  std::string klass;
   /// Start records never matched by a terminal record, plus the count an
   /// earlier compaction carried over — i.e. incarnations that died in
   /// flight (only meaningful when the log did not end cleanly).
@@ -87,7 +85,6 @@ struct ReplayResult {
 struct LiveJob {
   JobSpec spec;
   std::string job_id;
-  std::string klass;
   u32 dead_incarnations = 0;
   bool started = false;  // currently Active: compaction re-emits the Start
   /// Poisoned jobs stay in the compacted log (Admit + Quarantined records)
@@ -116,15 +113,12 @@ class Journal {
   // Appends. Every failure (including the injected journal_append torn
   // write) is a Status; the caller degrades to non-durable admission and
   // counts it — the daemon never dies over its audit trail.
-  Status append_admit(const JobSpec& spec, const std::string& job_id,
-                      const std::string& klass, u32 dead_incarnations = 0);
+  Status append_admit(const JobSpec& spec, const std::string& job_id);
   Status append_start(const std::string& job_id);
   Status append_done(const std::string& job_id, u8 status_code, u64 digest);
-  Status append_shed(const std::string& job_id, const std::string& reason);
-  Status append_quarantined(const std::string& job_id,
-                            const std::string& reason);
 
-  /// Rewrite the log to exactly `live` (admit + start records), appending
+  /// Rewrite the log to exactly `live` (admit + start/quarantined records,
+  /// the admit carrying each job's dead-incarnation count), appending
   /// a CleanShutdown marker when `clean`. Atomic (temp file + rename); on
   /// failure the old log stays.
   Status compact(const std::vector<LiveJob>& live, bool clean);
@@ -136,7 +130,7 @@ class Journal {
   const std::string& path() const { return path_; }
 
  private:
-  Status append_locked(const std::vector<u8>& payload, bool sync);
+  Status append_locked(const std::vector<u8>& payload);
   Status reopen_locked();
 
   std::string path_;

@@ -30,27 +30,18 @@ void put_type(serial::Writer& w, MsgType t) {
 
 std::string JobSpec::job_id() const {
   serial::Writer w;
-  // Only result-determining fields: two submits that would produce the same
-  // chains must collide so the registry and the artifact store deduplicate
-  // them. klass steers admission and stream is transport — excluded.
-  w.put_str(program);
-  w.put_str(source);
-  w.put_str(obf);
-  w.put_str(goal);
-  w.put_u64(seed);
-  w.put_f64(deadline_ms);
-  w.put_u64(solver_checks);
-  w.put_u64(sym_steps);
-  w.put_u64(expr_nodes);
+  encode(w);
   return "job-" + hex16(serial::fnv1a(w.bytes()));
 }
 
 void JobSpec::encode(serial::Writer& w) const {
+  // Only result-determining fields: two submits that would produce the same
+  // chains must collide so the registry and the artifact store deduplicate
+  // them (job_id() hashes exactly these bytes).
   w.put_str(program);
   w.put_str(source);
   w.put_str(obf);
   w.put_str(goal);
-  w.put_str(klass);
   w.put_u64(seed);
   w.put_f64(deadline_ms);
   w.put_u64(solver_checks);
@@ -64,7 +55,6 @@ std::optional<JobSpec> JobSpec::decode(serial::Reader& r) {
   s.source = r.get_str();
   s.obf = r.get_str();
   s.goal = r.get_str();
-  s.klass = r.get_str();
   s.seed = r.get_u64();
   s.deadline_ms = r.get_f64();
   s.solver_checks = r.get_u64();
@@ -227,11 +217,6 @@ std::optional<std::string> parse_error(serial::Reader& r) {
   std::string msg = r.get_str();
   if (!r.ok()) return std::nullopt;
   return msg;
-}
-
-std::optional<MsgType> peek_type(std::span<const u8> payload) {
-  if (payload.empty()) return std::nullopt;
-  return static_cast<MsgType>(payload[0]);
 }
 
 std::optional<MsgType> read_header(serial::Reader& r) {

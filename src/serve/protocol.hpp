@@ -11,11 +11,12 @@
 //
 // Job identity is content-addressed: JobSpec::job_id() hashes exactly the
 // fields that determine the analysis result (program, source, obfuscation,
-// seed, goal, budget overrides — NOT the admission class or streaming
-// preference). A client that reconnects after a dropped connection, or
-// re-submits after the daemon was SIGKILLed and restarted, lands on the
-// same id; combined with the content-addressed artifact store this makes
-// re-issued requests resume instead of recompute.
+// seed, goal, budget overrides — NOT the streaming preference), which are
+// also exactly the fields JobSpec::encode writes. A client that reconnects
+// after a dropped connection, or re-submits after the daemon was SIGKILLed
+// and restarted, lands on the same id; combined with the content-addressed
+// artifact store this makes re-issued requests resume instead of
+// recompute.
 //
 // The protocol is deliberately version-pinned (kProtocolVersion in every
 // frame'd Hello-free world: the version rides in each request) and bounded
@@ -34,7 +35,7 @@
 namespace gp::serve {
 
 /// Bumped on any wire-format change; a mismatched peer gets kError.
-constexpr u32 kProtocolVersion = 1;
+constexpr u32 kProtocolVersion = 2;
 
 /// Upper bound on one frame's payload bytes. Requests are tiny; responses
 /// carry at most a stats JSON blob. Anything larger is a corrupt length or
@@ -67,16 +68,14 @@ struct JobSpec {
   std::string source;   // optional inline mini-C source ("" = corpus lookup)
   std::string obf = "llvm-obf";
   std::string goal = "execve";  // "execve" | "mprotect" | "mmap" | "all"
-  std::string klass;            // admission class ("" = "default")
   u64 seed = 5;
   double deadline_ms = 0;  // per-request deadline override (0 = server's)
   u64 solver_checks = 0;   // counted-budget overrides (0 = server's)
   u64 sym_steps = 0;
   u64 expr_nodes = 0;
 
-  /// Content-addressed identity over every result-determining field
-  /// (admission class and transport preferences excluded). Filename- and
-  /// log-safe ("job-<hex16>").
+  /// Content-addressed identity: fnv1a over encode(), which writes only
+  /// result-determining fields. Filename- and log-safe ("job-<hex16>").
   std::string job_id() const;
 
   void encode(serial::Writer& w) const;
@@ -131,7 +130,7 @@ std::optional<AcceptedMsg> parse_accepted(serial::Reader& r);
 std::vector<u8> make_shed(u32 retry_after_ms, const std::string& reason);
 struct ShedMsg {
   u32 retry_after_ms = 0;
-  std::string reason;  // "queue-full" | "class-full" | "draining"
+  std::string reason;  // "queue-full" | "draining"
 };
 std::optional<ShedMsg> parse_shed(serial::Reader& r);
 
@@ -151,9 +150,6 @@ std::optional<std::string> parse_stats_reply(serial::Reader& r);
 
 std::vector<u8> make_error(const std::string& message);
 std::optional<std::string> parse_error(serial::Reader& r);
-
-/// First byte of a decoded payload, or nullopt for an empty one.
-std::optional<MsgType> peek_type(std::span<const u8> payload);
 
 /// Consume the leading [type byte][u32 protocol version] every message
 /// carries; nullopt on a short payload or version mismatch. The parse_*

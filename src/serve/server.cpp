@@ -57,8 +57,6 @@ ServeOptions ServeOptions::from_env() {
   o.queue_limit = cfg.serve_queue;
   o.max_active = cfg.serve_max_active;
   o.store_dir = cfg.store_dir;
-  o.poison_retries = cfg.serve_poison_retries;
-  o.watchdog_ms = cfg.serve_watchdog_ms;
   return o;
 }
 
@@ -66,10 +64,6 @@ Server::Server(core::Engine& engine, ServeOptions opts)
     : engine_(engine), opts_(std::move(opts)) {
   opts_.queue_limit = std::max(1, opts_.queue_limit);
   opts_.max_active = std::max(1, opts_.max_active);
-  if (opts_.per_class_limit <= 0 || opts_.per_class_limit > opts_.queue_limit)
-    opts_.per_class_limit = opts_.queue_limit;
-  opts_.poison_retries = std::max(1, opts_.poison_retries);
-  opts_.watchdog_ms = std::max(0, opts_.watchdog_ms);
 }
 
 Server::~Server() { stop(/*drain=*/false); }
@@ -142,12 +136,9 @@ Status Server::start() {
   stop_workers_.store(false);
   stop_conns_.store(false);
   stop_accept_.store(false);
-  stop_watchdog_.store(false);
   for (int i = 0; i < opts_.max_active; ++i)
     workers_.emplace_back([this] { worker_loop(); });
   accept_thread_ = std::thread([this] { accept_loop(); });
-  if (opts_.watchdog_ms > 0)
-    watchdog_thread_ = std::thread([this] { watchdog_loop(); });
   return Status();
 }
 
@@ -164,14 +155,13 @@ void Server::apply_replay(ReplayResult replay) {
     auto rec = std::make_shared<JobRecord>();
     rec->spec = std::move(job.spec);
     rec->id = job.job_id;
-    rec->klass = job.klass.empty() ? "default" : job.klass;
     rec->dead_incarnations = job.dead_incarnations;
     rec->enqueued_at = Clock::now();
 
     const bool poisoned =
         job.quarantined ||
         (job.open && !replay.clean_shutdown &&
-         job.dead_incarnations >= static_cast<u32>(opts_.poison_retries));
+         job.dead_incarnations >= kPoisonRetries);
     if (poisoned) {
       // Every incarnation of this job has killed its worker. Stop feeding
       // it workers: pin a terminal `poisoned` answer that dedupe and
@@ -185,7 +175,6 @@ void Server::apply_replay(ReplayResult replay) {
           "poisoned: " + std::to_string(job.dead_incarnations) +
           " incarnation(s) died in flight";
       jobs_[rec->id] = rec;  // never in done_order_: exempt from eviction
-      quarantined_count_++;
       replay_summary_.quarantined++;
       reg.counter("serve.quarantined").add();
       continue;
@@ -213,7 +202,6 @@ void Server::apply_replay(ReplayResult replay) {
     // ourselves — the client only ever needs to attach, never resubmit.
     jobs_[rec->id] = rec;
     queue_.push_back(rec);
-    queued_by_class_[rec->klass]++;
     replay_summary_.requeued++;
     reg.counter("serve.journal_requeued").add();
   }
@@ -226,27 +214,21 @@ void Server::apply_replay(ReplayResult replay) {
   if (journal_) (void)journal_->compact(live_jobs_locked(), /*clean=*/false);
 }
 
+LiveJob Server::JobRecord::live() const {
+  LiveJob l;
+  l.spec = spec;
+  l.job_id = id;
+  l.dead_incarnations = dead_incarnations;
+  l.started = state == State::Active;
+  l.quarantined = quarantined;
+  return l;
+}
+
 std::vector<LiveJob> Server::live_jobs_locked() const {
   std::vector<LiveJob> live;
-  for (const auto& [id, rec] : jobs_) {
-    if (rec->quarantined) {
-      LiveJob l;
-      l.spec = rec->spec;
-      l.job_id = rec->id;
-      l.klass = rec->klass;
-      l.dead_incarnations = rec->dead_incarnations;
-      l.quarantined = true;
-      live.push_back(std::move(l));
-    } else if (rec->state != JobRecord::State::Done) {
-      LiveJob l;
-      l.spec = rec->spec;
-      l.job_id = rec->id;
-      l.klass = rec->klass;
-      l.dead_incarnations = rec->dead_incarnations;
-      l.started = rec->state == JobRecord::State::Active;
-      live.push_back(std::move(l));
-    }
-  }
+  for (const auto& [id, rec] : jobs_)
+    if (rec->quarantined || rec->state != JobRecord::State::Done)
+      live.push_back(rec->live());
   return live;
 }
 
@@ -289,15 +271,9 @@ void Server::stop(bool drain) {
     while (!queue_.empty()) {
       RecordPtr rec = queue_.front();
       queue_.pop_front();
-      queued_by_class_[rec->klass]--;
       // The client that attached gets `cancelled` now, but the journal
       // keeps the job open: a restart on this store dir re-enqueues it.
-      LiveJob l;
-      l.spec = rec->spec;
-      l.job_id = rec->id;
-      l.klass = rec->klass;
-      l.dead_incarnations = rec->dead_incarnations;
-      leftover.push_back(std::move(l));
+      leftover.push_back(rec->live());
       rec->state = JobRecord::State::Done;
       rec->outcome.job_id = rec->id;
       rec->outcome.status_code = static_cast<u8>(StatusCode::Cancelled);
@@ -316,12 +292,10 @@ void Server::stop(bool drain) {
     // notify below would then be lost.
     std::lock_guard<std::mutex> lock(mu_);
     stop_workers_.store(true);
-    stop_watchdog_.store(true);
   }
   cv_.notify_all();
   for (auto& w : workers_) w.join();
   workers_.clear();
-  if (watchdog_thread_.joinable()) watchdog_thread_.join();
 
   // Final compaction: quarantined pins always survive; a drain shutdown
   // adds the CleanShutdown marker (no open job is poison evidence); a
@@ -476,8 +450,6 @@ Server::RecordPtr Server::handle_submit(int fd, const SubmitMsg& msg,
                                         bool& keep) {
   metrics::Registry& reg = metrics::registry();
   const std::string id = msg.spec.job_id();
-  const std::string klass =
-      msg.spec.klass.empty() ? "default" : msg.spec.klass;
 
   std::unique_lock<std::mutex> lock(mu_);
   if (auto it = jobs_.find(id); it != jobs_.end()) {
@@ -498,9 +470,6 @@ Server::RecordPtr Server::handle_submit(int fd, const SubmitMsg& msg,
   auto shed = [&](const std::string& reason) -> RecordPtr {
     const size_t depth = queue_.size();
     const double avg = avg_job_seconds_;
-    // Audit-only (not fsynced): a shed leaves no obligation behind, but
-    // the trail distinguishes "never admitted" from "lost" post-mortem.
-    if (journal_) (void)journal_->append_shed(id, reason);
     lock.unlock();
     // Hint when a queue slot should plausibly free up: the current backlog
     // worked off at the recent per-job rate across all workers.
@@ -517,23 +486,19 @@ Server::RecordPtr Server::handle_submit(int fd, const SubmitMsg& msg,
   if (draining_.load(std::memory_order_acquire)) return shed("draining");
   if (static_cast<int>(queue_.size()) >= opts_.queue_limit)
     return shed("queue-full");
-  if (queued_by_class_[klass] >= opts_.per_class_limit)
-    return shed("class-full");
 
   auto rec = std::make_shared<JobRecord>();
   rec->spec = msg.spec;
   rec->id = id;
-  rec->klass = klass;
   rec->enqueued_at = Clock::now();
   jobs_[id] = rec;
   queue_.push_back(rec);
-  queued_by_class_[klass]++;
   update_queue_gauges_locked();
   // Write-ahead, inside the admission lock so per-job record order matches
   // the state machine (no worker can journal a Start before this Admit).
   // An append failure degrades this job to non-durable admission — the
   // daemon keeps serving and the failure is counted, never fatal.
-  if (journal_ && !journal_->append_admit(msg.spec, id, klass).ok())
+  if (journal_ && !journal_->append_admit(msg.spec, id).ok())
     reg.counter("serve.journal_append_failures").add();
   lock.unlock();
   cv_.notify_all();
@@ -616,7 +581,6 @@ void Server::worker_loop() {
       if (stop_workers_.load()) return;
       rec = queue_.front();
       queue_.pop_front();
-      queued_by_class_[rec->klass]--;
       rec->state = JobRecord::State::Active;
       rec->stage = "starting";
       rec->gen++;
@@ -695,20 +659,6 @@ void Server::run_job(const RecordPtr& rec) {
     {
       std::lock_guard<std::mutex> lock(mu_);
       rec->session = &session;
-      rec->deadline_seconds = g.deadline_seconds;
-      rec->session_started_at = Clock::now();
-      rec->watchdog_fired = false;
-    }
-
-    // Test wedge: spin past the deadline ignoring everything but the
-    // governor's cancel flag — the watchdog's only lever on a genuinely
-    // stuck analysis.
-    if (const int wedge = test_wedge_ms_.load(std::memory_order_acquire);
-        wedge > 0) {
-      const auto until = Clock::now() + std::chrono::milliseconds(wedge);
-      while (Clock::now() < until &&
-             !session.governor().cancel_token().cancelled())
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
 
     // Same digest scheme as Campaign: goal name + serialized chains, in
@@ -789,35 +739,6 @@ void Server::finish_job(const RecordPtr& rec, JobOutcome outcome) {
   cv_.notify_all();
 }
 
-void Server::watchdog_loop() {
-  // Scan period: fine-grained enough for test-sized grace values, cheap
-  // enough to be invisible at the 10s default.
-  const auto period =
-      std::chrono::milliseconds(std::clamp(opts_.watchdog_ms / 4, 10, 200));
-  while (!stop_watchdog_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(period);
-    const double grace = opts_.watchdog_ms / 1e3;
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [id, rec] : jobs_) {
-      if (rec->state != JobRecord::State::Active || !rec->session ||
-          rec->watchdog_fired || rec->deadline_seconds <= 0)
-        continue;
-      if (secs_since(rec->session_started_at) <
-          rec->deadline_seconds + grace)
-        continue;
-      // The session blew through its own deadline without coming home:
-      // it is stuck somewhere that does not poll. Cancellation is the
-      // strongest safe lever — every loop head in the pipeline checks it,
-      // so the worker comes back with a degraded (cancelled) outcome
-      // instead of being wedged forever.
-      rec->session->governor().cancel();
-      rec->watchdog_fired = true;
-      watchdog_kills_++;
-      metrics::registry().counter("serve.watchdog_kills").add();
-    }
-  }
-}
-
 void Server::update_queue_gauges_locked() {
   metrics::registry()
       .gauge("serve.queue_depth")
@@ -831,14 +752,11 @@ void Server::update_queue_gauges_locked() {
 std::string Server::stats_json() const {
   size_t depth, njobs;
   int active;
-  u64 quarantined, watchdog_kills;
   {
     std::lock_guard<std::mutex> lock(mu_);
     depth = queue_.size();
     njobs = jobs_.size();
     active = active_;
-    quarantined = quarantined_count_;
-    watchdog_kills = watchdog_kills_;
   }
   const u64 journal_bytes = journal_ ? journal_->size_bytes() : 0;
   std::string j = "{\"serve\": {";
@@ -850,8 +768,7 @@ std::string Server::stats_json() const {
   j += std::string(", \"draining\": ") + (draining() ? "true" : "false");
   j += ", \"journal_depth\": " + std::to_string(depth + active);
   j += ", \"journal_bytes\": " + std::to_string(journal_bytes);
-  j += ", \"quarantined\": " + std::to_string(quarantined);
-  j += ", \"watchdog_kills\": " + std::to_string(watchdog_kills);
+  j += ", \"quarantined\": " + std::to_string(replay_summary_.quarantined);
   j += "}, \"metrics\": " + metrics::registry().to_json() + "}";
   return j;
 }

@@ -8,9 +8,8 @@
 //        │                                 │  streams progress/results; ALL
 //        │                                 │  socket I/O happens here
 //        ▼                                 ▼
-//   admission control            bounded job queue (GP_SERVE_QUEUE,
-//   (shed with RETRY_AFTER)      per-class limits) ──▶ N worker threads
-//                                                      (GP_SERVE_MAX_ACTIVE)
+//   admission control            bounded job queue  ──▶ N worker threads
+//   (shed with RETRY_AFTER)      (GP_SERVE_QUEUE)       (GP_SERVE_MAX_ACTIVE)
 //                                                      run Sessions on the
 //                                                      shared Engine
 //
@@ -20,11 +19,10 @@
 //    client hangup therefore never cancels an admitted job — the result
 //    lands in the registry (and, stage by stage, in the artifact store)
 //    and a reconnecting client re-attaches by job id.
-//  - Admission is bounded. Beyond GP_SERVE_QUEUE queued jobs (or the
-//    per-class share), a submit gets an immediate kShed with a
-//    retry_after_ms hint instead of queueing unboundedly. Identical
-//    resubmits (same JobSpec::job_id) dedupe onto the live or finished
-//    record and are never shed.
+//  - Admission is bounded. Beyond GP_SERVE_QUEUE queued jobs, a submit
+//    gets an immediate kShed with a retry_after_ms hint instead of
+//    queueing unboundedly. Identical resubmits (same JobSpec::job_id)
+//    dedupe onto the live or finished record and are never shed.
 //  - Every socket error is a Status (injected accept/sock_read/sock_write
 //    faults included): the connection dies, the daemon does not.
 //  - Graceful drain (SIGTERM / kShutdown): stop admitting, finish queued +
@@ -36,16 +34,16 @@
 //    start/done is written ahead to an append-only CRC-framed journal;
 //    a restart replays it and re-enqueues the incomplete backlog itself,
 //    with NO client resubmission. A job whose incarnations keep dying
-//    in flight is quarantined after GP_SERVE_POISON_RETRIES deaths and
-//    answered `poisoned` instead of being allowed to kill another worker.
-//  - A hung-job watchdog (GP_SERVE_WATCHDOG_MS grace past the effective
-//    deadline) cancels wedged sessions through their governors, so one
-//    stuck analysis cannot permanently eat a worker slot.
+//    in flight is quarantined after kPoisonRetries deaths and answered
+//    `poisoned` instead of being allowed to kill another worker.
 //
 // Per-request deadlines/budgets: JobSpec overrides are resolved against
 // the engine's gp::Config and split across GP_SERVE_MAX_ACTIVE workers via
 // GovernorOptions::split_across; degraded stages ride the Session's
 // supervised retry path and are returned with their Status, never dropped.
+// A job's deadline is what frees its worker: every governor poll in the
+// pipeline checks the deadline and the cancel flag together, so a session
+// past its deadline comes home degraded at its next poll point.
 #pragma once
 
 #include <atomic>
@@ -64,27 +62,20 @@
 
 namespace gp::serve {
 
+/// Dead in-flight incarnations (journal Start with no terminal record
+/// across a dirty shutdown) tolerated before a job is quarantined.
+constexpr u32 kPoisonRetries = 2;
+
 struct ServeOptions {
   std::string socket_path;  // unix-domain socket to listen on (required)
   int queue_limit = 64;     // queued (not yet running) jobs before shedding
   int max_active = 4;       // concurrent analysis workers
-  /// Per-admission-class queue share; 0 = the full queue_limit (classes
-  /// then only bound each other through the total).
-  int per_class_limit = 0;
   std::string store_dir;    // checkpoint/resume directory ("" disables)
-  /// Dead in-flight incarnations (journal Start with no terminal record
-  /// across a dirty shutdown) tolerated before a job is quarantined.
-  int poison_retries = 2;
-  /// Watchdog grace beyond a running job's effective deadline before its
-  /// session governor is cancelled; 0 disables the watchdog. Jobs with no
-  /// deadline are never watchdog-killed.
-  int watchdog_ms = 10'000;
   /// Journal size that triggers compaction on the next job completion.
   u64 journal_compact_bytes = u64{1} << 20;
 
-  /// GP_SERVE_SOCK / GP_SERVE_QUEUE / GP_SERVE_MAX_ACTIVE /
-  /// GP_SERVE_POISON_RETRIES / GP_SERVE_WATCHDOG_MS / GP_STORE_DIR via
-  /// gp::Config (fresh parse, setenv-sensitive like the other from_env
+  /// GP_SERVE_SOCK / GP_SERVE_QUEUE / GP_SERVE_MAX_ACTIVE / GP_STORE_DIR
+  /// via gp::Config (fresh parse, setenv-sensitive like the other from_env
   /// helpers).
   static ServeOptions from_env();
 };
@@ -145,14 +136,6 @@ class Server {
   /// jobs are provably still queued.
   void hold_workers(bool hold);
 
-  /// Test hook: make every job spin for `ms` after its session starts,
-  /// ignoring everything but governor cancellation — a deterministic
-  /// stand-in for "analysis wedged past its deadline" so the watchdog can
-  /// be exercised without a genuinely hung solver.
-  void set_test_wedge_ms(int ms) {
-    test_wedge_ms_.store(ms, std::memory_order_release);
-  }
-
   /// What journal replay did in start(). Zero-valued (journal_enabled ==
   /// false) when the server runs without a store dir.
   const ReplaySummary& replay_summary() const { return replay_summary_; }
@@ -161,7 +144,6 @@ class Server {
   struct JobRecord {
     JobSpec spec;
     std::string id;
-    std::string klass;  // resolved admission class ("default" if unset)
     enum class State : u8 { Queued, Active, Done } state = State::Queued;
     std::string stage = "queued";
     /// Bumped (under mu_) on every observable change; streamers wait on
@@ -176,17 +158,14 @@ class Server {
     u32 dead_incarnations = 0;
     /// Quarantined records are pinned: answered `poisoned`, never evicted.
     bool quarantined = false;
-    /// Watchdog bookkeeping, valid while a session is registered: when the
-    /// job's effective wall deadline (0 = none) started counting.
-    double deadline_seconds = 0;
-    std::chrono::steady_clock::time_point session_started_at;
-    bool watchdog_fired = false;
+
+    /// Journal::compact's view of this record.
+    LiveJob live() const;
   };
   using RecordPtr = std::shared_ptr<JobRecord>;
 
   void accept_loop();
   void worker_loop();
-  void watchdog_loop();
   /// Turn the journal's replayed state into registry records: completed
   /// jobs become attachable Done records, poisoned jobs become pinned
   /// `poisoned` answers, incomplete jobs re-enter the queue. Runs before
@@ -230,7 +209,6 @@ class Server {
   std::condition_variable cv_;  // broadcast on any job/queue/stop change
   std::map<std::string, RecordPtr> jobs_;
   std::deque<RecordPtr> queue_;
-  std::map<std::string, int> queued_by_class_;
   std::deque<std::string> done_order_;  // Done-record eviction (kDoneCap)
   int active_ = 0;
   /// EWMA of recent job seconds; scales the shed retry_after_ms hint.
@@ -238,18 +216,13 @@ class Server {
 
   std::vector<std::thread> workers_;
   std::thread accept_thread_;
-  std::thread watchdog_thread_;
-  std::atomic<bool> stop_watchdog_{false};
-  std::atomic<int> test_wedge_ms_{0};
   std::map<u64, std::thread> conn_threads_;
   std::map<u64, int> conn_fds_;
   std::vector<u64> finished_conns_;
   u64 next_conn_id_ = 0;
 
   std::unique_ptr<Journal> journal_;  // null when store_dir is empty
-  ReplaySummary replay_summary_;
-  u64 quarantined_count_ = 0;         // guarded by mu_
-  u64 watchdog_kills_ = 0;            // guarded by mu_
+  ReplaySummary replay_summary_;  // written before any thread starts
 };
 
 }  // namespace gp::serve

@@ -260,7 +260,7 @@ SatResult Sat::solve(i64 conflict_budget, const Governor* governor) {
   if (unsat_) return SatResult::Unsat;
   u64 restart_limit = 128;
   u64 conflicts_since_restart = 0;
-  // Deadline/cancel watchdog stride: one steady_clock read per 128
+  // Deadline/cancel poll stride: one steady_clock read per 128
   // propagate+decide rounds keeps the poll cost invisible next to unit
   // propagation while bounding overshoot to a few milliseconds.
   constexpr u64 kGovernorStride = 128;

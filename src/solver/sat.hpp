@@ -70,7 +70,7 @@ class Sat {
   /// Solve. `conflict_budget` < 0 means unlimited. When a governor is
   /// given, the propagation/decision loop polls its deadline and cancel
   /// token (every kGovernorStride iterations) and returns Unknown once it
-  /// should stop — the watchdog that keeps a pathological query from
+  /// should stop — the poll that keeps a pathological query from
   /// out-living the pipeline's wall-clock budget.
   SatResult solve(i64 conflict_budget = -1, const Governor* governor = nullptr);
 

@@ -97,15 +97,6 @@ Config Config::from_env() {
     c.serve_queue = static_cast<int>(std::min<u64>(q, u64{1} << 20));
   if (const u64 a = env_u64("GP_SERVE_MAX_ACTIVE"))
     c.serve_max_active = static_cast<int>(std::min<u64>(a, 256));
-  if (const u64 p = env_u64("GP_SERVE_POISON_RETRIES"))
-    c.serve_poison_retries = static_cast<int>(std::min<u64>(p, 100));
-  if (const char* s = std::getenv("GP_SERVE_WATCHDOG_MS")) {
-    char* end = nullptr;
-    const long long v = std::strtoll(s, &end, 10);
-    if (end != s && *end == '\0' && v >= 0)
-      c.serve_watchdog_ms =
-          static_cast<int>(std::min<long long>(v, 3'600'000));
-  }
 
   return c;
 }

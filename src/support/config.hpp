@@ -3,8 +3,9 @@
 //
 // Config::from_env() (config.cpp) is the only place in src/ that calls
 // std::getenv — thread-pool sizing, governor budgets, retry policy, the
-// checkpoint-store directory, the fault-injection spec and the metrics and
-// trace switches route through it. Two access patterns:
+// checkpoint-store directory, the fault-injection spec, the metrics and
+// trace switches and the three gp_serve knobs (socket, queue bound, worker
+// count) route through it. Two access patterns:
 //
 //   - Config::from_env()  parses the environment fresh on every call.
 //     Module-level from_env() helpers (GovernorOptions::from_env,
@@ -85,18 +86,6 @@ struct Config {
   /// counted budgets are split across them via
   /// GovernorOptions::split_across (clamped to [1, 256]; default 4).
   int serve_max_active = 4;
-
-  /// GP_SERVE_POISON_RETRIES: dead in-flight incarnations of one job
-  /// (start record in the journal, no terminal record, dirty shutdown)
-  /// tolerated before the job is quarantined and answered `poisoned`
-  /// instead of re-admitted (clamped to [1, 100]; default 2).
-  int serve_poison_retries = 2;
-
-  /// GP_SERVE_WATCHDOG_MS: grace beyond a running job's deadline before
-  /// the hung-job watchdog fires the session governor's cancel (0 disables
-  /// the watchdog; clamped to [0, 1h]; default 10s). Jobs with no deadline
-  /// are never watchdog-killed.
-  int serve_watchdog_ms = 10'000;
 
   /// Parse the environment now. The single std::getenv site in src/.
   static Config from_env();

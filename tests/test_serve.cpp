@@ -81,7 +81,6 @@ struct TestDaemon {
 
 TEST(ServeProtocol, JobSpecAndOutcomeRoundTrip) {
   JobSpec spec = tiny_spec(11);
-  spec.klass = "batch";
   spec.deadline_ms = 1500;
   spec.solver_checks = 4000;
   serial::Writer w;
@@ -91,7 +90,6 @@ TEST(ServeProtocol, JobSpecAndOutcomeRoundTrip) {
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->program, spec.program);
   EXPECT_EQ(back->source, spec.source);
-  EXPECT_EQ(back->klass, "batch");
   EXPECT_EQ(back->seed, 11u);
   EXPECT_DOUBLE_EQ(back->deadline_ms, 1500);
   EXPECT_EQ(back->solver_checks, 4000u);
@@ -117,11 +115,17 @@ TEST(ServeProtocol, JobSpecAndOutcomeRoundTrip) {
 
 TEST(ServeProtocol, JobIdHashesResultDeterminingFieldsOnly) {
   const JobSpec a = tiny_spec(7);
-  JobSpec b = tiny_spec(7);
-  // Admission class and streaming are transport, not analysis: same id.
-  b.klass = "interactive";
-  EXPECT_EQ(a.job_id(), b.job_id());
+  EXPECT_EQ(a.job_id(), tiny_spec(7).job_id());
   EXPECT_EQ(a.job_id().substr(0, 4), "job-");
+  // Pinned ids: served, journaled and attach ids must not move when the
+  // spec's encoding changes (literals recorded from an earlier build).
+  EXPECT_EQ(a.job_id(), "job-63bf8a191714c2b7");
+  JobSpec budgeted = tiny_spec(7);
+  budgeted.deadline_ms = 1500;
+  budgeted.solver_checks = 4000;
+  budgeted.sym_steps = 50000;
+  budgeted.expr_nodes = 200000;
+  EXPECT_EQ(budgeted.job_id(), "job-5a2efecc232fe738");
 
   // Any result-determining field forks the id.
   JobSpec c = tiny_spec(8);
@@ -262,37 +266,6 @@ TEST(ServeDaemon, ShedsWhenQueueIsFullAndReportsRetryAfter) {
   d.server->stop(/*drain=*/true);
 }
 
-TEST(ServeDaemon, PerClassLimitBoundsOneTenantNotTheOther) {
-  TestDaemon d(/*queue_limit=*/8, /*max_active=*/1);
-  // Rebuild with a per-class cap of 1.
-  d.server->stop(true);
-  ServeOptions opts = d.server->options();
-  opts.per_class_limit = 1;
-  d.server = std::make_unique<Server>(*d.engine, opts);
-  ASSERT_TRUE(d.server->start().ok());
-  d.server->hold_workers(true);
-
-  auto submit = [&](u64 seed, const std::string& klass) {
-    auto c = Client::connect(d.sock());
-    EXPECT_TRUE(c.ok());
-    JobSpec spec = tiny_spec(seed);
-    spec.klass = klass;
-    auto adm = c.value().submit(spec, /*stream=*/false);
-    EXPECT_TRUE(adm.ok());
-    return adm.value();
-  };
-
-  EXPECT_TRUE(submit(200, "batch").accepted);
-  const auto over = submit(201, "batch");
-  ASSERT_FALSE(over.accepted);
-  EXPECT_EQ(over.shed.reason, "class-full");
-  // A different class still has its own share of the queue.
-  EXPECT_TRUE(submit(202, "interactive").accepted);
-
-  d.server->hold_workers(false);
-  d.server->stop(/*drain=*/true);
-}
-
 TEST(ServeDaemon, ClientDisconnectDoesNotCancelTheJob) {
   TestDaemon d;
   const JobSpec spec = tiny_spec(300);
@@ -364,6 +337,34 @@ TEST(ServeDaemon, DrainShedsNewWorkFinishesAdmittedWork) {
   EXPECT_EQ(static_cast<StatusCode>(outcome.value().status_code),
             StatusCode::Ok);
   d.server->stop(/*drain=*/true);
+}
+
+TEST(ServeDaemon, RequestDeadlineAloneFreesTheWorker) {
+  // One worker, no store: a checkpoint hit cannot mask the deadline, and
+  // the follow-up job can only run if the expired one gave the worker back.
+  TestDaemon d(/*queue_limit=*/8, /*max_active=*/1, /*with_store=*/false);
+  JobSpec expired = tiny_spec(640);
+  expired.deadline_ms = 0.001;
+  auto c = Client::connect(d.sock());
+  ASSERT_TRUE(c.ok());
+  auto adm = c.value().submit(expired);
+  ASSERT_TRUE(adm.ok()) << adm.status().to_string();
+  ASSERT_TRUE(adm.value().accepted);
+  auto outcome = c.value().wait_result();
+  ASSERT_TRUE(outcome.ok()) << outcome.status().to_string();
+  EXPECT_EQ(static_cast<StatusCode>(outcome.value().status_code),
+            StatusCode::DeadlineExceeded);
+
+  auto c2 = Client::connect(d.sock());
+  ASSERT_TRUE(c2.ok());
+  auto adm2 = c2.value().submit(tiny_spec(641));
+  ASSERT_TRUE(adm2.ok()) << adm2.status().to_string();
+  ASSERT_TRUE(adm2.value().accepted);
+  auto next = c2.value().wait_result();
+  ASSERT_TRUE(next.ok()) << next.status().to_string();
+  EXPECT_EQ(static_cast<StatusCode>(next.value().status_code),
+            StatusCode::Ok);
+  EXPECT_NE(next.value().digest, 0u);
 }
 
 TEST(ServeDaemon, RestartOnSameStoreResumesWarmWithIdenticalDigest) {
@@ -525,7 +526,7 @@ TEST(ServeJournal, RoundTripReplaysAdmitStartDone) {
     Journal j(jpath);
     ASSERT_TRUE(j.open().ok());
     EXPECT_TRUE(j.take_replay().jobs.empty());
-    ASSERT_TRUE(j.append_admit(spec, spec.job_id(), "default").ok());
+    ASSERT_TRUE(j.append_admit(spec, spec.job_id()).ok());
     ASSERT_TRUE(j.append_start(spec.job_id()).ok());
     ASSERT_TRUE(j.append_done(spec.job_id(), 0, 0xfeedbeefcafe).ok());
   }
@@ -551,7 +552,7 @@ TEST(ServeJournal, UnmatchedStartsCountDeadIncarnations) {
   {
     Journal j(jpath);
     ASSERT_TRUE(j.open().ok());
-    ASSERT_TRUE(j.append_admit(spec, spec.job_id(), "default").ok());
+    ASSERT_TRUE(j.append_admit(spec, spec.job_id()).ok());
     ASSERT_TRUE(j.append_start(spec.job_id()).ok());
   }  // incarnation 1 "dies": Start with no terminal record
   {
@@ -578,7 +579,7 @@ TEST(ServeJournal, ServerReplaysBacklogAndCompletesWithoutResubmission) {
   {
     Journal j(store + "/journal.gpj");
     ASSERT_TRUE(j.open().ok());
-    ASSERT_TRUE(j.append_admit(spec, spec.job_id(), "default").ok());
+    ASSERT_TRUE(j.append_admit(spec, spec.job_id()).ok());
   }
 
   core::Engine engine{Config{}};
@@ -625,7 +626,7 @@ TEST(ServeJournal, PoisonJobIsQuarantinedAndAnsweredPoisoned) {
   {
     Journal j(store + "/journal.gpj");
     ASSERT_TRUE(j.open().ok());
-    ASSERT_TRUE(j.append_admit(spec, spec.job_id(), "default").ok());
+    ASSERT_TRUE(j.append_admit(spec, spec.job_id()).ok());
     ASSERT_TRUE(j.append_start(spec.job_id()).ok());
     ASSERT_TRUE(j.append_start(spec.job_id()).ok());
   }
@@ -634,7 +635,6 @@ TEST(ServeJournal, PoisonJobIsQuarantinedAndAnsweredPoisoned) {
   ServeOptions opts;
   opts.socket_path = t.path + "/gp.sock";
   opts.store_dir = store;
-  opts.poison_retries = 2;
   Server server(engine, opts);
   ASSERT_TRUE(server.start().ok());
   EXPECT_EQ(server.replay_summary().quarantined, 1u);
@@ -688,10 +688,10 @@ TEST(ServeJournal, CorruptionSweepReadsAsEndOfLogNeverACrash) {
   {
     Journal j(jpath);
     ASSERT_TRUE(j.open().ok());
-    ASSERT_TRUE(j.append_admit(closed, closed.job_id(), "default").ok());
+    ASSERT_TRUE(j.append_admit(closed, closed.job_id()).ok());
     ASSERT_TRUE(j.append_start(closed.job_id()).ok());
     ASSERT_TRUE(j.append_done(closed.job_id(), 0, 42).ok());
-    ASSERT_TRUE(j.append_admit(open, open.job_id(), "default").ok());
+    ASSERT_TRUE(j.append_admit(open, open.job_id()).ok());
   }
   auto pristine = serial::read_file(jpath);
   ASSERT_TRUE(pristine.ok());
@@ -799,42 +799,6 @@ TEST(ServeJournal, CompactionKeepsLiveJobsAndCleanDrainMarksShutdown) {
   EXPECT_TRUE(r.clean_shutdown);
   EXPECT_TRUE(r.jobs.empty());
   EXPECT_LT(j.size_bytes(), 64u);
-}
-
-TEST(ServeJournal, WatchdogCancelsWedgedJobAndCountsTheKill) {
-  TempDir t;
-  core::Engine engine{Config{}};
-  ServeOptions opts;
-  opts.socket_path = t.path + "/gp.sock";
-  opts.store_dir = t.path + "/store";
-  opts.watchdog_ms = 100;  // grace beyond the job deadline
-  Server server(engine, opts);
-  ASSERT_TRUE(server.start().ok());
-  // Wedge every job for 30s — far past deadline+grace; only the watchdog's
-  // governor cancel can release it.
-  server.set_test_wedge_ms(30'000);
-
-  JobSpec spec = tiny_spec(630);
-  spec.deadline_ms = 150;
-  auto c = Client::connect(opts.socket_path);
-  ASSERT_TRUE(c.ok());
-  auto adm = c.value().submit(spec);
-  ASSERT_TRUE(adm.ok());
-  ASSERT_TRUE(adm.value().accepted);
-  auto outcome = c.value().wait_result();
-  ASSERT_TRUE(outcome.ok()) << outcome.status().to_string();
-  // The wedge released well before its 30s: the watchdog fired and the
-  // session came home degraded, freeing the worker slot.
-  EXPECT_NE(static_cast<StatusCode>(outcome.value().status_code),
-            StatusCode::Ok);
-
-  auto c2 = Client::connect(opts.socket_path);
-  ASSERT_TRUE(c2.ok());
-  auto json = c2.value().stats();
-  ASSERT_TRUE(json.ok());
-  EXPECT_NE(json.value().find("\"watchdog_kills\": 1"), std::string::npos);
-  server.set_test_wedge_ms(0);
-  server.stop(/*drain=*/true);
 }
 
 }  // namespace

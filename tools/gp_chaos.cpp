@@ -159,9 +159,8 @@ Daemon spawn_daemon(const std::string& serve_bin, const std::string& sock,
     else
       ::setenv("GP_FAULT", fault_spec.c_str(), 1);
     // Tiny jobs + a 2s deadline keep a wedged round from stalling the
-    // sweep; the watchdog gets a short grace so it actually participates.
+    // sweep: a session past its deadline comes home at its next poll.
     ::setenv("GP_DEADLINE_MS", "2000", 1);
-    ::setenv("GP_SERVE_WATCHDOG_MS", "1000", 1);
     const std::string ready_fd = std::to_string(ready[1]);
     // stderr to /dev/null: 50 rounds of daemon banners would drown the
     // matrix output. The harness judges by protocol, not logs.

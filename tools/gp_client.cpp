@@ -1,7 +1,7 @@
 // gp_client: command-line client for the gp_serve daemon.
 //
 //   gp_client --sock <path> submit [--program <name>] [--source-file <f>]
-//             [--obf <profile>] [--goal <g>] [--seed <n>] [--class <c>]
+//             [--obf <profile>] [--goal <g>] [--seed <n>]
 //             [--deadline-ms <x>] [--solver-checks <n>] [--no-stream]
 //             [--retries <n>] [--quiet]
 //   gp_client --sock <path> attach <job-id>
@@ -41,8 +41,8 @@ int usage(const char* argv0) {
       stderr,
       "usage: %s --sock <path> submit [--program <name>] "
       "[--source-file <f>] [--obf <profile>] [--goal <g>] [--seed <n>]\n"
-      "                [--class <c>] [--deadline-ms <x>] "
-      "[--solver-checks <n>] [--no-stream] [--retries <n>] [--quiet]\n"
+      "                [--deadline-ms <x>] [--solver-checks <n>] "
+      "[--no-stream] [--retries <n>] [--quiet]\n"
       "       %s --sock <path> attach <job-id>\n"
       "       %s --sock <path> stats|ping|shutdown\n",
       argv0, argv0, argv0);
@@ -108,9 +108,6 @@ int main(int argc, char** argv) {
       ++i;
     } else if (arg == "--seed" && v) {
       spec.seed = static_cast<u64>(std::atoll(v));
-      ++i;
-    } else if (arg == "--class" && v) {
-      spec.klass = v;
       ++i;
     } else if (arg == "--deadline-ms" && v) {
       spec.deadline_ms = std::atof(v);
