@@ -29,8 +29,7 @@ int main() {
 
   for (const auto& cfg : configs) {
     // One campaign per ablation variant: same jobs, different pipeline.
-    core::Campaign::Options copts;
-    copts.concurrency = bench::bench_concurrency();
+    auto copts = bench::bench_campaign();
     copts.pipeline.run_subsumption = cfg.subsume;
     copts.pipeline.plan.use_cond_gadgets = cfg.cond;
     copts.pipeline.plan.use_direct_merged = cfg.direct;

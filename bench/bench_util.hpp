@@ -21,14 +21,21 @@ namespace gp::bench {
 
 inline bool full_sweep() { return config().bench_full; }
 
-/// Codegen options honoring GP_OPT_LEVEL — the drivers that compile
-/// directly (fig1/table1/table7) use this so `GP_OPT_LEVEL=2 fig1`
+/// Codegen options at the shared Engine's GP_OPT_LEVEL — the drivers that
+/// compile directly (fig1/table1/table7) use this so `GP_OPT_LEVEL=2 fig1`
 /// regenerates the table at -O2; campaign-based drivers resolve the same
-/// knob inside Campaign::run.
+/// level inside Campaign::run.
 inline codegen::Options bench_codegen() {
   codegen::Options opts;
-  opts.opt = codegen::opt_level_from_int(config().opt_level);
+  opts.opt =
+      codegen::opt_level_from_int(core::Engine::shared().config().opt_level);
   return opts;
+}
+
+/// Session options under the shared Engine's Config: the GP_* budgets and
+/// GP_STORE_DIR reach every driver through here.
+inline core::PipelineOptions bench_pipeline() {
+  return core::PipelineOptions::from(core::Engine::shared().config());
 }
 
 /// "O0"/"O1"/"O2" for table headers.
@@ -64,11 +71,18 @@ inline void hr(int width = 100) {
 /// process-wide ThreadPool (each session also parallelizes internally).
 inline int bench_concurrency() { return std::min(4, config().threads); }
 
+/// Campaign options on bench_pipeline() at bench_concurrency() lanes.
+inline core::Campaign::Options bench_campaign() {
+  core::Campaign::Options opts;
+  opts.concurrency = bench_concurrency();
+  opts.pipeline = bench_pipeline();
+  return opts;
+}
+
 /// Campaign options tuned so a full bench binary stays in the minutes
 /// range.
 inline core::Campaign::Options quick_campaign() {
-  core::Campaign::Options opts;
-  opts.concurrency = bench_concurrency();
+  core::Campaign::Options opts = bench_campaign();
   opts.pipeline.plan.max_chains = 8;
   opts.pipeline.plan.time_budget_seconds = 20;
   opts.pipeline.plan.max_expansions = 4000;

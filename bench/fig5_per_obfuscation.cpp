@@ -21,8 +21,7 @@ int main() {
               "code-bytes");
   bench::hr(52);
 
-  core::Campaign::Options copts;
-  copts.concurrency = bench::bench_concurrency();
+  auto copts = bench::bench_campaign();
   copts.pipeline.plan.max_chains = 8;
   copts.pipeline.plan.time_budget_seconds = 15;
   core::Campaign campaign(core::Engine::shared(), copts);

@@ -52,7 +52,7 @@ int main() {
         scoped.emplace(spec);
       }
 
-      core::PipelineOptions popts;
+      core::PipelineOptions popts = bench::bench_pipeline();
       if (cfg.governed) {
         popts.governor.deadline_seconds = 20.0;
         popts.governor.max_solver_checks = 3'000;

@@ -56,8 +56,7 @@ int main() {
     jobs.insert(jobs.end(), method_jobs.begin(), method_jobs.end());
   }
 
-  core::Campaign::Options copts;
-  copts.concurrency = bench::bench_concurrency();
+  auto copts = bench::bench_campaign();
   copts.pipeline.plan.max_chains = 8;
   copts.pipeline.plan.time_budget_seconds = 20;
   copts.on_job = [&](const core::Job& job, core::Session& s,

@@ -67,7 +67,7 @@ int main() {
   // Gadget-Planner: the staged Session API — each stage is an explicit
   // artifact, and the report carries its accounting.
   {
-    core::PipelineOptions popts;
+    core::PipelineOptions popts = bench::bench_pipeline();
     popts.plan.max_chains = 16;
     popts.plan.time_budget_seconds = 60;
     core::Session gp(core::Engine::shared(), img, popts);

@@ -40,10 +40,11 @@ int main(int argc, char** argv) {
     obf::obfuscate(prog, m.options);
     const auto img = codegen::compile(prog);
 
-    core::PipelineOptions popts;
+    core::Engine& engine = core::Engine::shared();
+    auto popts = core::PipelineOptions::from(engine.config());
     popts.plan.max_chains = 8;
     popts.plan.time_budget_seconds = 15;
-    core::Session session(core::Engine::shared(), img, popts);
+    core::Session session(engine, img, popts);
     session.prepare();
 
     u64 ret_g = 0, ind_g = 0;

@@ -34,8 +34,11 @@ int main() {
   std::printf("obfuscated binary: %zu bytes of code, %zu bytes of data\n",
               img.code().size(), img.data().size());
 
-  // 2. Extract + subsume + index gadgets.
-  core::Session session(core::Engine::shared(), img);
+  // 2. Extract + subsume + index gadgets. The session takes its budgets
+  //    and store directory (GP_* knobs) from the engine's Config.
+  core::Engine& engine = core::Engine::shared();
+  core::Session session(engine, img,
+                        core::PipelineOptions::from(engine.config()));
   session.prepare();
   std::printf("gadget pool: %llu raw -> %llu after subsumption\n",
               (unsigned long long)session.report().pool_raw,

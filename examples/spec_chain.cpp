@@ -26,10 +26,11 @@ int main() {
     std::printf("=== %s (%s), %zu bytes ===\n", target.name.c_str(),
                 obfuscate ? "LLVM-Obf" : "original", img.code().size());
 
-    core::PipelineOptions popts;
+    core::Engine& engine = core::Engine::shared();
+    auto popts = core::PipelineOptions::from(engine.config());
     popts.plan.max_chains = 6;
     popts.plan.time_budget_seconds = 30;
-    core::Session session(core::Engine::shared(), img, popts);
+    core::Session session(engine, img, popts);
     session.prepare();
 
     const auto goal = payload::Goal::execve();

@@ -9,7 +9,6 @@
 #include "corpus/corpus.hpp"
 #include "minic/minic.hpp"
 #include "payload/serialize.hpp"
-#include "support/config.hpp"
 #include "support/metrics.hpp"
 #include "support/str.hpp"
 #include "support/thread_pool.hpp"
@@ -127,14 +126,14 @@ Campaign::Summary Campaign::run(const std::vector<Job>& jobs) {
   // milliseconds per job, and keeping the compilers out of the concurrent
   // phase means only Sessions — which are built for it — run in parallel.
   std::vector<image::Image> images(jobs.size());
-  const int env_level = Config::from_env().opt_level;
+  const int engine_level = engine_.config().opt_level;
   for (size_t i = 0; i < jobs.size(); ++i) {
     const Job& job = jobs[i];
     const std::string& src =
         job.source.empty() ? corpus::by_name(job.program).source : job.source;
     auto prog = minic::compile_source(src);
     obf::obfuscate(prog, job.obf);
-    const int level = job.opt_level >= 0 ? job.opt_level : env_level;
+    const int level = job.opt_level >= 0 ? job.opt_level : engine_level;
     codegen::Options copts;
     copts.opt = codegen::opt_level_from_int(level);
     images[i] = codegen::compile(prog, copts);

@@ -37,9 +37,9 @@ struct Job {
   std::string source;       // mini-C source; "" = corpus::by_name(program)
   std::string obfuscation;  // profile label for reports ("" = obf.name())
   obf::Options obf;
-  /// Codegen optimization level, 0..2; -1 resolves to GP_OPT_LEVEL (the
-  /// Config::from_env value) at compile time. Out-of-range values reject
-  /// with the valid grammar before any job runs.
+  /// Codegen optimization level, 0..2; -1 resolves to the campaign
+  /// Engine's Config::opt_level (GP_OPT_LEVEL) at compile time.
+  /// Out-of-range values reject with the valid grammar before any job runs.
   int opt_level = -1;
   std::vector<payload::Goal> goals = payload::Goal::all();
 };
@@ -92,10 +92,12 @@ class Campaign {
     /// pool; nested stage parallelism inside each session still works (the
     /// pool is reentrant).
     int concurrency = 1;
-    /// Per-session template. Campaign replaces pipeline.governor with a
-    /// per-session share of it (split_across(concurrency)): each
-    /// concurrent session's counted budgets are carved from the single
-    /// campaign-level budget, while the wall-clock deadline is shared.
+    /// Per-session template; PipelineOptions::from(engine.config()) for a
+    /// campaign that honours the GP_* budget and store knobs. Campaign
+    /// replaces pipeline.governor with a per-session share of it
+    /// (split_across(concurrency)): each concurrent session's counted
+    /// budgets are carved from the single campaign-level budget, while the
+    /// wall-clock deadline is shared.
     PipelineOptions pipeline;
     /// Optional per-job hook, run on the campaign lane after the job's
     /// goals are planned and with the Session still alive — benches use it
@@ -148,7 +150,7 @@ class Campaign {
   /// opt levels — the paper's evaluation grid plus the optimization fan
   /// axis. Profiles default to Table IV's rows (none, llvm-obf, tigress);
   /// an empty opt_levels means one job per (program, profile) at the
-  /// GP_OPT_LEVEL default.
+  /// Engine's configured level (opt_level -1).
   static std::vector<Job> corpus_jobs(
       const std::vector<std::string>& profiles = {"none", "llvm-obf",
                                                   "tigress"},

@@ -1,10 +1,21 @@
 // The multi-tenant analysis engine: one Engine owns the process-wide
 // substrate exactly once —
 //
-//   - the immutable gp::Config its sessions derive every knob from,
+//   - the immutable gp::Config its analyses take their policy from,
 //   - the artifact-store handles (one per directory, shared by every
 //     session so concurrent sessions never race the whole-file manifest),
 //   - the armed deterministic fault harness (GP_FAULT).
+//
+// An Engine applies three Config fields: `governor` and `store_dir` reach
+// sessions through PipelineOptions::from(engine.config()), and
+// `opt_level` is the codegen level of Campaign jobs (opt_level -1),
+// gp_pipeline and gp_serve (whose ServeOptions::from reads the serve_*
+// fields too). The rest is process-wide, not per-Engine: the shared
+// ThreadPool sizes itself from GP_THREADS (ThreadPool::env_threads), the
+// metrics and trace switches read GP_METRICS/GP_TRACE/GP_TRACE_BUF once
+// per process, and the fault harness arms from the gp::config() snapshot's
+// GP_FAULT. A private Engine built from a custom Config changes only the
+// per-Engine fields.
 //
 // Per-image analyses are Sessions (session.hpp); corpus-scale fan-outs are
 // Campaigns (campaign.hpp). Many sessions may run concurrently against one
@@ -25,9 +36,9 @@ namespace gp::core {
 
 class Engine {
  public:
-  /// An engine over an explicit configuration (tests, embedders):
-  /// config-derived policy (budgets, store directory, retry counts) comes
-  /// from `cfg`.
+  /// An engine over an explicit configuration (tests, embedders): the
+  /// per-Engine policy (budgets, store directory, codegen level) comes from
+  /// `cfg`.
   explicit Engine(Config cfg);
 
   /// The process-wide engine on the environment configuration (the

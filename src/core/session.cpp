@@ -7,7 +7,6 @@
 
 #include "gadget/serialize.hpp"
 #include "payload/serialize.hpp"
-#include "support/fault.hpp"
 #include "support/metrics.hpp"
 #include "support/trace.hpp"
 
@@ -21,13 +20,15 @@ double secs_since(Clock::time_point t0) {
 }
 }  // namespace
 
-SupervisorOptions SupervisorOptions::from_env() {
-  SupervisorOptions o;
-  o.max_retries = Config::from_env().max_retries;
+/// Counted-budget growth per supervised retry.
+constexpr double kBudgetWidenFactor = 4;
+
+PipelineOptions PipelineOptions::from(const Config& cfg) {
+  PipelineOptions o;
+  o.governor = cfg.governor;
+  o.store_dir = cfg.store_dir;
   return o;
 }
-
-std::string store_dir_from_env() { return Config::from_env().store_dir; }
 
 std::optional<u64> parse_vmrss_mb(const std::string& status_text) {
   size_t pos = 0;
@@ -76,10 +77,6 @@ Session::Session(Engine& engine, const image::Image& img, PipelineOptions opts)
       opts_(std::move(opts)),
       gov_(std::make_unique<Governor>(opts_.governor)),
       ctx_(std::make_unique<solver::Context>()) {
-  // Arm GP_FAULT before any stage can run (call_once; a no-op when the
-  // harness is already armed or the spec is empty). Kept per-session so a
-  // custom Engine behaves identically to Engine::shared().
-  fault::configure_from_env();
   ctx_->set_governor(gov_.get());
   store_ = engine_.store(opts_.store_dir);
   if (store_) store_baseline_ = store_->stats();
@@ -106,7 +103,6 @@ void Session::snapshot_store_stats() {
 Status Session::run_supervised(
     const char* stage, StageRuns& runs,
     const std::function<Status(Governor&)>& body) {
-  const SupervisorOptions& sup = opts_.supervise;
   double widen = 1.0;
   Status st;
   for (int attempt = 0;; ++attempt) {
@@ -118,7 +114,7 @@ Status Session::run_supervised(
             metrics::registry().counter("supervisor.retries");
         retries.add();
       }
-      widen *= sup.budget_widen_factor;
+      widen *= kBudgetWidenFactor;
       // Fresh governor for the retry: counted budgets widened (and their
       // consumption reset), but the session's wall-clock deadline and
       // cancel flag carry over — the supervisor never buys time, only
@@ -160,16 +156,14 @@ Status Session::run_supervised(
     // Anything else retries at once: every recoverable failure is
     // deterministic (a counted budget, a seeded GP_FAULT decision, a thrown
     // invariant), so sleeping first would only spend wall time.
-    if (!recoverable || attempt >= sup.max_retries || gov_->should_stop()) {
+    if (!recoverable || attempt >= opts_.max_retries || gov_->should_stop()) {
       if (invariant_error) std::rethrow_exception(invariant_error);
       return st;
     }
   }
 }
 
-void Session::canonicalize_pool(
-    std::vector<gadget::Record>& pool,
-    const std::vector<std::vector<u8>>& records) {
+bool Session::adopt_pool(const std::vector<std::vector<u8>>& records) {
   trace::Span span("canonicalize", "pool", id_);
   // Winnowing and planning must be pure functions of pool *content*, not
   // of however the expression arena happened to grow while computing it;
@@ -177,18 +171,15 @@ void Session::canonicalize_pool(
   // into a fresh arena — would diverge from an uninterrupted one, and the
   // kill-resume byte-identity guarantee would not hold. encode_pool is
   // content-determined, so decoding it into a fresh context pins both
-  // paths to the same arena state.
-  try {
-    auto fresh = std::make_unique<solver::Context>();
-    fresh->set_governor(gov_.get());
-    if (auto decoded = gadget::decode_pool(*fresh, records)) {
-      ctx_ = std::move(fresh);
-      pool = std::move(*decoded);
-    }
-  } catch (const ResourceExhausted&) {
-    // Out of budget mid-reencode: keep the in-process pool. The run is
-    // already degraded and degraded results are never checkpointed.
-  }
+  // paths to the same arena state. decode_pool reads an exhausted budget
+  // as a miss, so a failed decode leaves the session untouched.
+  auto fresh = std::make_unique<solver::Context>();
+  fresh->set_governor(gov_.get());
+  auto decoded = gadget::decode_pool(*fresh, records);
+  if (!decoded) return false;
+  ctx_ = std::move(fresh);
+  pool_ = std::move(*decoded);
+  return true;
 }
 
 /// Checkpoint-served stage outputs, rolled up process-wide (per-session
@@ -216,8 +207,7 @@ Status Session::extract() {
     gadget::append_extract_key(material, opts_.extract);
     extract_key = store_->key("extract", material);
     if (auto art = store_->get(extract_key)) {
-      if (auto decoded = gadget::decode_pool(*ctx_, art->records)) {
-        pool_ = std::move(*decoded);
+      if (adopt_pool(art->records)) {
         have_pool = true;
         count_checkpoint(art->same_process);
         ++(art->same_process ? report_.extract_runs.cache_hits
@@ -239,11 +229,13 @@ Status Session::extract() {
         });
     // One encoding serves the checkpoint and the canonical re-decode. Only
     // a clean run is durable: a budget-cut pool is valid but partial, and
-    // caching it would freeze the degradation into future runs.
+    // caching it would freeze the degradation into future runs. A pool
+    // that fails to re-decode (budget cut) stays as computed; the run is
+    // already degraded and degraded results are never checkpointed.
     const auto records = gadget::encode_pool(*ctx_, pool_);
     if (store_ && report_.extract_status.ok())
       store_->put(extract_key, records);
-    canonicalize_pool(pool_, records);
+    adopt_pool(records);
   }
   report_.extract_seconds = secs_since(t0);
   report_.pool_raw = pool_.size();
@@ -262,11 +254,13 @@ Status Session::subsume() {
   // attributed to its own span, not folded into this one.
   trace::Span span("subsume", "stage", id_);
   auto t1 = Clock::now();
-  // encode_pool always emits a header record, so empty means "not encoded
-  // yet"; a stored winnow reuses its checkpoint encoding below.
+  // A stored winnow decodes once, straight into a fresh context: that is
+  // already the canonical state. A computed pool is re-interned from its
+  // encoding below; encode_pool always emits a header record, so empty
+  // `records` means "not encoded yet".
+  bool have_min = false;
   std::vector<std::vector<u8>> records;
   if (opts_.run_subsumption) {
-    bool have_min = false;
     std::string subsume_key;
     // The subsume key describes the *canonical* extraction output; when
     // extraction ran degraded the input pool is partial, so its minimized
@@ -279,8 +273,7 @@ Status Session::subsume() {
       material.put_u64(subsume::kSolverCheckBudget);
       subsume_key = store_->key("subsume", material);
       if (auto art = store_->get(subsume_key)) {
-        if (auto decoded = gadget::decode_pool(*ctx_, art->records)) {
-          pool_ = std::move(*decoded);
+        if (adopt_pool(art->records)) {
           have_min = true;
           count_checkpoint(art->same_process);
           ++(art->same_process ? report_.subsume_runs.cache_hits
@@ -318,8 +311,10 @@ Status Session::subsume() {
   report_.rss_mb_after_subsume = current_rss_mb();
   snapshot_store_stats();
 
-  if (records.empty()) records = gadget::encode_pool(*ctx_, pool_);
-  canonicalize_pool(pool_, records);
+  if (!have_min) {
+    if (records.empty()) records = gadget::encode_pool(*ctx_, pool_);
+    adopt_pool(records);
+  }
   lib_ = std::make_unique<gadget::Library>(std::move(pool_));
   return report_.subsume_status;
 }
@@ -335,6 +330,8 @@ std::vector<payload::Chain> Session::find_chains(const payload::Goal& goal) {
   const bool canonical_library =
       report_.extract_status.ok() &&
       (!opts_.run_subsumption || report_.subsume_status.ok());
+  std::vector<payload::Chain> chains;
+  bool have_chains = false;
   std::string plan_key;
   if (store_ && canonical_library) {
     serial::Writer material;
@@ -345,39 +342,41 @@ std::vector<payload::Chain> Session::find_chains(const payload::Goal& goal) {
     opts_.plan.append_key(material);
     plan_key = store_->key("plan", material);
     if (auto art = store_->get(plan_key)) {
-      if (auto chains = payload::decode_chains(art->records, lib_->size())) {
+      if (auto decoded = payload::decode_chains(art->records, lib_->size())) {
+        chains = std::move(*decoded);
+        have_chains = true;
         count_checkpoint(art->same_process);
         ++(art->same_process ? report_.plan_runs.cache_hits
                              : report_.plan_runs.resumes);
-        report_.plan_seconds += secs_since(t0);
-        snapshot_store_stats();
-        return *chains;
       }
     }
   }
-
-  std::vector<payload::Chain> chains;
-  const Status st =
-      run_supervised("plan", report_.plan_runs, [&](Governor& g) {
-        // prepare() has fixed ctx_ and lib_ for good, so one planner (and
-        // the index its first plan() builds) serves every goal.
-        if (!planner_)
-          planner_ = std::make_unique<planner::Planner>(*ctx_, *lib_, *img_);
-        planner::Options popts = opts_.plan;
-        if (!popts.governor) popts.governor = &g;
-        popts.session_id = id_;
-        chains = planner_->plan(goal, popts);
-        const auto& s = planner_->stats();
-        report_.plan += s;
-        metrics::publish("plan", s);
-        return s.status;
-      });
-  if (store_ && canonical_library && st.ok())
-    store_->put(plan_key, payload::encode_chains(chains));
+  if (!have_chains) {
+    const Status st =
+        run_supervised("plan", report_.plan_runs, [&](Governor& g) {
+          // prepare() has fixed ctx_ and lib_ for good, so one planner (and
+          // the index its first plan() builds) serves every goal.
+          if (!planner_)
+            planner_ =
+                std::make_unique<planner::Planner>(*ctx_, *lib_, *img_);
+          planner::Options popts = opts_.plan;
+          if (!popts.governor) popts.governor = &g;
+          popts.session_id = id_;
+          chains = planner_->plan(goal, popts);
+          const auto& s = planner_->stats();
+          report_.plan += s;
+          metrics::publish("plan", s);
+          return s.status;
+        });
+    if (store_ && canonical_library && st.ok())
+      store_->put(plan_key, payload::encode_chains(chains));
+    report_.plan_status.merge(st);
+  }
+  // One exit for the plan accounting: a checkpoint-served goal is timed
+  // and measured like a planned one.
   snapshot_store_stats();
   report_.plan_seconds += secs_since(t0);
   report_.rss_mb_after_plan = current_rss_mb();
-  report_.plan_status.merge(st);
   return chains;
 }
 

@@ -36,51 +36,43 @@
 
 namespace gp::core {
 
-/// Retry policy for the stage supervisor: a stage that fails for a
-/// *recoverable* reason (exhausted counted budget, injected fault, internal
-/// error) is re-run at once, up to max_retries more times, with every
-/// counted budget widened by budget_widen_factor per retry. Deadline
-/// expiry and cancellation are never retried — wall-clock budgets and the
-/// caller's cancel are hard contracts.
-struct SupervisorOptions {
-  int max_retries = 2;             // extra attempts after the first
-  double budget_widen_factor = 4;  // counted-budget growth per retry
-
-  /// GP_RETRIES overrides max_retries (>= 0; unset/unparsable keeps the
-  /// default). Routed through gp::Config (fresh parse).
-  static SupervisorOptions from_env();
-};
-
-/// GP_STORE_DIR, or "" when unset (checkpointing disabled). Routed through
-/// gp::Config (fresh parse).
-std::string store_dir_from_env();
-
+/// Per-session policy. Plain data: the defaults read no environment (an
+/// unlimited governor, no store, two retries). Entry points that honour the
+/// GP_* knobs build their options with from(engine.config()).
 struct PipelineOptions {
   gadget::ExtractOptions extract;
   bool run_subsumption = true;  // ablation hook (DESIGN.md #1)
   planner::Options plan;
   /// Resource limits for this session. The session owns one Governor built
   /// from these and threads it through every stage (extraction,
-  /// subsumption, planning, concretization); by default they are read from
-  /// the environment (GP_DEADLINE_MS, GP_SOLVER_CHECKS, GP_SYM_STEPS,
-  /// GP_EXPR_NODES), all unlimited when unset. Campaigns overwrite this
-  /// with a per-session share of the engine budget
+  /// subsumption, planning, concretization); zero fields are unlimited.
+  /// Campaigns overwrite this with a per-session share of their budget
   /// (GovernorOptions::split_across).
-  GovernorOptions governor = GovernorOptions::from_env();
-  /// Stage-supervisor retry policy (GP_RETRIES).
-  SupervisorOptions supervise = SupervisorOptions::from_env();
+  GovernorOptions governor;
+  /// Stage-supervisor retry policy: a stage that fails for a *recoverable*
+  /// reason (exhausted counted budget, injected fault, internal error) is
+  /// re-run at once, up to this many extra attempts, with every counted
+  /// budget widened 4x per retry. Deadline expiry and cancellation are
+  /// never retried — wall-clock budgets and the caller's cancel are hard
+  /// contracts.
+  int max_retries = 2;
   /// Artifact-store directory for durable checkpoint/resume; "" disables.
-  /// Defaults to the GP_STORE_DIR env knob. Stage outputs (extracted pool,
-  /// minimized pool, chains per goal) are checkpointed under content-hash
-  /// keys of (image bytes, stage options, format version), so a later run
-  /// — same process or a fresh one after a crash/OOM-kill — resumes from
-  /// the last good checkpoint instead of recomputing solver work.
-  std::string store_dir = store_dir_from_env();
+  /// Stage outputs (extracted pool, minimized pool, chains per goal) are
+  /// checkpointed under content-hash keys of (image bytes, stage options,
+  /// format version), so a later run — same process or a fresh one after a
+  /// crash/OOM-kill — resumes from the last good checkpoint instead of
+  /// recomputing solver work.
+  std::string store_dir;
   /// Progress hook, invoked on the session's thread at the start of each
   /// stage ("extract", "subsume", "plan") before any work runs. gp_serve
   /// streams these to attached clients; exceptions from the hook are the
   /// caller's bug and propagate.
   std::function<void(const char* stage)> on_stage;
+
+  /// Defaults plus the policy an Engine's Config carries: the governor
+  /// budgets (GP_DEADLINE_MS, GP_SOLVER_CHECKS, GP_SYM_STEPS,
+  /// GP_EXPR_NODES) and the store directory (GP_STORE_DIR).
+  static PipelineOptions from(const Config& cfg);
 };
 
 /// Attempt/resume/cache accounting for one supervised pipeline stage.
@@ -219,7 +211,7 @@ class Session {
   /// governor; on a recoverable failure (budget exhaustion, injected
   /// fault, internal error — never deadline expiry or cancellation),
   /// retry at once under a fresh governor with widened counted budgets,
-  /// up to opts_.supervise.max_retries extra attempts.
+  /// up to opts_.max_retries extra attempts.
   /// `body` receives the governor for that attempt and returns the stage
   /// Status; throws from the final attempt propagate.
   Status run_supervised(const char* stage, StageRuns& runs,
@@ -229,11 +221,12 @@ class Session {
   /// data) and the store format version.
   void append_image_key(serial::Writer& w) const;
 
-  /// Re-intern `pool` from `records` (its gadget::encode_pool form) into a
-  /// fresh context so the next stage sees state that depends only on pool
-  /// content — the same state a resumed run reconstructs from a checkpoint.
-  void canonicalize_pool(std::vector<gadget::Record>& pool,
-                         const std::vector<std::vector<u8>>& records);
+  /// Decode `records` (a gadget::encode_pool form) into a fresh context and
+  /// adopt it and the decoded pool as ctx_/pool_, so the next stage sees
+  /// state that depends only on pool content — the same state a resumed
+  /// run reconstructs from a checkpoint. False, adopting nothing, when the
+  /// records fail to decode.
+  bool adopt_pool(const std::vector<std::vector<u8>>& records);
 
   /// Refresh report_.store with this session's window of store activity.
   void snapshot_store_stats();

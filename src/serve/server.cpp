@@ -50,8 +50,7 @@ int close_quiet(int fd) {
 
 }  // namespace
 
-ServeOptions ServeOptions::from_env() {
-  const Config cfg = Config::from_env();
+ServeOptions ServeOptions::from(const Config& cfg) {
   ServeOptions o;
   o.socket_path = cfg.serve_sock;
   o.queue_limit = cfg.serve_queue;
@@ -638,17 +637,17 @@ void Server::run_job(const RecordPtr& rec) {
     const std::vector<payload::Goal> goals = resolve_goals(spec.goal);
     if (goals.empty()) throw Error("unknown goal '" + spec.goal + "'");
 
-    // Per-request budget: the server's configured governor, overridden by
+    // Per-request budget: the engine's configured governor, overridden by
     // any non-zero JobSpec field, then split across the worker slots so one
-    // tenant's request cannot starve the others' shares.
-    core::PipelineOptions popts;
-    GovernorOptions g = engine_.config().governor;
+    // tenant's request cannot starve the others' shares. The store is the
+    // server's own (--store), not the engine's.
+    core::PipelineOptions popts = core::PipelineOptions::from(engine_.config());
+    GovernorOptions& g = popts.governor;
     if (spec.deadline_ms > 0) g.deadline_seconds = spec.deadline_ms / 1e3;
     if (spec.solver_checks > 0) g.max_solver_checks = spec.solver_checks;
     if (spec.sym_steps > 0) g.max_sym_steps = spec.sym_steps;
     if (spec.expr_nodes > 0) g.max_expr_nodes = spec.expr_nodes;
-    popts.governor = g.split_across(opts_.max_active);
-    popts.supervise.max_retries = engine_.config().max_retries;
+    g = g.split_across(opts_.max_active);
     popts.store_dir = opts_.store_dir;
     popts.on_stage = [this, &rec](const char* stage) {
       set_stage(rec, stage);

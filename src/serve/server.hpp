@@ -74,10 +74,10 @@ struct ServeOptions {
   /// Journal size that triggers compaction on the next job completion.
   u64 journal_compact_bytes = u64{1} << 20;
 
-  /// GP_SERVE_SOCK / GP_SERVE_QUEUE / GP_SERVE_MAX_ACTIVE / GP_STORE_DIR
-  /// via gp::Config (fresh parse, setenv-sensitive like the other from_env
-  /// helpers).
-  static ServeOptions from_env();
+  /// Defaults plus cfg's GP_SERVE_SOCK / GP_SERVE_QUEUE /
+  /// GP_SERVE_MAX_ACTIVE / GP_STORE_DIR fields; gp_serve feeds it the
+  /// shared Engine's Config.
+  static ServeOptions from(const Config& cfg);
 };
 
 /// What journal replay did at startup — surfaced so the daemon can log one

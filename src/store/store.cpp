@@ -4,7 +4,6 @@
 
 #include <filesystem>
 
-#include "support/config.hpp"
 #include "support/metrics.hpp"
 #include "support/str.hpp"
 #include "support/trace.hpp"
@@ -30,12 +29,6 @@ ArtifactStore::ArtifactStore(std::string dir, u32 version)
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);  // best effort; puts report
   load_manifest();
-}
-
-std::unique_ptr<ArtifactStore> ArtifactStore::from_env() {
-  const std::string dir = Config::from_env().store_dir;
-  if (dir.empty()) return nullptr;
-  return std::make_unique<ArtifactStore>(dir);
 }
 
 std::string ArtifactStore::key(const std::string& stage,

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -93,9 +92,6 @@ class ArtifactStore {
   /// unreadable or corrupt manifest starts empty (existing artifacts then
   /// read as stale and are rebuilt).
   explicit ArtifactStore(std::string dir, u32 version = kFormatVersion);
-
-  /// GP_STORE_DIR-configured store, or nullptr when the knob is unset.
-  static std::unique_ptr<ArtifactStore> from_env();
 
   /// Content-hash key: fnv1a(version || stage || material). The returned
   /// string is filename-safe ("<stage>-<hex16>").

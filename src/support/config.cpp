@@ -62,13 +62,6 @@ Config Config::from_env() {
   c.governor.max_sym_steps = env_u64("GP_SYM_STEPS");
   c.governor.max_expr_nodes = env_u64("GP_EXPR_NODES");
 
-  if (const char* s = std::getenv("GP_RETRIES")) {
-    char* end = nullptr;
-    const long n = std::strtol(s, &end, 10);
-    if (end && end != s && *end == '\0' && n >= 0)
-      c.max_retries = static_cast<int>(std::min<long>(n, 100));
-  }
-
   c.store_dir = env_str("GP_STORE_DIR");
   c.fault_spec = env_str("GP_FAULT");
 

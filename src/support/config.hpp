@@ -2,19 +2,22 @@
 // ONE parse point.
 //
 // Config::from_env() (config.cpp) is the only place in src/ that calls
-// std::getenv — thread-pool sizing, governor budgets, retry policy, the
-// checkpoint-store directory, the fault-injection spec, the metrics and
+// std::getenv — thread-pool sizing, governor budgets, the checkpoint-store
+// directory, the codegen level, the fault-injection spec, the metrics and
 // trace switches and the three gp_serve knobs (socket, queue bound, worker
 // count) route through it. Two access patterns:
 //
-//   - Config::from_env()  parses the environment fresh on every call.
-//     Module-level from_env() helpers (GovernorOptions::from_env,
-//     SupervisorOptions::from_env, ThreadPool::env_threads, ...) delegate
-//     here so tests that setenv() mid-process observe the change.
 //   - config()            a process-wide immutable snapshot taken on first
-//     use. The fault-injection harness reads this snapshot instead of
-//     calling getenv per use; gp::Engine resolves its configuration from
-//     it exactly once.
+//     use. Engine::shared() is built from it; the fault harness reads it.
+//   - Config::from_env()  a fresh parse. Besides config() itself, only the
+//     process-wide switches call it (ThreadPool::env_threads and the
+//     metrics and trace defaults), so tests that setenv() mid-process
+//     observe the change; tier-1 lints that nothing else in src/ does.
+//
+// Per-analysis policy (governor budgets, store directory, codegen level)
+// reaches a Session or Campaign only through its Engine's Config:
+// core::PipelineOptions::from(engine.config()). Option structs themselves
+// default to plain values and read no environment.
 //
 // The snapshot is deliberately immutable: a mid-run environment change
 // must never reshape an analysis that is already in flight.
@@ -36,10 +39,6 @@ struct Config {
   /// GP_DEADLINE_MS / GP_SOLVER_CHECKS / GP_SYM_STEPS / GP_EXPR_NODES:
   /// the pipeline resource budgets (zero fields = unlimited).
   GovernorOptions governor;
-
-  /// GP_RETRIES: extra supervised attempts per stage after the first
-  /// (clamped to [0, 100]; negative/unparsable = default 2).
-  int max_retries = 2;
 
   /// GP_STORE_DIR: artifact-store directory ("" = checkpointing disabled).
   std::string store_dir;

@@ -129,10 +129,6 @@ struct GovernorOptions {
            max_sym_steps > 0 || max_expr_nodes > 0;
   }
 
-  /// Environment knobs: GP_DEADLINE_MS, GP_SOLVER_CHECKS, GP_SYM_STEPS,
-  /// GP_EXPR_NODES (unset/unparsable entries stay unlimited).
-  static GovernorOptions from_env();
-
   /// Copy with every counted budget divided across `n` concurrent
   /// consumers (each share at least 1 so a tiny budget can never round to
   /// 0 = "unlimited"). The deadline is shared, not split: concurrent

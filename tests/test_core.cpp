@@ -92,6 +92,38 @@ TEST(Engine, SharedIsProcessWideAndCachesStores) {
   EXPECT_EQ(s1.get(), s2.get());
 }
 
+TEST(Engine, ConfigReachesSessionsAndCampaigns) {
+  // Per-analysis policy reaches sessions and campaigns through the
+  // Engine's Config alone: none of these knobs is set in the environment.
+  for (const char* knob : {"GP_STORE_DIR", "GP_SYM_STEPS", "GP_OPT_LEVEL"})
+    unsetenv(knob);
+  Config cfg;
+  cfg.store_dir = ::testing::TempDir() + "gp-engine-config-store";
+  cfg.governor.max_sym_steps = 40;  // starves extraction through every retry
+  cfg.opt_level = 1;
+  Engine engine(cfg);
+
+  auto prog = minic::compile_source(kCallRichSource);
+  Session session(engine, codegen::compile(prog),
+                  PipelineOptions::from(engine.config()));
+  EXPECT_NE(session.store(), nullptr);
+  EXPECT_FALSE(session.extract().ok());
+  EXPECT_EQ(session.report().extract_runs.attempts, 3u);  // max_retries 2
+
+  // A job without a level compiles at the engine's, not the process's.
+  Job job;
+  job.program = "call_rich";
+  job.source = kCallRichSource;
+  job.goals = {};
+  const auto sum = Campaign(engine).run({job});
+  ASSERT_EQ(sum.results.size(), 1u);
+  EXPECT_EQ(sum.results[0].opt_level, 1);
+  codegen::Options o1;
+  o1.opt = codegen::opt_level_from_int(1);
+  EXPECT_EQ(sum.results[0].code_bytes, codegen::compile(prog, o1).code().size());
+  EXPECT_NE(sum.results[0].code_bytes, codegen::compile(prog).code().size());
+}
+
 TEST(Session, StagesAreLazyExplicitAndIdempotent) {
   auto prog = minic::compile_source(kCallRichSource);
   obf::obfuscate(prog, obf::Options::llvm_obf(7));
@@ -409,8 +441,7 @@ TEST(Session, OnePlannerIndexServesEveryGoal) {
   auto prog = minic::compile_source(kCallRichSource);
   obf::obfuscate(prog, obf::Options::llvm_obf(7));
   const auto img = codegen::compile(prog);
-  PipelineOptions opts;
-  opts.store_dir.clear();  // in-memory reuse only, no checkpoints
+  PipelineOptions opts;  // in-memory reuse only, no checkpoints
 
   Session all(Engine::shared(), img, opts);
   std::vector<std::vector<std::vector<u8>>> per_goal;
@@ -454,7 +485,6 @@ TEST(Session, PlanStatusKeepsAnEarlierGoalsCut) {
   a.ret();                              // gadget sets: execve unreachable
   a.syscall();
   PipelineOptions opts;
-  opts.store_dir.clear();
   opts.plan.time_budget_seconds = 0;  // every search is cut at its first pop
   Session session(Engine::shared(),
                   image::Image(a.finish(), {}, image::kCodeBase), opts);
@@ -496,7 +526,6 @@ TEST(Campaign, RegistryRollupMatchesJobStats) {
   Campaign::Options copts;
   copts.concurrency = 2;
   copts.pipeline.plan.max_chains = 4;
-  copts.pipeline.store_dir = "";  // every stage runs; no checkpoint serves
   const auto sum = Campaign(Engine::shared(), copts).run(jobs);
   ASSERT_EQ(sum.results.size(), 2u);
   for (const JobResult& r : sum.results) {

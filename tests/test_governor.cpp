@@ -5,6 +5,7 @@
 #include <thread>
 #include <vector>
 
+#include "support/config.hpp"
 #include "support/fault.hpp"
 #include "support/governor.hpp"
 #include "support/status.hpp"
@@ -146,7 +147,7 @@ TEST(GovernorOptions, FromEnvParsesKnobs) {
   setenv("GP_SOLVER_CHECKS", "77", 1);
   setenv("GP_SYM_STEPS", "88", 1);
   setenv("GP_EXPR_NODES", "99", 1);
-  const GovernorOptions opts = GovernorOptions::from_env();
+  const GovernorOptions opts = Config::from_env().governor;
   unsetenv("GP_DEADLINE_MS");
   unsetenv("GP_SOLVER_CHECKS");
   unsetenv("GP_SYM_STEPS");
@@ -156,7 +157,7 @@ TEST(GovernorOptions, FromEnvParsesKnobs) {
   EXPECT_EQ(opts.max_sym_steps, 88u);
   EXPECT_EQ(opts.max_expr_nodes, 99u);
 
-  const GovernorOptions unset = GovernorOptions::from_env();
+  const GovernorOptions unset = Config::from_env().governor;
   EXPECT_FALSE(unset.any_limit());
 }
 

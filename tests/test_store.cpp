@@ -465,8 +465,7 @@ TEST(StoreFault, RenameFailureFailsThePutAndLeavesNoTrace) {
 
 TEST(CheckpointResume, WarmRunEmitsByteIdenticalPayloads) {
   const auto img = obfuscated_image();
-  core::PipelineOptions base;
-  base.store_dir.clear();  // cold reference: no checkpointing at all
+  core::PipelineOptions base;  // cold reference: no checkpointing at all
   base.plan.max_chains = 2;
   base.plan.time_budget_seconds = 60;
 
@@ -497,6 +496,9 @@ TEST(CheckpointResume, WarmRunEmitsByteIdenticalPayloads) {
   EXPECT_EQ(runs.plan_runs.attempts, 0u);
   EXPECT_GE(runs.extract_runs.cache_hits + runs.extract_runs.resumes, 1u);
   EXPECT_GE(runs.plan_runs.cache_hits + runs.plan_runs.resumes, 1u);
+  // A checkpoint-served plan is measured like a planned one (0 would read
+  // as a real "0 MiB"; a failed probe reads kRssUnknown).
+  EXPECT_GT(runs.rss_mb_after_plan, 0u);
 
   ASSERT_EQ(cold_chains.size(), first_chains.size());
   ASSERT_EQ(cold_chains.size(), warm_chains.size());
@@ -533,9 +535,7 @@ TEST(CheckpointResume, ResumesFromTheLastGoodCheckpoint) {
             1u);
   EXPECT_EQ(resumed.report().subsume_runs.attempts, 1u);
 
-  core::PipelineOptions none;
-  none.store_dir.clear();
-  core::Session reference(core::Engine::shared(), img, none);
+  core::Session reference(core::Engine::shared(), img);
   reference.prepare();
   EXPECT_EQ(resumed.report().pool_raw, reference.report().pool_raw);
   EXPECT_EQ(resumed.report().pool_minimized, reference.report().pool_minimized);
@@ -574,15 +574,61 @@ TEST(CheckpointResume, CorruptedCheckpointIsTransparentlyRecomputed) {
   EXPECT_EQ(warm.report().extract_runs.attempts, 0u);
 }
 
+TEST(CheckpointResume, WarmSubsumeDecodesToTheColdContext) {
+  // A stored winnow decodes once, straight into a fresh context: the warm
+  // session's arena and pool encoding equal those of the cold session that
+  // wrote the checkpoint (decoding into the extract-stage context instead
+  // would leave the raw pool's nodes in the arena).
+  const auto img = obfuscated_image();
+  TempDir dir("warmctx");
+  core::PipelineOptions opts;
+  opts.store_dir = dir.str();
+  core::Session cold(core::Engine::shared(), img, opts);
+  cold.prepare();
+  ASSERT_EQ(cold.report().subsume_runs.attempts, 1u);
+
+  core::Session warm(core::Engine::shared(), img, opts);
+  warm.prepare();
+  ASSERT_EQ(warm.report().subsume_runs.attempts, 0u);
+  EXPECT_EQ(warm.ctx().num_nodes(), cold.ctx().num_nodes());
+  EXPECT_EQ(gadget::encode_pool(warm.ctx(), warm.library().all()),
+            gadget::encode_pool(cold.ctx(), cold.library().all()));
+}
+
+TEST(CheckpointResume, UndecodableSubsumeCheckpointIsRecomputed) {
+  const auto img = obfuscated_image();
+  TempDir dir("undecodable");
+  core::PipelineOptions opts;
+  opts.store_dir = dir.str();
+  core::Session writer(core::Engine::shared(), img, opts);
+  writer.prepare();
+
+  // Overwrite the stored winnow with records that pass every CRC but do
+  // not decode as a pool (the key material mirrors Session::subsume()).
+  serial::Writer material;
+  material.put_u64(img.entry());
+  material.put_bytes(img.code());
+  material.put_bytes(img.data());
+  gadget::append_extract_key(material, opts.extract);
+  material.put_u64(subsume::kSolverCheckBudget);
+  auto store = core::Engine::shared().store(dir.str());
+  ASSERT_TRUE(store->put(store->key("subsume", material), {{1, 2, 3}}).ok());
+
+  core::Session healed(core::Engine::shared(), img, opts);
+  healed.prepare();
+  EXPECT_EQ(healed.report().extract_runs.attempts, 0u);  // served
+  EXPECT_EQ(healed.report().subsume_runs.attempts, 1u);  // recomputed
+  EXPECT_TRUE(healed.report().subsume_status.ok());
+  EXPECT_EQ(healed.report().pool_minimized, writer.report().pool_minimized);
+}
+
 // -- the stage supervisor -----------------------------------------------------
 
 TEST(Supervisor, RetriesWithWidenedBudgetsUntilExtractionIsClean) {
   const auto img = obfuscated_image();
   core::PipelineOptions opts;
-  opts.store_dir.clear();
   opts.governor.max_sym_steps = 40;  // starves the first attempt
-  opts.supervise.max_retries = 10;
-  opts.supervise.budget_widen_factor = 8;
+  opts.max_retries = 10;
 
   core::Session gp(core::Engine::shared(), img, opts);
   gp.prepare();
@@ -598,9 +644,8 @@ TEST(Supervisor, RetriesWithWidenedBudgetsUntilExtractionIsClean) {
 TEST(Supervisor, ZeroRetriesKeepsTheDegradedResult) {
   const auto img = obfuscated_image();
   core::PipelineOptions opts;
-  opts.store_dir.clear();
   opts.governor.max_sym_steps = 40;
-  opts.supervise.max_retries = 0;
+  opts.max_retries = 0;
 
   core::Session gp(core::Engine::shared(), img, opts);
   gp.prepare();
@@ -615,7 +660,7 @@ TEST(Supervisor, DegradedResultsAreNeverCheckpointed) {
   core::PipelineOptions opts;
   opts.store_dir = dir.str();
   opts.governor.max_sym_steps = 40;
-  opts.supervise.max_retries = 0;
+  opts.max_retries = 0;
   core::Session degraded(core::Engine::shared(), img, opts);
   degraded.prepare();
   ASSERT_FALSE(degraded.report().extract_status.ok());
@@ -628,18 +673,6 @@ TEST(Supervisor, DegradedResultsAreNeverCheckpointed) {
   full.prepare();
   EXPECT_EQ(full.report().extract_runs.attempts, 1u);
   EXPECT_GT(full.report().pool_raw, degraded.report().pool_raw);
-}
-
-TEST(SupervisorOptions, ReadsGpRetriesFromTheEnvironment) {
-  ::setenv("GP_RETRIES", "7", 1);
-  EXPECT_EQ(core::SupervisorOptions::from_env().max_retries, 7);
-  ::setenv("GP_RETRIES", "garbage", 1);
-  EXPECT_EQ(core::SupervisorOptions::from_env().max_retries,
-            core::SupervisorOptions{}.max_retries);
-  ::setenv("GP_RETRIES", "-3", 1);
-  EXPECT_EQ(core::SupervisorOptions::from_env().max_retries,
-            core::SupervisorOptions{}.max_retries);
-  ::unsetenv("GP_RETRIES");
 }
 
 }  // namespace

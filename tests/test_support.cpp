@@ -228,46 +228,35 @@ TEST(ThreadPool, EnvKnobControlsResolve) {
 
 TEST(Config, FromEnvParsesEveryKnobFresh) {
   setenv("GP_THREADS", "5", 1);
-  setenv("GP_RETRIES", "7", 1);
   setenv("GP_STORE_DIR", "/tmp/gp-config-test", 1);
   setenv("GP_FAULT", "solver=0.5", 1);
   setenv("GP_DEADLINE_MS", "1500", 1);
   setenv("GP_SOLVER_CHECKS", "42", 1);
   const Config cfg = Config::from_env();
   EXPECT_EQ(cfg.threads, 5);
-  EXPECT_EQ(cfg.max_retries, 7);
   EXPECT_EQ(cfg.store_dir, "/tmp/gp-config-test");
   EXPECT_EQ(cfg.fault_spec, "solver=0.5");
   EXPECT_DOUBLE_EQ(cfg.governor.deadline_seconds, 1.5);
   EXPECT_EQ(cfg.governor.max_solver_checks, 42u);
 
   // from_env() is a fresh parse every call: a later setenv is observed.
-  setenv("GP_RETRIES", "1", 1);
-  EXPECT_EQ(Config::from_env().max_retries, 1);
-  // Values past int range clamp instead of wrapping to 1 or INT_MIN.
-  setenv("GP_RETRIES", "4294967297", 1);
-  EXPECT_EQ(Config::from_env().max_retries, 100);
-  setenv("GP_RETRIES", "2147483648", 1);
-  EXPECT_EQ(Config::from_env().max_retries, 100);
+  setenv("GP_THREADS", "2", 1);
+  EXPECT_EQ(Config::from_env().threads, 2);
 
-  for (const char* knob : {"GP_THREADS", "GP_RETRIES", "GP_STORE_DIR",
-                           "GP_FAULT", "GP_DEADLINE_MS", "GP_SOLVER_CHECKS"})
+  for (const char* knob : {"GP_THREADS", "GP_STORE_DIR", "GP_FAULT",
+                           "GP_DEADLINE_MS", "GP_SOLVER_CHECKS"})
     unsetenv(knob);
   const Config clean = Config::from_env();
   EXPECT_GE(clean.threads, 1);  // hardware fallback, never 0
-  EXPECT_EQ(clean.max_retries, 2);
   EXPECT_TRUE(clean.store_dir.empty());
   EXPECT_EQ(clean.governor.max_solver_checks, 0u);  // unlimited
 }
 
 TEST(Config, InvalidValuesKeepDefaults) {
-  setenv("GP_THREADS", "0", 1);     // below minimum: hardware fallback
-  setenv("GP_RETRIES", "junk", 1);  // unparsable: default
+  setenv("GP_THREADS", "0", 1);  // below minimum: hardware fallback
   const Config cfg = Config::from_env();
   EXPECT_GE(cfg.threads, 1);
-  EXPECT_EQ(cfg.max_retries, 2);
   unsetenv("GP_THREADS");
-  unsetenv("GP_RETRIES");
 }
 
 TEST(Config, ObservabilityKnobs) {

@@ -18,9 +18,10 @@
 // --jobs concurrent sessions on one engine, with the machine-readable
 // gp-campaign-v1 summary (per-stage seconds, pool sizes, chain counts,
 // result digests) written to --summary. --out writes each chain's payload
-// bytes to <dir>/<goal>-<index>.bin for diffing. Checkpointing and retry
-// knobs come from the environment: GP_STORE_DIR, GP_RETRIES, plus the
-// governor (GP_DEADLINE_MS, ...) and chaos (GP_FAULT) knobs.
+// bytes to <dir>/<goal>-<index>.bin for diffing. Both modes take their
+// policy from the shared Engine's Config: the checkpoint directory
+// (GP_STORE_DIR), the governor budgets (GP_DEADLINE_MS, ...) and the
+// codegen level (GP_OPT_LEVEL); the chaos knob (GP_FAULT) is process-wide.
 //
 // Campaign exit codes: 0 every job ok, 3 at least one job degraded
 // (deadline/budget/fault — partial but usable results), 4 at least one job
@@ -35,7 +36,6 @@
 #include "core/campaign.hpp"
 #include "corpus/corpus.hpp"
 #include "minic/minic.hpp"
-#include "support/config.hpp"
 #include "support/metrics.hpp"
 #include "support/serial.hpp"
 #include "support/trace.hpp"
@@ -54,9 +54,10 @@ int usage(const char* argv0) {
       "[--jobs <n>] [--goal ...]\n"
       "          [--seed <n>] [--summary <file.json>] "
       "[--trace-out <file.json>]\n"
-      "env: GP_STORE_DIR (checkpoint dir), GP_RETRIES, GP_DEADLINE_MS, "
-      "GP_FAULT, GP_THREADS, GP_OPT_LEVEL (codegen 0|1|2), GP_METRICS, "
-      "GP_TRACE, GP_TRACE_BUF\n",
+      "env: GP_STORE_DIR (checkpoint dir), GP_DEADLINE_MS, "
+      "GP_SOLVER_CHECKS, GP_SYM_STEPS, GP_EXPR_NODES, GP_OPT_LEVEL "
+      "(codegen 0|1|2), GP_FAULT, GP_THREADS, GP_METRICS, GP_TRACE, "
+      "GP_TRACE_BUF\n",
       argv0, argv0);
   return 2;
 }
@@ -159,6 +160,8 @@ int main(int argc, char** argv) {
     return st.ok();
   };
 
+  core::Engine& engine = core::Engine::shared();
+
   std::vector<payload::Goal> goals;
   if (goal_name == "all") {
     goals = payload::Goal::all();
@@ -170,7 +173,7 @@ int main(int argc, char** argv) {
 
   if (campaign_mode) {
     // --opt-levels fans a third campaign axis; unset leaves one job per
-    // (program, profile) at the GP_OPT_LEVEL default. Bad level strings
+    // (program, profile) at the engine's GP_OPT_LEVEL. Bad level strings
     // reject inside corpus_jobs with the valid grammar.
     std::vector<int> opt_levels;
     for (const auto& s : split_csv(opt_levels_csv)) {
@@ -192,7 +195,8 @@ int main(int argc, char** argv) {
 
     core::Campaign::Options copts;
     copts.concurrency = campaign_jobs;
-    core::Campaign campaign(core::Engine::shared(), copts);
+    copts.pipeline = core::PipelineOptions::from(engine.config());
+    core::Campaign campaign(engine, copts);
     const auto summary = campaign.run(jobs);
 
     for (const auto& r : summary.results)
@@ -246,7 +250,7 @@ int main(int argc, char** argv) {
     obf::obfuscate(prog,
                    core::profile_by_name(obf_name, static_cast<u64>(seed)));
     codegen::Options copts;
-    copts.opt = codegen::opt_level_from_int(Config::from_env().opt_level);
+    copts.opt = codegen::opt_level_from_int(engine.config().opt_level);
     img = codegen::compile(prog, copts);
   }
   if (!save_image_path.empty()) {
@@ -258,7 +262,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  core::Session gp(core::Engine::shared(), img);
+  core::Session gp(engine, img, core::PipelineOptions::from(engine.config()));
   gp.prepare();
   std::printf("pool: %llu raw -> %llu minimized\n",
               (unsigned long long)gp.report().pool_raw,

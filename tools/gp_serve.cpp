@@ -3,9 +3,11 @@
 //   gp_serve --sock /tmp/gp.sock [--store <dir>] [--queue <n>]
 //            [--max-active <n>] [--ready-fd <fd>]
 //
-// Flags default from the environment (GP_SERVE_SOCK, GP_STORE_DIR,
-// GP_SERVE_QUEUE, GP_SERVE_MAX_ACTIVE); chaos and budget knobs (GP_FAULT,
-// GP_DEADLINE_MS, ...) apply as everywhere else. --ready-fd writes one
+// Flags default from the shared Engine's Config (GP_SERVE_SOCK,
+// GP_STORE_DIR, GP_SERVE_QUEUE, GP_SERVE_MAX_ACTIVE); every job runs under
+// that Config's budgets (GP_DEADLINE_MS, GP_SOLVER_CHECKS, GP_SYM_STEPS,
+// GP_EXPR_NODES) and codegen level (GP_OPT_LEVEL), and the chaos knob
+// (GP_FAULT) is process-wide. --ready-fd writes one
 // byte ("R") to the given fd once the socket is listening, so harness
 // scripts can wait for readiness without polling.
 //
@@ -39,7 +41,9 @@ int usage(const char* argv0) {
                "usage: %s --sock <path> [--store <dir>] [--queue <n>] "
                "[--max-active <n>] [--ready-fd <fd>]\n"
                "env: GP_SERVE_SOCK, GP_SERVE_QUEUE, GP_SERVE_MAX_ACTIVE, "
-               "GP_STORE_DIR, GP_FAULT, GP_METRICS, GP_DEADLINE_MS\n",
+               "GP_STORE_DIR, GP_DEADLINE_MS, GP_SOLVER_CHECKS, "
+               "GP_SYM_STEPS, GP_EXPR_NODES, GP_OPT_LEVEL, GP_FAULT, "
+               "GP_THREADS, GP_METRICS\n",
                argv0);
   return 2;
 }
@@ -49,7 +53,8 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   using namespace gp;
 
-  serve::ServeOptions opts = serve::ServeOptions::from_env();
+  core::Engine& engine = core::Engine::shared();
+  serve::ServeOptions opts = serve::ServeOptions::from(engine.config());
   int ready_fd = -1;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -82,7 +87,6 @@ int main(int argc, char** argv) {
   sig::ignore_sigpipe();
   sig::install_drain_handler();
 
-  core::Engine& engine = core::Engine::shared();
   serve::Server server(engine, opts);
   if (Status st = server.start(); !st.ok()) {
     std::fprintf(stderr, "gp_serve: %s\n", st.to_string().c_str());
