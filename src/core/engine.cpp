@@ -16,12 +16,4 @@ Engine& Engine::shared() {
   return engine;
 }
 
-std::shared_ptr<store::ArtifactStore> Engine::store(const std::string& dir) {
-  if (dir.empty()) return nullptr;
-  std::lock_guard<std::mutex> lock(stores_mu_);
-  auto& slot = stores_[dir];
-  if (!slot) slot = std::make_shared<store::ArtifactStore>(dir);
-  return slot;
-}
-
 }  // namespace gp::core

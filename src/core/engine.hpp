@@ -2,8 +2,6 @@
 // substrate exactly once —
 //
 //   - the immutable gp::Config its analyses take their policy from,
-//   - the artifact-store handles (one per directory, shared by every
-//     session so concurrent sessions never race the whole-file manifest),
 //   - the armed deterministic fault harness (GP_FAULT).
 //
 // An Engine applies three Config fields: `governor` and `store_dir` reach
@@ -20,16 +18,14 @@
 // Per-image analyses are Sessions (session.hpp); corpus-scale fan-outs are
 // Campaigns (campaign.hpp). Many sessions may run concurrently against one
 // Engine: everything the engine hands out is either immutable (Config) or
-// internally synchronized (stores, fault counters).
+// internally synchronized (session ids, fault counters). Each session
+// opens its own artifact store; sessions and processes sharing a store
+// directory need no coordination, because every artifact file checks
+// itself.
 #pragma once
 
 #include <atomic>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <string>
 
-#include "store/store.hpp"
 #include "support/config.hpp"
 
 namespace gp::core {
@@ -50,13 +46,6 @@ class Engine {
 
   const Config& config() const { return cfg_; }
 
-  /// The artifact store backing `dir`, created on first use and cached for
-  /// the engine's lifetime. One instance per directory: the store's
-  /// manifest is rewritten whole-file on every put, so sessions sharing a
-  /// directory must share the (mutex-guarded) instance. Returns nullptr
-  /// for "" (checkpointing disabled).
-  std::shared_ptr<store::ArtifactStore> store(const std::string& dir);
-
   /// Monotonic id for each Session opened on this engine (starts at 1; 0
   /// means "no session" in trace events).
   u64 next_session_id() { return next_session_id_.fetch_add(1) + 1; }
@@ -64,8 +53,6 @@ class Engine {
  private:
   Config cfg_;
   std::atomic<u64> next_session_id_{0};
-  std::mutex stores_mu_;
-  std::map<std::string, std::shared_ptr<store::ArtifactStore>> stores_;
 };
 
 }  // namespace gp::core

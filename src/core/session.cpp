@@ -78,8 +78,8 @@ Session::Session(Engine& engine, const image::Image& img, PipelineOptions opts)
       gov_(std::make_unique<Governor>(opts_.governor)),
       ctx_(std::make_unique<solver::Context>()) {
   ctx_->set_governor(gov_.get());
-  store_ = engine_.store(opts_.store_dir);
-  if (store_) store_baseline_ = store_->stats();
+  if (!opts_.store_dir.empty())
+    store_ = std::make_unique<store::ArtifactStore>(opts_.store_dir);
 }
 
 Session::Session(Engine& engine, image::Image&& img, PipelineOptions opts)
@@ -97,7 +97,7 @@ void Session::append_image_key(serial::Writer& w) const {
 }
 
 void Session::snapshot_store_stats() {
-  if (store_) report_.store = store_->stats().since(store_baseline_);
+  if (store_) report_.store = store_->stats();
 }
 
 Status Session::run_supervised(
@@ -232,9 +232,11 @@ Status Session::extract() {
     // caching it would freeze the degradation into future runs. A pool
     // that fails to re-decode (budget cut) stays as computed; the run is
     // already degraded and degraded results are never checkpointed.
+    // A failed put is counted in store::Stats::put_failures and never
+    // fails the stage: the next run just recomputes.
     const auto records = gadget::encode_pool(*ctx_, pool_);
     if (store_ && report_.extract_status.ok())
-      store_->put(extract_key, records);
+      (void)store_->put(extract_key, records);
     adopt_pool(records);
   }
   report_.extract_seconds = secs_since(t0);
@@ -302,7 +304,8 @@ Status Session::subsume() {
       // later resumed runs byte-identical.)
       if (store_ && canonical_input && report_.subsume_status.ok()) {
         records = gadget::encode_pool(*ctx_, pool_);
-        store_->put(subsume_key, records);
+        // A failed put is only counted (see extract()).
+        (void)store_->put(subsume_key, records);
       }
     }
   }
@@ -368,8 +371,9 @@ std::vector<payload::Chain> Session::find_chains(const payload::Goal& goal) {
           metrics::publish("plan", s);
           return s.status;
         });
+    // A failed put is only counted (see extract()).
     if (store_ && canonical_library && st.ok())
-      store_->put(plan_key, payload::encode_chains(chains));
+      (void)store_->put(plan_key, payload::encode_chains(chains));
     report_.plan_status.merge(st);
   }
   // One exit for the plan accounting: a checkpoint-served goal is timed

@@ -11,12 +11,14 @@
 // Each stage runs at most once; its output (the raw pool, the minimized
 // library) is immutable afterwards and every accessor observes the same
 // artifact. Stages are supervised (retry with widened budgets on
-// recoverable failure) and checkpointed through the engine's artifact store.
+// recoverable failure) and checkpointed through the session's own artifact
+// store.
 //
 // Concurrency contract: ONE thread drives a given session, but any number
 // of sessions may run concurrently against one Engine — each session owns
-// its solver context, governor and stats; everything shared (thread pool,
-// store handles, fault counters) is internally synchronized. N concurrent
+// its solver context, governor, artifact store and stats; everything shared
+// (thread pool, fault counters) is internally synchronized, and sessions on
+// one store directory share only its self-checking files. N concurrent
 // sessions over distinct images produce byte-identical results to N
 // sequential runs (tests/test_parallel.cpp proves it under tsan).
 #pragma once
@@ -32,6 +34,7 @@
 #include "image/image.hpp"
 #include "payload/payload.hpp"
 #include "planner/planner.hpp"
+#include "store/store.hpp"
 #include "subsume/subsume.hpp"
 
 namespace gp::core {
@@ -115,8 +118,8 @@ struct StageReport {
   gadget::ExtractStats extract;
   subsume::Stats subsume;
   planner::Stats plan;
-  /// Artifact-store counters for this session's window (all zero when
-  /// checkpointing is disabled).
+  /// This session's artifact-store counters (all zero when checkpointing
+  /// is disabled).
   store::Stats store;
 
   /// The worst stage status: Ok for a clean run; the first degradation
@@ -201,9 +204,8 @@ class Session {
   /// stop the session cooperatively at the next poll point.
   Governor& governor() { return *gov_; }
 
-  /// The artifact store backing checkpoint/resume, or nullptr when
-  /// disabled (opts.store_dir empty). Shared with every other session on
-  /// the same directory.
+  /// The session's own artifact store backing checkpoint/resume, or
+  /// nullptr when disabled (opts.store_dir empty).
   store::ArtifactStore* store() { return store_.get(); }
 
  private:
@@ -228,7 +230,7 @@ class Session {
   /// records fail to decode.
   bool adopt_pool(const std::vector<std::vector<u8>>& records);
 
-  /// Refresh report_.store with this session's window of store activity.
+  /// Refresh report_.store from the session's store.
   void snapshot_store_stats();
 
   Engine& engine_;
@@ -238,8 +240,7 @@ class Session {
   PipelineOptions opts_;
   std::unique_ptr<Governor> gov_;
   std::unique_ptr<solver::Context> ctx_;
-  std::shared_ptr<store::ArtifactStore> store_;
-  store::Stats store_baseline_;  // store stats when this session opened
+  std::unique_ptr<store::ArtifactStore> store_;
   /// Governors built for retries; kept alive for the session because
   /// stage stats may reference them.
   std::vector<std::unique_ptr<Governor>> retry_govs_;

@@ -44,7 +44,9 @@ struct Config {
   std::string store_dir;
 
   /// GP_FAULT: raw fault-injection spec text (parsed by gp::fault; "" =
-  /// injection disabled).
+  /// injection disabled). Process-wide: the fault harness reads it only
+  /// from the gp::config() snapshot, so this field of a private Engine's
+  /// Config is ignored.
   std::string fault_spec;
 
   /// GP_BENCH_FULL: benchmark drivers sweep the whole corpus instead of

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -23,8 +24,12 @@ std::array<u32, 256> make_crc_table() {
   return t;
 }
 
+// Unique per call, not just per process: two threads publishing the same
+// path must never share (and interleave writes into) one temp file.
 std::string temp_name(const std::string& path) {
-  return path + ".tmp." + std::to_string(::getpid());
+  static std::atomic<u64> seq{0};
+  return path + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(seq.fetch_add(1, std::memory_order_relaxed));
 }
 
 }  // namespace

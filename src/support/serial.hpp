@@ -14,13 +14,15 @@
 //  - write_file_atomic() makes a torn write indistinguishable from a
 //    missing file: bytes go to a temp name in the same directory and are
 //    renamed over the target only after a successful full write, so a
-//    crash mid-write leaves the target untouched.
+//    crash mid-write leaves the target untouched. Each call gets its own
+//    temp name (pid + process-wide sequence number), so concurrent writers
+//    of one path never share a temp file; the last rename wins whole.
 //
 // Fault injection (support/fault): ShortWrite truncates the written bytes,
 // RenameFail fails the publish step, ReadCorrupt flips one deterministic
 // bit in a read_file() result — the chaos harness uses these to prove the
-// store's CRC/manifest actually catch real-world torn writes and media
-// corruption.
+// store's per-record CRC, length and count checks actually catch
+// real-world torn writes and media corruption.
 #pragma once
 
 #include <cstring>
@@ -154,10 +156,11 @@ std::optional<std::vector<u8>> get_record(Reader& r);
 
 // -- file I/O ----------------------------------------------------------------
 
-/// Write `bytes` to `path` atomically: temp file in the same directory,
-/// flush, then rename over the target. On any failure (including injected
-/// ShortWrite/RenameFail faults) the temp file is removed and the previous
-/// target content, if any, is left intact.
+/// Write `bytes` to `path` atomically: a temp file unique to this call in
+/// the same directory, flush, then rename over the target. Safe to call
+/// concurrently for one path from many threads. On any failure (including
+/// injected ShortWrite/RenameFail faults) the temp file is removed and the
+/// previous target content, if any, is left intact.
 Status write_file_atomic(const std::string& path, std::span<const u8> bytes);
 
 /// Read a whole file; a non-Ok status for a missing/unreadable file. The

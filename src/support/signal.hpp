@@ -9,9 +9,9 @@
 //
 //  - SIGTERM / SIGINT request a *graceful drain*, not an exit. The handler
 //    only sets a flag and writes one byte to a self-pipe; everything else
-//    (stop admitting, finish in-flight jobs, flush the manifest) happens on
-//    normal threads that either poll drain_requested() or include
-//    drain_wakeup_fd() in their poll() set.
+//    (stop admitting, finish in-flight jobs, compact the job journal with
+//    its clean-shutdown marker) happens on normal threads that either poll
+//    drain_requested() or include drain_wakeup_fd() in their poll() set.
 //
 // SIGKILL is deliberately not handled — it cannot be. Crash recovery is
 // the artifact store's job: a killed daemon restarted on the same

@@ -16,8 +16,8 @@
 //     shed with reason "draining"), finish queued + in-flight jobs (their
 //     stage outputs checkpoint to the store), then exit 0.
 //   - kShutdown from a client: same drain, same exit 0.
-//   - SIGKILL: nothing to handle — the artifact store's manifest and
-//     CRC-checked records survive, and a restarted daemon on the same
+//   - SIGKILL: nothing to handle — every artifact whose rename landed is
+//     a complete, self-checking file, and a restarted daemon on the same
 //     --store dir replays the job journal: the incomplete backlog is
 //     re-enqueued server-side (no client resubmission) and finishes to
 //     byte-identical digests; jobs whose incarnations keep dying are
