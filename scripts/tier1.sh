@@ -212,23 +212,29 @@ PY
 # Disabled-mode cost: GP_METRICS=0 GP_TRACE=0 must stay within noise of
 # the default instrumented run. The bound is deliberately generous (25%)
 # so loaded CI machines don't flake; the traced cost is measured by
-# perfbench's trace.overhead_frac.
+# perfbench's trace.overhead_frac. Each side is the best of 5 runs in
+# user+sys CPU seconds, which other tenants of a shared host disturb far
+# less than wall time.
 python3 - "$PIPELINE" <<'PY'
-import os, subprocess, sys, time
+import os, resource, subprocess, sys
 pipeline = sys.argv[1]
-def best(extra, runs=2):
+def cpu_s():
+    ru = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return ru.ru_utime + ru.ru_stime
+def best(extra, runs=5):
     env = dict(os.environ, **extra)
     times = []
     for _ in range(runs):
-        t0 = time.monotonic()
+        c0 = cpu_s()
         subprocess.run([pipeline, "--goal", "execve"], check=True,
                        stdout=subprocess.DEVNULL, env=env)
-        times.append(time.monotonic() - t0)
+        times.append(cpu_s() - c0)
     return min(times)
 on = best({"GP_METRICS": "1", "GP_TRACE": "1"})
 off = best({"GP_METRICS": "0", "GP_TRACE": "0"})
 assert off <= on * 1.25, f"disabled run slower than instrumented: {off} vs {on}"
-print(f"observability overhead: instrumented {on:.2f}s, disabled {off:.2f}s")
+print(f"observability overhead: instrumented {on:.2f} CPU s, "
+      f"disabled {off:.2f} CPU s")
 PY
 
 echo "== tier-1: opt-level drill (determinism, distinctness, store isolation) =="

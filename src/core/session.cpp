@@ -163,16 +163,16 @@ Status Session::run_supervised(
   }
 }
 
+// Winnowing and planning must be pure functions of pool *content*, not of
+// however the expression arena happened to grow while computing it;
+// otherwise a resumed run — which decodes its pool from a checkpoint into a
+// fresh arena — would diverge from an uninterrupted one, and the kill-resume
+// byte-identity guarantee would not hold. encode_pool is content-determined,
+// and compacting a computed pool makes the very rebuild calls decoding its
+// encoding makes, so both paths reach the same arena state. Both read an
+// exhausted budget as a miss and then leave the session untouched.
 bool Session::adopt_pool(const std::vector<std::vector<u8>>& records) {
   trace::Span span("canonicalize", "pool", id_);
-  // Winnowing and planning must be pure functions of pool *content*, not
-  // of however the expression arena happened to grow while computing it;
-  // otherwise a resumed run — which decodes its pool from a checkpoint
-  // into a fresh arena — would diverge from an uninterrupted one, and the
-  // kill-resume byte-identity guarantee would not hold. encode_pool is
-  // content-determined, so decoding it into a fresh context pins both
-  // paths to the same arena state. decode_pool reads an exhausted budget
-  // as a miss, so a failed decode leaves the session untouched.
   auto fresh = std::make_unique<solver::Context>();
   fresh->set_governor(gov_.get());
   auto decoded = gadget::decode_pool(*fresh, records);
@@ -180,6 +180,23 @@ bool Session::adopt_pool(const std::vector<std::vector<u8>>& records) {
   ctx_ = std::move(fresh);
   pool_ = std::move(*decoded);
   return true;
+}
+
+bool Session::canonicalize() {
+  trace::Span span("canonicalize", "pool", id_);
+  auto fresh = std::make_unique<solver::Context>();
+  fresh->set_governor(gov_.get());
+  if (!gadget::compact_pool(*ctx_, pool_, *fresh)) return false;
+  ctx_ = std::move(fresh);
+  return true;
+}
+
+/// The store form of a computed pool, for put().
+static std::vector<std::vector<u8>> store_records(
+    u64 session, const solver::Context& ctx,
+    const std::vector<gadget::Record>& pool) {
+  trace::Span span("encode", "pool", session);
+  return gadget::encode_pool(ctx, pool);
 }
 
 /// Checkpoint-served stage outputs, rolled up process-wide (per-session
@@ -219,6 +236,10 @@ Status Session::extract() {
   if (!have_pool) {
     report_.extract_status =
         run_supervised("extract", report_.extract_runs, [&](Governor& g) {
+          // Each attempt interns into a fresh context, so a retried pool
+          // does not depend on what a cut attempt left behind.
+          ctx_ = std::make_unique<solver::Context>();
+          ctx_->set_governor(&g);
           gadget::Extractor extractor(*ctx_, *img_);
           gadget::ExtractOptions eopts = opts_.extract;
           if (!eopts.governor) eopts.governor = &g;
@@ -227,17 +248,15 @@ Status Session::extract() {
           metrics::publish("extract", report_.extract);
           return report_.extract.status;
         });
-    // One encoding serves the checkpoint and the canonical re-decode. Only
-    // a clean run is durable: a budget-cut pool is valid but partial, and
-    // caching it would freeze the degradation into future runs. A pool
-    // that fails to re-decode (budget cut) stays as computed; the run is
-    // already degraded and degraded results are never checkpointed.
-    // A failed put is counted in store::Stats::put_failures and never
-    // fails the stage: the next run just recomputes.
-    const auto records = gadget::encode_pool(*ctx_, pool_);
+    // Only a clean run is durable: a budget-cut pool is valid but partial,
+    // and caching it would freeze the degradation into future runs. A
+    // failed put is counted in store::Stats::put_failures and never fails
+    // the stage: the next run just recomputes. A pool whose compaction is
+    // cut stays as computed; the run is already degraded then, and
+    // degraded results are never checkpointed.
     if (store_ && report_.extract_status.ok())
-      (void)store_->put(extract_key, records);
-    adopt_pool(records);
+      (void)store_->put(extract_key, store_records(id_, *ctx_, pool_));
+    canonicalize();
   }
   report_.extract_seconds = secs_since(t0);
   report_.pool_raw = pool_.size();
@@ -257,11 +276,8 @@ Status Session::subsume() {
   trace::Span span("subsume", "stage", id_);
   auto t1 = Clock::now();
   // A stored winnow decodes once, straight into a fresh context: that is
-  // already the canonical state. A computed pool is re-interned from its
-  // encoding below; encode_pool always emits a header record, so empty
-  // `records` means "not encoded yet".
+  // already the canonical state. A computed pool is compacted below.
   bool have_min = false;
-  std::vector<std::vector<u8>> records;
   if (opts_.run_subsumption) {
     std::string subsume_key;
     // The subsume key describes the *canonical* extraction output; when
@@ -284,29 +300,29 @@ Status Session::subsume() {
       }
     }
     if (!have_min) {
-      const std::vector<gadget::Record> raw = pool_;  // retries need the input
+      // pool_ stays the raw pool until every attempt is done: retries
+      // need the input.
+      std::optional<std::vector<gadget::Record>> kept;
       report_.subsume_status =
           run_supervised("subsume", report_.subsume_runs, [&](Governor& g) {
             report_.subsume = {};
-            auto work = raw;
-            pool_ = subsume::minimize(*ctx_, std::move(work), &report_.subsume,
-                                      subsume::kSolverCheckBudget,
-                                      /*threads=*/0, &g);
+            kept = subsume::minimize(*ctx_, pool_, &report_.subsume,
+                                     subsume::kSolverCheckBudget,
+                                     /*threads=*/0, &g);
             metrics::publish("subsume", report_.subsume);
             metrics::registry()
                 .histogram("subsume.pool_kept")
                 .observe(report_.subsume.kept);
             return report_.subsume.status;
           });
+      if (kept) pool_ = std::move(*kept);
       // The first cleanly-completed winnow becomes canonical. (Under an
       // exhausted solver-check budget the winnow result can depend on lane
       // scheduling, so pinning the first result in the store is what makes
-      // later resumed runs byte-identical.)
-      if (store_ && canonical_input && report_.subsume_status.ok()) {
-        records = gadget::encode_pool(*ctx_, pool_);
-        // A failed put is only counted (see extract()).
-        (void)store_->put(subsume_key, records);
-      }
+      // later resumed runs byte-identical.) A failed put is only counted
+      // (see extract()).
+      if (store_ && canonical_input && report_.subsume_status.ok())
+        (void)store_->put(subsume_key, store_records(id_, *ctx_, pool_));
     }
   }
   report_.subsume_seconds = secs_since(t1);
@@ -314,10 +330,7 @@ Status Session::subsume() {
   report_.rss_mb_after_subsume = current_rss_mb();
   snapshot_store_stats();
 
-  if (!have_min) {
-    if (records.empty()) records = gadget::encode_pool(*ctx_, pool_);
-    adopt_pool(records);
-  }
+  if (!have_min) canonicalize();
   lib_ = std::make_unique<gadget::Library>(std::move(pool_));
   return report_.subsume_status;
 }

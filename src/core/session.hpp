@@ -229,6 +229,11 @@ class Session {
   /// run reconstructs from a checkpoint. False, adopting nothing, when the
   /// records fail to decode.
   bool adopt_pool(const std::vector<std::vector<u8>>& records);
+  /// Compact the computed pool_ into a fresh context (gadget::compact_pool)
+  /// and adopt that as ctx_: the state adopt_pool(encode_pool(...)) would
+  /// leave, without the bytes. False, changing nothing, when the rebuild is
+  /// cut by the node budget; the pool then stays as computed.
+  bool canonicalize();
 
   /// Refresh report_.store from the session's store.
   void snapshot_store_stats();

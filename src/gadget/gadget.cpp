@@ -1,6 +1,7 @@
 #include "gadget/gadget.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <memory>
 
 #include "lift/lift.hpp"
@@ -23,6 +24,13 @@ const char* end_kind_name(EndKind k) {
     case EndKind::Syscall: return "syscall";
   }
   return "<bad>";
+}
+
+std::vector<ExprRef> pool_refs(const std::vector<Record>& pool) {
+  std::vector<ExprRef> out;
+  for (const Record& r : pool)
+    for_each_ref(r, [&](ExprRef e) { out.push_back(e); });
+  return out;
 }
 
 namespace {
@@ -254,6 +262,8 @@ void validate_options(const ExtractOptions& o) {
   GP_CHECK(o.max_paths >= 0, "ExtractOptions::max_paths must be >= 0");
   GP_CHECK(o.max_cond_jumps >= 0,
            "ExtractOptions::max_cond_jumps must be >= 0");
+  GP_CHECK(o.merge_hash_bits >= 1 && o.merge_hash_bits <= 64,
+           "ExtractOptions::merge_hash_bits must be in [1, 64]");
 }
 
 /// True when a governed scan should stop before touching another offset:
@@ -275,24 +285,29 @@ bool scan_stopped(Governor* gov, ExtractStats& stats) {
   return false;
 }
 
-/// Rewrite a shard record's refs into the main context through the
-/// shard's replay table.
-void remap_record(Record& r, const std::vector<ExprRef>& table) {
-  const auto map = [&](ExprRef& e) {
-    if (e != solver::kNoExpr) e = table[e];
-  };
-  for (auto& e : r.final_regs) map(e);
-  for (auto& e : r.precond) map(e);
-  map(r.next_rip);
-  for (auto& w : r.writes) {
-    map(w.addr);
-    map(w.value);
+/// Set of structural hashes: open addressing, linear probing, at most
+/// half full. 0 marks an empty slot, so hash 0 is stored as 1 — a
+/// collision, which the merge tolerates like any other.
+class HashSet {
+ public:
+  explicit HashSet(size_t n) : slots_(std::bit_ceil(2 * n + 2)) {}
+  void insert(u64 h) {
+    h = h ? h : 1;
+    size_t i = h & mask();
+    while (slots_[i] != 0 && slots_[i] != h) i = (i + 1) & mask();
+    slots_[i] = h;
   }
-  for (auto& ir : r.ind_reads) {
-    map(ir.addr);
-    map(ir.var);
+  bool contains(u64 h) const {
+    h = h ? h : 1;
+    for (size_t i = h & mask(); slots_[i] != 0; i = (i + 1) & mask())
+      if (slots_[i] == h) return true;
+    return false;
   }
-}
+
+ private:
+  size_t mask() const { return slots_.size() - 1; }
+  std::vector<u64> slots_;
+};
 
 }  // namespace
 
@@ -326,6 +341,9 @@ std::vector<Record> Extractor::extract_parallel(const ExtractOptions& opts,
   const u64 base = img_.code_base();
   const u64 stride = static_cast<u64>(opts.stride);
   const u64 total = (img_.code_end() - base + stride - 1) / stride;
+  const u64 hash_mask = opts.merge_hash_bits >= 64
+                            ? ~u64{0}
+                            : (u64{1} << opts.merge_hash_bits) - 1;
 
   // Shard the scan into more chunks than lanes so uneven exploration costs
   // balance via the pool's dynamic item claiming; chunks stay large enough
@@ -341,12 +359,22 @@ std::vector<Record> Extractor::extract_parallel(const ExtractOptions& opts,
     std::unique_ptr<solver::Context> ctx;
     std::vector<Record> records;
     ExtractStats stats;
+    std::vector<u64> reached;  // hashes of the shard nodes its records reach
+    std::vector<bool> keep;    // shard nodes the merge replays
+    u64 kept = 0;
   };
   std::vector<Shard> shards(nchunks);
+  // Per-lane scratch: structural hashes of the shard at hand, by ref.
+  std::vector<std::vector<u64>> lane_hashes(static_cast<size_t>(threads));
+  const auto hash_buffer = [&](int lane, const solver::Context& c) -> auto& {
+    auto& h = lane_hashes[static_cast<size_t>(lane)];
+    if (h.size() < c.num_nodes()) h.resize(c.num_nodes());
+    return h;
+  };
 
   ThreadPool::shared().run(
       nchunks,
-      [&](int /*lane*/, u64 ci) {
+      [&](int lane, u64 ci) {
         trace::Span span("extract.shard", "shard");
         Shard& s = shards[ci];
         s.ctx = std::make_unique<solver::Context>();
@@ -368,26 +396,74 @@ std::vector<Record> Extractor::extract_parallel(const ExtractOptions& opts,
           exec.begin_origin(addr);
           explore_offset(*s.ctx, exec, img_, addr, opts, s.records, s.stats);
         }
+        // The operands of a reached node are reached too, with smaller
+        // refs, so hashing the reached nodes in ref order needs no others.
+        auto& h = hash_buffer(lane, *s.ctx);
+        for (const ExprRef r : s.ctx->reachable(pool_refs(s.records))) {
+          h[r] = s.ctx->structural_hash(r, h) & hash_mask;
+          s.reached.push_back(h[r]);
+        }
       },
       threads);
 
-  // Deterministic merge: replay every shard's nodes into the main context
-  // in chunk (= offset) order. A shard lists its nodes in the order its
-  // offsets first created them, and the sequential scan appends exactly the
-  // ones the main context still lacks, in that order; so the replay
-  // rebuilds the sequential context ref for ref, and records remap through
-  // the replay table. One reserve covers every shard.
-  size_t total_nodes = ctx_.num_nodes();
-  for (const Shard& s : shards) total_nodes += s.ctx->num_nodes();
-  ctx_.reserve(total_nodes);
+  // Deterministic merge. Replaying every shard's nodes into the main
+  // context in chunk (= offset) order would rebuild the sequential scan's
+  // context ref for ref: a shard lists its nodes in the order its offsets
+  // first created them, and the sequential scan appends exactly the ones
+  // the main context still lacks, in that order. Most of those nodes are
+  // garbage no record reaches, so the merge replays only the terms some
+  // shard's records reach (by structural hash) whose operands it keeps.
+  // That decision depends on the term alone, so a kept term is kept in
+  // every shard that has it, garbage there or not: the kept nodes land in
+  // the full replay's relative order with its commutative operand order,
+  // and the records' sub-DAGs match the full replay's node for node. A
+  // hash collision only keeps an extra unreachable node.
+  trace::Span merge_span("extract.merge", "pool");
+  size_t n_reached = 0;
+  for (const Shard& s : shards) n_reached += s.reached.size();
+  HashSet wanted(n_reached);
+  for (Shard& s : shards) {
+    for (const u64 h : s.reached) wanted.insert(h);
+    s.reached = {};
+  }
+  ThreadPool::shared().run(
+      nchunks,
+      [&](int lane, u64 ci) {
+        Shard& s = shards[ci];
+        const solver::Context& c = *s.ctx;
+        auto& h = hash_buffer(lane, c);
+        s.keep.assign(c.num_nodes(), false);
+        const auto kept = [&](ExprRef e) {
+          return e == solver::kNoExpr || s.keep[e];
+        };
+        for (ExprRef r = 0; r < c.num_nodes(); ++r) {
+          h[r] = c.structural_hash(r, h) & hash_mask;
+          const solver::Node& n = c.node(r);
+          if (wanted.contains(h[r]) && kept(n.a) && kept(n.b) && kept(n.c)) {
+            s.keep[r] = true;
+            ++s.kept;
+          }
+        }
+      },
+      threads);
+  lane_hashes = {};
+
+  size_t total_kept = ctx_.num_nodes();
+  for (const Shard& s : shards) total_kept += s.kept;
+  ctx_.reserve(total_kept);
+  static metrics::Counter& merged =
+      metrics::registry().counter("extract.merge_nodes");
   std::vector<Record> out;
   bool exhausted = false;
   for (Shard& s : shards) {
     if (!exhausted) {
       try {
-        const std::vector<ExprRef> table = ctx_.replay(*s.ctx);
+        merged.add(s.kept);
+        const std::vector<ExprRef> table = ctx_.replay(*s.ctx, s.keep);
         for (Record& r : s.records) {
-          remap_record(r, table);
+          for_each_ref(r, [&](ExprRef& e) {
+            if (e != solver::kNoExpr) e = table[e];
+          });
           out.push_back(std::move(r));
         }
       } catch (const ResourceExhausted& e) {
@@ -403,6 +479,7 @@ std::vector<Record> Extractor::extract_parallel(const ExtractOptions& opts,
     // offsets_scanned + offsets_skipped still covers the code bytes.
     stats_ += s.stats;
     s.ctx.reset();  // drop the worker interner as soon as it is replayed
+    s.keep = {};
   }
   return out;
 }

@@ -77,6 +77,28 @@ struct Record {
   bool can_set(x86::Reg r) const { return settable & reg_bit(r); }
 };
 
+/// Call f on every expression ref `r` holds (kNoExpr included), in field
+/// order: the roots a record keeps alive in its context. `R` is Record or
+/// const Record.
+template <class R, class F>
+void for_each_ref(R& r, F&& f) {
+  for (auto& e : r.final_regs) f(e);
+  for (auto& e : r.precond) f(e);
+  f(r.next_rip);
+  for (auto& w : r.writes) {
+    f(w.addr);
+    f(w.value);
+  }
+  for (auto& ir : r.ind_reads) {
+    f(ir.addr);
+    f(ir.var);
+  }
+}
+
+/// Every expression ref the records of `pool` hold, in pool and field
+/// order.
+std::vector<solver::ExprRef> pool_refs(const std::vector<Record>& pool);
+
 struct ExtractOptions {
   int max_insts = 32;       // per path (allows call+return merges)
   int max_cond_jumps = 2;   // fork bound per start offset
@@ -89,11 +111,16 @@ struct ExtractOptions {
   bool drop_wild_stores = false;
   /// Worker threads for the offset scan. 0 = the GP_THREADS env knob
   /// (default hardware_concurrency); 1 = the exact sequential path.
-  /// Any value yields the same gadget pool and the same context, ref for
-  /// ref: workers explore disjoint offset shards in private solver
-  /// contexts, which the merge replays into the main context in offset
-  /// order.
+  /// Any value yields the same gadget pool, and the same context restricted
+  /// to the nodes the pool reaches: workers explore disjoint offset shards
+  /// in private solver contexts, and the merge replays the nodes the
+  /// shards' records reach into the main context in offset order.
   int threads = 0;
+  /// Bits of the structural hash by which that merge picks the shard nodes
+  /// to replay (1..64). Fewer bits only add collisions, which replay extra
+  /// unreachable nodes and never change the pool; tests narrow it to show
+  /// exactly that.
+  int merge_hash_bits = 64;
   /// Shared resource governor (optional; must outlive the call). The scan
   /// polls its deadline/cancel token at every offset — on all worker lanes
   /// — and the symbolic executor consumes its step budget. Exhaustion

@@ -80,19 +80,7 @@ bool get_inst(serial::Reader& r, x86::Inst& inst) {
 std::vector<std::vector<u8>> encode_pool(const solver::Context& ctx,
                                          const std::vector<Record>& pool) {
   solver::ExprEncoder enc(ctx);
-  for (const Record& g : pool) {
-    for (const auto e : g.final_regs) enc.add(e);
-    for (const auto e : g.precond) enc.add(e);
-    enc.add(g.next_rip);
-    for (const auto& mw : g.writes) {
-      enc.add(mw.addr);
-      enc.add(mw.value);
-    }
-    for (const auto& ir : g.ind_reads) {
-      enc.add(ir.addr);
-      enc.add(ir.var);
-    }
-  }
+  for (const solver::ExprRef e : pool_refs(pool)) enc.add(e);
 
   std::vector<std::vector<u8>> out;
   serial::Writer header;
@@ -227,6 +215,23 @@ std::optional<std::vector<Record>> decode_pool(
     // back to (governed) recomputation.
     return std::nullopt;
   }
+}
+
+bool compact_pool(const solver::Context& src, std::vector<Record>& pool,
+                  solver::Context& dst) {
+  std::vector<solver::ExprRef> table;
+  try {
+    table = solver::compact(src, pool_refs(pool), dst);
+  } catch (const Error&) {
+    return false;  // as decode_pool: a width violation reads as a miss
+  } catch (const ResourceExhausted&) {
+    return false;
+  }
+  for (Record& g : pool)
+    for_each_ref(g, [&](solver::ExprRef& e) {
+      if (e != solver::kNoExpr) e = table[e];
+    });
+  return true;
 }
 
 void append_extract_key(serial::Writer& w, const ExtractOptions& opts) {

@@ -26,6 +26,15 @@ std::vector<std::vector<u8>> encode_pool(const solver::Context& ctx,
 std::optional<std::vector<Record>> decode_pool(
     solver::Context& ctx, const std::vector<std::vector<u8>>& records);
 
+/// Canonicalize `pool` into `dst`: rebuild the nodes its records reach,
+/// in ref order, through dst's smart constructors (solver::compact) and
+/// remap the records' refs in place. `dst` and `pool` end up as
+/// decode_pool(dst, encode_pool(src, pool)) would leave them, without the
+/// bytes. Returns false, with `pool` untouched, when the rebuild is cut by
+/// dst's node budget or an injected fault (or breaks a width invariant).
+bool compact_pool(const solver::Context& src, std::vector<Record>& pool,
+                  solver::Context& dst);
+
 /// Append the fields of `opts` that determine extraction output to a key
 /// writer (thread count and governor excluded: any thread count produces
 /// the same pool, and governed runs are only checkpointed when uncut).

@@ -179,20 +179,24 @@ ExprRef Context::binary(Op op, ExprRef a, ExprRef b) {
   return intern(n);
 }
 
-std::vector<ExprRef> Context::replay(const Context& src) {
+std::vector<ExprRef> Context::replay(const Context& src,
+                                     const std::vector<bool>& keep) {
   // Both contexts are hash-consed, so distinct src nodes denote distinct
   // terms and map to distinct nodes here. Hence a node over an operand this
   // replay appended is new itself, and any other node can only match a node
   // that predates the replay: lookups need only the table as it was, and
   // the appended nodes join it in one pass at the end.
+  GP_CHECK(keep.empty() || keep.size() == src.nodes_.size(),
+           "replay keep mask size");
   const auto first = static_cast<ExprRef>(nodes_.size());
   const auto appended = [first](ExprRef e) {
     return e != kNoExpr && e >= first;
   };
-  std::vector<ExprRef> out(src.nodes_.size());
+  std::vector<ExprRef> out(src.nodes_.size(), kNoExpr);
   const auto map = [&](ExprRef e) { return e == kNoExpr ? e : out[e]; };
   try {
     for (size_t r = 0; r < out.size(); ++r) {
+      if (!keep.empty() && !keep[r]) continue;
       Node n = src.nodes_[r];
       if (n.op == Op::Var) {
         const std::string& name = src.var_names_[n.cval];
@@ -221,6 +225,81 @@ std::vector<ExprRef> Context::replay(const Context& src) {
   }
   index_from(first);
   return out;
+}
+
+u64 Context::structural_hash(ExprRef r,
+                             const std::vector<u64>& hashes) const {
+  const auto mix = [](u64 h, u64 v) {
+    h = (h ^ v) * 0xbf58476d1ce4e5b9ULL;
+    return h ^ (h >> 31);
+  };
+  const auto of = [&](ExprRef e) {
+    return e == kNoExpr ? u64{0} : hashes[e];
+  };
+  const Node& n = nodes_[r];
+  const u64 h = mix(0x9e3779b97f4a7c15ULL, u64{static_cast<u8>(n.op)} |
+                                              u64{n.width} << 8 |
+                                              u64{n.aux} << 16);
+  if (n.op == Op::Const) return mix(h, n.cval);
+  if (n.op == Op::Var)
+    return mix(h, std::hash<std::string>{}(var_names_[n.cval]));
+  u64 ha = of(n.a), hb = of(n.b);
+  if (commutative(n.op) && ha > hb) std::swap(ha, hb);
+  return mix(mix(mix(h, ha), hb), of(n.c));
+}
+
+std::vector<ExprRef> Context::reachable(
+    const std::vector<ExprRef>& roots) const {
+  // Operands have smaller refs than their users, so one sweep from the
+  // highest root down marks every reachable node before it is visited.
+  std::vector<bool> mark(nodes_.size());
+  size_t top = 0;
+  for (const ExprRef e : roots) {
+    if (e == kNoExpr) continue;
+    mark[e] = true;
+    top = std::max<size_t>(top, size_t{e} + 1);
+  }
+  size_t count = 0;
+  for (size_t r = top; r-- > 0;) {
+    if (!mark[r]) continue;
+    ++count;
+    const Node& n = nodes_[r];
+    if (n.a != kNoExpr) mark[n.a] = true;
+    if (n.b != kNoExpr) mark[n.b] = true;
+    if (n.c != kNoExpr) mark[n.c] = true;
+  }
+  std::vector<ExprRef> out;
+  out.reserve(count);
+  for (size_t r = 0; r < top; ++r)
+    if (mark[r]) out.push_back(static_cast<ExprRef>(r));
+  return out;
+}
+
+ExprRef Context::rebuild(const Node& n, const std::string& var_name) {
+  switch (n.op) {
+    case Op::Const: return constant(n.cval, n.width);
+    case Op::Var: return var(var_name, n.width);
+    case Op::Add: return add(n.a, n.b);
+    case Op::Mul: return mul(n.a, n.b);
+    case Op::And: return band(n.a, n.b);
+    case Op::Or: return bor(n.a, n.b);
+    case Op::Xor: return bxor(n.a, n.b);
+    case Op::Shl: return shl(n.a, n.b);
+    case Op::LShr: return lshr(n.a, n.b);
+    case Op::AShr: return ashr(n.a, n.b);
+    case Op::Not: return bnot(n.a);
+    case Op::Neg: return neg(n.a);
+    case Op::Eq: return eq(n.a, n.b);
+    case Op::Ult: return ult(n.a, n.b);
+    case Op::Slt: return slt(n.a, n.b);
+    case Op::Ite: return ite(n.a, n.b, n.c);
+    case Op::ZExt: return zext(n.a, n.width);
+    case Op::SExt: return sext(n.a, n.width);
+    case Op::Extract: return extract(n.a, n.aux, n.width);
+    case Op::Concat: return concat(n.a, n.b);
+  }
+  GP_CHECK(false, "rebuild of an unknown op");
+  return kNoExpr;
 }
 
 ExprRef Context::add(ExprRef a, ExprRef b) {

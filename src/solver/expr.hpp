@@ -144,11 +144,35 @@ class Context {
   /// the context the scan would have built alone. Returns the destination
   /// ref of every src ref: out[r] for src ref r.
   ///
+  /// A non-empty `keep` replays only the src nodes r with keep[r] set (the
+  /// operands of a kept node must be kept too); out[r] is kNoExpr for the
+  /// others. Kept nodes keep their relative order, so the result is the
+  /// full replay's context restricted to them.
+  ///
   /// Replayed nodes do not draw on the governor's expr-node budget: the
   /// source context paid for each of them when it interned it. The
   /// allocation fault point still fires, so a replay can throw
   /// ResourceExhausted part-way through.
-  std::vector<ExprRef> replay(const Context& src);
+  std::vector<ExprRef> replay(const Context& src,
+                              const std::vector<bool>& keep = {});
+
+  /// A 64-bit hash of node r's term that does not depend on refs, given
+  /// the hashes of its operands in `hashes` (indexed by ref): variables
+  /// hash by name and commutative operands symmetrically, so a term that
+  /// replay() would map to one node hashes alike in every context.
+  /// Distinct terms may collide.
+  u64 structural_hash(ExprRef r, const std::vector<u64>& hashes) const;
+
+  /// The nodes reachable from `roots` (kNoExpr entries skipped), in
+  /// ascending ref order. Ref order is topological: operands intern before
+  /// their users.
+  std::vector<ExprRef> reachable(const std::vector<ExprRef>& roots) const;
+
+  /// Intern `n` through the smart constructor of its op, its operands
+  /// already refs of this context; a variable binds by `var_name` (n.cval
+  /// is ignored). This is how a node from another context re-enters this
+  /// one re-simplified (decoding, compaction).
+  ExprRef rebuild(const Node& n, const std::string& var_name = {});
 
   /// Attach a resource governor (nullptr detaches). Fresh node interning
   /// then consumes the governor's expr-node budget; exhaustion throws

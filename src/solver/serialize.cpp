@@ -1,28 +1,42 @@
 #include "solver/serialize.hpp"
 
-#include <algorithm>
-
 namespace gp::solver {
 
-void ExprEncoder::add(ExprRef e) {
-  if (e == kNoExpr || ids_.count(e)) return;
-  ids_.emplace(e, kNoId);  // placeholder; real ids assigned in write_nodes
-  const Node& n = ctx_.node(e);
-  if (n.a != kNoExpr) add(n.a);
-  if (n.b != kNoExpr) add(n.b);
-  if (n.c != kNoExpr) add(n.c);
-  order_.push_back(e);
+namespace {
+
+/// Operand count of `op`; -1 for a byte that names no op.
+int arity(Op op) {
+  switch (op) {
+    case Op::Const: case Op::Var:
+      return 0;
+    case Op::Not: case Op::Neg: case Op::ZExt: case Op::SExt:
+    case Op::Extract:
+      return 1;
+    case Op::Add: case Op::Mul: case Op::And: case Op::Or: case Op::Xor:
+    case Op::Shl: case Op::LShr: case Op::AShr:
+    case Op::Eq: case Op::Ult: case Op::Slt:
+    case Op::Concat:
+      return 2;
+    case Op::Ite:
+      return 3;
+  }
+  return -1;
 }
+
+}  // namespace
+
+void ExprEncoder::add(ExprRef e) { roots_.push_back(e); }
 
 void ExprEncoder::write_nodes(serial::Writer& w) {
   // Ref order is creation order, and operands always intern before their
-  // users, so sorting by ref yields a topological order with stable ids
-  // regardless of the order roots were add()ed in.
-  std::sort(order_.begin(), order_.end());
-  for (u32 i = 0; i < order_.size(); ++i) ids_[order_[i]] = i;
+  // users, so ref order is a topological order with stable ids regardless
+  // of the order roots were add()ed in.
+  const std::vector<ExprRef> order = ctx_.reachable(roots_);
+  ids_.assign(ctx_.num_nodes(), kNoId);
+  for (u32 i = 0; i < order.size(); ++i) ids_[order[i]] = i;
 
-  w.put_u32(static_cast<u32>(order_.size()));
-  for (const ExprRef e : order_) {
+  w.put_u32(static_cast<u32>(order.size()));
+  for (const ExprRef e : order) {
     const Node& n = ctx_.node(e);
     w.put_u8(static_cast<u8>(n.op));
     w.put_u8(n.width);
@@ -33,7 +47,7 @@ void ExprEncoder::write_nodes(serial::Writer& w) {
       w.put_str(ctx_.var_name(e));
     } else {
       auto operand = [&](ExprRef x) {
-        w.put_u32(x == kNoExpr ? kNoId : ids_.at(x));
+        w.put_u32(x == kNoExpr ? kNoId : ids_[x]);
       };
       operand(n.a);
       operand(n.b);
@@ -44,7 +58,8 @@ void ExprEncoder::write_nodes(serial::Writer& w) {
 
 u32 ExprEncoder::id(ExprRef e) const {
   if (e == kNoExpr) return kNoId;
-  return ids_.at(e);
+  GP_CHECK(e < ids_.size() && ids_[e] != kNoId, "id of an unencoded ref");
+  return ids_[e];
 }
 
 bool ExprDecoder::read_nodes(serial::Reader& r) {
@@ -58,15 +73,18 @@ bool ExprDecoder::read_nodes(serial::Reader& r) {
   refs_.clear();
   refs_.reserve(count);
   for (u32 i = 0; i < count; ++i) {
-    const Op op = static_cast<Op>(r.get_u8());
-    const u8 width = r.get_u8();
-    const u8 aux = r.get_u8();
-    if (!r.ok() || width < 1 || width > 64) {
-      r.set_failed();
+    Node n;
+    n.op = static_cast<Op>(r.get_u8());
+    n.width = r.get_u8();
+    n.aux = r.get_u8();
+    const int n_operands = arity(n.op);
+    if (!r.ok() || n.width < 1 || n.width > 64 || n_operands < 0) {
+      r.set_failed();  // bad width or unknown op byte: corrupt
       return false;
     }
     // Operand ids must point strictly backward in the table (topological
-    // order); anything else is corruption.
+    // order); anything else is corruption. Slots past the op's arity are
+    // read and ignored.
     auto operand = [&](bool required) -> ExprRef {
       const u32 id = r.get_u32();
       if (id == ExprEncoder::kNoId) {
@@ -79,72 +97,22 @@ bool ExprDecoder::read_nodes(serial::Reader& r) {
       }
       return refs_[id];
     };
-    ExprRef out = kNoExpr;
-    switch (op) {
-      case Op::Const: out = dst_.constant(r.get_u64(), width); break;
-      case Op::Var: {
-        const std::string name = r.get_str();
-        if (!r.ok() || name.empty()) {
-          r.set_failed();
-          return false;
-        }
-        out = dst_.var(name, width);
-        break;
-      }
-      case Op::Add: case Op::Mul: case Op::And: case Op::Or: case Op::Xor:
-      case Op::Shl: case Op::LShr: case Op::AShr:
-      case Op::Eq: case Op::Ult: case Op::Slt:
-      case Op::Concat: {
-        const ExprRef a = operand(true);
-        const ExprRef b = operand(true);
-        operand(false);  // unused c slot
-        if (!r.ok()) return false;
-        switch (op) {
-          case Op::Add: out = dst_.add(a, b); break;
-          case Op::Mul: out = dst_.mul(a, b); break;
-          case Op::And: out = dst_.band(a, b); break;
-          case Op::Or: out = dst_.bor(a, b); break;
-          case Op::Xor: out = dst_.bxor(a, b); break;
-          case Op::Shl: out = dst_.shl(a, b); break;
-          case Op::LShr: out = dst_.lshr(a, b); break;
-          case Op::AShr: out = dst_.ashr(a, b); break;
-          case Op::Eq: out = dst_.eq(a, b); break;
-          case Op::Ult: out = dst_.ult(a, b); break;
-          case Op::Slt: out = dst_.slt(a, b); break;
-          case Op::Concat: out = dst_.concat(a, b); break;
-          default: break;
-        }
-        break;
-      }
-      case Op::Not: case Op::Neg: case Op::ZExt: case Op::SExt:
-      case Op::Extract: {
-        const ExprRef a = operand(true);
-        operand(false);
-        operand(false);
-        if (!r.ok()) return false;
-        switch (op) {
-          case Op::Not: out = dst_.bnot(a); break;
-          case Op::Neg: out = dst_.neg(a); break;
-          case Op::ZExt: out = dst_.zext(a, width); break;
-          case Op::SExt: out = dst_.sext(a, width); break;
-          case Op::Extract: out = dst_.extract(a, aux, width); break;
-          default: break;
-        }
-        break;
-      }
-      case Op::Ite: {
-        const ExprRef a = operand(true);
-        const ExprRef b = operand(true);
-        const ExprRef c = operand(true);
-        if (!r.ok()) return false;
-        out = dst_.ite(a, b, c);
-        break;
-      }
-      default:
-        r.set_failed();  // unknown op byte: corrupt
+    std::string name;
+    if (n.op == Op::Const) {
+      n.cval = r.get_u64();
+    } else if (n.op == Op::Var) {
+      name = r.get_str();
+      if (!r.ok() || name.empty()) {
+        r.set_failed();
         return false;
+      }
+    } else {
+      n.a = operand(n_operands > 0);
+      n.b = operand(n_operands > 1);
+      n.c = operand(n_operands > 2);
+      if (!r.ok()) return false;
     }
-    refs_.push_back(out);
+    refs_.push_back(dst_.rebuild(n, name));
   }
   return r.ok();
 }
@@ -156,6 +124,23 @@ ExprRef ExprDecoder::ref(u32 id, serial::Reader& r) const {
     return kNoExpr;
   }
   return refs_[id];
+}
+
+std::vector<ExprRef> compact(const Context& src,
+                             const std::vector<ExprRef>& roots, Context& dst) {
+  static const std::string kNoName;
+  const std::vector<ExprRef> order = src.reachable(roots);
+  dst.reserve(dst.num_nodes() + order.size());
+  std::vector<ExprRef> out(src.num_nodes(), kNoExpr);
+  const auto map = [&](ExprRef e) { return e == kNoExpr ? e : out[e]; };
+  for (const ExprRef r : order) {
+    Node n = src.node(r);
+    n.a = map(n.a);
+    n.b = map(n.b);
+    n.c = map(n.c);
+    out[r] = dst.rebuild(n, n.op == Op::Var ? src.var_name(r) : kNoName);
+  }
+  return out;
 }
 
 }  // namespace gp::solver

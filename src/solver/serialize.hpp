@@ -1,19 +1,20 @@
 // Stable serialization of expression DAGs (the checkpointable half of a
-// solver::Context).
+// solver::Context), and the compaction it defines.
 //
 // An ExprEncoder collects the nodes reachable from the refs it is asked to
 // encode — in ref order, which is topological because operands intern
 // before their users — and assigns them compact stable ids. Decoding
-// replays each node through the destination context's public smart
-// constructors: variables rebind by name, constants by value, everything
-// else re-simplifies. Replaying an already-canonical node through the (pure,
-// deterministic) constructors reproduces a structurally identical node, so
+// rebuilds each node through the destination context's smart constructors
+// (Context::rebuild): variables rebind by name, constants by value,
+// everything else re-simplifies. Replaying an already-canonical node
+// through the (pure, deterministic) constructors reproduces a structurally
+// identical node, so
 //   encode(ctx, roots) |> decode(fresh_ctx)
 // yields terms that print, evaluate and solve identically — the property
-// the kill-resume determinism test locks down.
+// the kill-resume determinism test locks down. compact() makes the same
+// rebuild calls in the same order straight from the source context.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "solver/expr.hpp"
@@ -40,8 +41,8 @@ class ExprEncoder {
 
  private:
   const Context& ctx_;
-  std::vector<ExprRef> order_;  // nodes in ref (= topological) order
-  std::unordered_map<ExprRef, u32> ids_;  // ref -> compact id
+  std::vector<ExprRef> roots_;  // as add()ed
+  std::vector<u32> ids_;        // ref -> compact id (kNoId: not encoded)
 };
 
 /// Reads a node table and rebuilds every node in `dst` through its smart
@@ -62,5 +63,14 @@ class ExprDecoder {
   Context& dst_;
   std::vector<ExprRef> refs_;  // id -> rebuilt ref
 };
+
+/// Rebuild the nodes of `src` reachable from `roots`, in ref order, into
+/// `dst` through Context::rebuild: exactly the calls decoding
+/// encode(src, roots) into `dst` makes, without the bytes. Returns dst's
+/// ref for every src ref (kNoExpr for the unreachable ones). Like decoding
+/// it draws on dst's governor, so it can throw ResourceExhausted, and a
+/// width violation throws Error.
+std::vector<ExprRef> compact(const Context& src,
+                             const std::vector<ExprRef>& roots, Context& dst);
 
 }  // namespace gp::solver

@@ -1,10 +1,11 @@
 // Determinism of the parallel pipeline: extraction and subsumption must
 // yield the same gadget pool at any thread count. Workers explore offset
-// shards in private solver contexts, and the merge replays those contexts
-// into the main one in offset order, so a sharded extraction builds the
-// sequential scan's context ref for ref. Pools are therefore compared by
-// their refs and by their store encoding (gadget::encode_pool), byte for
-// byte.
+// shards in private solver contexts, and the merge replays the nodes the
+// shards' records reach into the main one in offset order, so a sharded
+// extraction builds the sequential scan's context restricted to those
+// nodes. Pools are therefore compared by their store encoding
+// (gadget::encode_pool), byte for byte, and once canonicalized (compacted
+// into a fresh context, as a Session does) by their refs.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -50,23 +51,27 @@ const image::Image& obfuscated_image() {
   return img;
 }
 
-/// Every expression ref the pool's records hold, in field order.
-std::vector<solver::ExprRef> refs(const std::vector<Record>& pool) {
-  std::vector<solver::ExprRef> out;
-  for (const Record& r : pool) {
-    out.insert(out.end(), r.final_regs.begin(), r.final_regs.end());
-    out.insert(out.end(), r.precond.begin(), r.precond.end());
-    out.push_back(r.next_rip);
-    for (const auto& w : r.writes) {
-      out.push_back(w.addr);
-      out.push_back(w.value);
-    }
-    for (const auto& ir : r.ind_reads) {
-      out.push_back(ir.addr);
-      out.push_back(ir.var);
-    }
-  }
-  return out;
+/// A pool compacted into a fresh context, as a Session canonicalizes it.
+struct Canonical {
+  solver::Context ctx;
+  std::vector<Record> pool;
+};
+
+Canonical canonical(const solver::Context& ctx, std::vector<Record> pool) {
+  Canonical c{{}, std::move(pool)};
+  EXPECT_TRUE(compact_pool(ctx, c.pool, c.ctx));
+  return c;
+}
+
+/// The canonical pools of two extractions match ref for ref, and their
+/// store encodings byte for byte.
+void expect_same_pool(const solver::Context& ca, const std::vector<Record>& pa,
+                      const solver::Context& cb, const std::vector<Record>& pb,
+                      const std::string& label) {
+  const Canonical ka = canonical(ca, pa), kb = canonical(cb, pb);
+  EXPECT_EQ(ka.ctx.num_nodes(), kb.ctx.num_nodes()) << label;
+  EXPECT_EQ(pool_refs(ka.pool), pool_refs(kb.pool)) << label;
+  EXPECT_EQ(encode_pool(ca, pa), encode_pool(cb, pb)) << label;
 }
 
 /// Every counter in the stage's table must match.
@@ -95,12 +100,47 @@ TEST(Parallel, ExtractionMatchesSequential) {
 
     expect_stats_equal(e1.stats(), en.stats());
     ASSERT_EQ(p1.size(), pn.size()) << "threads=" << threads;
-    // The chunk-ordered replay rebuilds the sequential context ref for
-    // ref, so the pools match record for record and byte for byte.
-    EXPECT_EQ(c1.num_nodes(), cn.num_nodes()) << "threads=" << threads;
-    EXPECT_EQ(refs(p1), refs(pn)) << "threads=" << threads;
-    EXPECT_EQ(encode_pool(c1, p1), encode_pool(cn, pn))
-        << "threads=" << threads;
+    // The chunk-ordered merge replays the nodes the records reach in the
+    // sequential scan's order, so the canonical pools match record for
+    // record and byte for byte.
+    expect_same_pool(c1, p1, cn, pn, "threads=" + std::to_string(threads));
+  }
+}
+
+// The merge picks the shard nodes to replay by a structural hash. A
+// collision may only replay an extra unreachable node: with the hash cut
+// to a few bits almost every node collides, and the canonical pool must
+// still be the sequential one byte for byte.
+TEST(Parallel, MergeHashCollisionsNeverChangeThePool) {
+  const image::Image& img = obfuscated_image();
+  solver::Context c1;
+  Extractor e1(c1, img);
+  ExtractOptions o1;
+  o1.threads = 1;
+  const auto p1 = e1.extract(o1);
+  ASSERT_GT(p1.size(), 100u);
+
+  for (const int threads : {2, 4}) {
+    solver::Context exact;
+    ExtractOptions oe;
+    oe.threads = threads;
+    (void)Extractor(exact, img).extract(oe);
+    for (const int bits : {4, 16}) {
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " bits=" + std::to_string(bits);
+      solver::Context cn;
+      Extractor en(cn, img);
+      ExtractOptions on;
+      on.threads = threads;
+      on.merge_hash_bits = bits;
+      const auto pn = en.extract(on);
+      expect_stats_equal(e1.stats(), en.stats());
+      ASSERT_EQ(p1.size(), pn.size()) << label;
+      expect_same_pool(c1, p1, cn, pn, label);
+      if (bits == 4) {  // the narrow hash did collide: more nodes replayed
+        EXPECT_GT(cn.num_nodes(), exact.num_nodes()) << label;
+      }
+    }
   }
 }
 
@@ -125,7 +165,7 @@ TEST(Parallel, MinimizeMatchesSequential) {
     expect_stats_equal(s1, sn);
     EXPECT_FALSE(sn.budget_exhausted);
     ASSERT_EQ(k1.size(), kn.size()) << "threads=" << threads;
-    EXPECT_EQ(refs(k1), refs(kn)) << "threads=" << threads;
+    EXPECT_EQ(pool_refs(k1), pool_refs(kn)) << "threads=" << threads;
     EXPECT_EQ(encode_pool(ctx, k1), encode_pool(ctx, kn))
         << "threads=" << threads;
   }
@@ -157,18 +197,21 @@ TEST(Parallel, CorpusPoolsAreThreadCountInvariant) {
     const auto p1 = e1.extract(o1);
     const auto p4 = e4.extract(o4);
     ASSERT_FALSE(p1.empty()) << label;
-    EXPECT_EQ(c1.num_nodes(), c4.num_nodes()) << label;
-    EXPECT_EQ(encode_pool(c1, p1), encode_pool(c4, p4)) << label;
+    expect_same_pool(c1, p1, c4, p4, label);
     if (label != "hash_table/none") continue;
 
+    // The winnow runs on the canonical pool, as in a Session.
+    Canonical k1 = canonical(c1, p1), k4 = canonical(c4, p4);
     subsume::Stats s1, s4;
-    const auto k1 = subsume::minimize(c1, p1, &s1, /*max_solver_checks=*/20'000,
+    const auto m1 = subsume::minimize(k1.ctx, k1.pool, &s1,
+                                      /*max_solver_checks=*/20'000,
                                       /*threads=*/1);
-    const auto k4 = subsume::minimize(c4, p4, &s4, /*max_solver_checks=*/20'000,
+    const auto m4 = subsume::minimize(k4.ctx, k4.pool, &s4,
+                                      /*max_solver_checks=*/20'000,
                                       /*threads=*/4);
     ASSERT_FALSE(s1.budget_exhausted);  // so the 4-lane winnow is exact too
     EXPECT_EQ(s4.solver_unknown, 0u);
-    EXPECT_EQ(encode_pool(c1, k1), encode_pool(c4, k4));
+    EXPECT_EQ(encode_pool(k1.ctx, m1), encode_pool(k4.ctx, m4));
   }
 }
 
@@ -326,9 +369,7 @@ TEST(Parallel, EnvKnobDrivesPipeline) {
 
   expect_stats_equal(e1.stats(), ee.stats());
   ASSERT_EQ(p1.size(), pe.size());
-  EXPECT_EQ(c1.num_nodes(), ce.num_nodes());
-  EXPECT_EQ(refs(p1), refs(pe));
-  EXPECT_EQ(encode_pool(c1, p1), encode_pool(ce, pe));
+  expect_same_pool(c1, p1, ce, pe, "GP_THREADS=3");
 }
 
 TEST(Parallel, MetricsAndTraceTotalsAreExactUnderContention) {

@@ -276,6 +276,46 @@ TEST_F(ExprTest, ReplayRebuildsTheDirectContext) {
   EXPECT_EQ(ctx.num_nodes(), n);
 }
 
+TEST_F(ExprTest, MaskedReplayIsTheFullReplayRestricted) {
+  // Structural hashes ignore refs: one term built in two creation orders
+  // hashes alike, commutative operands included.
+  const auto hashes = [](const Context& k) {
+    std::vector<u64> h(k.num_nodes());
+    for (ExprRef r = 0; r < k.num_nodes(); ++r) h[r] = k.structural_hash(r, h);
+    return h;
+  };
+  Context a, b;
+  const ExprRef sum_a = a.add(a.var("x", 64), a.var("y", 64));
+  const ExprRef term_a = a.mul(sum_a, a.var("z", 64));
+  const ExprRef y_b = b.var("y", 64);  // y first: b orders x + y as y + x
+  const ExprRef term_b = b.mul(b.add(b.var("x", 64), y_b), b.var("z", 64));
+  EXPECT_EQ(hashes(a)[term_a], hashes(b)[term_b]);
+  EXPECT_NE(hashes(a)[term_a], hashes(a)[sum_a]);
+
+  // A shard with garbage around the root: replaying only the nodes the
+  // root reaches gives the full replay's nodes for them, in the same
+  // relative order, and nothing else.
+  Context shard;
+  const ExprRef x = shard.var("x", 64);
+  const ExprRef junk = shard.mul(shard.var("g", 64), shard.constant(3, 64));
+  const ExprRef root =
+      shard.eq(shard.add(x, shard.var("y", 64)), shard.bnot(x));
+  (void)shard.bxor(junk, x);
+  std::vector<bool> keep(shard.num_nodes());
+  for (const ExprRef r : shard.reachable({root, kNoExpr})) keep[r] = true;
+  Context full = ctx.clone(), masked = ctx.clone();
+  const std::vector<ExprRef> tf = full.replay(shard);
+  const std::vector<ExprRef> tm = masked.replay(shard, keep);
+  EXPECT_EQ(masked.to_string(tm[root]), full.to_string(tf[root]));
+  EXPECT_EQ(tm[junk], kNoExpr);
+  EXPECT_LT(masked.num_nodes(), full.num_nodes());
+  for (ExprRef r1 = 0; r1 < shard.num_nodes(); ++r1)
+    for (ExprRef r2 = 0; r2 < shard.num_nodes(); ++r2)
+      if (keep[r1] && keep[r2]) {
+        EXPECT_EQ(tf[r1] < tf[r2], tm[r1] < tm[r2]) << r1 << " vs " << r2;
+      }
+}
+
 TEST_F(ExprTest, CutReplayLeavesEveryNodeInterned) {
   // An allocation fault can stop a replay part-way. The nodes appended
   // before it must still hash-cons, or a second replay would append them

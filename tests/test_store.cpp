@@ -17,12 +17,15 @@
 #include <thread>
 
 #include "codegen/codegen.hpp"
+#include "core/campaign.hpp"
 #include "core/session.hpp"
+#include "corpus/corpus.hpp"
 #include "gadget/serialize.hpp"
 #include "minic/minic.hpp"
 #include "obfuscate/obfuscate.hpp"
 #include "payload/serialize.hpp"
 #include "store/store.hpp"
+#include "subsume/subsume.hpp"
 #include "support/fault.hpp"
 #include "support/metrics.hpp"
 #include "support/serial.hpp"
@@ -213,6 +216,52 @@ TEST(ArtifactRoundTrip, GadgetPoolThroughAFreshContext) {
   // through the smart constructors in table order, so ids and bytes are a
   // pure function of the pool — the determinism kill-resume depends on.
   EXPECT_EQ(gadget::encode_pool(ctx2, *decoded), records);
+}
+
+// A Session canonicalizes a computed pool by compaction rather than by
+// decoding its encoding; a resumed run decodes. Both must leave the same
+// context and refs, for raw and minimized pools alike.
+TEST(ArtifactRoundTrip, CompactionEqualsTheRoundTrip) {
+  const std::pair<const char*, const char*> binaries[] = {
+      {"hash_table", "none"},
+      {"fibonacci", "llvm-obf"},
+      {"state_machine", "virtualize"},
+      {"bubble_sort", "tigress"},
+  };
+  // Canonicalize `pool` both ways, compare, and return the compacted pool.
+  const auto check = [](const solver::Context& ctx,
+                        const std::vector<gadget::Record>& pool,
+                        solver::Context& out, const std::string& label) {
+    std::vector<gadget::Record> compacted = pool;
+    EXPECT_TRUE(gadget::compact_pool(ctx, compacted, out)) << label;
+    solver::Context decoded_ctx;
+    const auto decoded =
+        gadget::decode_pool(decoded_ctx, gadget::encode_pool(ctx, pool));
+    EXPECT_TRUE(decoded.has_value()) << label;
+    if (!decoded) return compacted;
+    EXPECT_EQ(out.num_nodes(), decoded_ctx.num_nodes()) << label;
+    EXPECT_EQ(gadget::pool_refs(compacted), gadget::pool_refs(*decoded))
+        << label;
+    EXPECT_EQ(gadget::encode_pool(out, compacted),
+              gadget::encode_pool(decoded_ctx, *decoded))
+        << label;
+    return compacted;
+  };
+  for (const auto& [program, profile] : binaries) {
+    const std::string label = std::string(program) + "/" + profile;
+    auto prog = minic::compile_source(corpus::by_name(program).source);
+    obf::obfuscate(prog, core::profile_by_name(profile, /*seed=*/7));
+    const image::Image img = codegen::compile(prog);
+
+    solver::Context ctx;
+    const auto raw = gadget::Extractor(ctx, img).extract({});
+    ASSERT_FALSE(raw.empty()) << label;
+    solver::Context canon;
+    const auto pool = check(ctx, raw, canon, label + " raw");
+    const auto kept = subsume::minimize(canon, pool);
+    solver::Context canon_kept;
+    (void)check(canon, kept, canon_kept, label + " minimized");
+  }
 }
 
 TEST(ArtifactRoundTrip, PoolDecodeRejectsBitFlipsAtRandomOffsets) {
@@ -700,6 +749,27 @@ TEST(Supervisor, RetriesWithWidenedBudgetsUntilExtractionIsClean) {
   EXPECT_TRUE(gp.report().extract_status.ok())
       << gp.report().extract_status.to_string();
   EXPECT_GT(gp.report().pool_raw, 0u);
+}
+
+// Each extraction attempt interns into a fresh context, so a pool that
+// took retries is the pool a clean first attempt computes.
+TEST(Supervisor, RetriedExtractionMatchesACleanRun) {
+  const auto img = obfuscated_image();
+  core::PipelineOptions starved;
+  starved.governor.max_sym_steps = 40;
+  starved.max_retries = 10;
+  starved.run_subsumption = false;
+  core::Session retried(core::Engine::shared(), img, starved);
+  ASSERT_TRUE(retried.extract().ok());
+  ASSERT_GE(retried.report().extract_runs.retries, 1u);
+
+  core::PipelineOptions plain;
+  plain.run_subsumption = false;
+  core::Session clean(core::Engine::shared(), img, plain);
+  ASSERT_TRUE(clean.extract().ok());
+  EXPECT_EQ(retried.ctx().num_nodes(), clean.ctx().num_nodes());
+  EXPECT_EQ(gadget::encode_pool(retried.ctx(), retried.library().all()),
+            gadget::encode_pool(clean.ctx(), clean.library().all()));
 }
 
 TEST(Supervisor, ZeroRetriesKeepsTheDegradedResult) {
