@@ -181,6 +181,9 @@ echo "== tier-1: observability drill =="
 # spans, and the summary the aggregate metrics block plus the
 # critical-path verdict. Solver accounting: every check() counts exactly
 # one outcome (there is no query memo), so checks == sat + unsat + unknown.
+# Extraction decodes each byte about once: decode.attempts counts decode
+# cache misses, which stay under two per scanned offset (without the cache
+# every path step decoded again, ~9.9 per offset).
 python3 - BENCH_pipeline.json "$KR_TMP/trace.json" <<'PY'
 import json, sys
 summary, trace = (json.load(open(p)) for p in sys.argv[1:3])
@@ -203,10 +206,14 @@ outcomes = sum(counters[f"solver.{k}"] for k in ("sat", "unsat", "unknown"))
 assert counters["solver.checks"] == outcomes, (counters["solver.checks"],
                                                outcomes)
 assert "solver.cache_hits" not in counters
+decodes, scanned = counters["decode.attempts"], counters["extract.offsets_scanned"]
+assert decodes <= 2 * scanned, \
+    f"decode cache not serving: {decodes} decodes for {scanned} offsets"
 cp = summary["critical_path"]
 assert cp["job"] >= 0 and cp["stage"] in ("extract", "subsume", "plan"), cp
 print(f'observability: {len(jobs)} job spans, {len(with_all)} sessions '
-      f'with all three stage spans, aggregate metrics + critical path ok')
+      f'with all three stage spans, aggregate metrics + critical path ok, '
+      f'{decodes / scanned:.2f} decodes per scanned offset')
 PY
 
 # Disabled-mode cost: GP_METRICS=0 GP_TRACE=0 must stay within noise of

@@ -45,17 +45,50 @@ struct Path {
   u32 first_run_len = 0;
 };
 
+/// Decoded and lifted instructions by absolute address: a direct-mapped
+/// table, so a byte that many nearby start offsets' paths walk through is
+/// decoded and lifted once while it stays in its slot. Both are pure
+/// functions of the image bytes, so a hit is exact. Bounded rather than
+/// image-wide: an entry per code byte would cost several hundred bytes
+/// per offset of every live session.
+class DecodeCache {
+ public:
+  struct Entry {
+    u64 addr = ~u64{0};  // no code byte sits at the top of the space
+    bool ok = false;     // decoded; `inst` and `lifted` are valid
+    Inst inst;
+    ir::Lifted lifted;
+  };
+
+  const Entry& at(const image::Image& img, u64 addr) {
+    Entry& e = slots_[addr & (kSlots - 1)];
+    if (e.addr != addr) {
+      const auto inst = x86::decode(img.code_at(addr), addr);
+      e.addr = addr;
+      e.ok = inst.has_value();
+      if (e.ok) {
+        e.inst = *inst;
+        e.lifted = lift::lift(*inst);
+      }
+    }
+    return e;
+  }
+
+ private:
+  static constexpr size_t kSlots = 1024;
+  std::vector<Entry> slots_ = std::vector<Entry>(kSlots);
+};
+
 /// Explore every path from one start offset, appending completed gadget
 /// records to `out`. A free function so it runs identically against the
 /// extractor's main context (sequential) or a worker's private context
 /// (parallel shards).
 void explore_offset(solver::Context& ctx, sym::Executor& exec,
-                    const image::Image& img, u64 addr,
+                    DecodeCache& decoded, const image::Image& img, u64 addr,
                     const ExtractOptions& opts, std::vector<Record>& out,
                     ExtractStats& stats) {
   // Quick pre-filter: must decode at all from this offset.
-  auto first = x86::decode(img.code_at(addr), addr);
-  if (!first) {
+  if (!decoded.at(img, addr).ok) {
     ++stats.decode_failures;
     return;
   }
@@ -70,6 +103,8 @@ void explore_offset(solver::Context& ctx, sym::Executor& exec,
     stats.status.merge(e.status());
     return;
   }
+  const std::array<ExprRef, x86::kNumRegs> init = frontier.back().st.regs;
+  const ExprRef rsp0 = init[static_cast<int>(Reg::RSP)];
   int emitted = 0;
 
   while (!frontier.empty() && emitted < opts.max_paths) {
@@ -87,23 +122,23 @@ void explore_offset(solver::Context& ctx, sym::Executor& exec,
         dead = true;
         break;
       }
-      auto inst = x86::decode(img.code_at(p.rip), p.rip);
-      if (!inst) {
+      const DecodeCache::Entry& d = decoded.at(img, p.rip);
+      if (!d.ok) {
         // A path that walks into undecodable bytes is a decode failure
         // too — only counting the first-offset case undercounts.
         ++stats.decode_failures;
         dead = true;
         break;
       }
-      if (inst->mnemonic == Mnemonic::INT3) {
+      if (d.inst.mnemonic == Mnemonic::INT3) {
         dead = true;
         break;
       }
-      const sym::Flow flow = exec.step(p.st, lift::lift(*inst));
-      p.steps.push_back({*inst, false});
+      const sym::Flow flow = exec.step(p.st, d.lifted);
+      p.steps.push_back({d.inst, false});
       // `len` reports the contiguous byte run from the start address; it
       // stops growing once a direct-jump merge leaves the run.
-      if (!p.has_direct) p.first_run_len += inst->len;
+      if (!p.has_direct) p.first_run_len += d.inst.len;
 
       switch (flow.kind) {
         case ir::JumpKind::Fall:
@@ -187,9 +222,8 @@ void explore_offset(solver::Context& ctx, sym::Executor& exec,
             const Reg reg = static_cast<Reg>(i);
             const ExprRef final = p.st.regs[i];
             r.final_regs[i] = final;
-            const ExprRef init = ctx.var(sym::initial_reg_var(reg), 64);
-            if (final != init) r.clobbered |= reg_bit(reg);
-            if (final != init) {
+            if (final != init[i]) {
+              r.clobbered |= reg_bit(reg);
               // Controlled: a function of payload variables only.
               // Settable: a function of payload variables and/or initial GP
               // registers (register-transfer chaining can finish the job).
@@ -204,11 +238,7 @@ void explore_offset(solver::Context& ctx, sym::Executor& exec,
                 }
                 payload_only = false;
                 if (name.rfind("ind", 0) == 0) continue;  // POINTER dep
-                bool is_init_reg = false;
-                for (int k = 0; k < x86::kNumRegs; ++k)
-                  is_init_reg |=
-                      name == sym::initial_reg_var(static_cast<Reg>(k));
-                if (!is_init_reg) settable = false;
+                if (!sym::is_initial_reg_var(name)) settable = false;
               }
               if (payload_only && has_payload) r.controlled |= reg_bit(reg);
               if (settable) r.settable |= reg_bit(reg);
@@ -217,7 +247,6 @@ void explore_offset(solver::Context& ctx, sym::Executor& exec,
 
           const auto rsp =
               sym::split_base_offset(ctx, p.st.regs[static_cast<int>(Reg::RSP)]);
-          const ExprRef rsp0 = ctx.var(sym::initial_reg_var(Reg::RSP), 64);
           if (rsp && rsp->base == rsp0) r.stack_delta = rsp->offset;
 
           if (opts.drop_wild_stores) {
@@ -322,6 +351,7 @@ std::vector<Record> Extractor::extract(const ExtractOptions& opts) {
   if (threads > 1 && total > 1) return extract_parallel(opts, threads);
 
   exec_.set_governor(opts.governor);
+  DecodeCache decoded;
   std::vector<Record> out;
   for (u64 k = 0; k < total; ++k) {
     if (scan_stopped(opts.governor, stats_)) {
@@ -331,7 +361,7 @@ std::vector<Record> Extractor::extract(const ExtractOptions& opts) {
     const u64 addr = base + k * stride;
     ++stats_.offsets_scanned;
     exec_.begin_origin(addr);
-    explore_offset(ctx_, exec_, img_, addr, opts, out, stats_);
+    explore_offset(ctx_, exec_, decoded, img_, addr, opts, out, stats_);
   }
   return out;
 }
@@ -366,6 +396,8 @@ std::vector<Record> Extractor::extract_parallel(const ExtractOptions& opts,
   std::vector<Shard> shards(nchunks);
   // Per-lane scratch: structural hashes of the shard at hand, by ref.
   std::vector<std::vector<u64>> lane_hashes(static_cast<size_t>(threads));
+  // Per-lane decode caches, reused across the lane's shards.
+  std::vector<DecodeCache> lane_decoded(static_cast<size_t>(threads));
   const auto hash_buffer = [&](int lane, const solver::Context& c) -> auto& {
     auto& h = lane_hashes[static_cast<size_t>(lane)];
     if (h.size() < c.num_nodes()) h.resize(c.num_nodes());
@@ -385,6 +417,7 @@ std::vector<Record> Extractor::extract_parallel(const ExtractOptions& opts,
         s.ctx->set_governor(opts.governor);
         sym::Executor exec(*s.ctx, &img_);
         exec.set_governor(opts.governor);
+        DecodeCache& decoded = lane_decoded[static_cast<size_t>(lane)];
         const u64 hi = std::min((ci + 1) * chunk, total);
         for (u64 k = ci * chunk; k < hi; ++k) {
           if (scan_stopped(opts.governor, s.stats)) {
@@ -394,7 +427,8 @@ std::vector<Record> Extractor::extract_parallel(const ExtractOptions& opts,
           const u64 addr = base + k * stride;
           ++s.stats.offsets_scanned;
           exec.begin_origin(addr);
-          explore_offset(*s.ctx, exec, img_, addr, opts, s.records, s.stats);
+          explore_offset(*s.ctx, exec, decoded, img_, addr, opts, s.records,
+                         s.stats);
         }
         // The operands of a reached node are reached too, with smaller
         // refs, so hashing the reached nodes in ref order needs no others.
@@ -405,6 +439,8 @@ std::vector<Record> Extractor::extract_parallel(const ExtractOptions& opts,
         }
       },
       threads);
+
+  lane_decoded = {};
 
   // Deterministic merge. Replaying every shard's nodes into the main
   // context in chunk (= offset) order would rebuild the sequential scan's

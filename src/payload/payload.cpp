@@ -223,11 +223,7 @@ ConcretizeResult concretize(solver::Context& ctx, const gadget::Library& lib,
           const std::string& name = ctx.var_name(v);
           if (sym::parse_stack_var(name) || name.rfind("ind", 0) == 0)
             continue;
-          bool init_reg = false;
-          for (int k = 0; k < x86::kNumRegs; ++k)
-            init_reg |= name == sym::initial_reg_var(
-                                    static_cast<x86::Reg>(k));
-          if (!init_reg) derivable = false;
+          if (!sym::is_initial_reg_var(name)) derivable = false;
         }
         if (!derivable) continue;  // uncontrolled: validation arbitrates
         it = groups.emplace(bo->base, BaseGroup{}).first;

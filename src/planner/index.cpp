@@ -173,14 +173,12 @@ Candidate analyze_candidate(solver::Context& ctx, const gadget::Library& lib,
           }
         continue;
       }
-      for (int r = 0; r < x86::kNumRegs; ++r) {
-        const Reg rr = static_cast<Reg>(r);
-        if (rr == Reg::RSP) continue;
-        if (name != sym::initial_reg_var(rr)) continue;
-        if (!seen[r]) {
-          seen[r] = true;
-          c.needs[c.n_needs++] = static_cast<u8>(r);
-        }
+      const auto rr = sym::initial_reg_of(name);
+      if (!rr || *rr == Reg::RSP) continue;
+      const int r = static_cast<int>(*rr);
+      if (!seen[r]) {
+        seen[r] = true;
+        c.needs[c.n_needs++] = static_cast<u8>(r);
       }
     }
   }

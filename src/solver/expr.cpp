@@ -123,13 +123,25 @@ ExprRef Context::intern(const Node& n) {
   return ref;
 }
 
+size_t Context::const_cache_slot(u64 value, u8 width) {
+  const u64 h = (value ^ u64{width} << 57) * 0x9e3779b97f4a7c15ULL;
+  return static_cast<size_t>(h >> (64 - kConstCacheBits));
+}
+
 ExprRef Context::constant(u64 value, u8 width) {
   GP_CHECK(width >= 1 && width <= 64, "bad width");
   Node n;
   n.op = Op::Const;
   n.width = width;
   n.cval = truncate(value, width);
-  return intern(n);
+  // A hit returns what intern() would, without the probe into the (large)
+  // intern table; like an intern hit it draws no budget. A throwing
+  // intern() leaves the slot as it was.
+  ConstSlot& s = const_cache_[const_cache_slot(n.cval, width)];
+  if (s.ref != kNoExpr && s.value == n.cval && s.width == width) return s.ref;
+  const ExprRef ref = intern(n);
+  s = {n.cval, ref, width};
+  return ref;
 }
 
 ExprRef Context::var(const std::string& name, u8 width) {
@@ -613,30 +625,38 @@ ExprRef Context::substitute(
     auto m = memo.find(x);
     if (m != memo.end()) return m->second;
     const Node n = nodes_[x];
+    // Rebuilding an operand can intern nodes, and interning order decides
+    // refs and so commutative operand order, so the operands are rebuilt
+    // in a fixed order, each into a local: last to first, the order GCC's
+    // right-to-left argument evaluation gives `add(go(n.a), go(n.b))`, so
+    // chains keep the refs GCC builds have always given them.
+    const auto sub = [&](ExprRef o) { return o == kNoExpr ? o : go(o); };
+    const ExprRef c = sub(n.c);
+    const ExprRef b = sub(n.b);
+    const ExprRef a = sub(n.a);
     ExprRef out = x;
     switch (n.op) {
       case Op::Const:
       case Op::Var:
-        out = x;
         break;
-      case Op::Add: out = add(go(n.a), go(n.b)); break;
-      case Op::Mul: out = mul(go(n.a), go(n.b)); break;
-      case Op::And: out = band(go(n.a), go(n.b)); break;
-      case Op::Or: out = bor(go(n.a), go(n.b)); break;
-      case Op::Xor: out = bxor(go(n.a), go(n.b)); break;
-      case Op::Shl: out = shl(go(n.a), go(n.b)); break;
-      case Op::LShr: out = lshr(go(n.a), go(n.b)); break;
-      case Op::AShr: out = ashr(go(n.a), go(n.b)); break;
-      case Op::Not: out = bnot(go(n.a)); break;
-      case Op::Neg: out = neg(go(n.a)); break;
-      case Op::Eq: out = eq(go(n.a), go(n.b)); break;
-      case Op::Ult: out = ult(go(n.a), go(n.b)); break;
-      case Op::Slt: out = slt(go(n.a), go(n.b)); break;
-      case Op::Ite: out = ite(go(n.a), go(n.b), go(n.c)); break;
-      case Op::ZExt: out = zext(go(n.a), n.width); break;
-      case Op::SExt: out = sext(go(n.a), n.width); break;
-      case Op::Extract: out = extract(go(n.a), n.aux, n.width); break;
-      case Op::Concat: out = concat(go(n.a), go(n.b)); break;
+      case Op::Add: out = add(a, b); break;
+      case Op::Mul: out = mul(a, b); break;
+      case Op::And: out = band(a, b); break;
+      case Op::Or: out = bor(a, b); break;
+      case Op::Xor: out = bxor(a, b); break;
+      case Op::Shl: out = shl(a, b); break;
+      case Op::LShr: out = lshr(a, b); break;
+      case Op::AShr: out = ashr(a, b); break;
+      case Op::Not: out = bnot(a); break;
+      case Op::Neg: out = neg(a); break;
+      case Op::Eq: out = eq(a, b); break;
+      case Op::Ult: out = ult(a, b); break;
+      case Op::Slt: out = slt(a, b); break;
+      case Op::Ite: out = ite(a, b, c); break;
+      case Op::ZExt: out = zext(a, n.width); break;
+      case Op::SExt: out = sext(a, n.width); break;
+      case Op::Extract: out = extract(a, n.aux, n.width); break;
+      case Op::Concat: out = concat(a, b); break;
     }
     memo.emplace(x, out);
     return out;

@@ -9,6 +9,7 @@
 // bit-blasting solver.
 #pragma once
 
+#include <array>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -181,6 +182,14 @@ class Context {
   void set_governor(Governor* g) { governor_ = g; }
   Governor* governor() const { return governor_; }
 
+  /// Slots of the constant cache: a direct-mapped (value, width) -> ref
+  /// table that constant() consults before the intern table.
+  static constexpr int kConstCacheBits = 8;
+  static constexpr size_t kConstCacheSlots = size_t{1} << kConstCacheBits;
+  /// The constant-cache slot of (value, width), value already truncated to
+  /// width. Public so tests can build constants that share a slot.
+  static size_t const_cache_slot(u64 value, u8 width);
+
  private:
   /// One intern-table entry: the node's ref (kNoExpr = empty) and the
   /// node's 32-bit hash, which both places the entry (its low bits) and
@@ -214,6 +223,15 @@ class Context {
   std::vector<Slot> slots_;
   std::vector<std::string> var_names_;
   std::unordered_map<std::string, ExprRef> vars_by_name_;
+  /// Recently interned constants. Exact because a context only appends:
+  /// a ref, once a constant's, stays that constant's. Code that ever drops
+  /// nodes must reset it.
+  struct ConstSlot {
+    u64 value = 0;
+    ExprRef ref = kNoExpr;
+    u8 width = 0;
+  };
+  std::array<ConstSlot, kConstCacheSlots> const_cache_{};
   ExprRef true_ = kNoExpr, false_ = kNoExpr;
 };
 

@@ -14,6 +14,20 @@ using solver::Op;
 std::string initial_reg_var(x86::Reg r) {
   return std::string(x86::reg_name(r)) + "0";
 }
+std::optional<x86::Reg> initial_reg_of(const std::string& name) {
+  static const auto names = [] {
+    std::array<std::string, x86::kNumRegs> n;
+    for (int i = 0; i < x86::kNumRegs; ++i)
+      n[i] = initial_reg_var(static_cast<x86::Reg>(i));
+    return n;
+  }();
+  for (int i = 0; i < x86::kNumRegs; ++i)
+    if (name == names[i]) return static_cast<x86::Reg>(i);
+  return std::nullopt;
+}
+bool is_initial_reg_var(const std::string& name) {
+  return initial_reg_of(name).has_value();
+}
 std::string initial_flag_var(ir::Flag f) {
   return std::string(ir::flag_name(f)) + "0";
 }
@@ -42,12 +56,22 @@ std::optional<BaseOffset> split_base_offset(solver::Context& ctx,
 }
 
 State Executor::initial_state() {
-  State st;
-  for (int i = 0; i < x86::kNumRegs; ++i)
-    st.regs[i] = ctx_.var(initial_reg_var(static_cast<x86::Reg>(i)), 64);
-  for (int i = 0; i < ir::kNumFlags; ++i)
-    st.flags[i] = ctx_.var(initial_flag_var(static_cast<ir::Flag>(i)), 1);
-  return st;
+  if (!init_ready_) {
+    // A budget throw part-way leaves the cache unset; the retry finds the
+    // variables interned so far and goes on in the same order.
+    for (int i = 0; i < x86::kNumRegs; ++i)
+      init_.regs[i] = ctx_.var(initial_reg_var(static_cast<x86::Reg>(i)), 64);
+    for (int i = 0; i < ir::kNumFlags; ++i)
+      init_.flags[i] = ctx_.var(initial_flag_var(static_cast<ir::Flag>(i)), 1);
+    init_ready_ = true;
+    rsp0_ = init_.regs[static_cast<int>(x86::Reg::RSP)];
+  }
+  return init_;
+}
+
+ExprRef Executor::rsp0() {
+  if (rsp0_ == kNoExpr) rsp0_ = ctx_.var(initial_reg_var(x86::Reg::RSP), 64);
+  return rsp0_;
 }
 
 /// In-universe canonicalization: the simulated stack lives below 2^32
@@ -62,8 +86,7 @@ ExprRef Executor::canonical_addr(ExprRef addr) {
     return addr;
   const ExprRef full = inner.a;
   const auto bo = split_base_offset(ctx_, full);
-  const ExprRef rsp0 = ctx_.var(initial_reg_var(x86::Reg::RSP), 64);
-  if (bo && bo->base == rsp0) return full;
+  if (bo && bo->base == rsp0()) return full;
   return addr;
 }
 
@@ -95,8 +118,7 @@ ExprRef Executor::load(State& st, ExprRef addr, u8 width) {
   }
 
   // Attacker-controlled stack read?
-  const ExprRef rsp0 = ctx_.var(initial_reg_var(x86::Reg::RSP), 64);
-  if (ref && ref->base == rsp0) {
+  if (ref && ref->base == rsp0()) {
     if (width == 64) {
       st.stack_reads.push_back(ref->offset);
       return ctx_.var(stack_var(ref->offset), 64);
@@ -141,10 +163,7 @@ ExprRef Executor::load(State& st, ExprRef addr, u8 width) {
   for (const ExprRef v : ctx_.variables(addr)) {
     const std::string& name = ctx_.var_name(v);
     if (parse_stack_var(name) || starts_with(name, "ind")) continue;
-    bool is_init_reg = false;
-    for (int k = 0; k < x86::kNumRegs; ++k)
-      is_init_reg |= name == initial_reg_var(static_cast<x86::Reg>(k));
-    if (!is_init_reg) derivable = false;
+    if (!is_initial_reg_var(name)) derivable = false;
   }
   if (derivable) {
     const ExprRef var = ctx_.var(fresh_name("ind", width), width);
@@ -183,7 +202,8 @@ Flow Executor::step(State& st, const ir::Lifted& l) {
     static metrics::Counter& steps = metrics::registry().counter("sym.steps");
     steps.add();
   }
-  std::vector<ExprRef> temps(l.num_temps, kNoExpr);
+  std::vector<ExprRef>& temps = temps_;
+  temps.assign(l.num_temps, kNoExpr);
 
   for (const auto& c : l.compute) {
     ExprRef v = kNoExpr;

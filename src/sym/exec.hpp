@@ -31,6 +31,7 @@ class Executor {
       : ctx_(ctx), img_(img) {}
 
   /// A fresh state whose registers/flags are the shared initial variables.
+  /// The first call interns them; later calls copy that state.
   State initial_state();
 
   /// Execute one lifted instruction, mutating `st`. Returns the symbolic
@@ -66,10 +67,18 @@ class Executor {
   void store(State& st, solver::ExprRef addr, solver::ExprRef value,
              u8 width);
   std::string fresh_name(const char* prefix, u8 width);
+  /// The initial RSP variable, interned on first use.
+  solver::ExprRef rsp0();
 
   solver::Context& ctx_;
   const image::Image* img_;
   Governor* governor_ = nullptr;
+  /// initial_state()'s result, valid once `init_ready_` is set. The context
+  /// only appends, so its refs stay the same variables.
+  State init_;
+  bool init_ready_ = false;
+  solver::ExprRef rsp0_ = solver::kNoExpr;
+  std::vector<solver::ExprRef> temps_;  // step()'s temporaries
   u64 origin_tag_ = 0;
   u64 origin_count_ = 0;
   bool use_origin_ = false;

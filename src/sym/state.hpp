@@ -58,6 +58,10 @@ struct State {
 /// Names of the initial-state variables shared by every gadget analysis, so
 /// conditions from different gadgets speak the same vocabulary.
 std::string initial_reg_var(x86::Reg r);
+/// Is `name` the initial variable of some register?
+bool is_initial_reg_var(const std::string& name);
+/// The register whose initial variable `name` is, if any.
+std::optional<x86::Reg> initial_reg_of(const std::string& name);
 std::string initial_flag_var(ir::Flag f);
 std::string stack_var(i64 offset);
 /// Parse a `stk_<off>` name back to its offset.

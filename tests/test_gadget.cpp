@@ -242,6 +242,69 @@ TEST(Extractor, StatsPopulated) {
   EXPECT_EQ(ex.stats().gadgets, pool.size());
 }
 
+TEST(Extractor, DecodeCacheSlotAliasing) {
+  // Instructions 1024 bytes apart share a slot of the extractor's decode
+  // cache. Three merged runs alias slot by slot:
+  //   +0:    pop rdi; jmp +1024
+  //   +1024: pop rsi; ret
+  //   +2048: pop rdx; jmp +0
+  // so the path from +2048 evicts and refills the same two slots three
+  // times over.
+  Assembler a;
+  const auto head = a.new_label();
+  const auto mid = a.new_label();
+  a.bind(head);
+  a.pop(Reg::RDI);
+  a.jmp(mid);
+  while (a.size() < 1024) a.int3();
+  a.bind(mid);
+  a.pop(Reg::RSI);
+  a.ret();
+  while (a.size() < 2048) a.int3();
+  a.pop(Reg::RDX);
+  a.jmp(head);
+  a.int3();
+  auto img = make_image(a);
+
+  const auto mnemonics = [](const Record& r) {
+    std::vector<Mnemonic> m;
+    for (const PathStep& s : r.path) m.push_back(s.inst.mnemonic);
+    return m;
+  };
+  using M = Mnemonic;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    Context ctx;
+    ExtractOptions opts;
+    opts.threads = threads;
+    auto pool = extract(img, ctx, opts);
+
+    const Record* tail = at(pool, image::kCodeBase + 1024);
+    ASSERT_NE(tail, nullptr);
+    EXPECT_EQ(tail->n_insts, 2);
+    EXPECT_EQ(mnemonics(*tail), (std::vector<M>{M::POP, M::RET}));
+
+    const Record* g = at(pool, image::kCodeBase);
+    ASSERT_NE(g, nullptr);
+    EXPECT_EQ(g->n_insts, 4);
+    EXPECT_EQ(mnemonics(*g), (std::vector<M>{M::POP, M::JMP, M::POP, M::RET}));
+    EXPECT_EQ(g->path[2].inst.addr, image::kCodeBase + 1024);
+
+    const Record* far = at(pool, image::kCodeBase + 2048);
+    ASSERT_NE(far, nullptr);
+    EXPECT_EQ(far->n_insts, 6);
+    EXPECT_EQ(mnemonics(*far), (std::vector<M>{M::POP, M::JMP, M::POP, M::JMP,
+                                               M::POP, M::RET}));
+    EXPECT_EQ(far->path[2].inst.addr, image::kCodeBase);
+    EXPECT_EQ(far->path[4].inst.addr, image::kCodeBase + 1024);
+    EXPECT_TRUE(far->controls(Reg::RDX));
+    EXPECT_TRUE(far->controls(Reg::RDI));
+    EXPECT_TRUE(far->controls(Reg::RSI));
+    ASSERT_TRUE(far->stack_delta.has_value());
+    EXPECT_EQ(*far->stack_delta, 32);
+  }
+}
+
 TEST(Library, IndexedByControlledRegister) {
   Assembler a;
   a.pop(Reg::RDI);

@@ -139,6 +139,27 @@ TEST_F(ExprTest, SubstituteRebuildsAndSimplifies) {
   EXPECT_EQ(r, c(42));
 }
 
+TEST_F(ExprTest, SubstituteRebuildsOperandsLastToFirst) {
+  // Both operands of the root intern a new node when rebuilt; the second
+  // operand's comes first, and the root's commutative operands follow
+  // those refs. Rebuilding first to last would swap them.
+  const ExprRef v = ctx.var("v", 64);
+  const ExprRef x = ctx.var("x", 64);
+  const ExprRef y = ctx.var("y", 64);
+  const ExprRef w = ctx.var("w", 64);
+  const ExprRef vx = ctx.bxor(v, x);
+  const ExprRef vy = ctx.band(v, y);
+  const ExprRef e = ctx.add(vx, vy);  // operands (vx, vy): vx has the lower ref
+  const size_t n0 = ctx.num_nodes();
+  const ExprRef r = ctx.substitute(e, v, w);
+  ASSERT_EQ(ctx.num_nodes(), n0 + 3);
+  EXPECT_EQ(ctx.band(w, y), n0);
+  EXPECT_EQ(ctx.bxor(w, x), n0 + 1);
+  EXPECT_EQ(r, n0 + 2);
+  EXPECT_EQ(ctx.node(r).a, n0);
+  EXPECT_EQ(ctx.node(r).b, n0 + 1);
+}
+
 TEST_F(ExprTest, Variables) {
   ExprRef x = ctx.var("x", 64);
   ExprRef y = ctx.var("y", 64);
@@ -340,6 +361,105 @@ TEST_F(ExprTest, CutReplayLeavesEveryNodeInterned) {
   const std::vector<ExprRef> table = ctx.replay(shard);
   expect_same_nodes(ctx, direct);
   EXPECT_EQ(table[root_shard], root_direct);
+}
+
+TEST(Context, ConstantCacheAgreesWithInterning) {
+  Context ctx;
+  // Three 64-bit constants and a 32-bit one that share one cache slot.
+  const size_t slot = Context::const_cache_slot(1000, 64);
+  std::vector<std::pair<u64, u8>> same{{1000, 64}};
+  for (u64 v = 1001; same.size() < 3; ++v)
+    if (Context::const_cache_slot(v, 64) == slot) same.push_back({v, 64});
+  for (u64 v = 0; same.size() < 4; ++v)
+    if (Context::const_cache_slot(v, 32) == slot) same.push_back({v, 32});
+
+  const size_t n0 = ctx.num_nodes();
+  std::vector<ExprRef> refs;
+  for (const auto& [v, w] : same) refs.push_back(ctx.constant(v, w));
+  EXPECT_EQ(ctx.num_nodes(), n0 + same.size());
+  // Alternating between them evicts the slot on every call; the refs hold.
+  for (int round = 0; round < 6; ++round)
+    for (size_t i = 0; i < same.size(); ++i) {
+      const size_t k = round % 2 ? same.size() - 1 - i : (i * 3) % 4;
+      EXPECT_EQ(ctx.constant(same[k].first, same[k].second), refs[k]);
+    }
+  EXPECT_EQ(ctx.num_nodes(), n0 + same.size());
+  // The cache keys on the truncated value.
+  EXPECT_EQ(ctx.constant(same[3].first | u64{1} << 40, 32), refs[3]);
+
+  // More distinct constants than slots, swept three times: the node count
+  // grows by the distinct count only, and every ref names its constant.
+  const size_t n1 = ctx.num_nodes();
+  const u64 distinct = 3 * Context::kConstCacheSlots;
+  std::vector<ExprRef> sweep;
+  for (int pass = 0; pass < 3; ++pass)
+    for (u64 i = 0; i < distinct; ++i) {
+      const ExprRef r = ctx.constant(0x400000 + 8 * i, 64);
+      if (pass == 0) {
+        sweep.push_back(r);
+      } else {
+        EXPECT_EQ(r, sweep[i]);
+      }
+    }
+  EXPECT_EQ(ctx.num_nodes(), n1 + distinct);
+  for (u64 i = 0; i < distinct; ++i)
+    EXPECT_TRUE(ctx.is_const(sweep[i], 0x400000 + 8 * i));
+
+  // Constants another path appended (replay) are found through interning.
+  Context src;
+  const ExprRef big = src.constant(0xfeedface, 64);
+  const std::vector<ExprRef> table = ctx.replay(src);
+  EXPECT_EQ(ctx.constant(0xfeedface, 64), table[big]);
+
+  // A clone answers with the same refs; growing it leaves the original's
+  // cache alone.
+  Context copy = ctx.clone();
+  for (size_t k = 0; k < same.size(); ++k)
+    EXPECT_EQ(copy.constant(same[k].first, same[k].second), refs[k]);
+  const size_t n2 = ctx.num_nodes();
+  EXPECT_EQ(copy.num_nodes(), n2);
+  u64 fresh_value = 1001;
+  while (Context::const_cache_slot(fresh_value, 64) != slot ||
+         std::find(same.begin(), same.end(),
+                   std::pair<u64, u8>{fresh_value, 64}) != same.end())
+    ++fresh_value;
+  EXPECT_EQ(copy.constant(fresh_value, 64), n2);
+  EXPECT_EQ(ctx.num_nodes(), n2);
+  EXPECT_EQ(ctx.var("x", 64), n2);  // the original's ref n2 is no constant
+  const ExprRef own = ctx.constant(fresh_value, 64);
+  EXPECT_EQ(own, n2 + 1);
+  EXPECT_TRUE(ctx.is_const(own, fresh_value));
+  EXPECT_EQ(copy.constant(fresh_value, 64), n2);
+}
+
+TEST(Context, ConstantCacheSurvivesAllocationFaults) {
+  // A throwing intern leaves the slot as it was: every constant that did
+  // get interned keeps answering with its own ref.
+  Context ctx;
+  std::vector<std::optional<ExprRef>> got(200);
+  {
+    fault::ScopedSpec faults("seed=5,alloc=0.3");
+    for (int pass = 0; pass < 2; ++pass)
+      for (u64 i = 0; i < got.size(); ++i) {
+        try {
+          const ExprRef r = ctx.constant(i * 0x1000, 64);
+          if (got[i]) {
+            EXPECT_EQ(r, *got[i]);
+          }
+          got[i] = r;
+        } catch (const ResourceExhausted&) {
+        }
+      }
+  }
+  const size_t n = ctx.num_nodes();
+  for (u64 i = 0; i < got.size(); ++i) {
+    const ExprRef r = ctx.constant(i * 0x1000, 64);
+    EXPECT_TRUE(ctx.is_const(r, i * 0x1000));
+    if (got[i]) {
+      EXPECT_EQ(r, *got[i]);
+    }
+  }
+  EXPECT_GE(ctx.num_nodes(), n);
 }
 
 // ---------------------------------------------------------------------------

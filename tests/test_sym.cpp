@@ -168,6 +168,50 @@ TEST(StackVarNames, RoundTrip) {
   EXPECT_FALSE(parse_stack_var("mem3").has_value());
 }
 
+TEST(InitialRegVar, RecognizesExactlyTheRegisterNames) {
+  for (int i = 0; i < x86::kNumRegs; ++i) {
+    const auto r = static_cast<Reg>(i);
+    EXPECT_TRUE(is_initial_reg_var(initial_reg_var(r)));
+    EXPECT_EQ(initial_reg_of(initial_reg_var(r)), r);
+  }
+  for (const char* name : {"rax", "rax00", "r160", "rip0", "cf0", "stk_0", "ind0_64",
+                           "mem@0x401000.0_64", ""})
+    EXPECT_FALSE(is_initial_reg_var(name)) << name;
+}
+
+TEST(Executor, InitialStateInternsOnce) {
+  Context ctx;
+  Executor ex(ctx);
+  const size_t n0 = ctx.num_nodes();
+  const State first = ex.initial_state();
+  const size_t n1 = ctx.num_nodes();
+  EXPECT_EQ(n1, n0 + x86::kNumRegs + ir::kNumFlags);
+  for (int i = 0; i < x86::kNumRegs; ++i)
+    EXPECT_EQ(first.regs[i],
+              ctx.var(initial_reg_var(static_cast<Reg>(i)), 64));
+
+  State second = ex.initial_state();
+  EXPECT_EQ(ctx.num_nodes(), n1);
+  EXPECT_EQ(second.regs, first.regs);
+  EXPECT_EQ(second.flags, first.flags);
+  EXPECT_TRUE(second.writes.empty() && second.constraints.empty());
+
+  // A returned state is the caller's copy: stepping it leaves the cache.
+  const std::vector<u8> pop_rdi{0x5f};
+  const auto pop = x86::decode_run(pop_rdi, image::kCodeBase, 1);
+  ASSERT_EQ(pop.size(), 1u);
+  ex.step(second, lift::lift(pop[0]));
+  EXPECT_NE(second.regs[static_cast<int>(Reg::RDI)],
+            first.regs[static_cast<int>(Reg::RDI)]);
+  EXPECT_EQ(ex.initial_state().regs, first.regs);
+
+  // Another executor over the same context finds the same variables.
+  Executor other(ctx);
+  const size_t n2 = ctx.num_nodes();
+  EXPECT_EQ(other.initial_state().regs, first.regs);
+  EXPECT_EQ(ctx.num_nodes(), n2);
+}
+
 // ---------------------------------------------------------------------------
 // Differential property test: symbolic execution evaluated on concrete
 // inputs must match the concrete emulator, instruction family by instruction
