@@ -32,6 +32,10 @@ inline codegen::Options bench_codegen() {
   return opts;
 }
 
+/// Lanes for the benches that extract directly (fig1/table7): the shared
+/// Engine's GP_THREADS, the count its Sessions run on.
+inline int bench_threads() { return core::Engine::shared().config().threads; }
+
 /// Session options under the shared Engine's Config: the GP_* budgets and
 /// GP_STORE_DIR reach every driver through here.
 inline core::PipelineOptions bench_pipeline() {

@@ -4,6 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "codegen/codegen.hpp"
+#include "core/engine.hpp"
 #include "gadget/gadget.hpp"
 #include "corpus/corpus.hpp"
 #include "emu/emu.hpp"
@@ -124,7 +125,7 @@ void BM_GadgetExtraction(benchmark::State& state) {
   for (auto _ : state) {
     solver::Context ctx;
     gadget::Extractor ex(ctx, img);
-    auto pool = ex.extract({});
+    auto pool = ex.extract({}, core::Engine::shared().config().threads);
     benchmark::DoNotOptimize(pool.size());
   }
 }

@@ -31,16 +31,17 @@ lint "getenv outside src/support/config.cpp" \
   "$(grep -rnE 'getenv\s*\(' src | grep -v '^src/support/config\.cpp:' || true)"
 lint "debug-trace env knob" \
   "$(grep -rn 'GP_DEBU[G]_' src tools scripts || true)"
-# One configuration path: per-analysis policy reaches sessions only through
-# an Engine's Config (PipelineOptions::from), so outside the config parser
-# only the process-wide switches (metrics, trace, thread pool) may re-parse
-# the environment, and the deleted env-reading option helpers stay gone.
-lint "Config::from_env() call outside support/{config,metrics,trace,thread_pool}.cpp" \
+# One configuration path: lanes, fault spec and per-analysis policy reach
+# sessions only through an Engine's Config, and the process-wide state
+# (pool size, metrics and trace switches) reads the gp::config() snapshot,
+# so inside src/ only the config parser calls Config::from_env(), and the
+# deleted env-reading helpers stay gone.
+lint "Config::from_env() call outside support/config.cpp" \
   "$(grep -rn 'Config::from_env()' src \
-     | grep -vE '^src/support/(config|metrics|trace|thread_pool)\.cpp:' \
+     | grep -vE '^src/support/config\.cpp:' \
      | grep -vE '^[^:]+:[0-9]+:\s*//' || true)"
 lint "deleted env-reading option helper" \
-  "$(grep -rnE 'GovernorOptions::from_env|SupervisorOptions|store_dir_from_env|ArtifactStore::from_env|ServeOptions::from_env|GP_RETRIES' \
+  "$(grep -rnE 'GovernorOptions::from_env|SupervisorOptions|store_dir_from_env|ArtifactStore::from_env|ServeOptions::from_env|GP_RETRIES|env_threads|ThreadPool::resolve|configure_from_env' \
      src tools bench examples || true)"
 [ "$lint_failed" -eq 0 ] || { echo "diagnostics lint failed"; exit 1; }
 echo "diagnostics lint ok"

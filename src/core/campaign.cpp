@@ -118,7 +118,7 @@ Campaign::Summary Campaign::run(const std::vector<Job>& jobs) {
   const auto t0 = Clock::now();
   Summary sum;
   sum.concurrency = opts_.concurrency;
-  sum.pool_threads = ThreadPool::shared().workers() + 1;
+  sum.threads = engine_.config().threads;
   sum.results.resize(jobs.size());
   if (jobs.empty()) return sum;
 
@@ -296,7 +296,7 @@ std::string Campaign::Summary::to_json() const {
   j += "  \"schema\": \"gp-campaign-v1\",\n";
   j += "  \"jobs\": " + std::to_string(results.size()) + ",\n";
   j += "  \"concurrency\": " + std::to_string(concurrency) + ",\n";
-  j += "  \"pool_threads\": " + std::to_string(pool_threads) + ",\n";
+  j += "  \"threads\": " + std::to_string(threads) + ",\n";
   j += "  \"wall_seconds\": " + format_double(wall_seconds) + ",\n";
   j += "  \"jobs_ok\": " + std::to_string(jobs_ok) + ",\n";
   j += "  \"jobs_degraded\": " + std::to_string(jobs_degraded) + ",\n";

@@ -114,7 +114,7 @@ class Campaign {
     int jobs_failed = 0;    // Internal status (see JobResult::status)
     double wall_seconds = 0;
     int concurrency = 1;
-    int pool_threads = 0;  // shared pool workers + the caller lane
+    int threads = 1;  // lanes each session stage ran on (Config::threads)
     /// Aggregate metrics-registry snapshot (metrics::Registry::to_json)
     /// taken when the campaign finished; "" when metrics were disabled.
     std::string metrics_json;

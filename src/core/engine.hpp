@@ -1,19 +1,23 @@
-// The multi-tenant analysis engine: one Engine owns the process-wide
-// substrate exactly once —
+// The multi-tenant analysis engine: one Engine owns the policy its
+// analyses run under —
 //
-//   - the immutable gp::Config its analyses take their policy from,
-//   - the armed deterministic fault harness (GP_FAULT).
+//   - the immutable gp::Config its sessions and campaigns read,
+//   - the armed deterministic fault harness (Config::fault_spec, GP_FAULT).
 //
-// An Engine applies three Config fields: `governor` and `store_dir` reach
-// sessions through PipelineOptions::from(engine.config()), and
-// `opt_level` is the codegen level of Campaign jobs (opt_level -1),
-// gp_pipeline and gp_serve (whose ServeOptions::from reads the serve_*
-// fields too). The rest is process-wide, not per-Engine: the shared
-// ThreadPool sizes itself from GP_THREADS (ThreadPool::env_threads), the
-// metrics and trace switches read GP_METRICS/GP_TRACE/GP_TRACE_BUF once
-// per process, and the fault harness arms from the gp::config() snapshot's
-// GP_FAULT. A private Engine built from a custom Config changes only the
-// per-Engine fields.
+// An Engine applies these Config fields: `threads` is the lane count of
+// every session stage (extraction, subsumption) and is validated to
+// [1, 512] at construction; a non-empty `fault_spec` arms the fault
+// harness at construction (a malformed one throws gp::Error, an empty one
+// leaves the harness as it is); `governor` and `store_dir` reach sessions
+// through PipelineOptions::from(engine.config()); and `opt_level` is the
+// codegen level of Campaign jobs (opt_level -1), gp_pipeline and gp_serve
+// (whose ServeOptions::from reads the serve_* fields too). Only three
+// things are process-wide rather than per-Engine: the shared ThreadPool's
+// size and the metrics and trace switches, all taken from the gp::config()
+// snapshot. Entry points that run from the environment build
+// Engine::shared() or an Engine on a fresh Config::from_env parse; a
+// private Engine built from a custom Config runs its sessions under that
+// Config alone.
 //
 // Per-image analyses are Sessions (session.hpp); corpus-scale fan-outs are
 // Campaigns (campaign.hpp). Many sessions may run concurrently against one
@@ -33,8 +37,9 @@ namespace gp::core {
 class Engine {
  public:
   /// An engine over an explicit configuration (tests, embedders): the
-  /// per-Engine policy (budgets, store directory, codegen level) comes from
-  /// `cfg`.
+  /// per-Engine policy (lanes, budgets, store directory, codegen level,
+  /// fault spec) comes from `cfg`. Throws gp::Error for `threads` outside
+  /// [1, 512] or a malformed `fault_spec`.
   explicit Engine(Config cfg);
 
   /// The process-wide engine on the environment configuration (the

@@ -243,7 +243,7 @@ Status Session::extract() {
           gadget::Extractor extractor(*ctx_, *img_);
           gadget::ExtractOptions eopts = opts_.extract;
           if (!eopts.governor) eopts.governor = &g;
-          pool_ = extractor.extract(eopts);
+          pool_ = extractor.extract(eopts, engine_.config().threads);
           report_.extract = extractor.stats();
           metrics::publish("extract", report_.extract);
           return report_.extract.status;
@@ -308,7 +308,7 @@ Status Session::subsume() {
             report_.subsume = {};
             kept = subsume::minimize(*ctx_, pool_, &report_.subsume,
                                      subsume::kSolverCheckBudget,
-                                     /*threads=*/0, &g);
+                                     engine_.config().threads, &g);
             metrics::publish("subsume", report_.subsume);
             metrics::registry()
                 .histogram("subsume.pool_kept")

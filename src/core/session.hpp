@@ -162,12 +162,14 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// Stage 1: gadget extraction (supervised, checkpointed). Idempotent —
-  /// the first call computes the raw pool, later calls return the recorded
-  /// status without re-running anything.
+  /// Stage 1: gadget extraction (supervised, checkpointed) on
+  /// engine().config().threads lanes. Idempotent — the first call computes
+  /// the raw pool, later calls return the recorded status without
+  /// re-running anything.
   Status extract();
   /// Stage 2: subsumption winnow + library construction (supervised,
-  /// checkpointed; runs extract() first if needed). Idempotent. With
+  /// checkpointed; runs extract() first if needed) on
+  /// engine().config().threads lanes. Idempotent. With
   /// run_subsumption=false the winnow is skipped and the raw pool becomes
   /// the library unchanged.
   Status subsume();

@@ -340,15 +340,16 @@ class HashSet {
 
 }  // namespace
 
-std::vector<Record> Extractor::extract(const ExtractOptions& opts) {
+std::vector<Record> Extractor::extract(const ExtractOptions& opts,
+                                       int threads) {
   validate_options(opts);
   const u64 base = img_.code_base();
   const u64 end = img_.code_end();
   const u64 stride = static_cast<u64>(opts.stride);
   const u64 total = base < end ? (end - base + stride - 1) / stride : 0;
 
-  const int threads = ThreadPool::resolve(opts.threads);
-  if (threads > 1 && total > 1) return extract_parallel(opts, threads);
+  const int lanes = std::min(threads, ThreadPool::kMaxLanes);
+  if (lanes > 1 && total > 1) return extract_parallel(opts, lanes);
 
   exec_.set_governor(opts.governor);
   DecodeCache decoded;

@@ -109,13 +109,6 @@ struct ExtractOptions {
   /// Skip gadgets that write through non-stack pointers (off by default:
   /// the planner penalizes instead of excluding).
   bool drop_wild_stores = false;
-  /// Worker threads for the offset scan. 0 = the GP_THREADS env knob
-  /// (default hardware_concurrency); 1 = the exact sequential path.
-  /// Any value yields the same gadget pool, and the same context restricted
-  /// to the nodes the pool reaches: workers explore disjoint offset shards
-  /// in private solver contexts, and the merge replays the nodes the
-  /// shards' records reach into the main context in offset order.
-  int threads = 0;
   /// Bits of the structural hash by which that merge picks the shard nodes
   /// to replay (1..64). Fewer bits only add collisions, which replay extra
   /// unreachable nodes and never change the pool; tests narrow it to show
@@ -172,7 +165,15 @@ class Extractor {
   Extractor(solver::Context& ctx, const image::Image& img)
       : ctx_(ctx), img_(img), exec_(ctx, &img) {}
 
-  std::vector<Record> extract(const ExtractOptions& opts = {});
+  /// Scan the image's code. `threads` is the lane count (a Session passes
+  /// its Engine's Config::threads; clamped to ThreadPool::kMaxLanes); 1 is
+  /// the exact sequential path. Any value yields the same gadget pool, and
+  /// the same context restricted to the nodes the pool reaches: lanes
+  /// explore disjoint offset shards in private solver contexts, and the
+  /// merge replays the nodes the shards' records reach into the main
+  /// context in offset order.
+  std::vector<Record> extract(const ExtractOptions& opts = {},
+                              int threads = 1);
   const ExtractStats& stats() const { return stats_; }
 
  private:

@@ -65,14 +65,16 @@ struct Stats {
 
 /// Returns the minimized pool. `stats` (optional) receives counters.
 ///
-/// `threads`: 0 = the GP_THREADS env knob, 1 = the exact sequential path.
-/// Parallel mode processes fingerprint buckets concurrently — each worker
-/// lane owns a clone of `ctx` (identical refs, private interner) and each
-/// bucket its own Solver — and splits `max_solver_checks` across lanes via
-/// an atomic counter. Results are identical to the sequential run whenever
-/// the budget is not exhausted; once it is, which pairs got a solver check
-/// before the cutoff depends on scheduling (the surviving pool is sound
-/// either way, at worst slightly larger).
+/// `threads`: the lane count (a Session passes its Engine's
+/// Config::threads; clamped to ThreadPool::kMaxLanes); 1 is the exact
+/// sequential path. Parallel mode processes fingerprint buckets
+/// concurrently — each worker lane owns a clone of `ctx` (identical refs,
+/// private interner) and each bucket its own Solver — and splits
+/// `max_solver_checks` across lanes via an atomic counter. Results are
+/// identical to the sequential run whenever the budget is not exhausted;
+/// once it is, which pairs got a solver check before the cutoff depends on
+/// scheduling (the surviving pool is sound either way, at worst slightly
+/// larger).
 ///
 /// `governor` (optional; must outlive the call) is polled per candidate on
 /// every lane: deadline expiry or cancellation drops the stage into
@@ -82,7 +84,7 @@ std::vector<gadget::Record> minimize(solver::Context& ctx,
                                      std::vector<gadget::Record> pool,
                                      Stats* stats = nullptr,
                                      u64 max_solver_checks = kSolverCheckBudget,
-                                     int threads = 0,
+                                     int threads = 1,
                                      Governor* governor = nullptr);
 
 /// Three-valued answer of a pair test. Unknown: a solver query was cut

@@ -6,6 +6,8 @@
 #include <string>
 #include <thread>
 
+#include "support/thread_pool.hpp"
+
 namespace gp {
 
 namespace {
@@ -48,12 +50,13 @@ int hardware_threads() {
 Config Config::from_env() {
   Config c;
 
-  // GP_THREADS: positive values clamp to 512; anything else falls back to
-  // the hardware count (the pre-Config ThreadPool::env_threads contract).
-  c.threads = hardware_threads();
+  // GP_THREADS: positive values clamp to the lane cap; anything else falls
+  // back to the hardware count, clamped alike.
+  c.threads = std::min(hardware_threads(), ThreadPool::kMaxLanes);
   if (const char* s = std::getenv("GP_THREADS")) {
     const long v = std::strtol(s, nullptr, 10);
-    if (v >= 1) c.threads = static_cast<int>(std::min<long>(v, 512));
+    if (v >= 1)
+      c.threads = static_cast<int>(std::min<long>(v, ThreadPool::kMaxLanes));
   }
 
   c.governor.deadline_seconds =

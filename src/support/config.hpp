@@ -1,21 +1,25 @@
 // Unified process configuration: every GP_* environment knob, resolved at
 // ONE parse point.
 //
-// Config::from_env() (config.cpp) is the only place in src/ that calls
-// std::getenv — thread-pool sizing, governor budgets, the checkpoint-store
+// Config::from_env (config.cpp) is the only place in src/ that calls
+// std::getenv — the thread count, governor budgets, the checkpoint-store
 // directory, the codegen level, the fault-injection spec, the metrics and
 // trace switches and the three gp_serve knobs (socket, queue bound, worker
 // count) route through it. Two access patterns:
 //
 //   - config()            a process-wide immutable snapshot taken on first
-//     use. Engine::shared() is built from it; the fault harness reads it.
-//   - Config::from_env()  a fresh parse. Besides config() itself, only the
-//     process-wide switches call it (ThreadPool::env_threads and the
-//     metrics and trace defaults), so tests that setenv() mid-process
-//     observe the change; tier-1 lints that nothing else in src/ does.
+//     use. Engine::shared() is built from it, and so is the process-wide
+//     state: the shared ThreadPool's size and the metrics and trace
+//     switches (with the trace ring capacity).
+//   - Config::from_env    a fresh parse, for entry points that build their
+//     own Engine (and for tests of the parser). Inside src/ only config()
+//     calls it; tier-1 lints that.
 //
-// Per-analysis policy (governor budgets, store directory, codegen level)
-// reaches a Session or Campaign only through its Engine's Config:
+// Everything else reaches the pipeline only through an Engine's Config:
+// sessions take the lanes per stage call (GP_THREADS) from
+// engine.config().threads, the Engine arms the fault harness from its
+// fault_spec (GP_FAULT), and the per-analysis policy (governor budgets,
+// store directory, codegen level) comes through
 // core::PipelineOptions::from(engine.config()). Option structs themselves
 // default to plain values and read no environment.
 //
@@ -31,9 +35,11 @@ namespace gp {
 
 /// All GP_* knobs. Field order follows the README's env-knob table.
 struct Config {
-  /// GP_THREADS: worker parallelism for the shared pool, already resolved
-  /// (env value clamped to [1, 512]; unset/unparsable = hardware
-  /// concurrency, never 0).
+  /// GP_THREADS: the lanes each session stage (extraction, subsumption)
+  /// runs on; 1 is the exact sequential pipeline. from_env() clamps the
+  /// env value to [1, 512] (unset/unparsable = hardware concurrency), and
+  /// core::Engine rejects anything outside that range. The gp::config()
+  /// snapshot's value also sizes the process-wide ThreadPool.
   int threads = 1;
 
   /// GP_DEADLINE_MS / GP_SOLVER_CHECKS / GP_SYM_STEPS / GP_EXPR_NODES:
@@ -43,10 +49,10 @@ struct Config {
   /// GP_STORE_DIR: artifact-store directory ("" = checkpointing disabled).
   std::string store_dir;
 
-  /// GP_FAULT: raw fault-injection spec text (parsed by gp::fault; "" =
-  /// injection disabled). Process-wide: the fault harness reads it only
-  /// from the gp::config() snapshot, so this field of a private Engine's
-  /// Config is ignored.
+  /// GP_FAULT: raw fault-injection spec text (parsed by gp::fault). A
+  /// core::Engine built with a non-empty spec arms the process-wide fault
+  /// harness with it, and rejects a malformed one; "" leaves the harness
+  /// as it is.
   std::string fault_spec;
 
   /// GP_BENCH_FULL: benchmark drivers sweep the whole corpus instead of
@@ -59,14 +65,16 @@ struct Config {
   /// every measurement downstream.
   int opt_level = 0;
 
-  /// GP_METRICS: process-wide metrics registry (support/metrics). On by
-  /// default — "0"/"false"/"off" disables collection (instrumentation
-  /// sites then cost one relaxed load each).
+  /// GP_METRICS: process-wide metrics registry (support/metrics), read
+  /// from the gp::config() snapshot. On by default — "0"/"false"/"off"
+  /// disables collection (instrumentation sites then cost one relaxed load
+  /// each).
   bool metrics = true;
 
   /// GP_TRACE: span recording into the per-thread trace rings
-  /// (support/trace). Off by default; gp_pipeline --trace-out enables it
-  /// for the run regardless of this knob.
+  /// (support/trace), read from the gp::config() snapshot. Off by default;
+  /// gp_pipeline --trace-out enables it for the run regardless of this
+  /// knob.
   bool trace = false;
 
   /// GP_TRACE_BUF: per-thread trace ring capacity in events (clamped to

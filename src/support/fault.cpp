@@ -1,9 +1,5 @@
 #include "support/fault.hpp"
 
-#include <mutex>
-
-#include "support/config.hpp"
-
 namespace gp::fault {
 
 namespace {
@@ -124,17 +120,6 @@ void configure(const Spec& spec) {
 }
 
 void disable() { configure(Spec{}); }
-
-void configure_from_env() {
-  static std::once_flag once;
-  std::call_once(once, [] {
-    const std::string& spec = gp::config().fault_spec;
-    if (spec.empty()) return;
-    auto parsed = parse_spec(spec);
-    if (!parsed.ok()) fail(parsed.status().to_string());
-    configure(parsed.value());
-  });
-}
 
 bool enabled() {
   return state().enabled.load(std::memory_order_acquire);

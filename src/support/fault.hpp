@@ -1,5 +1,6 @@
 // Deterministic, seed-driven fault injection for the pipeline-under-fault
-// test suite (and for manual chaos runs via the GP_FAULT env var).
+// test suite (and for manual chaos runs via the GP_FAULT env var, which a
+// core::Engine arms from its Config::fault_spec when it is built).
 //
 // Each instrumented site names a fault Point; should_fire(point) draws a
 // deterministic pseudo-random decision from (seed, point, per-point trial
@@ -83,11 +84,6 @@ Result<Spec> parse_spec(const std::string& text);
 void configure(const Spec& spec);
 /// Disable injection (equivalent to configure({})).
 void disable();
-/// Load GP_FAULT from the environment if set; malformed specs fail fast
-/// with gp::Error (a chaos run must not silently run un-chaosed). Called
-/// by the core::Engine and core::Session constructors; safe to call
-/// repeatedly.
-void configure_from_env();
 
 /// Is any fault point active? Single relaxed load.
 bool enabled();

@@ -12,9 +12,9 @@ namespace gp::metrics {
 namespace {
 
 std::atomic<bool>& enabled_flag() {
-  // First use resolves GP_METRICS through the single gp::Config parse
-  // point; set_enabled() overwrites afterwards.
-  static std::atomic<bool> flag{Config::from_env().metrics};
+  // First use takes GP_METRICS from the gp::config() snapshot;
+  // set_enabled() overwrites afterwards.
+  static std::atomic<bool> flag{gp::config().metrics};
   return flag;
 }
 

@@ -92,19 +92,8 @@ void ThreadPool::run(u64 items,
   if (rs.error) std::rethrow_exception(rs.error);
 }
 
-int ThreadPool::env_threads() {
-  // Fresh parse so tests that setenv("GP_THREADS") observe the change;
-  // Config::from_env already applied the clamp and hardware fallback.
-  return Config::from_env().threads;
-}
-
-int ThreadPool::resolve(int threads) {
-  if (threads <= 0) return env_threads();
-  return std::min(threads, 512);
-}
-
 ThreadPool& ThreadPool::shared() {
-  static ThreadPool pool(std::max(3, env_threads() - 1));
+  static ThreadPool pool(std::max(3, config().threads - 1));
   return pool;
 }
 

@@ -11,10 +11,12 @@
 // no per-item task traffic to spread across per-worker queues.
 //
 // Thread-count policy (the GP_THREADS knob):
-//  - env_threads() reads GP_THREADS, defaulting to hardware_concurrency;
-//  - resolve(n) maps an options/parameter value (0 = "use the env knob")
-//    to a concrete count;
-//  - callers with a resolved count of 1 must take their sequential path and
+//  - shared() sizes the process-wide pool once, from the gp::config()
+//    snapshot's `threads`;
+//  - the lanes one stage call may use are a parameter of that call: a
+//    Session passes its Engine's Config::threads, and the stage clamps it
+//    to kMaxLanes;
+//  - callers with a lane count of 1 must take their sequential path and
 //    never touch the pool — that is what restores the exact single-threaded
 //    pipeline.
 #pragma once
@@ -40,6 +42,9 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// The most lanes one stage call uses (GP_THREADS clamps to it too).
+  static constexpr int kMaxLanes = 512;
+
   int workers() const { return static_cast<int>(threads_.size()); }
 
   /// Execute `fn(lane, item)` for every item in [0, items). At most
@@ -54,15 +59,10 @@ class ThreadPool {
   void run(u64 items, const std::function<void(int lane, u64 item)>& fn,
            int max_lanes);
 
-  /// The GP_THREADS environment knob: a positive integer caps/raises the
-  /// default parallelism; unset (or unparsable) means hardware_concurrency.
-  static int env_threads();
-  /// Resolve a per-call threads parameter: 0 -> env_threads(); otherwise
-  /// clamped to >= 1.
-  static int resolve(int threads);
-  /// The process-wide pool. Sized generously (at least 3 workers even on
-  /// small hosts) so explicit thread requests from tests keep real
-  /// parallelism; an idle worker costs only a sleeping thread.
+  /// The process-wide pool, sized once from gp::config().threads. Sized
+  /// generously (at least 3 workers even on small hosts) so explicit lane
+  /// requests from tests keep real parallelism; an idle worker costs only
+  /// a sleeping thread.
   static ThreadPool& shared();
 
  private:

@@ -49,7 +49,7 @@ Collector& collector() {
 }
 
 std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag{Config::from_env().trace};
+  static std::atomic<bool> flag{gp::config().trace};
   return flag;
 }
 
@@ -57,7 +57,7 @@ u32 ring_capacity() {
   Collector& c = collector();
   u32 cap = c.ring_capacity.load(std::memory_order_relaxed);
   if (cap == 0) {
-    cap = Config::from_env().trace_buf;
+    cap = gp::config().trace_buf;
     c.ring_capacity.store(cap, std::memory_order_relaxed);
   }
   return std::max<u32>(cap, 16);

@@ -10,8 +10,10 @@
 #include "codegen/codegen.hpp"
 #include "core/campaign.hpp"
 #include "corpus/corpus.hpp"
+#include "gadget/serialize.hpp"
 #include "minic/minic.hpp"
 #include "payload/serialize.hpp"
+#include "support/fault.hpp"
 #include "support/metrics.hpp"
 #include "x86/encoder.hpp"
 
@@ -112,6 +114,112 @@ TEST(Engine, ConfigReachesSessionsAndCampaigns) {
   o1.opt = codegen::opt_level_from_int(1);
   EXPECT_EQ(sum.results[0].code_bytes, codegen::compile(prog, o1).code().size());
   EXPECT_NE(sum.results[0].code_bytes, codegen::compile(prog).code().size());
+}
+
+// GP_THREADS reaches a session only through its Engine's Config: two
+// private Engines that differ only in `threads` extract the same raw pools
+// and counters, and only the multi-lane one takes the parallel paths (the
+// sharded extraction merge, and subsumption lanes on the shared pool).
+TEST(Engine, ThreadsComeFromTheEngineConfig) {
+  const bool metrics_was = metrics::enabled();
+  metrics::set_enabled(true);
+  std::vector<image::Image> imgs;
+  for (const char* name : {"bubble_sort", "gcd_lcm", "state_machine"}) {
+    auto prog = minic::compile_source(corpus::by_name(name).source);
+    obf::obfuscate(prog, obf::Options::llvm_obf(7));
+    imgs.push_back(codegen::compile(prog));
+  }
+  metrics::Counter& merged =
+      metrics::registry().counter("extract.merge_nodes");
+  metrics::Counter& tasks = metrics::registry().counter("pool.tasks");
+
+  struct Run {
+    std::vector<std::vector<std::vector<u8>>> pools;
+    std::vector<gadget::ExtractStats> stats;
+    u64 merge_nodes = 0;
+    u64 subsume_tasks = 0;
+  };
+  auto run = [&](int threads) {
+    Config cfg;
+    cfg.threads = threads;
+    Engine engine(cfg);
+    PipelineOptions raw;
+    raw.run_subsumption = false;  // the library is the raw pool
+    Run r;
+    const u64 merged0 = merged.value();
+    for (const image::Image& img : imgs) {
+      Session s(engine, img, raw);
+      EXPECT_TRUE(s.extract().ok());
+      r.pools.push_back(gadget::encode_pool(s.ctx(), s.library().all()));
+      r.stats.push_back(s.extract_stats());
+    }
+    r.merge_nodes = merged.value() - merged0;
+    Session full(engine, imgs[0]);
+    (void)full.extract();
+    const u64 tasks0 = tasks.value();
+    (void)full.subsume();
+    r.subsume_tasks = tasks.value() - tasks0;
+    return r;
+  };
+  const Run one = run(1);
+  const Run four = run(4);
+
+  for (size_t i = 0; i < imgs.size(); ++i) {
+    EXPECT_FALSE(one.pools[i].empty()) << i;
+    EXPECT_EQ(one.pools[i], four.pools[i]) << i;
+    for (const auto& f : gadget::ExtractStats::kCounters)
+      EXPECT_EQ(one.stats[i].*f.field, four.stats[i].*f.field)
+          << i << " " << f.name;
+  }
+  EXPECT_EQ(one.merge_nodes, 0u);
+  EXPECT_GT(four.merge_nodes, 0u);
+  EXPECT_EQ(one.subsume_tasks, 0u);
+  EXPECT_GT(four.subsume_tasks, 0u);
+  metrics::set_enabled(metrics_was);
+}
+
+// GP_FAULT reaches the fault harness only through an Engine's Config.
+TEST(Engine, FaultSpecComesFromTheEngineConfig) {
+  fault::disable();
+  {
+    Config cfg;
+    cfg.fault_spec = "seed=3,decode=1";
+    Engine engine(cfg);
+    EXPECT_TRUE(fault::enabled());
+    Session session(engine,
+                    codegen::compile(minic::compile_source(kCallRichSource)));
+    (void)session.extract();
+    EXPECT_GT(session.extract_stats().decode_failures, 0u);
+    EXPECT_EQ(session.extract_stats().gadgets, 0u);
+    fault::disable();
+  }
+  {
+    // An empty spec leaves an armed harness alone.
+    fault::ScopedSpec scoped("seed=5,solver=0.5");
+    Engine engine(Config{});
+    EXPECT_TRUE(fault::enabled());
+  }
+  EXPECT_FALSE(fault::enabled());
+
+  Config bogus;
+  bogus.fault_spec = "bogus=1";
+  EXPECT_THROW({ Engine engine(bogus); }, Error);
+  EXPECT_FALSE(fault::enabled());
+}
+
+// Config::threads is the lane count of every session stage; 0 no longer
+// means "read GP_THREADS". Building an Engine starts no thread.
+TEST(Engine, RejectsThreadsOutsideTheLaneRange) {
+  for (const int threads : {0, -1, 513}) {
+    Config cfg;
+    cfg.threads = threads;
+    EXPECT_THROW({ Engine engine(cfg); }, Error) << threads;
+  }
+  for (const int threads : {1, 512}) {
+    Config cfg;
+    cfg.threads = threads;
+    EXPECT_NO_THROW({ Engine engine(cfg); }) << threads;
+  }
 }
 
 TEST(Session, StagesAreLazyExplicitAndIdempotent) {

@@ -19,9 +19,9 @@ image::Image make_image(Assembler& a) {
 }
 
 std::vector<Record> extract(const image::Image& img, Context& ctx,
-                            ExtractOptions opts = {}) {
+                            ExtractOptions opts = {}, int threads = 1) {
   Extractor ex(ctx, img);
-  return ex.extract(opts);
+  return ex.extract(opts, threads);
 }
 
 /// Does `a` imply `b` under every assignment? ({a, !b} is UNSAT.)
@@ -275,9 +275,7 @@ TEST(Extractor, DecodeCacheSlotAliasing) {
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(threads);
     Context ctx;
-    ExtractOptions opts;
-    opts.threads = threads;
-    auto pool = extract(img, ctx, opts);
+    auto pool = extract(img, ctx, {}, threads);
 
     const Record* tail = at(pool, image::kCodeBase + 1024);
     ASSERT_NE(tail, nullptr);

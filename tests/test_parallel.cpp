@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <utility>
@@ -86,17 +85,13 @@ TEST(Parallel, ExtractionMatchesSequential) {
 
   solver::Context c1;
   Extractor e1(c1, img);
-  ExtractOptions o1;
-  o1.threads = 1;
-  auto p1 = e1.extract(o1);
+  auto p1 = e1.extract({}, /*threads=*/1);
   ASSERT_GT(p1.size(), 100u);
 
   for (const int threads : {2, 4}) {
     solver::Context cn;
     Extractor en(cn, img);
-    ExtractOptions on;
-    on.threads = threads;
-    auto pn = en.extract(on);
+    auto pn = en.extract({}, threads);
 
     expect_stats_equal(e1.stats(), en.stats());
     ASSERT_EQ(p1.size(), pn.size()) << "threads=" << threads;
@@ -115,25 +110,20 @@ TEST(Parallel, MergeHashCollisionsNeverChangeThePool) {
   const image::Image& img = obfuscated_image();
   solver::Context c1;
   Extractor e1(c1, img);
-  ExtractOptions o1;
-  o1.threads = 1;
-  const auto p1 = e1.extract(o1);
+  const auto p1 = e1.extract({}, /*threads=*/1);
   ASSERT_GT(p1.size(), 100u);
 
   for (const int threads : {2, 4}) {
     solver::Context exact;
-    ExtractOptions oe;
-    oe.threads = threads;
-    (void)Extractor(exact, img).extract(oe);
+    (void)Extractor(exact, img).extract({}, threads);
     for (const int bits : {4, 16}) {
       const std::string label = "threads=" + std::to_string(threads) +
                                 " bits=" + std::to_string(bits);
       solver::Context cn;
       Extractor en(cn, img);
       ExtractOptions on;
-      on.threads = threads;
       on.merge_hash_bits = bits;
-      const auto pn = en.extract(on);
+      const auto pn = en.extract(on, threads);
       expect_stats_equal(e1.stats(), en.stats());
       ASSERT_EQ(p1.size(), pn.size()) << label;
       expect_same_pool(c1, p1, cn, pn, label);
@@ -148,9 +138,7 @@ TEST(Parallel, MinimizeMatchesSequential) {
   const image::Image& img = obfuscated_image();
   solver::Context ctx;
   Extractor ex(ctx, img);
-  ExtractOptions opts;
-  opts.threads = 1;
-  auto pool = ex.extract(opts);
+  auto pool = ex.extract({}, /*threads=*/1);
   ASSERT_GT(pool.size(), 100u);
 
   subsume::Stats s1;
@@ -191,11 +179,8 @@ TEST(Parallel, CorpusPoolsAreThreadCountInvariant) {
 
     solver::Context c1, c4;
     Extractor e1(c1, img), e4(c4, img);
-    ExtractOptions o1, o4;
-    o1.threads = 1;
-    o4.threads = 4;
-    const auto p1 = e1.extract(o1);
-    const auto p4 = e4.extract(o4);
+    const auto p1 = e1.extract({}, /*threads=*/1);
+    const auto p4 = e4.extract({}, /*threads=*/4);
     ASSERT_FALSE(p1.empty()) << label;
     expect_same_pool(c1, p1, c4, p4, label);
     if (label != "hash_table/none") continue;
@@ -223,9 +208,8 @@ TEST(Parallel, CancellationPropagatesToWorkers) {
   solver::Context ctx;
   Extractor ex(ctx, img);
   ExtractOptions opts;
-  opts.threads = 4;
   opts.governor = &gov;
-  auto pool = ex.extract(opts);
+  auto pool = ex.extract(opts, /*threads=*/4);
 
   EXPECT_TRUE(pool.empty());
   const ExtractStats& st = ex.stats();
@@ -246,9 +230,8 @@ TEST(Parallel, MidRunCancellationStopsPromptly) {
   solver::Context ctx;
   Extractor ex(ctx, img);
   ExtractOptions opts;
-  opts.threads = 4;
   opts.governor = &gov;
-  auto pool = ex.extract(opts);
+  auto pool = ex.extract(opts, /*threads=*/4);
   canceller.join();
 
   // Whether the cancel landed mid-scan or after completion, every offset is
@@ -264,9 +247,7 @@ TEST(Parallel, MinimizeObservesCancellation) {
   const image::Image& img = obfuscated_image();
   solver::Context ctx;
   Extractor ex(ctx, img);
-  ExtractOptions opts;
-  opts.threads = 2;
-  auto pool = ex.extract(opts);
+  auto pool = ex.extract({}, /*threads=*/2);
   ASSERT_GT(pool.size(), 100u);
 
   Governor gov;
@@ -349,27 +330,6 @@ TEST(Parallel, CampaignConcurrencyInvariantDigests) {
   const auto sequential = digests(1);
   const auto concurrent = digests(static_cast<int>(jobs.size()));
   EXPECT_EQ(sequential, concurrent);
-}
-
-TEST(Parallel, EnvKnobDrivesPipeline) {
-  const image::Image& img = obfuscated_image();
-
-  solver::Context c1;
-  Extractor e1(c1, img);
-  ExtractOptions o1;
-  o1.threads = 1;
-  auto p1 = e1.extract(o1);
-
-  // threads = 0 defers to GP_THREADS.
-  setenv("GP_THREADS", "3", 1);
-  solver::Context ce;
-  Extractor ee(ce, img);
-  auto pe = ee.extract({});
-  unsetenv("GP_THREADS");
-
-  expect_stats_equal(e1.stats(), ee.stats());
-  ASSERT_EQ(p1.size(), pe.size());
-  expect_same_pool(c1, p1, ce, pe, "GP_THREADS=3");
 }
 
 TEST(Parallel, MetricsAndTraceTotalsAreExactUnderContention) {

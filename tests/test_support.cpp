@@ -210,20 +210,8 @@ TEST(ThreadPool, ConcurrentCallersNestAndContainOneThrow) {
   }
 }
 
-TEST(ThreadPool, ResolvePolicy) {
-  EXPECT_EQ(ThreadPool::resolve(5), 5);
-  EXPECT_GE(ThreadPool::resolve(0), 1);  // env / hardware fallback
-  EXPECT_GE(ThreadPool::env_threads(), 1);
+TEST(ThreadPool, SharedPoolKeepsThreeWorkers) {
   EXPECT_GE(ThreadPool::shared().workers(), 3);
-}
-
-TEST(ThreadPool, EnvKnobControlsResolve) {
-  setenv("GP_THREADS", "3", 1);
-  EXPECT_EQ(ThreadPool::env_threads(), 3);
-  EXPECT_EQ(ThreadPool::resolve(0), 3);
-  setenv("GP_THREADS", "junk", 1);  // unparsable: hardware fallback
-  EXPECT_GE(ThreadPool::env_threads(), 1);
-  unsetenv("GP_THREADS");
 }
 
 TEST(Config, FromEnvParsesEveryKnobFresh) {
@@ -256,6 +244,8 @@ TEST(Config, InvalidValuesKeepDefaults) {
   setenv("GP_THREADS", "0", 1);  // below minimum: hardware fallback
   const Config cfg = Config::from_env();
   EXPECT_GE(cfg.threads, 1);
+  setenv("GP_THREADS", "junk", 1);  // unparsable: hardware fallback
+  EXPECT_GE(Config::from_env().threads, 1);
   unsetenv("GP_THREADS");
 }
 

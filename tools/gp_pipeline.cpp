@@ -20,8 +20,9 @@
 // result digests) written to --summary. --out writes each chain's payload
 // bytes to <dir>/<goal>-<index>.bin for diffing. Both modes take their
 // policy from the shared Engine's Config: the checkpoint directory
-// (GP_STORE_DIR), the governor budgets (GP_DEADLINE_MS, ...) and the
-// codegen level (GP_OPT_LEVEL); the chaos knob (GP_FAULT) is process-wide.
+// (GP_STORE_DIR), the governor budgets (GP_DEADLINE_MS, ...), the lanes
+// per stage (GP_THREADS), the codegen level (GP_OPT_LEVEL) and the chaos
+// knob (GP_FAULT), which the Engine arms.
 //
 // Campaign exit codes: 0 every job ok, 3 at least one job degraded
 // (deadline/budget/fault — partial but usable results), 4 at least one job

@@ -6,10 +6,10 @@
 // Flags default from the shared Engine's Config (GP_SERVE_SOCK,
 // GP_STORE_DIR, GP_SERVE_QUEUE, GP_SERVE_MAX_ACTIVE); every job runs under
 // that Config's budgets (GP_DEADLINE_MS, GP_SOLVER_CHECKS, GP_SYM_STEPS,
-// GP_EXPR_NODES) and codegen level (GP_OPT_LEVEL), and the chaos knob
-// (GP_FAULT) is process-wide. --ready-fd writes one
-// byte ("R") to the given fd once the socket is listening, so harness
-// scripts can wait for readiness without polling.
+// GP_EXPR_NODES), lane count (GP_THREADS) and codegen level
+// (GP_OPT_LEVEL), and the Engine arms that Config's chaos knob (GP_FAULT).
+// --ready-fd writes one byte ("R") to the given fd once the socket is
+// listening, so harness scripts can wait for readiness without polling.
 //
 // Lifecycle:
 //   - SIGTERM/SIGINT: graceful drain — stop admitting (new submits are
