@@ -231,7 +231,7 @@ void explore_offset(solver::Context& ctx, sym::Executor& exec,
               bool has_payload = false;
               bool settable = true;
               for (const ExprRef v : ctx.variables(final)) {
-                const std::string& name = ctx.var_name(v);
+                const std::string_view name = ctx.var_name(v);
                 if (sym::parse_stack_var(name)) {
                   has_payload = true;
                   continue;
@@ -348,7 +348,8 @@ std::vector<Record> Extractor::extract(const ExtractOptions& opts,
   const u64 stride = static_cast<u64>(opts.stride);
   const u64 total = base < end ? (end - base + stride - 1) / stride : 0;
 
-  const int lanes = std::min(threads, ThreadPool::kMaxLanes);
+  // Lanes the pool cannot run would only add shards and idle scratch.
+  const int lanes = ThreadPool::granted_lanes(threads);
   if (lanes > 1 && total > 1) return extract_parallel(opts, lanes);
 
   exec_.set_governor(opts.governor);

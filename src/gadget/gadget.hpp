@@ -166,8 +166,8 @@ class Extractor {
       : ctx_(ctx), img_(img), exec_(ctx, &img) {}
 
   /// Scan the image's code. `threads` is the lane count (a Session passes
-  /// its Engine's Config::threads; clamped to ThreadPool::kMaxLanes); 1 is
-  /// the exact sequential path. Any value yields the same gadget pool, and
+  /// its Engine's Config::threads; capped at ThreadPool::granted_lanes);
+  /// 1 is the exact sequential path. Any value yields the same gadget pool, and
   /// the same context restricted to the nodes the pool reaches: lanes
   /// explore disjoint offset shards in private solver contexts, and the
   /// merge replays the nodes the shards' records reach into the main

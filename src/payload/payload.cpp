@@ -126,7 +126,7 @@ ConcretizeResult concretize(solver::Context& ctx, const gadget::Library& lib,
     if (off >= 0) {
       offsets.push_back(off);
     } else {
-      constraints.push_back(ctx.eq(ctx.var(sym::stack_var(off), 64),
+      constraints.push_back(ctx.eq(ctx.var(sym::stack_var(off).view(), 64),
                                    ctx.constant(0, 64)));
     }
   }
@@ -167,7 +167,7 @@ ConcretizeResult concretize(solver::Context& ctx, const gadget::Library& lib,
           if (bit_off + ir.width <= 64) {
             offsets.push_back(slot);
             next_free = std::max(next_free, slot + 8);
-            const ExprRef sv = ctx.var(sym::stack_var(slot), 64);
+            const ExprRef sv = ctx.var(sym::stack_var(slot).view(), 64);
             constraints.push_back(ctx.eq(
                 ir.var, ir.width == 64
                             ? sv
@@ -220,7 +220,7 @@ ConcretizeResult concretize(solver::Context& ctx, const gadget::Library& lib,
         // Write-only base: aimable only when payload/register-derived.
         bool derivable = true;
         for (const ExprRef v : ctx.variables(bo->base)) {
-          const std::string& name = ctx.var_name(v);
+          const std::string_view name = ctx.var_name(v);
           if (sym::parse_stack_var(name) || name.rfind("ind", 0) == 0)
             continue;
           if (!sym::is_initial_reg_var(name)) derivable = false;
@@ -252,7 +252,7 @@ ConcretizeResult concretize(solver::Context& ctx, const gadget::Library& lib,
         const unsigned bit_off =
             static_cast<unsigned>((region + rel) & 7) * 8;
         offsets.push_back(slot);
-        const ExprRef slot_var = ctx.var(sym::stack_var(slot), 64);
+        const ExprRef slot_var = ctx.var(sym::stack_var(slot).view(), 64);
         if (bit_off + ir->width <= 64) {
           constraints.push_back(ctx.eq(
               ir->var, ir->width == 64
@@ -287,8 +287,8 @@ ConcretizeResult concretize(solver::Context& ctx, const gadget::Library& lib,
       u64 word = 0;
       for (size_t k = 0; k < t.bytes.size(); ++k)
         word |= static_cast<u64>(t.bytes[k]) << (8 * k);
-      constraints.push_back(
-          ctx.eq(ctx.var(sym::stack_var(slot), 64), ctx.constant(word, 64)));
+      constraints.push_back(ctx.eq(ctx.var(sym::stack_var(slot).view(), 64),
+                                   ctx.constant(word, 64)));
       offsets.push_back(slot);
     }
   }
@@ -327,7 +327,7 @@ ConcretizeResult concretize(solver::Context& ctx, const gadget::Library& lib,
   std::sort(offsets.begin(), offsets.end());
   offsets.erase(std::unique(offsets.begin(), offsets.end()), offsets.end());
   for (const i64 off : offsets) {
-    const ExprRef var = ctx.var(sym::stack_var(off), 64);
+    const ExprRef var = ctx.var(sym::stack_var(off).view(), 64);
     auto it = model.find(var);
     place(off, it == model.end() ? 0 : it->second);
   }

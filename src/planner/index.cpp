@@ -67,7 +67,7 @@ Candidate analyze_candidate(solver::Context& ctx, const gadget::Library& lib,
   {
     std::vector<ExprRef> work = ctx.variables(fin);
     for (size_t wi = 0; wi < work.size() && wi < 64; ++wi) {
-      const std::string& name = ctx.var_name(work[wi]);
+      const std::string_view name = ctx.var_name(work[wi]);
       if (sym::parse_stack_var(name)) continue;
       if (name.rfind("ind", 0) == 0) {
         for (const sym::IndirectRead& ir : g.ind_reads)
@@ -159,7 +159,7 @@ Candidate analyze_candidate(solver::Context& ctx, const gadget::Library& lib,
   for (size_t ni = 0; ni < needs.size(); ++ni) {
     const ExprRef pc = needs[ni];
     for (const ExprRef v : ctx.variables(pc)) {
-      const std::string& name = ctx.var_name(v);
+      const std::string_view name = ctx.var_name(v);
       if (sym::parse_stack_var(name)) continue;  // payload: solver's job
       if (name.rfind("ind", 0) == 0) {
         // POINTER dependency: the load's address registers must be

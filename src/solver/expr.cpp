@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 
 #include "support/fault.hpp"
 #include "support/governor.hpp"
@@ -42,33 +43,137 @@ bool same_node(const Node& x, const Node& y) {
 }
 
 constexpr size_t kMinSlots = 64;
+constexpr size_t kMinVarSlots = 16;
+
+/// Scratch of one DAG walk lives in a buffer of this many entries on the
+/// walker's stack and moves to the heap only when the walk outgrows it.
+/// Gadget-sized terms fit; a buffer that grew with the context would cost
+/// every thread (or every context) memory proportional to the largest
+/// pool it ever walked.
+constexpr size_t kWalkInline = 64;
+
+/// The to-do stack of a DAG walk.
+template <typename T>
+class WalkStack {
+ public:
+  WalkStack() = default;
+  WalkStack(const WalkStack&) = delete;
+  WalkStack& operator=(const WalkStack&) = delete;
+
+  bool empty() const { return size_ == 0; }
+  T top() const { return data_[size_ - 1]; }
+  void pop() { --size_; }
+  void push(T v) {
+    if (size_ == capacity_) grow();
+    data_[size_++] = v;
+  }
+
+ private:
+  void grow() {
+    std::vector<T> bigger(2 * capacity_);
+    std::copy(data_, data_ + size_, bigger.begin());
+    heap_ = std::move(bigger);
+    data_ = heap_.data();
+    capacity_ = heap_.size();
+  }
+
+  T inline_[kWalkInline];
+  std::vector<T> heap_;
+  T* data_ = inline_;
+  size_t size_ = 0;
+  size_t capacity_ = kWalkInline;
+};
+
+struct NoValue {};
+
+/// The nodes a DAG walk has visited, each with a Value (NoValue for a
+/// plain visited set): open addressing, linear probing, at most half full.
+template <typename Value>
+class WalkTable {
+ public:
+  WalkTable() = default;
+  WalkTable(const WalkTable&) = delete;
+  WalkTable& operator=(const WalkTable&) = delete;
+
+  size_t size() const { return size_; }
+
+  /// r's value, or nullptr if r was not visited.
+  const Value* find(ExprRef r) const {
+    for (size_t i = home(r);; i = (i + 1) & mask_) {
+      if (data_[i].ref == r) return &data_[i].value;
+      if (data_[i].ref == kNoExpr) return nullptr;
+    }
+  }
+
+  /// Record r (with `value`) unless it was visited; true if it is new.
+  bool insert(ExprRef r, Value value = {}) {
+    size_t i = home(r);
+    for (; data_[i].ref != kNoExpr; i = (i + 1) & mask_)
+      if (data_[i].ref == r) return false;
+    data_[i] = {r, value};
+    if (2 * ++size_ > mask_ + 1) grow();
+    return true;
+  }
+
+ private:
+  struct Entry {
+    ExprRef ref = kNoExpr;
+    [[no_unique_address]] Value value{};
+  };
+
+  size_t home(ExprRef r) const {
+    return static_cast<size_t>((u64{r} * 0x9e3779b97f4a7c15ULL) >> 32) &
+           mask_;
+  }
+  void grow() {
+    const Entry* old = data_;
+    const size_t old_slots = mask_ + 1;
+    std::vector<Entry> bigger(2 * old_slots);
+    mask_ = bigger.size() - 1;
+    for (size_t j = 0; j < old_slots; ++j) {
+      if (old[j].ref == kNoExpr) continue;
+      size_t i = home(old[j].ref);
+      while (bigger[i].ref != kNoExpr) i = (i + 1) & mask_;
+      bigger[i] = old[j];
+    }
+    heap_ = std::move(bigger);
+    data_ = heap_.data();
+  }
+
+  Entry inline_[kWalkInline];
+  std::vector<Entry> heap_;
+  Entry* data_ = inline_;
+  size_t mask_ = kWalkInline - 1;
+  size_t size_ = 0;
+};
 
 }  // namespace
 
 Context::Context() {
   slots_.resize(kMinSlots);
+  var_slots_.resize(kMinVarSlots);
   false_ = constant(0, 1);
   true_ = constant(1, 1);
 }
 
-void Context::fit_table(size_t n) {
-  size_t capacity = slots_.size();
+void Context::fit_slots(std::vector<Slot>& table, size_t n) {
+  size_t capacity = table.size();
   while (capacity < 2 * n) capacity *= 2;
-  if (capacity == slots_.size()) return;
+  if (capacity == table.size()) return;
   std::vector<Slot> grown(capacity);
   const size_t mask = capacity - 1;
-  for (const Slot& s : slots_) {
+  for (const Slot& s : table) {
     if (s.ref == kNoExpr) continue;
     size_t i = s.hash & mask;
     while (grown[i].ref != kNoExpr) i = (i + 1) & mask;
     grown[i] = s;
   }
-  slots_ = std::move(grown);
+  table = std::move(grown);
 }
 
 void Context::reserve(size_t n) {
   nodes_.reserve(n);
-  fit_table(n);
+  fit_slots(slots_, n);
 }
 
 size_t Context::probe(const Node& n, u32 h) const {
@@ -99,7 +204,7 @@ ExprRef Context::append(const Node& n, bool draw_budget) {
 }
 
 void Context::index_from(ExprRef first) {
-  fit_table(nodes_.size());
+  fit_slots(slots_, nodes_.size());
   const size_t mask = slots_.size() - 1;
   for (size_t r = first; r < nodes_.size(); ++r) {
     const u32 h = node_hash(nodes_[r]);
@@ -144,28 +249,51 @@ ExprRef Context::constant(u64 value, u8 width) {
   return ref;
 }
 
-ExprRef Context::var(const std::string& name, u8 width) {
-  auto it = vars_by_name_.find(name);
-  if (it != vars_by_name_.end()) {
-    GP_CHECK(nodes_[it->second].width == width,
-             "variable re-declared with different width: " + name);
-    return it->second;
+size_t Context::probe_var(std::string_view name, u64 hash) const {
+  const size_t mask = var_slots_.size() - 1;
+  const auto h = static_cast<u32>(hash);
+  size_t i = h & mask;
+  while (var_slots_[i].ref != kNoExpr &&
+         !(var_slots_[i].hash == h &&
+           name_of(nodes_[var_slots_[i].ref].cval) == name))
+    i = (i + 1) & mask;
+  return i;
+}
+
+ExprRef Context::var(std::string_view name, u8 width) {
+  const u64 hash = std::hash<std::string_view>{}(name);
+  const size_t i = probe_var(name, hash);
+  if (const ExprRef ref = var_slots_[i].ref; ref != kNoExpr) {
+    GP_CHECK(nodes_[ref].width == width,
+             "variable re-declared with different width: " +
+                 std::string(name));
+    return ref;
   }
-  const ExprRef ref = new_var(name, width, /*draw_budget=*/true);
+  const ExprRef ref = new_var(name, hash, width, /*draw_budget=*/true, i);
   index_from(ref);
   return ref;
 }
 
-ExprRef Context::new_var(const std::string& name, u8 width,
-                         bool draw_budget) {
+ExprRef Context::new_var(std::string_view name, u64 hash, u8 width,
+                         bool draw_budget, size_t slot) {
   // A variable's id is fresh, so its node cannot be interned yet: no probe.
+  GP_CHECK(var_chars_.size() + name.size() <=
+               std::numeric_limits<u32>::max(),
+           "variable names exceed 4 GiB");
   Node n;
   n.op = Op::Var;
   n.width = width;
-  n.cval = var_names_.size();
+  n.cval = vars_.size();
   const ExprRef ref = append(n, draw_budget);
-  var_names_.push_back(name);
-  vars_by_name_.emplace(name, ref);
+  vars_.push_back({hash, static_cast<u32>(var_chars_.size()),
+                   static_cast<u32>(name.size())});
+  var_chars_.append(name);
+  // Keep the index at most half full: a growing index re-probes.
+  if (2 * vars_.size() > var_slots_.size()) {
+    fit_slots(var_slots_, vars_.size());
+    slot = probe_var(name, hash);
+  }
+  var_slots_[slot] = {ref, static_cast<u32>(hash)};
   return ref;
 }
 
@@ -211,11 +339,13 @@ std::vector<ExprRef> Context::replay(const Context& src,
       if (!keep.empty() && !keep[r]) continue;
       Node n = src.nodes_[r];
       if (n.op == Op::Var) {
-        const std::string& name = src.var_names_[n.cval];
-        auto it = vars_by_name_.find(name);
-        out[r] = it != vars_by_name_.end()
-                     ? it->second
-                     : new_var(name, n.width, /*draw_budget=*/false);
+        // The name's hash comes with it: no rehash.
+        const u64 hash = src.vars_[n.cval].hash;
+        const std::string_view name = src.name_of(n.cval);
+        const size_t i = probe_var(name, hash);
+        out[r] = var_slots_[i].ref != kNoExpr
+                     ? var_slots_[i].ref
+                     : new_var(name, hash, n.width, /*draw_budget=*/false, i);
         continue;
       }
       n.a = map(n.a);
@@ -253,8 +383,7 @@ u64 Context::structural_hash(ExprRef r,
                                               u64{n.width} << 8 |
                                               u64{n.aux} << 16);
   if (n.op == Op::Const) return mix(h, n.cval);
-  if (n.op == Op::Var)
-    return mix(h, std::hash<std::string>{}(var_names_[n.cval]));
+  if (n.op == Op::Var) return mix(h, vars_[n.cval].hash);
   u64 ha = of(n.a), hb = of(n.b);
   if (commutative(n.op) && ha > hb) std::swap(ha, hb);
   return mix(mix(mix(h, ha), hb), of(n.c));
@@ -287,7 +416,7 @@ std::vector<ExprRef> Context::reachable(
   return out;
 }
 
-ExprRef Context::rebuild(const Node& n, const std::string& var_name) {
+ExprRef Context::rebuild(const Node& n, std::string_view var_name) {
   switch (n.op) {
     case Op::Const: return constant(n.cval, n.width);
     case Op::Var: return var(var_name, n.width);
@@ -666,14 +795,38 @@ ExprRef Context::substitute(
 
 u64 Context::eval(ExprRef e,
                   const std::unordered_map<ExprRef, u64>& env) const {
-  std::unordered_map<ExprRef, u64> memo;
-  std::function<u64(ExprRef)> go = [&](ExprRef x) -> u64 {
-    auto m = memo.find(x);
-    if (m != memo.end()) return m->second;
+  // Post-order: a node is evaluated once the operands it needs are; an
+  // Ite needs its condition, then only the branch the condition picks.
+  WalkTable<u64> memo;
+  WalkStack<ExprRef> todo;
+  todo.push(e);
+  while (!todo.empty()) {
+    const ExprRef x = todo.top();
     const Node& n = nodes_[x];
+    bool ready = true;
+    const auto need = [&](ExprRef o) {
+      if (!memo.find(o)) {
+        todo.push(o);
+        ready = false;
+      }
+    };
+    if (n.op == Op::Ite) {
+      if (const u64* cond = memo.find(n.a)) {
+        need(*cond ? n.b : n.c);
+      } else {
+        need(n.a);
+      }
+    } else {
+      if (n.c != kNoExpr) need(n.c);
+      if (n.b != kNoExpr) need(n.b);
+      if (n.a != kNoExpr) need(n.a);
+    }
+    if (!ready) continue;
+    todo.pop();
+    const auto v = [&](ExprRef o) { return *memo.find(o); };
     u64 out = 0;
     const u8 w = n.width;
-    auto mask_count = [&](u64 c) { return c & (w == 64 ? 63 : w - 1); };
+    const auto mask_count = [w](u64 c) { return c & (w == 64 ? 63 : w - 1); };
     switch (n.op) {
       case Op::Const: out = n.cval; break;
       case Op::Var: {
@@ -681,79 +834,83 @@ u64 Context::eval(ExprRef e,
         out = it == env.end() ? 0 : it->second;
         break;
       }
-      case Op::Add: out = go(n.a) + go(n.b); break;
-      case Op::Mul: out = go(n.a) * go(n.b); break;
-      case Op::And: out = go(n.a) & go(n.b); break;
-      case Op::Or: out = go(n.a) | go(n.b); break;
-      case Op::Xor: out = go(n.a) ^ go(n.b); break;
-      case Op::Shl: out = go(n.a) << mask_count(go(n.b)); break;
-      case Op::LShr: out = truncate(go(n.a), w) >> mask_count(go(n.b)); break;
+      case Op::Add: out = v(n.a) + v(n.b); break;
+      case Op::Mul: out = v(n.a) * v(n.b); break;
+      case Op::And: out = v(n.a) & v(n.b); break;
+      case Op::Or: out = v(n.a) | v(n.b); break;
+      case Op::Xor: out = v(n.a) ^ v(n.b); break;
+      case Op::Shl: out = v(n.a) << mask_count(v(n.b)); break;
+      case Op::LShr: out = truncate(v(n.a), w) >> mask_count(v(n.b)); break;
       case Op::AShr:
-        out = static_cast<u64>(
-            static_cast<i64>(sign_extend(go(n.a), w)) >>
-            mask_count(go(n.b)));
+        out = static_cast<u64>(static_cast<i64>(sign_extend(v(n.a), w)) >>
+                               mask_count(v(n.b)));
         break;
-      case Op::Not: out = ~go(n.a); break;
-      case Op::Neg: out = ~go(n.a) + 1; break;
+      case Op::Not: out = ~v(n.a); break;
+      case Op::Neg: out = ~v(n.a) + 1; break;
       case Op::Eq:
-        out = truncate(go(n.a), nodes_[n.a].width) ==
-              truncate(go(n.b), nodes_[n.b].width);
+        out = truncate(v(n.a), nodes_[n.a].width) ==
+              truncate(v(n.b), nodes_[n.b].width);
         break;
       case Op::Ult:
-        out = truncate(go(n.a), nodes_[n.a].width) <
-              truncate(go(n.b), nodes_[n.b].width);
+        out = truncate(v(n.a), nodes_[n.a].width) <
+              truncate(v(n.b), nodes_[n.b].width);
         break;
       case Op::Slt:
-        out = static_cast<i64>(sign_extend(go(n.a), nodes_[n.a].width)) <
-              static_cast<i64>(sign_extend(go(n.b), nodes_[n.b].width));
+        out = static_cast<i64>(sign_extend(v(n.a), nodes_[n.a].width)) <
+              static_cast<i64>(sign_extend(v(n.b), nodes_[n.b].width));
         break;
-      case Op::Ite: out = go(n.a) ? go(n.b) : go(n.c); break;
-      case Op::ZExt: out = truncate(go(n.a), nodes_[n.a].width); break;
-      case Op::SExt: out = sign_extend(go(n.a), nodes_[n.a].width); break;
-      case Op::Extract: out = go(n.a) >> n.aux; break;
+      case Op::Ite: out = v(n.a) ? v(n.b) : v(n.c); break;
+      case Op::ZExt: out = truncate(v(n.a), nodes_[n.a].width); break;
+      case Op::SExt: out = sign_extend(v(n.a), nodes_[n.a].width); break;
+      case Op::Extract: out = v(n.a) >> n.aux; break;
       case Op::Concat:
-        out = (go(n.a) << nodes_[n.b].width) |
-              truncate(go(n.b), nodes_[n.b].width);
+        out = (v(n.a) << nodes_[n.b].width) |
+              truncate(v(n.b), nodes_[n.b].width);
         break;
     }
-    out = truncate(out, w);
-    memo.emplace(x, out);
-    return out;
-  };
-  return go(e);
+    // A node pushed twice before its first evaluation is evaluated twice,
+    // to the same value; the second insert is a no-op.
+    memo.insert(x, truncate(out, w));
+  }
+  return *memo.find(e);
 }
 
 std::vector<ExprRef> Context::variables(ExprRef e) const {
+  // Operands are pushed last to first, so they pop first to last: each
+  // subtree is finished before its right sibling, as in a recursive walk.
   std::vector<ExprRef> out;
-  std::unordered_map<ExprRef, bool> seen;
-  std::function<void(ExprRef)> go = [&](ExprRef x) {
-    if (seen.count(x)) return;
-    seen[x] = true;
+  WalkTable<NoValue> seen;
+  WalkStack<ExprRef> todo;
+  todo.push(e);
+  while (!todo.empty()) {
+    const ExprRef x = todo.top();
+    todo.pop();
     const Node& n = nodes_[x];
+    if (n.op == Op::Const || !seen.insert(x)) continue;
     if (n.op == Op::Var) {
       out.push_back(x);
-      return;
+      continue;
     }
-    if (n.a != kNoExpr) go(n.a);
-    if (n.b != kNoExpr) go(n.b);
-    if (n.c != kNoExpr) go(n.c);
-  };
-  go(e);
+    if (n.c != kNoExpr) todo.push(n.c);
+    if (n.b != kNoExpr) todo.push(n.b);
+    if (n.a != kNoExpr) todo.push(n.a);
+  }
   return out;
 }
 
 size_t Context::dag_size(ExprRef e) const {
-  std::unordered_map<ExprRef, bool> seen;
-  std::function<void(ExprRef)> go = [&](ExprRef x) {
-    if (seen.count(x)) return;
-    seen[x] = true;
+  WalkTable<NoValue> seen;
+  WalkStack<ExprRef> todo;
+  todo.push(e);
+  while (!todo.empty()) {
+    const ExprRef x = todo.top();
+    todo.pop();
+    if (!seen.insert(x)) continue;
     const Node& n = nodes_[x];
-    if (n.op == Op::Const || n.op == Op::Var) return;
-    if (n.a != kNoExpr) go(n.a);
-    if (n.b != kNoExpr) go(n.b);
-    if (n.c != kNoExpr) go(n.c);
-  };
-  go(e);
+    if (n.a != kNoExpr) todo.push(n.a);
+    if (n.b != kNoExpr) todo.push(n.b);
+    if (n.c != kNoExpr) todo.push(n.c);
+  }
   return seen.size();
 }
 
@@ -764,7 +921,7 @@ std::string Context::to_string(ExprRef e) const {
   };
   switch (n.op) {
     case Op::Const: return hex(n.cval);
-    case Op::Var: return var_names_[n.cval];
+    case Op::Var: return std::string(name_of(n.cval));
     case Op::Add: return bin("+");
     case Op::Mul: return bin("*");
     case Op::And: return bin("&");

@@ -11,6 +11,7 @@
 
 #include <array>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -55,7 +56,9 @@ class Context {
 
   // -- leaves -----------------------------------------------------------
   ExprRef constant(u64 value, u8 width);
-  ExprRef var(const std::string& name, u8 width);
+  /// The variable called `name`, declared on first use. Re-declaring it
+  /// with another width throws gp::Error.
+  ExprRef var(std::string_view name, u8 width);
   ExprRef t() { return true_; }   // width-1 constant 1
   ExprRef f() { return false_; }  // width-1 constant 0
 
@@ -99,9 +102,10 @@ class Context {
     return nodes_[e].cval;
   }
   bool is_var(ExprRef e) const { return nodes_[e].op == Op::Var; }
-  const std::string& var_name(ExprRef e) const {
+  /// Valid until the next variable is declared in this context.
+  std::string_view var_name(ExprRef e) const {
     GP_CHECK(is_var(e), "var_name of non-variable");
-    return var_names_[nodes_[e].cval];
+    return name_of(nodes_[e].cval);
   }
   size_t num_nodes() const { return nodes_.size(); }
 
@@ -112,11 +116,16 @@ class Context {
   ExprRef substitute(ExprRef e,
                      const std::unordered_map<ExprRef, ExprRef>& map);
 
+  // The walks below keep their scratch on the caller's stack (the heap only
+  // for large DAGs), so any number of threads may walk one const context.
+
   /// Evaluate under a full assignment of variables (var ref -> value).
   /// Unassigned variables evaluate as 0.
   u64 eval(ExprRef e, const std::unordered_map<ExprRef, u64>& env) const;
 
-  /// Collect the free variables of e (deduplicated, stable order).
+  /// Collect the free variables of e, each once, in depth-first preorder
+  /// (operands a, b, c; the first visit wins). Callers depend on the order
+  /// (sampling draws, planner index keys).
   std::vector<ExprRef> variables(ExprRef e) const;
   /// Number of distinct DAG nodes reachable from e (a size/cost metric the
   /// planner's heuristics use).
@@ -159,9 +168,9 @@ class Context {
 
   /// A 64-bit hash of node r's term that does not depend on refs, given
   /// the hashes of its operands in `hashes` (indexed by ref): variables
-  /// hash by name and commutative operands symmetrically, so a term that
-  /// replay() would map to one node hashes alike in every context.
-  /// Distinct terms may collide.
+  /// hash by name (std::hash of the name) and commutative operands
+  /// symmetrically, so a term that replay() would map to one node hashes
+  /// alike in every context. Distinct terms may collide.
   u64 structural_hash(ExprRef r, const std::vector<u64>& hashes) const;
 
   /// The nodes reachable from `roots` (kNoExpr entries skipped), in
@@ -173,7 +182,7 @@ class Context {
   /// already refs of this context; a variable binds by `var_name` (n.cval
   /// is ignored). This is how a node from another context re-enters this
   /// one re-simplified (decoding, compaction).
-  ExprRef rebuild(const Node& n, const std::string& var_name = {});
+  ExprRef rebuild(const Node& n, std::string_view var_name = {});
 
   /// Attach a resource governor (nullptr detaches). Fresh node interning
   /// then consumes the governor's expr-node budget; exhaustion throws
@@ -208,21 +217,43 @@ class Context {
   ExprRef append(const Node& n, bool draw_budget);
   /// Enter nodes [first, num_nodes()) into the intern table.
   void index_from(ExprRef first);
-  /// Append (unindexed) a variable not yet declared.
-  ExprRef new_var(const std::string& name, u8 width, bool draw_budget);
+  /// The name of variable `id` (a Var node's cval).
+  std::string_view name_of(u64 id) const {
+    const VarEntry& v = vars_[id];
+    return {var_chars_.data() + v.offset, v.size};
+  }
+  /// Variable-index slot holding `name` (whose std::hash is `hash`), or
+  /// the empty slot where the probe for it ends.
+  size_t probe_var(std::string_view name, u64 hash) const;
+  /// Append a variable not yet declared (its name's std::hash is `hash`;
+  /// probe_var ended at the empty index slot `slot`) and enter it into the
+  /// variable index, but not the intern table.
+  ExprRef new_var(std::string_view name, u64 hash, u8 width,
+                  bool draw_budget, size_t slot);
   ExprRef binary(Op op, ExprRef a, ExprRef b);
   /// Canonical operand order for commutative ops (binary() and replay()).
   void order_operands(Op op, ExprRef& a, ExprRef& b) const;
-  /// Grow the intern table (by doubling) to at least twice `n` slots.
-  void fit_table(size_t n);
+  /// Grow `table` (by doubling) to at least twice `n` slots.
+  static void fit_slots(std::vector<Slot>& table, size_t n);
 
   Governor* governor_ = nullptr;
   std::vector<Node> nodes_;
   /// Open-addressing hash-cons table over nodes_, linear probing, at most
   /// half full.
   std::vector<Slot> slots_;
-  std::vector<std::string> var_names_;
-  std::unordered_map<std::string, ExprRef> vars_by_name_;
+  /// Variables by id: the std::hash of the name (the merge's structural
+  /// hash and the variable index use it, so it is computed once) and the
+  /// name's place in var_chars_, where all names sit back to back.
+  struct VarEntry {
+    u64 hash = 0;
+    u32 offset = 0;
+    u32 size = 0;
+  };
+  std::vector<VarEntry> vars_;
+  std::string var_chars_;
+  /// Open-addressing index of the variables by name, like slots_: linear
+  /// probing, at most half full; a slot's hash is the name hash's low half.
+  std::vector<Slot> var_slots_;
   /// Recently interned constants. Exact because a context only appends:
   /// a ref, once a constant's, stays that constant's. Code that ever drops
   /// nodes must reset it.

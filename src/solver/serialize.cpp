@@ -128,7 +128,6 @@ ExprRef ExprDecoder::ref(u32 id, serial::Reader& r) const {
 
 std::vector<ExprRef> compact(const Context& src,
                              const std::vector<ExprRef>& roots, Context& dst) {
-  static const std::string kNoName;
   const std::vector<ExprRef> order = src.reachable(roots);
   dst.reserve(dst.num_nodes() + order.size());
   std::vector<ExprRef> out(src.num_nodes(), kNoExpr);
@@ -138,7 +137,8 @@ std::vector<ExprRef> compact(const Context& src,
     n.a = map(n.a);
     n.b = map(n.b);
     n.c = map(n.c);
-    out[r] = dst.rebuild(n, n.op == Op::Var ? src.var_name(r) : kNoName);
+    out[r] = dst.rebuild(
+        n, n.op == Op::Var ? src.var_name(r) : std::string_view{});
   }
   return out;
 }

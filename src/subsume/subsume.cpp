@@ -268,7 +268,7 @@ std::vector<Record> minimize(solver::Context& ctx, std::vector<Record> pool,
   std::atomic<u64> checks{0};
   std::vector<std::vector<u8>> keeps(groups.size());
 
-  const int nthreads = std::min(threads, ThreadPool::kMaxLanes);
+  const int nthreads = ThreadPool::granted_lanes(threads);
   if (nthreads <= 1 || groups.size() <= 1) {
     for (size_t gi = 0; gi < groups.size(); ++gi)
       winnow_group(ctx, *groups[gi], checks, max_solver_checks, local,

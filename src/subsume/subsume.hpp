@@ -66,7 +66,7 @@ struct Stats {
 /// Returns the minimized pool. `stats` (optional) receives counters.
 ///
 /// `threads`: the lane count (a Session passes its Engine's
-/// Config::threads; clamped to ThreadPool::kMaxLanes); 1 is the exact
+/// Config::threads; capped at ThreadPool::granted_lanes); 1 is the exact
 /// sequential path. Parallel mode processes fingerprint buckets
 /// concurrently — each worker lane owns a clone of `ctx` (identical refs,
 /// private interner) and each bucket its own Solver — and splits

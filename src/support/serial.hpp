@@ -29,6 +29,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/status.hpp"
@@ -58,7 +59,7 @@ class Writer {
     put_u64(b.size());
     buf_.insert(buf_.end(), b.begin(), b.end());
   }
-  void put_str(const std::string& s) {
+  void put_str(std::string_view s) {
     put_bytes({reinterpret_cast<const u8*>(s.data()), s.size()});
   }
   /// Raw append, no length prefix (for framing headers).

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "support/common.hpp"
@@ -40,9 +41,8 @@ inline std::string join(const std::vector<std::string>& parts,
   return out;
 }
 
-inline bool starts_with(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() &&
-         s.compare(0, prefix.size(), prefix) == 0;
+inline bool starts_with(std::string_view s, std::string_view prefix) {
+  return s.starts_with(prefix);
 }
 
 /// Escape a string for embedding in a JSON string literal: quotes and

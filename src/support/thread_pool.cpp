@@ -97,4 +97,9 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
+int ThreadPool::granted_lanes(int threads) {
+  if (threads <= 1) return 1;
+  return std::min({threads, kMaxLanes, shared().workers() + 1});
+}
+
 }  // namespace gp

@@ -14,8 +14,9 @@
 //  - shared() sizes the process-wide pool once, from the gp::config()
 //    snapshot's `threads`;
 //  - the lanes one stage call may use are a parameter of that call: a
-//    Session passes its Engine's Config::threads, and the stage clamps it
-//    to kMaxLanes;
+//    Session passes its Engine's Config::threads, and the stage caps it at
+//    what shared() can grant (granted_lanes) before it sizes per-lane
+//    scratch or its shard count;
 //  - callers with a lane count of 1 must take their sequential path and
 //    never touch the pool — that is what restores the exact single-threaded
 //    pipeline.
@@ -64,6 +65,11 @@ class ThreadPool {
   /// requests from tests keep real parallelism; an idle worker costs only
   /// a sleeping thread.
   static ThreadPool& shared();
+
+  /// The lanes a stage call asking shared() for `threads` lanes gets:
+  /// at most kMaxLanes and shared().workers() + 1, all run() grants. A
+  /// request for one lane (or fewer) is 1 and leaves the pool untouched.
+  static int granted_lanes(int threads);
 
  private:
   using Task = std::function<void()>;

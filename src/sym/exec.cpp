@@ -1,9 +1,9 @@
 #include "sym/exec.hpp"
 
 #include <atomic>
+#include <charconv>
 
 #include "support/metrics.hpp"
-#include "support/str.hpp"
 
 namespace gp::sym {
 
@@ -14,7 +14,7 @@ using solver::Op;
 std::string initial_reg_var(x86::Reg r) {
   return std::string(x86::reg_name(r)) + "0";
 }
-std::optional<x86::Reg> initial_reg_of(const std::string& name) {
+std::optional<x86::Reg> initial_reg_of(std::string_view name) {
   static const auto names = [] {
     std::array<std::string, x86::kNumRegs> n;
     for (int i = 0; i < x86::kNumRegs; ++i)
@@ -25,20 +25,51 @@ std::optional<x86::Reg> initial_reg_of(const std::string& name) {
     if (name == names[i]) return static_cast<x86::Reg>(i);
   return std::nullopt;
 }
-bool is_initial_reg_var(const std::string& name) {
+bool is_initial_reg_var(std::string_view name) {
   return initial_reg_of(name).has_value();
 }
 std::string initial_flag_var(ir::Flag f) {
   return std::string(ir::flag_name(f)) + "0";
 }
-std::string stack_var(i64 offset) {
-  return offset >= 0 ? "stk_" + std::to_string(offset)
-                     : "stk_m" + std::to_string(-offset);
+
+VarName& VarName::add(std::string_view s) {
+  GP_CHECK(size_ + s.size() <= sizeof buf_, "variable name too long");
+  s.copy(buf_ + size_, s.size());
+  size_ += s.size();
+  return *this;
 }
-std::optional<i64> parse_stack_var(const std::string& name) {
-  if (starts_with(name, "stk_m")) return -std::stoll(name.substr(5));
-  if (starts_with(name, "stk_")) return std::stoll(name.substr(4));
-  return std::nullopt;
+VarName& VarName::add_dec(u64 v) {
+  const auto r = std::to_chars(buf_ + size_, buf_ + sizeof buf_, v);
+  GP_CHECK(r.ec == std::errc{}, "variable name too long");
+  size_ = static_cast<size_t>(r.ptr - buf_);
+  return *this;
+}
+VarName& VarName::add_hex(u64 v) {
+  add("0x");
+  const auto r = std::to_chars(buf_ + size_, buf_ + sizeof buf_, v, 16);
+  GP_CHECK(r.ec == std::errc{}, "variable name too long");
+  size_ = static_cast<size_t>(r.ptr - buf_);
+  return *this;
+}
+
+VarName stack_var(i64 offset) {
+  VarName n;
+  if (offset >= 0) return n.add("stk_").add_dec(static_cast<u64>(offset));
+  return n.add("stk_m").add_dec(u64{0} - static_cast<u64>(offset));
+}
+std::optional<i64> parse_stack_var(std::string_view name) {
+  if (!name.starts_with("stk_")) return std::nullopt;
+  name.remove_prefix(4);
+  const bool below = name.starts_with('m');
+  if (below) name.remove_prefix(1);
+  // Digits only: from_chars would also take a sign.
+  if (name.empty() || name.front() < '0' || name.front() > '9')
+    return std::nullopt;
+  i64 v = 0;
+  const char* end = name.data() + name.size();
+  const auto r = std::from_chars(name.data(), end, v);
+  if (r.ec != std::errc{} || r.ptr != end) return std::nullopt;
+  return below ? -v : v;
 }
 
 std::optional<BaseOffset> split_base_offset(solver::Context& ctx,
@@ -121,7 +152,7 @@ ExprRef Executor::load(State& st, ExprRef addr, u8 width) {
   if (ref && ref->base == rsp0()) {
     if (width == 64) {
       st.stack_reads.push_back(ref->offset);
-      return ctx_.var(stack_var(ref->offset), 64);
+      return ctx_.var(stack_var(ref->offset).view(), 64);
     }
     // Narrow reads slice the aligned 8-byte payload slot they fall in, when
     // they don't straddle a slot boundary (straddling reads fall through to
@@ -130,7 +161,7 @@ ExprRef Executor::load(State& st, ExprRef addr, u8 width) {
     const unsigned bit_off = static_cast<unsigned>(ref->offset - slot) * 8;
     if (bit_off + width <= 64) {
       st.stack_reads.push_back(slot);
-      return ctx_.extract(ctx_.var(stack_var(slot), 64),
+      return ctx_.extract(ctx_.var(stack_var(slot).view(), 64),
                           static_cast<u8>(bit_off), width);
     }
   }
@@ -161,32 +192,36 @@ ExprRef Executor::load(State& st, ExprRef addr, u8 width) {
   // POINTER-typed constraints). Return a tracked indirect-read variable.
   bool derivable = true;
   for (const ExprRef v : ctx_.variables(addr)) {
-    const std::string& name = ctx_.var_name(v);
-    if (parse_stack_var(name) || starts_with(name, "ind")) continue;
+    const std::string_view name = ctx_.var_name(v);
+    if (parse_stack_var(name) || name.starts_with("ind")) continue;
     if (!is_initial_reg_var(name)) derivable = false;
   }
   if (derivable) {
-    const ExprRef var = ctx_.var(fresh_name("ind", width), width);
+    const ExprRef var = ctx_.var(fresh_name("ind", width).view(), width);
     st.ind_reads.push_back({addr, var, width});
     return var;
   }
 
-  return ctx_.var(fresh_name("mem", width), width);
+  return ctx_.var(fresh_name("mem", width).view(), width);
 }
 
-std::string Executor::fresh_name(const char* prefix, u8 width) {
+VarName Executor::fresh_name(std::string_view prefix, u8 width) {
+  VarName n;
+  n.add(prefix);
   // Inside an origin scope names are a pure function of (tag, ordinal),
   // so concurrent extractors mint identical names for identical loads.
-  if (use_origin_)
-    return std::string(prefix) + "@" + hex(origin_tag_) + "." +
-           std::to_string(origin_count_++) + "_" + std::to_string(width);
-  // Otherwise the counter is process-global (and atomic: Executors on
-  // different threads may share it) so Executor instances sharing one
-  // Context never collide. Names also carry the width, since hash-consed
-  // variables are width-unique.
-  static std::atomic<u64> global_counter{0};
-  return std::string(prefix) + std::to_string(global_counter.fetch_add(1)) +
-         "_" + std::to_string(width);
+  if (use_origin_) {
+    n.add("@").add_hex(origin_tag_).add(".").add_dec(origin_count_++);
+  } else {
+    // Otherwise the counter is process-global (and atomic: Executors on
+    // different threads may share it) so Executor instances sharing one
+    // Context never collide.
+    static std::atomic<u64> global_counter{0};
+    n.add_dec(global_counter.fetch_add(1));
+  }
+  // Names also carry the width, since hash-consed variables are
+  // width-unique.
+  return n.add("_").add_dec(width);
 }
 
 void Executor::store(State& st, ExprRef addr, ExprRef value, u8 width) {

@@ -66,7 +66,7 @@ class Executor {
   solver::ExprRef load(State& st, solver::ExprRef addr, u8 width);
   void store(State& st, solver::ExprRef addr, solver::ExprRef value,
              u8 width);
-  std::string fresh_name(const char* prefix, u8 width);
+  VarName fresh_name(std::string_view prefix, u8 width);
   /// The initial RSP variable, interned on first use.
   solver::ExprRef rsp0();
 

@@ -17,6 +17,7 @@
 #include <array>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/ir.hpp"
@@ -59,12 +60,31 @@ struct State {
 /// conditions from different gadgets speak the same vocabulary.
 std::string initial_reg_var(x86::Reg r);
 /// Is `name` the initial variable of some register?
-bool is_initial_reg_var(const std::string& name);
+bool is_initial_reg_var(std::string_view name);
 /// The register whose initial variable `name` is, if any.
-std::optional<x86::Reg> initial_reg_of(const std::string& name);
+std::optional<x86::Reg> initial_reg_of(std::string_view name);
 std::string initial_flag_var(ir::Flag f);
-std::string stack_var(i64 offset);
-/// Parse a `stk_<off>` name back to its offset.
-std::optional<i64> parse_stack_var(const std::string& name);
+
+/// A variable name formatted in a fixed buffer, without a heap
+/// allocation: the executor formats one on every memory load.
+class VarName {
+ public:
+  VarName& add(std::string_view s);
+  VarName& add_dec(u64 v);
+  /// `0x` and lowercase hex digits, like gp::hex.
+  VarName& add_hex(u64 v);
+  std::string_view view() const { return {buf_, size_}; }
+
+ private:
+  char buf_[64];
+  size_t size_ = 0;
+};
+
+/// The payload variable of initial-stack offset `offset`: `stk_<off>`, or
+/// `stk_m<-off>` below the initial RSP.
+VarName stack_var(i64 offset);
+/// Parse a `stk_<off>` / `stk_m<off>` name back to its offset; nullopt for
+/// any other name, malformed ones included.
+std::optional<i64> parse_stack_var(std::string_view name);
 
 }  // namespace gp::sym

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,6 +25,7 @@
 #include "payload/serialize.hpp"
 #include "subsume/subsume.hpp"
 #include "support/metrics.hpp"
+#include "support/thread_pool.hpp"
 #include "support/trace.hpp"
 
 namespace gp::gadget {
@@ -198,6 +200,94 @@ TEST(Parallel, CorpusPoolsAreThreadCountInvariant) {
     EXPECT_EQ(s4.solver_unknown, 0u);
     EXPECT_EQ(encode_pool(k1.ctx, m1), encode_pool(k4.ctx, m4));
   }
+}
+
+// The pool grants a stage call at most workers() + 1 lanes. A larger
+// request is capped before it sizes per-lane scratch and the shard count,
+// so it scans the shards of a request for exactly the granted lanes and
+// extracts the same pool as a 4-lane request.
+TEST(Parallel, LaneRequestsAreCappedAtWhatThePoolGrants) {
+  const bool metrics_was = metrics::enabled();
+  metrics::set_enabled(true);
+  metrics::Counter& merged =
+      metrics::registry().counter("extract.merge_nodes");
+  const int granted = ThreadPool::shared().workers() + 1;
+  EXPECT_EQ(ThreadPool::granted_lanes(ThreadPool::kMaxLanes), granted);
+  EXPECT_EQ(ThreadPool::granted_lanes(1), 1);
+
+  const image::Image& img = obfuscated_image();
+  struct Run {
+    solver::Context ctx;
+    std::vector<Record> pool;
+    u64 merge_nodes = 0;
+  };
+  const auto run = [&](int threads) {
+    Run r;
+    const u64 before = merged.value();
+    r.pool = Extractor(r.ctx, img).extract({}, threads);
+    r.merge_nodes = merged.value() - before;
+    return r;
+  };
+  Run four = run(4);
+  Run most = run(ThreadPool::kMaxLanes);
+  const Run exact = run(granted);
+  ASSERT_GT(four.pool.size(), 100u);
+  EXPECT_EQ(encode_pool(four.ctx, four.pool), encode_pool(most.ctx, most.pool));
+  EXPECT_GT(most.merge_nodes, 0u);
+  EXPECT_EQ(most.merge_nodes, exact.merge_nodes);
+
+  subsume::Stats s4, smost;
+  const auto k4 = subsume::minimize(four.ctx, four.pool, &s4,
+                                    /*max_solver_checks=*/100'000'000, 4);
+  const auto kmost =
+      subsume::minimize(most.ctx, most.pool, &smost,
+                        /*max_solver_checks=*/100'000'000,
+                        ThreadPool::kMaxLanes);
+  ASSERT_FALSE(s4.budget_exhausted);
+  EXPECT_EQ(encode_pool(four.ctx, k4), encode_pool(most.ctx, kmost));
+  metrics::set_enabled(metrics_was);
+}
+
+// The DAG walks keep their scratch on the walking thread's stack, so lanes
+// may walk one shared const context at once (the TSan leg runs this).
+TEST(Parallel, SharedContextWalksAreRaceFree) {
+  using solver::ExprRef;
+  solver::Context ctx;
+  const auto pool = Extractor(ctx, obfuscated_image()).extract({}, 1);
+  std::vector<ExprRef> roots;
+  for (const ExprRef r : pool_refs(pool))
+    if (r != solver::kNoExpr) roots.push_back(r);
+  ASSERT_GT(roots.size(), 100u);
+
+  struct Walk {
+    std::vector<ExprRef> vars;
+    size_t size = 0;
+    u64 value = 0;
+    bool operator==(const Walk&) const = default;
+  };
+  const solver::Context& shared = ctx;
+  const auto walk = [&](ExprRef r) {
+    Walk w;
+    w.vars = shared.variables(r);
+    w.size = shared.dag_size(r);
+    std::unordered_map<ExprRef, u64> env;
+    for (const ExprRef v : w.vars) env[v] = u64{v} * 0x9e3779b97f4a7c15ULL;
+    w.value = shared.eval(r, env);
+    return w;
+  };
+  std::vector<Walk> want;
+  for (const ExprRef r : roots) want.push_back(walk(r));
+
+  constexpr int kLanes = 4;
+  std::vector<size_t> mismatches(kLanes);
+  ThreadPool::shared().run(
+      kLanes,
+      [&](int, u64 item) {
+        for (size_t i = 0; i < roots.size(); ++i)
+          if (!(walk(roots[i]) == want[i])) ++mismatches[item];
+      },
+      kLanes);
+  EXPECT_EQ(mismatches, std::vector<size_t>(kLanes, 0));
 }
 
 TEST(Parallel, CancellationPropagatesToWorkers) {

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <optional>
 #include <span>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "solver/bitblast.hpp"
 #include "solver/solver.hpp"
@@ -166,6 +169,74 @@ TEST_F(ExprTest, Variables) {
   ExprRef e = ctx.add(ctx.mul(x, y), ctx.bxor(x, c(3)));
   auto vars = ctx.variables(e);
   EXPECT_EQ(vars.size(), 2u);
+}
+
+TEST_F(ExprTest, VariablesAreDepthFirstPreorder) {
+  // Declared last to first, so ref order and preorder disagree.
+  const ExprRef d = ctx.var("d", 64);
+  const ExprRef cv = ctx.var("c", 64);
+  const ExprRef b = ctx.var("b", 64);
+  const ExprRef a = ctx.var("a", 64);
+  // Non-commutative ops keep their operand order. The left subtree is
+  // finished before the right one, and a variable met again through the
+  // shared subterm or directly keeps its first position.
+  const ExprRef shared = ctx.shl(b, cv);
+  const ExprRef e =
+      ctx.shl(ctx.lshr(a, shared), ctx.ashr(shared, ctx.shl(d, a)));
+  EXPECT_EQ(ctx.variables(e), (std::vector<ExprRef>{a, b, cv, d}));
+  // Ite visits condition, then, else.
+  const ExprRef i = ctx.ite(ctx.ult(cv, a), d, b);
+  EXPECT_EQ(ctx.variables(i), (std::vector<ExprRef>{cv, a, d, b}));
+  EXPECT_EQ(ctx.variables(a), std::vector<ExprRef>{a});
+  EXPECT_TRUE(ctx.variables(c(5)).empty());
+
+  // A chain deeper and wider than a walk's inline buffers: with every
+  // variable declared first, each add over the chain puts its variable
+  // (the lower ref) on the left, so preorder meets them newest first and
+  // ends with the innermost add(v0, v1).
+  std::vector<ExprRef> vs;
+  for (int k = 0; k < 1000; ++k)
+    vs.push_back(ctx.var("v" + std::to_string(k), 64));
+  ExprRef chain = vs[0];
+  for (size_t k = 1; k < vs.size(); ++k) chain = ctx.add(chain, vs[k]);
+  std::vector<ExprRef> order(vs.rbegin(), vs.rend() - 2);
+  order.insert(order.end(), {vs[0], vs[1]});
+  EXPECT_EQ(ctx.variables(chain), order);
+  EXPECT_EQ(ctx.variables(ctx.mul(chain, chain)), order);
+}
+
+TEST_F(ExprTest, DagSizeCountsEachNodeOnce) {
+  const ExprRef a = ctx.var("a", 64);
+  const ExprRef b = ctx.var("b", 64);
+  const ExprRef d = ctx.var("d", 64);
+  const ExprRef shared = ctx.shl(b, c(3));
+  // shl, lshr, a, shared, b, 3, ashr, shl(d, a), d: nine nodes, the shared
+  // subterm and the repeated a counted once.
+  const ExprRef e =
+      ctx.shl(ctx.lshr(a, shared), ctx.ashr(shared, ctx.shl(d, a)));
+  EXPECT_EQ(ctx.dag_size(e), 9u);
+  EXPECT_EQ(ctx.dag_size(a), 1u);
+  EXPECT_EQ(ctx.dag_size(c(7)), 1u);
+
+  // 1000 variables and 999 adds, then one more node over the chain twice.
+  std::vector<ExprRef> vs;
+  for (int k = 0; k < 1000; ++k)
+    vs.push_back(ctx.var("v" + std::to_string(k), 64));
+  ExprRef chain = vs[0];
+  for (size_t k = 1; k < vs.size(); ++k) chain = ctx.add(chain, vs[k]);
+  EXPECT_EQ(ctx.dag_size(chain), 1999u);
+  EXPECT_EQ(ctx.dag_size(ctx.mul(chain, chain)), 2000u);
+
+  // eval walks the same chain: 0 + 1 + ... + 999.
+  std::unordered_map<ExprRef, u64> env;
+  for (size_t k = 0; k < vs.size(); ++k) env[vs[k]] = k;
+  EXPECT_EQ(ctx.eval(chain, env), 499'500u);
+  EXPECT_EQ(ctx.eval(ctx.mul(chain, chain), env), u64{499'500} * 499'500);
+  // An Ite evaluates to the branch its condition picks.
+  const ExprRef pick = ctx.ite(ctx.ult(vs[1], vs[2]), chain, vs[3]);
+  EXPECT_EQ(ctx.eval(pick, env), 499'500u);
+  env[vs[1]] = 5;
+  EXPECT_EQ(ctx.eval(pick, env), 3u);
 }
 
 TEST_F(ExprTest, EvalMatchesSemantics) {
@@ -430,6 +501,57 @@ TEST(Context, ConstantCacheAgreesWithInterning) {
   EXPECT_EQ(own, n2 + 1);
   EXPECT_TRUE(ctx.is_const(own, fresh_value));
   EXPECT_EQ(copy.constant(fresh_value, 64), n2);
+}
+
+TEST(Context, VarIndexSurvivesGrowthCloneAndReplay) {
+  // 10,000 names take the variable index through eleven doublings; every
+  // name keeps answering with its ref and its width.
+  Context ctx;
+  std::vector<std::string> names;
+  std::vector<ExprRef> refs;
+  const auto width = [](size_t k) -> u8 { return k % 2 ? 64 : 32; };
+  for (size_t k = 0; k < 10'000; ++k) {
+    names.push_back("mem@0x" + std::to_string(4096 + k) + ".0_64");
+    refs.push_back(ctx.var(names.back(), width(k)));
+  }
+  const size_t n = ctx.num_nodes();
+  const auto expect_all = [&](Context& k, const std::vector<ExprRef>& want,
+                              const char* where) {
+    for (size_t i = 0; i < names.size(); ++i) {
+      ASSERT_EQ(k.var(names[i], width(i)), want[i]) << where << " " << i;
+      ASSERT_EQ(k.var_name(want[i]), names[i]) << where << " " << i;
+    }
+  };
+  expect_all(ctx, refs, "grown");
+  EXPECT_EQ(ctx.num_nodes(), n);
+
+  // A clone answers alike, and its new names stay its own.
+  Context copy = ctx.clone();
+  expect_all(copy, refs, "clone");
+  EXPECT_EQ(copy.var("fresh", 64), n);
+  EXPECT_EQ(ctx.num_nodes(), n);
+  EXPECT_EQ(ctx.var("other", 64), n);
+  EXPECT_EQ(ctx.var_name(n), "other");
+  EXPECT_EQ(copy.var_name(n), "fresh");
+
+  // Replay binds by name: the destination's own variables keep their
+  // refs, the others are appended, and all answer by name afterwards.
+  Context dst;
+  const ExprRef last = dst.var(names.back(), width(names.size() - 1));
+  const ExprRef first = dst.var(names.front(), width(0));
+  const std::vector<ExprRef> table = dst.replay(ctx);
+  EXPECT_EQ(table[refs.back()], last);
+  EXPECT_EQ(table[refs.front()], first);
+  std::vector<ExprRef> replayed;
+  for (const ExprRef r : refs) replayed.push_back(table[r]);
+  expect_all(dst, replayed, "replay");
+  EXPECT_EQ(dst.var_name(table[n]), "other");
+
+  // A width mismatch still throws, wherever the name came from.
+  EXPECT_THROW(ctx.var(names[0], 64), gp::Error);
+  EXPECT_THROW(copy.var(names[1], 32), gp::Error);
+  EXPECT_THROW(dst.var(names[2], 64), gp::Error);
+  EXPECT_THROW(dst.var("other", 1), gp::Error);
 }
 
 TEST(Context, ConstantCacheSurvivesAllocationFaults) {

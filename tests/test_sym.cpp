@@ -160,12 +160,22 @@ TEST(SplitBaseOffset, Forms) {
 }
 
 TEST(StackVarNames, RoundTrip) {
-  EXPECT_EQ(stack_var(0), "stk_0");
-  EXPECT_EQ(stack_var(24), "stk_24");
-  EXPECT_EQ(stack_var(-8), "stk_m8");
+  EXPECT_EQ(stack_var(0).view(), "stk_0");
+  EXPECT_EQ(stack_var(24).view(), "stk_24");
+  EXPECT_EQ(stack_var(-8).view(), "stk_m8");
   EXPECT_EQ(parse_stack_var("stk_24").value(), 24);
   EXPECT_EQ(parse_stack_var("stk_m8").value(), -8);
   EXPECT_FALSE(parse_stack_var("mem3").has_value());
+}
+
+TEST(StackVarNames, MalformedNamesParseToNothing) {
+  EXPECT_EQ(parse_stack_var("stk_0"), 0);
+  EXPECT_EQ(parse_stack_var("stk_16"), 16);
+  EXPECT_EQ(parse_stack_var("stk_m8"), -8);
+  for (const char* name :
+       {"stk_", "stk_m", "stk_x", "stk_m-8", "stk_-8", "stk_+8", "stk_8x",
+        "stk_99999999999999999999", "rsp0", "ind@0x401000.0_64", "stk", ""})
+    EXPECT_EQ(parse_stack_var(name), std::nullopt) << name;
 }
 
 TEST(InitialRegVar, RecognizesExactlyTheRegisterNames) {
@@ -330,7 +340,7 @@ TEST_P(DifferentialTest, SymbolicMatchesConcrete) {
     env[ctx.var("rsp0", 64)] = rsp0;
     env[ctx.var("rbp0", 64)] = 0;
     for (size_t i = 0; i < stack_content.size(); ++i)
-      env[ctx.var(stack_var(static_cast<i64>(8 * i)), 64)] =
+      env[ctx.var(stack_var(static_cast<i64>(8 * i)).view(), 64)] =
           stack_content[i];
 
     for (const Reg r : pool) {
