@@ -27,7 +27,7 @@ int main() {
       const auto img = codegen::compile(prog, bench::bench_codegen());
       solver::Context ctx;
       gadget::Extractor ex(ctx, img);
-      counts[idx++] = ex.extract({}, bench::bench_threads()).size();
+      counts[idx++] = ex.extract(nullptr, bench::bench_threads()).size();
     }
     const double lx = static_cast<double>(counts[1]) / counts[0];
     const double tx = static_cast<double>(counts[2]) / counts[0];

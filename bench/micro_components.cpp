@@ -125,7 +125,7 @@ void BM_GadgetExtraction(benchmark::State& state) {
   for (auto _ : state) {
     solver::Context ctx;
     gadget::Extractor ex(ctx, img);
-    auto pool = ex.extract({}, core::Engine::shared().config().threads);
+    auto pool = ex.extract(nullptr, core::Engine::shared().config().threads);
     benchmark::DoNotOptimize(pool.size());
   }
 }

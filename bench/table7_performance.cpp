@@ -28,7 +28,7 @@ int main() {
     solver::Context ctx;
     auto t0 = Clock::now();
     gadget::Extractor ex(ctx, img);
-    gadget::Library lib(ex.extract({}, bench::bench_threads()));
+    gadget::Library lib(ex.extract(nullptr, bench::bench_threads()));
     const double find_s = std::chrono::duration<double>(Clock::now() - t0).count();
     const u64 find_mb = core::current_rss_mb();
     auto t1 = Clock::now();
@@ -49,7 +49,7 @@ int main() {
     solver::Context ctx;
     auto t0 = Clock::now();
     gadget::Extractor ex(ctx, img);
-    gadget::Library lib(ex.extract({}, bench::bench_threads()));
+    gadget::Library lib(ex.extract(nullptr, bench::bench_threads()));
     const double dis_s = std::chrono::duration<double>(Clock::now() - t0).count();
     auto t1 = Clock::now();
     int chains = 0;

@@ -29,7 +29,7 @@ int main() {
 
   solver::Context ctx;
   gadget::Extractor extractor(ctx, img);
-  auto pool = extractor.extract({});
+  auto pool = extractor.extract();
   std::printf("extracted %zu gadget records from %zu bytes\n\n", pool.size(),
               img.code().size());
 
@@ -94,7 +94,7 @@ int main() {
   b.ret();
   image::Image img2(b.finish(), {}, image::kCodeBase);
   gadget::Extractor ex2(ctx, img2);
-  auto pool2 = ex2.extract({});
+  auto pool2 = ex2.extract();
   solver::Solver solver(ctx);
   for (const auto& g1 : pool2) {
     if (g1.addr != image::kCodeBase) continue;

@@ -43,6 +43,11 @@ lint "Config::from_env() call outside support/config.cpp" \
 lint "deleted env-reading option helper" \
   "$(grep -rnE 'GovernorOptions::from_env|SupervisorOptions|store_dir_from_env|ArtifactStore::from_env|ServeOptions::from_env|GP_RETRIES|env_threads|ThreadPool::resolve|configure_from_env' \
      src tools bench examples || true)"
+# One configuration surface: an analysis bound with a single value in use
+# is a named constant, not an option field, so the deleted knobs stay gone.
+lint "deleted analysis knob" \
+  "$(grep -rnwE 'ExtractOptions|merge_hash_bits|drop_wild_stores|max_retries|validation_trials|max_plan_gadgets|max_open_goals|max_concretize_failures' \
+     src tools bench examples tests || true)"
 [ "$lint_failed" -eq 0 ] || { echo "diagnostics lint failed"; exit 1; }
 echo "diagnostics lint ok"
 

@@ -20,7 +20,13 @@ double secs_since(Clock::time_point t0) {
 }
 }  // namespace
 
-/// Counted-budget growth per supervised retry.
+/// Stage-supervisor retry policy: a stage that fails for a *recoverable*
+/// reason (exhausted counted budget, injected fault, internal error) is
+/// re-run at once, up to kMaxRetries extra attempts, with every counted
+/// budget widened kBudgetWidenFactor-fold per retry. Deadline expiry and
+/// cancellation are never retried: wall-clock budgets and the caller's
+/// cancel are hard contracts.
+constexpr int kMaxRetries = 2;
 constexpr double kBudgetWidenFactor = 4;
 
 PipelineOptions PipelineOptions::from(const Config& cfg) {
@@ -156,7 +162,7 @@ Status Session::run_supervised(
     // Anything else retries at once: every recoverable failure is
     // deterministic (a counted budget, a seeded GP_FAULT decision, a thrown
     // invariant), so sleeping first would only spend wall time.
-    if (!recoverable || attempt >= opts_.max_retries || gov_->should_stop()) {
+    if (!recoverable || attempt >= kMaxRetries || gov_->should_stop()) {
       if (invariant_error) std::rethrow_exception(invariant_error);
       return st;
     }
@@ -221,7 +227,7 @@ Status Session::extract() {
   if (store_) {
     serial::Writer material;
     append_image_key(material);
-    gadget::append_extract_key(material, opts_.extract);
+    gadget::append_extract_key(material);
     extract_key = store_->key("extract", material);
     if (auto art = store_->get(extract_key)) {
       if (adopt_pool(art->records)) {
@@ -241,9 +247,7 @@ Status Session::extract() {
           ctx_ = std::make_unique<solver::Context>();
           ctx_->set_governor(&g);
           gadget::Extractor extractor(*ctx_, *img_);
-          gadget::ExtractOptions eopts = opts_.extract;
-          if (!eopts.governor) eopts.governor = &g;
-          pool_ = extractor.extract(eopts, engine_.config().threads);
+          pool_ = extractor.extract(&g, engine_.config().threads);
           report_.extract = extractor.stats();
           metrics::publish("extract", report_.extract);
           return report_.extract.status;
@@ -287,7 +291,7 @@ Status Session::subsume() {
     if (store_ && canonical_input) {
       serial::Writer material;
       append_image_key(material);
-      gadget::append_extract_key(material, opts_.extract);
+      gadget::append_extract_key(material);
       material.put_u64(subsume::kSolverCheckBudget);
       subsume_key = store_->key("subsume", material);
       if (auto art = store_->get(subsume_key)) {
@@ -352,7 +356,7 @@ std::vector<payload::Chain> Session::find_chains(const payload::Goal& goal) {
   if (store_ && canonical_library) {
     serial::Writer material;
     append_image_key(material);
-    gadget::append_extract_key(material, opts_.extract);
+    gadget::append_extract_key(material);
     material.put_bool(opts_.run_subsumption);
     material.put_str(goal.name);
     opts_.plan.append_key(material);

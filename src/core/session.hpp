@@ -40,10 +40,9 @@
 namespace gp::core {
 
 /// Per-session policy. Plain data: the defaults read no environment (an
-/// unlimited governor, no store, two retries). Entry points that honour the
+/// unlimited governor, no store). Entry points that honour the
 /// GP_* knobs build their options with from(engine.config()).
 struct PipelineOptions {
-  gadget::ExtractOptions extract;
   bool run_subsumption = true;  // ablation hook (DESIGN.md #1)
   planner::Options plan;
   /// Resource limits for this session. The session owns one Governor built
@@ -52,13 +51,6 @@ struct PipelineOptions {
   /// Campaigns overwrite this with a per-session share of their budget
   /// (GovernorOptions::split_across).
   GovernorOptions governor;
-  /// Stage-supervisor retry policy: a stage that fails for a *recoverable*
-  /// reason (exhausted counted budget, injected fault, internal error) is
-  /// re-run at once, up to this many extra attempts, with every counted
-  /// budget widened 4x per retry. Deadline expiry and cancellation are
-  /// never retried — wall-clock budgets and the caller's cancel are hard
-  /// contracts.
-  int max_retries = 2;
   /// Artifact-store directory for durable checkpoint/resume; "" disables.
   /// Stage outputs (extracted pool, minimized pool, chains per goal) are
   /// checkpointed under content-hash keys of (image bytes, stage options,
@@ -215,7 +207,7 @@ class Session {
   /// governor; on a recoverable failure (budget exhaustion, injected
   /// fault, internal error — never deadline expiry or cancellation),
   /// retry at once under a fresh governor with widened counted budgets,
-  /// up to opts_.max_retries extra attempts.
+  /// up to kMaxRetries extra attempts.
   /// `body` receives the governor for that attempt and returns the stage
   /// Status; throws from the final attempt propagate.
   Status run_supervised(const char* stage, StageRuns& runs,

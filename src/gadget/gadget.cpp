@@ -85,8 +85,7 @@ class DecodeCache {
 /// (parallel shards).
 void explore_offset(solver::Context& ctx, sym::Executor& exec,
                     DecodeCache& decoded, const image::Image& img, u64 addr,
-                    const ExtractOptions& opts, std::vector<Record>& out,
-                    ExtractStats& stats) {
+                    std::vector<Record>& out, ExtractStats& stats) {
   // Quick pre-filter: must decode at all from this offset.
   if (!decoded.at(img, addr).ok) {
     ++stats.decode_failures;
@@ -107,14 +106,14 @@ void explore_offset(solver::Context& ctx, sym::Executor& exec,
   const ExprRef rsp0 = init[static_cast<int>(Reg::RSP)];
   int emitted = 0;
 
-  while (!frontier.empty() && emitted < opts.max_paths) {
+  while (!frontier.empty() && emitted < kMaxPaths) {
     Path p = std::move(frontier.back());
     frontier.pop_back();
 
     try {
     bool dead = false;
     while (!dead) {
-      if (static_cast<int>(p.steps.size()) >= opts.max_insts) {
+      if (static_cast<int>(p.steps.size()) >= kMaxInsts) {
         dead = true;
         break;
       }
@@ -160,7 +159,7 @@ void explore_offset(solver::Context& ctx, sym::Executor& exec,
           continue;
 
         case ir::JumpKind::CondDirect: {
-          if (p.cond_jumps >= opts.max_cond_jumps) {
+          if (p.cond_jumps >= kMaxCondJumps) {
             dead = true;
             break;
           }
@@ -249,18 +248,6 @@ void explore_offset(solver::Context& ctx, sym::Executor& exec,
               sym::split_base_offset(ctx, p.st.regs[static_cast<int>(Reg::RSP)]);
           if (rsp && rsp->base == rsp0) r.stack_delta = rsp->offset;
 
-          if (opts.drop_wild_stores) {
-            bool wild = false;
-            for (const auto& w : r.writes) {
-              const auto bo = sym::split_base_offset(ctx, w.addr);
-              if (!bo || bo->base != rsp0) wild = true;
-            }
-            if (wild) {
-              dead = true;
-              break;
-            }
-          }
-
           ++stats.gadgets;
           if (r.has_cond_jump) ++stats.with_cond_jump;
           if (r.has_direct_jump) ++stats.with_direct_jump;
@@ -281,18 +268,6 @@ void explore_offset(solver::Context& ctx, sym::Executor& exec,
       return;
     }
   }
-}
-
-void validate_options(const ExtractOptions& o) {
-  // A stride of 0 would scan the first offset forever; negative strides
-  // walk off the front of the section. Reject both up front.
-  GP_CHECK(o.stride >= 1, "ExtractOptions::stride must be >= 1");
-  GP_CHECK(o.max_insts >= 0, "ExtractOptions::max_insts must be >= 0");
-  GP_CHECK(o.max_paths >= 0, "ExtractOptions::max_paths must be >= 0");
-  GP_CHECK(o.max_cond_jumps >= 0,
-           "ExtractOptions::max_cond_jumps must be >= 0");
-  GP_CHECK(o.merge_hash_bits >= 1 && o.merge_hash_bits <= 64,
-           "ExtractOptions::merge_hash_bits must be in [1, 64]");
 }
 
 /// True when a governed scan should stop before touching another offset:
@@ -340,42 +315,34 @@ class HashSet {
 
 }  // namespace
 
-std::vector<Record> Extractor::extract(const ExtractOptions& opts,
-                                       int threads) {
-  validate_options(opts);
+std::vector<Record> Extractor::extract(Governor* governor, int threads) {
   const u64 base = img_.code_base();
   const u64 end = img_.code_end();
-  const u64 stride = static_cast<u64>(opts.stride);
-  const u64 total = base < end ? (end - base + stride - 1) / stride : 0;
+  const u64 total = base < end ? end - base : 0;
 
   // Lanes the pool cannot run would only add shards and idle scratch.
   const int lanes = ThreadPool::granted_lanes(threads);
-  if (lanes > 1 && total > 1) return extract_parallel(opts, lanes);
+  if (lanes > 1 && total > 1) return extract_parallel(governor, lanes);
 
-  exec_.set_governor(opts.governor);
+  exec_.set_governor(governor);
   DecodeCache decoded;
   std::vector<Record> out;
-  for (u64 k = 0; k < total; ++k) {
-    if (scan_stopped(opts.governor, stats_)) {
-      stats_.offsets_skipped += total - k;
+  for (u64 addr = base; addr < end; ++addr) {
+    if (scan_stopped(governor, stats_)) {
+      stats_.offsets_skipped += end - addr;
       break;
     }
-    const u64 addr = base + k * stride;
     ++stats_.offsets_scanned;
     exec_.begin_origin(addr);
-    explore_offset(ctx_, exec_, decoded, img_, addr, opts, out, stats_);
+    explore_offset(ctx_, exec_, decoded, img_, addr, out, stats_);
   }
   return out;
 }
 
-std::vector<Record> Extractor::extract_parallel(const ExtractOptions& opts,
+std::vector<Record> Extractor::extract_parallel(Governor* governor,
                                                 int threads) {
   const u64 base = img_.code_base();
-  const u64 stride = static_cast<u64>(opts.stride);
-  const u64 total = (img_.code_end() - base + stride - 1) / stride;
-  const u64 hash_mask = opts.merge_hash_bits >= 64
-                            ? ~u64{0}
-                            : (u64{1} << opts.merge_hash_bits) - 1;
+  const u64 total = img_.code_end() - base;
 
   // Shard the scan into more chunks than lanes so uneven exploration costs
   // balance via the pool's dynamic item claiming; chunks stay large enough
@@ -416,27 +383,27 @@ std::vector<Record> Extractor::extract_parallel(const ExtractOptions& opts,
         // draws on the same (atomic) node budget and the per-offset poll
         // below observes the same deadline/cancel token, so cancellation
         // propagates to thread-pool workers within one offset.
-        s.ctx->set_governor(opts.governor);
+        s.ctx->set_governor(governor);
         sym::Executor exec(*s.ctx, &img_);
-        exec.set_governor(opts.governor);
+        exec.set_governor(governor);
         DecodeCache& decoded = lane_decoded[static_cast<size_t>(lane)];
-        const u64 hi = std::min((ci + 1) * chunk, total);
-        for (u64 k = ci * chunk; k < hi; ++k) {
-          if (scan_stopped(opts.governor, s.stats)) {
-            s.stats.offsets_skipped += hi - k;
+        const u64 lo = base + ci * chunk;
+        const u64 hi = base + std::min((ci + 1) * chunk, total);
+        for (u64 addr = lo; addr < hi; ++addr) {
+          if (scan_stopped(governor, s.stats)) {
+            s.stats.offsets_skipped += hi - addr;
             break;
           }
-          const u64 addr = base + k * stride;
           ++s.stats.offsets_scanned;
           exec.begin_origin(addr);
-          explore_offset(*s.ctx, exec, decoded, img_, addr, opts, s.records,
+          explore_offset(*s.ctx, exec, decoded, img_, addr, s.records,
                          s.stats);
         }
         // The operands of a reached node are reached too, with smaller
         // refs, so hashing the reached nodes in ref order needs no others.
         auto& h = hash_buffer(lane, *s.ctx);
         for (const ExprRef r : s.ctx->reachable(pool_refs(s.records))) {
-          h[r] = s.ctx->structural_hash(r, h) & hash_mask;
+          h[r] = s.ctx->structural_hash(r, h);
           s.reached.push_back(h[r]);
         }
       },
@@ -475,7 +442,7 @@ std::vector<Record> Extractor::extract_parallel(const ExtractOptions& opts,
           return e == solver::kNoExpr || s.keep[e];
         };
         for (ExprRef r = 0; r < c.num_nodes(); ++r) {
-          h[r] = c.structural_hash(r, h) & hash_mask;
+          h[r] = c.structural_hash(r, h);
           const solver::Node& n = c.node(r);
           if (wanted.contains(h[r]) && kept(n.a) && kept(n.b) && kept(n.c)) {
             s.keep[r] = true;

@@ -99,29 +99,11 @@ void for_each_ref(R& r, F&& f) {
 /// order.
 std::vector<solver::ExprRef> pool_refs(const std::vector<Record>& pool);
 
-struct ExtractOptions {
-  int max_insts = 32;       // per path (allows call+return merges)
-  int max_cond_jumps = 2;   // fork bound per start offset
-  int max_paths = 4;        // gadget variants per start offset
-  /// Scan stride in bytes (1 = every offset, the paper's setting).
-  /// Must be >= 1; extract() rejects anything else.
-  int stride = 1;
-  /// Skip gadgets that write through non-stack pointers (off by default:
-  /// the planner penalizes instead of excluding).
-  bool drop_wild_stores = false;
-  /// Bits of the structural hash by which that merge picks the shard nodes
-  /// to replay (1..64). Fewer bits only add collisions, which replay extra
-  /// unreachable nodes and never change the pool; tests narrow it to show
-  /// exactly that.
-  int merge_hash_bits = 64;
-  /// Shared resource governor (optional; must outlive the call). The scan
-  /// polls its deadline/cancel token at every offset — on all worker lanes
-  /// — and the symbolic executor consumes its step budget. Exhaustion
-  /// degrades to a partial pool: unexplored offsets are counted in
-  /// ExtractStats::offsets_skipped, cut summaries in paths_cut, and the
-  /// reason lands in ExtractStats::status.
-  Governor* governor = nullptr;
-};
+/// Extraction bounds: the paper's scan, held fixed for every image. Every
+/// code byte is a start offset.
+inline constexpr int kMaxInsts = 32;     // per path (allows call+return merges)
+inline constexpr int kMaxCondJumps = 2;  // fork bound per start offset
+inline constexpr int kMaxPaths = 4;      // gadget variants per start offset
 
 struct ExtractStats {
   u64 offsets_scanned = 0;
@@ -172,13 +154,18 @@ class Extractor {
   /// explore disjoint offset shards in private solver contexts, and the
   /// merge replays the nodes the shards' records reach into the main
   /// context in offset order.
-  std::vector<Record> extract(const ExtractOptions& opts = {},
-                              int threads = 1);
+  ///
+  /// `governor` (optional; must outlive the call) is polled for its
+  /// deadline/cancel token at every offset — on all worker lanes — and the
+  /// symbolic executor consumes its step budget. Exhaustion degrades to a
+  /// partial pool: unexplored offsets are counted in
+  /// ExtractStats::offsets_skipped, cut summaries in paths_cut, and the
+  /// reason lands in ExtractStats::status.
+  std::vector<Record> extract(Governor* governor = nullptr, int threads = 1);
   const ExtractStats& stats() const { return stats_; }
 
  private:
-  std::vector<Record> extract_parallel(const ExtractOptions& opts,
-                                       int threads);
+  std::vector<Record> extract_parallel(Governor* governor, int threads);
 
   solver::Context& ctx_;
   const image::Image& img_;

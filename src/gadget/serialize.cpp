@@ -234,24 +234,13 @@ bool compact_pool(const solver::Context& src, std::vector<Record>& pool,
   return true;
 }
 
-void append_extract_key(serial::Writer& w, const ExtractOptions& opts) {
-  w.put_u32(static_cast<u32>(opts.max_insts));
-  w.put_u32(static_cast<u32>(opts.max_cond_jumps));
-  w.put_u32(static_cast<u32>(opts.max_paths));
-  w.put_u32(static_cast<u32>(opts.stride));
-  w.put_bool(opts.drop_wild_stores);
-}
-
-u64 pool_digest(const std::vector<std::vector<u8>>& records) {
-  u64 h = serial::fnv1a({});  // offset basis
-  for (const auto& rec : records) {
-    u8 len[8];
-    const u64 n = rec.size();
-    for (int i = 0; i < 8; ++i) len[i] = static_cast<u8>(n >> (8 * i));
-    h = serial::fnv1a(len, h);
-    h = serial::fnv1a(rec, h);
-  }
-  return h;
+void append_extract_key(serial::Writer& w) {
+  w.put_u32(static_cast<u32>(kMaxInsts));
+  w.put_u32(static_cast<u32>(kMaxCondJumps));
+  w.put_u32(static_cast<u32>(kMaxPaths));
+  w.put_u32(1);  // scan stride: every code byte is a start offset
+  // A retired filter's flag, always off: kept so existing store keys match.
+  w.put_bool(false);
 }
 
 }  // namespace gp::gadget

@@ -35,14 +35,10 @@ std::optional<std::vector<Record>> decode_pool(
 bool compact_pool(const solver::Context& src, std::vector<Record>& pool,
                   solver::Context& dst);
 
-/// Append the fields of `opts` that determine extraction output to a key
-/// writer (thread count and governor excluded: any thread count produces
-/// the same pool, and governed runs are only checkpointed when uncut).
-void append_extract_key(serial::Writer& w, const ExtractOptions& opts);
-
-/// Content digest of an encoded pool (fnv1a with per-record length
-/// framing, so record boundaries are part of the identity): same pool
-/// bytes, same digest, in any process.
-u64 pool_digest(const std::vector<std::vector<u8>>& records);
+/// Append the extraction bounds (kMaxInsts, kMaxCondJumps, kMaxPaths) to
+/// a key writer, so editing one invalidates older checkpoints. Thread count
+/// and governor are excluded: any thread count produces the same pool, and
+/// governed runs are only checkpointed when uncut.
+void append_extract_key(serial::Writer& w);
 
 }  // namespace gp::gadget

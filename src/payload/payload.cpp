@@ -160,7 +160,7 @@ ConcretizeResult concretize(solver::Context& ctx, const gadget::Library& lib,
       if (ctx.is_const(probed)) {
         const u64 a = ctx.const_val(probed);
         if (a >= opts.stack_base &&
-            a + ir.width / 8 <= opts.stack_base + opts.max_payload) {
+            a + ir.width / 8 <= opts.stack_base + kMaxPayload) {
           const i64 off = static_cast<i64>(a - opts.stack_base);
           const i64 slot = off & ~i64{7};
           const unsigned bit_off = static_cast<unsigned>(off & 7) * 8;
@@ -239,7 +239,7 @@ ConcretizeResult concretize(solver::Context& ctx, const gadget::Library& lib,
     }
     for (auto& [base, grp] : groups) {
       const i64 span = grp.max_off - grp.min_off + 8;
-      if (span > static_cast<i64>(opts.max_payload))
+      if (span > static_cast<i64>(kMaxPayload))
         return refuted(Refutation::TooBig);
       const i64 region = next_free;
       next_free += (span + 7) & ~i64{7};
@@ -316,7 +316,7 @@ ConcretizeResult concretize(solver::Context& ctx, const gadget::Library& lib,
   // Payload = model values of the consumed stack slots.
   const i64 payload_len = next_free;
   if (payload_len < 0 ||
-      static_cast<size_t>(payload_len) > opts.max_payload)
+      static_cast<size_t>(payload_len) > kMaxPayload)
     return refuted(Refutation::TooBig);
   std::vector<u8> payload(static_cast<size_t>(payload_len), 0);
   auto place = [&](i64 off, u64 word) {
@@ -350,7 +350,7 @@ ConcretizeResult concretize(solver::Context& ctx, const gadget::Library& lib,
   // End-to-end validation with randomized uncontrolled registers.
   {
     trace::Span span("plan.validate", "planner", opts.session_id);
-    for (int trial = 0; trial < opts.validation_trials; ++trial) {
+    for (int trial = 0; trial < kValidationTrials; ++trial) {
       if (!validate(img, chain, goal, opts.stack_base,
                     0xc0ffee + 7919 * trial))
         return refuted(Refutation::ValidationFailed);

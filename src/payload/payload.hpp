@@ -69,7 +69,7 @@ struct Chain {
 enum class Refutation : u8 {
   None,              // validated chain
   BadFlow,           // a gadget did not end in the transfer its slot needs
-  TooBig,            // payload (or a POINTER region) exceeded max_payload
+  TooBig,            // payload (or a POINTER region) exceeded kMaxPayload
   Unsat,             // the solver proved that no payload exists
   /// The composition query came back UNKNOWN (conflict budget, governed
   /// deadline/solver-check budget, or an injected solver fault).
@@ -90,10 +90,14 @@ struct ConcretizeResult {
   x86::Reg mismatch_reg = x86::Reg::NONE;
 };
 
+/// Largest payload (and POINTER region) a chain may use, in bytes.
+inline constexpr size_t kMaxPayload = 4096;
+/// Emulator validation runs per chain, each with randomized uncontrolled
+/// registers.
+inline constexpr int kValidationTrials = 2;
+
 struct ConcretizeOptions {
   u64 stack_base = image::kStackTop - 0x2000;  // rsp at hijack (ASLR off)
-  size_t max_payload = 4096;
-  int validation_trials = 2;  // random uncontrolled-register trials
   /// Shared resource governor (optional; must outlive the call): bounds
   /// the composition re-execution (sym steps / expr nodes) and the payload
   /// solve (solver checks, deadline polls). Exhaustion fails the call

@@ -39,13 +39,13 @@ void Options::append_key(serial::Writer& w) const {
   w.put_u32(static_cast<u32>(max_expansions));
   w.put_u32(static_cast<u32>(max_chains));
   w.put_u32(static_cast<u32>(max_candidates_per_goal));
-  w.put_u32(static_cast<u32>(max_plan_gadgets));
-  w.put_u32(static_cast<u32>(max_open_goals));
-  w.put_u32(static_cast<u32>(max_concretize_failures));
-  w.put_u32(static_cast<u32>(restarts));
+  w.put_u32(static_cast<u32>(kMaxPlanGadgets));
+  w.put_u32(static_cast<u32>(kMaxOpenGoals));
+  w.put_u32(static_cast<u32>(kMaxConcretizeFailures));
+  w.put_u32(static_cast<u32>(kRestarts));
   w.put_u64(concretize.stack_base);
-  w.put_u64(concretize.max_payload);
-  w.put_u32(static_cast<u32>(concretize.validation_trials));
+  w.put_u64(payload::kMaxPayload);
+  w.put_u32(static_cast<u32>(payload::kValidationTrials));
   w.put_bool(use_cond_gadgets);
   w.put_bool(use_indirect_gadgets);
   w.put_bool(use_direct_merged);
@@ -115,7 +115,7 @@ std::vector<Planner::Plan> Planner::expand(const Plan& p,
                                            const Options& opts) {
   std::vector<Plan> out;
   if (p.delta.empty() ||
-      static_cast<int>(p.alpha.size()) >= opts.max_plan_gadgets)
+      static_cast<int>(p.alpha.size()) >= kMaxPlanGadgets)
     return out;
 
   // Paper: pick an open pre-condition, find gadgets that can fulfil it.
@@ -213,13 +213,13 @@ std::vector<Planner::Plan> Planner::expand(const Plan& p,
       ++stats_.dead_ends;
       continue;
     }
-    if (static_cast<int>(base.delta.size()) > opts.max_open_goals) {
+    if (static_cast<int>(base.delta.size()) > kMaxOpenGoals) {
       ++stats_.dead_ends;
       continue;
     }
     // A plan at the gadget cap with goals still open can never complete.
     if (!base.delta.empty() &&
-        static_cast<int>(base.alpha.size()) >= opts.max_plan_gadgets) {
+        static_cast<int>(base.alpha.size()) >= kMaxPlanGadgets) {
       ++stats_.dead_ends;
       continue;
     }
@@ -361,11 +361,11 @@ std::vector<Chain> Planner::plan(const Goal& goal, const Options& opts) {
   Deadline deadline = Deadline::after_seconds(opts.time_budget_seconds);
   if (opts.governor)
     deadline = Deadline::earlier(deadline, opts.governor->deadline());
-  for (int round = 0; round < std::max(1, opts.restarts); ++round) {
+  for (int round = 0; round < kRestarts; ++round) {
     rotation_ = round;
     run_round(goal, opts, chains, seen_sequences, deadline);
     if (static_cast<int>(chains.size()) >= opts.max_chains) break;
-    if (failure_budget_spent(opts)) {
+    if (failure_budget_spent()) {
       ++stats_.failure_budget_cuts;
       break;
     }
@@ -433,8 +433,7 @@ void Planner::run_round(const Goal& goal, const Options& opts,
   }
 
   int expansions = 0;
-  const int round_budget = std::max(64, opts.max_expansions /
-                                             std::max(1, opts.restarts));
+  const int round_budget = std::max(64, opts.max_expansions / kRestarts);
   try {
   while (!queue.empty() && expansions < round_budget &&
          static_cast<int>(chains.size()) < opts.max_chains) {
@@ -494,7 +493,7 @@ void Planner::run_round(const Goal& goal, const Options& opts,
         // Give-up budget: a goal refuting every complete plan stops here
         // instead of enumerating more doomed sequences for the rest of
         // the expansion budget (plan() skips the remaining rounds too).
-        if (failure_budget_spent(opts)) break;
+        if (failure_budget_spent()) break;
       }
       continue;
     }

@@ -38,27 +38,30 @@ namespace gp::planner {
 /// without touching the global store format version.
 constexpr u32 kPlannerVersion = 2;
 
+/// Search bounds, held fixed for every goal. A plan holds at most this
+/// many gadgets.
+inline constexpr int kMaxPlanGadgets = 12;
+/// Plans whose open-goal set grows past this are discarded.
+inline constexpr int kMaxOpenGoals = 7;
+/// Give-up budget for concretization-hostile goals: once this many complete
+/// plans have failed concretization with no offsetting successes left to
+/// find, the search stops instead of burning the full expansion budget
+/// enumerating more doomed sequences (the campaign critical path was one
+/// goal refuting 2.4k sequences at ~24ms of solver work each; jobs that do
+/// find chains never exceeded 10 failures, so this keeps a >10x margin). A
+/// COUNTED budget, not wall clock: the cut point is deterministic, so
+/// results stay reproducible and checkpointable.
+inline constexpr int kMaxConcretizeFailures = 128;
+/// Diversification: the search restarts this many times, rotating the
+/// per-goal candidate preference each round (failed sequences stay banned
+/// across rounds).
+inline constexpr int kRestarts = 6;
+
 struct Options {
   int max_expansions = 4000;       // plans popped from the queue
   int max_chains = 16;             // validated chains per goal
   int max_candidates_per_goal = 10;
-  int max_plan_gadgets = 12;
-  int max_open_goals = 7;          // discard plans whose delta grows past this
-  /// Give-up budget for concretization-hostile goals: once this many
-  /// complete plans have failed concretization with no offsetting
-  /// successes left to find, the search stops instead of burning the full
-  /// expansion budget enumerating more doomed sequences (the campaign
-  /// critical path was one goal refuting 2.4k sequences at ~24ms of
-  /// solver work each; jobs that do find chains never exceeded 10
-  /// failures, so the default keeps a >10x margin). A COUNTED budget,
-  /// not wall clock: the cut point is deterministic, so results stay
-  /// reproducible and checkpointable. 0 = unlimited.
-  int max_concretize_failures = 128;
   double time_budget_seconds = 60.0;
-  /// Diversification: the search restarts this many times, rotating the
-  /// per-goal candidate preference each round (failed sequences stay
-  /// banned across rounds).
-  int restarts = 6;
   /// Shared resource governor (optional; must outlive the call). Its
   /// deadline is combined with time_budget_seconds — whichever expires
   /// first stops the search at the next queue pop — and it is handed down
@@ -114,7 +117,7 @@ struct Stats {
   /// some goal register, or no feasible syscall gadget) without any
   /// search.
   u64 unreachable_goals = 0;
-  /// Searches stopped by the max_concretize_failures give-up budget (0 or
+  /// Searches stopped by the kMaxConcretizeFailures give-up budget (0 or
   /// 1 per plan() call). A cut search still returns every chain validated
   /// before the budget ran out.
   u64 failure_budget_cuts = 0;
@@ -219,12 +222,11 @@ class Planner {
   /// nothing.
   bool precheck_unreachable(const payload::Goal& goal, const Options& opts);
 
-  /// Has this call consumed the max_concretize_failures give-up budget?
+  /// Has this call consumed the kMaxConcretizeFailures give-up budget?
   /// (Counted on the per-call stats window, so it is deterministic.)
-  bool failure_budget_spent(const Options& opts) const {
-    return opts.max_concretize_failures > 0 &&
-           stats_.concretize_calls - stats_.validated >=
-               static_cast<u64>(opts.max_concretize_failures);
+  bool failure_budget_spent() const {
+    return stats_.concretize_calls - stats_.validated >=
+           static_cast<u64>(kMaxConcretizeFailures);
   }
 
   /// Round-local dedup fingerprint of a successor plan: order-independent

@@ -741,56 +741,31 @@ ExprRef Context::concat(ExprRef hi, ExprRef lo) {
 }
 
 ExprRef Context::substitute(ExprRef e, ExprRef v, ExprRef value) {
-  std::unordered_map<ExprRef, ExprRef> map{{v, value}};
-  return substitute(e, map);
-}
-
-ExprRef Context::substitute(
-    ExprRef e, const std::unordered_map<ExprRef, ExprRef>& map) {
   std::unordered_map<ExprRef, ExprRef> memo;
-  std::function<ExprRef(ExprRef)> go = [&](ExprRef x) -> ExprRef {
-    auto hit = map.find(x);
-    if (hit != map.end()) return hit->second;
+  const auto go = [&](const auto& self, ExprRef x) -> ExprRef {
+    if (x == v) return value;
     auto m = memo.find(x);
     if (m != memo.end()) return m->second;
-    const Node n = nodes_[x];
-    // Rebuilding an operand can intern nodes, and interning order decides
-    // refs and so commutative operand order, so the operands are rebuilt
-    // in a fixed order, each into a local: last to first, the order GCC's
-    // right-to-left argument evaluation gives `add(go(n.a), go(n.b))`, so
-    // chains keep the refs GCC builds have always given them.
-    const auto sub = [&](ExprRef o) { return o == kNoExpr ? o : go(o); };
-    const ExprRef c = sub(n.c);
-    const ExprRef b = sub(n.b);
-    const ExprRef a = sub(n.a);
+    Node n = nodes_[x];
     ExprRef out = x;
-    switch (n.op) {
-      case Op::Const:
-      case Op::Var:
-        break;
-      case Op::Add: out = add(a, b); break;
-      case Op::Mul: out = mul(a, b); break;
-      case Op::And: out = band(a, b); break;
-      case Op::Or: out = bor(a, b); break;
-      case Op::Xor: out = bxor(a, b); break;
-      case Op::Shl: out = shl(a, b); break;
-      case Op::LShr: out = lshr(a, b); break;
-      case Op::AShr: out = ashr(a, b); break;
-      case Op::Not: out = bnot(a); break;
-      case Op::Neg: out = neg(a); break;
-      case Op::Eq: out = eq(a, b); break;
-      case Op::Ult: out = ult(a, b); break;
-      case Op::Slt: out = slt(a, b); break;
-      case Op::Ite: out = ite(a, b, c); break;
-      case Op::ZExt: out = zext(a, n.width); break;
-      case Op::SExt: out = sext(a, n.width); break;
-      case Op::Extract: out = extract(a, n.aux, n.width); break;
-      case Op::Concat: out = concat(a, b); break;
+    if (n.op != Op::Const && n.op != Op::Var) {
+      // Rebuilding an operand can intern nodes, and interning order
+      // decides refs and so commutative operand order, so the operands are
+      // rebuilt in a fixed order: last to first, the order GCC's
+      // right-to-left argument evaluation gives `add(go(n.a), go(n.b))`,
+      // so chains keep the refs GCC builds have always given them.
+      const auto sub = [&](ExprRef o) {
+        return o == kNoExpr ? o : self(self, o);
+      };
+      n.c = sub(n.c);
+      n.b = sub(n.b);
+      n.a = sub(n.a);
+      out = rebuild(n);
     }
     memo.emplace(x, out);
     return out;
   };
-  return go(e);
+  return go(go, e);
 }
 
 u64 Context::eval(ExprRef e,

@@ -112,9 +112,6 @@ class Context {
   /// Replace every occurrence of variable `v` with `value` (rebuilds through
   /// smart constructors, so the result re-simplifies).
   ExprRef substitute(ExprRef e, ExprRef v, ExprRef value);
-  /// Apply many substitutions at once (var ref -> replacement).
-  ExprRef substitute(ExprRef e,
-                     const std::unordered_map<ExprRef, ExprRef>& map);
 
   // The walks below keep their scratch on the caller's stack (the heap only
   // for large DAGs), so any number of threads may walk one const context.

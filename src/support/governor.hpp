@@ -124,11 +124,6 @@ struct GovernorOptions {
   u64 max_sym_steps = 0;        // symbolic executor instruction steps
   u64 max_expr_nodes = 0;       // freshly interned expression DAG nodes
 
-  bool any_limit() const {
-    return deadline_seconds > 0 || max_solver_checks > 0 ||
-           max_sym_steps > 0 || max_expr_nodes > 0;
-  }
-
   /// Copy with every counted budget divided across `n` concurrent
   /// consumers (each share at least 1 so a tiny budget can never round to
   /// 0 = "unlimited"). The deadline is shared, not split: concurrent

@@ -29,7 +29,7 @@ image::Image classic_image() {
 
 gadget::Library make_library(solver::Context& ctx, const image::Image& img) {
   gadget::Extractor ex(ctx, img);
-  return gadget::Library(subsume::minimize(ctx, ex.extract({})));
+  return gadget::Library(subsume::minimize(ctx, ex.extract()));
 }
 
 TEST(RopGadget, FindsTemplateChain) {

@@ -100,7 +100,7 @@ TEST(Engine, ConfigReachesSessionsAndCampaigns) {
                   PipelineOptions::from(engine.config()));
   EXPECT_NE(session.store(), nullptr);
   EXPECT_FALSE(session.extract().ok());
-  EXPECT_EQ(session.report().extract_runs.attempts, 3u);  // max_retries 2
+  EXPECT_EQ(session.report().extract_runs.attempts, 3u);  // two retries
 
   // A job without a level compiles at the engine's, not the process's.
   Job job;

@@ -19,9 +19,9 @@ image::Image make_image(Assembler& a) {
 }
 
 std::vector<Record> extract(const image::Image& img, Context& ctx,
-                            ExtractOptions opts = {}, int threads = 1) {
+                            int threads = 1) {
   Extractor ex(ctx, img);
-  return ex.extract(opts, threads);
+  return ex.extract(nullptr, threads);
 }
 
 /// Does `a` imply `b` under every assignment? ({a, !b} is UNSAT.)
@@ -190,29 +190,6 @@ TEST(Extractor, TakenBranchVariantAlsoEmitted) {
   EXPECT_TRUE(found_taken);
 }
 
-TEST(Extractor, RejectsInvalidOptions) {
-  // Regression: stride = 0 used to loop on the first offset forever.
-  Assembler a;
-  a.ret();
-  auto img = make_image(a);
-  Context ctx;
-  Extractor ex(ctx, img);
-  ExtractOptions opts;
-  opts.stride = 0;
-  EXPECT_THROW(ex.extract(opts), Error);
-  opts.stride = -4;
-  EXPECT_THROW(ex.extract(opts), Error);
-  opts = {};
-  opts.max_insts = -1;
-  EXPECT_THROW(ex.extract(opts), Error);
-  opts = {};
-  opts.max_paths = -1;
-  EXPECT_THROW(ex.extract(opts), Error);
-  opts = {};
-  opts.max_cond_jumps = -1;
-  EXPECT_THROW(ex.extract(opts), Error);
-}
-
 TEST(Extractor, MidPathDecodeFailureCounted) {
   // nop; <undecodable 0x06>. Offset 0 decodes the nop and then walks into
   // the bad byte (mid-path failure); offset 1 fails at the first
@@ -221,7 +198,7 @@ TEST(Extractor, MidPathDecodeFailureCounted) {
   image::Image img({0x90, 0x06}, {}, image::kCodeBase);
   Context ctx;
   Extractor ex(ctx, img);
-  auto pool = ex.extract({});
+  auto pool = ex.extract();
   EXPECT_TRUE(pool.empty());
   EXPECT_EQ(ex.stats().offsets_scanned, 2u);
   EXPECT_EQ(ex.stats().decode_failures, 2u);
@@ -236,7 +213,7 @@ TEST(Extractor, StatsPopulated) {
   auto img = make_image(a);
   Context ctx;
   Extractor ex(ctx, img);
-  auto pool = ex.extract({});
+  auto pool = ex.extract();
   EXPECT_EQ(ex.stats().offsets_scanned, img.code().size());
   EXPECT_GT(ex.stats().gadgets, 0u);
   EXPECT_EQ(ex.stats().gadgets, pool.size());
@@ -275,7 +252,7 @@ TEST(Extractor, DecodeCacheSlotAliasing) {
   for (const int threads : {1, 4}) {
     SCOPED_TRACE(threads);
     Context ctx;
-    auto pool = extract(img, ctx, {}, threads);
+    auto pool = extract(img, ctx, threads);
 
     const Record* tail = at(pool, image::kCodeBase + 1024);
     ASSERT_NE(tail, nullptr);

@@ -133,13 +133,11 @@ TEST(Governor, OptionsMapToBudgets) {
   opts.max_solver_checks = 2;
   opts.max_sym_steps = 3;
   opts.max_expr_nodes = 4;
-  EXPECT_TRUE(opts.any_limit());
   Governor g(opts);
   EXPECT_EQ(g.solver_checks().limit(), 2u);
   EXPECT_EQ(g.sym_steps().limit(), 3u);
   EXPECT_EQ(g.expr_nodes().limit(), 4u);
   EXPECT_TRUE(g.deadline().unlimited());
-  EXPECT_FALSE(GovernorOptions{}.any_limit());
 }
 
 TEST(GovernorOptions, FromEnvParsesKnobs) {
@@ -158,7 +156,10 @@ TEST(GovernorOptions, FromEnvParsesKnobs) {
   EXPECT_EQ(opts.max_expr_nodes, 99u);
 
   const GovernorOptions unset = Config::from_env().governor;
-  EXPECT_FALSE(unset.any_limit());
+  EXPECT_EQ(unset.deadline_seconds, 0);
+  EXPECT_EQ(unset.max_solver_checks, 0u);
+  EXPECT_EQ(unset.max_sym_steps, 0u);
+  EXPECT_EQ(unset.max_expr_nodes, 0u);
 }
 
 TEST(Fault, ParseSpecAcceptsTheDocumentedGrammar) {

@@ -87,13 +87,13 @@ TEST(Parallel, ExtractionMatchesSequential) {
 
   solver::Context c1;
   Extractor e1(c1, img);
-  auto p1 = e1.extract({}, /*threads=*/1);
+  auto p1 = e1.extract(nullptr, /*threads=*/1);
   ASSERT_GT(p1.size(), 100u);
 
   for (const int threads : {2, 4}) {
     solver::Context cn;
     Extractor en(cn, img);
-    auto pn = en.extract({}, threads);
+    auto pn = en.extract(nullptr, threads);
 
     expect_stats_equal(e1.stats(), en.stats());
     ASSERT_EQ(p1.size(), pn.size()) << "threads=" << threads;
@@ -105,42 +105,52 @@ TEST(Parallel, ExtractionMatchesSequential) {
 }
 
 // The merge picks the shard nodes to replay by a structural hash. A
-// collision may only replay an extra unreachable node: with the hash cut
-// to a few bits almost every node collides, and the canonical pool must
-// still be the sequential one byte for byte.
+// collision only widens the replay mask by garbage nodes whose operands
+// are kept, so replaying a pool's exact mask and a mask widened that way
+// must give the same canonical pool byte for byte.
 TEST(Parallel, MergeHashCollisionsNeverChangeThePool) {
-  const image::Image& img = obfuscated_image();
-  solver::Context c1;
-  Extractor e1(c1, img);
-  const auto p1 = e1.extract({}, /*threads=*/1);
-  ASSERT_GT(p1.size(), 100u);
+  using solver::ExprRef;
+  using solver::kNoExpr;
+  solver::Context src;
+  const auto pool = Extractor(src, obfuscated_image()).extract();
+  ASSERT_GT(pool.size(), 100u);
 
-  for (const int threads : {2, 4}) {
-    solver::Context exact;
-    (void)Extractor(exact, img).extract({}, threads);
-    for (const int bits : {4, 16}) {
-      const std::string label = "threads=" + std::to_string(threads) +
-                                " bits=" + std::to_string(bits);
-      solver::Context cn;
-      Extractor en(cn, img);
-      ExtractOptions on;
-      on.merge_hash_bits = bits;
-      const auto pn = en.extract(on, threads);
-      expect_stats_equal(e1.stats(), en.stats());
-      ASSERT_EQ(p1.size(), pn.size()) << label;
-      expect_same_pool(c1, p1, cn, pn, label);
-      if (bits == 4) {  // the narrow hash did collide: more nodes replayed
-        EXPECT_GT(cn.num_nodes(), exact.num_nodes()) << label;
-      }
-    }
+  std::vector<bool> exact(src.num_nodes(), false);
+  for (const ExprRef r : src.reachable(pool_refs(pool))) exact[r] = true;
+  // Every third node no record reaches, if its operands are kept.
+  std::vector<bool> widened = exact;
+  const auto kept = [&](ExprRef e) { return e == kNoExpr || widened[e]; };
+  for (ExprRef r = 0; r < src.num_nodes(); r += 3) {
+    const solver::Node& n = src.node(r);
+    if (kept(n.a) && kept(n.b) && kept(n.c)) widened[r] = true;
   }
+
+  // Replay a mask into a fresh context and remap the records, as the
+  // merge does with each shard.
+  const auto replayed = [&](const std::vector<bool>& keep,
+                            solver::Context& dst) {
+    std::vector<Record> out = pool;
+    const std::vector<ExprRef> table = dst.replay(src, keep);
+    for (Record& r : out)
+      for_each_ref(r, [&](ExprRef& e) {
+        if (e != kNoExpr) e = table[e];
+      });
+    return out;
+  };
+  solver::Context exact_ctx, widened_ctx;
+  const auto exact_pool = replayed(exact, exact_ctx);
+  const auto widened_pool = replayed(widened, widened_ctx);
+  EXPECT_GT(widened_ctx.num_nodes(), exact_ctx.num_nodes());
+  expect_same_pool(exact_ctx, exact_pool, widened_ctx, widened_pool,
+                   "widened mask");
+  expect_same_pool(src, pool, widened_ctx, widened_pool, "sequential");
 }
 
 TEST(Parallel, MinimizeMatchesSequential) {
   const image::Image& img = obfuscated_image();
   solver::Context ctx;
   Extractor ex(ctx, img);
-  auto pool = ex.extract({}, /*threads=*/1);
+  auto pool = ex.extract(nullptr, /*threads=*/1);
   ASSERT_GT(pool.size(), 100u);
 
   subsume::Stats s1;
@@ -181,8 +191,8 @@ TEST(Parallel, CorpusPoolsAreThreadCountInvariant) {
 
     solver::Context c1, c4;
     Extractor e1(c1, img), e4(c4, img);
-    const auto p1 = e1.extract({}, /*threads=*/1);
-    const auto p4 = e4.extract({}, /*threads=*/4);
+    const auto p1 = e1.extract(nullptr, /*threads=*/1);
+    const auto p4 = e4.extract(nullptr, /*threads=*/4);
     ASSERT_FALSE(p1.empty()) << label;
     expect_same_pool(c1, p1, c4, p4, label);
     if (label != "hash_table/none") continue;
@@ -224,7 +234,7 @@ TEST(Parallel, LaneRequestsAreCappedAtWhatThePoolGrants) {
   const auto run = [&](int threads) {
     Run r;
     const u64 before = merged.value();
-    r.pool = Extractor(r.ctx, img).extract({}, threads);
+    r.pool = Extractor(r.ctx, img).extract(nullptr, threads);
     r.merge_nodes = merged.value() - before;
     return r;
   };
@@ -253,7 +263,7 @@ TEST(Parallel, LaneRequestsAreCappedAtWhatThePoolGrants) {
 TEST(Parallel, SharedContextWalksAreRaceFree) {
   using solver::ExprRef;
   solver::Context ctx;
-  const auto pool = Extractor(ctx, obfuscated_image()).extract({}, 1);
+  const auto pool = Extractor(ctx, obfuscated_image()).extract(nullptr, 1);
   std::vector<ExprRef> roots;
   for (const ExprRef r : pool_refs(pool))
     if (r != solver::kNoExpr) roots.push_back(r);
@@ -297,9 +307,7 @@ TEST(Parallel, CancellationPropagatesToWorkers) {
 
   solver::Context ctx;
   Extractor ex(ctx, img);
-  ExtractOptions opts;
-  opts.governor = &gov;
-  auto pool = ex.extract(opts, /*threads=*/4);
+  auto pool = ex.extract(&gov, /*threads=*/4);
 
   EXPECT_TRUE(pool.empty());
   const ExtractStats& st = ex.stats();
@@ -319,9 +327,7 @@ TEST(Parallel, MidRunCancellationStopsPromptly) {
 
   solver::Context ctx;
   Extractor ex(ctx, img);
-  ExtractOptions opts;
-  opts.governor = &gov;
-  auto pool = ex.extract(opts, /*threads=*/4);
+  auto pool = ex.extract(&gov, /*threads=*/4);
   canceller.join();
 
   // Whether the cancel landed mid-scan or after completion, every offset is
@@ -337,7 +343,7 @@ TEST(Parallel, MinimizeObservesCancellation) {
   const image::Image& img = obfuscated_image();
   solver::Context ctx;
   Extractor ex(ctx, img);
-  auto pool = ex.extract({}, /*threads=*/2);
+  auto pool = ex.extract(nullptr, /*threads=*/2);
   ASSERT_GT(pool.size(), 100u);
 
   Governor gov;

@@ -28,7 +28,7 @@ struct Fixture {
 
   Library extract() {
     Extractor ex(ctx, img);
-    return Library(subsume::minimize(ctx, ex.extract({})));
+    return Library(subsume::minimize(ctx, ex.extract()));
   }
   std::optional<u32> find(u64 addr, EndKind end) {
     for (u32 i = 0; i < lib.size(); ++i)
@@ -239,17 +239,20 @@ TEST(Concretize, StatsAccounting) {
 
 TEST(Concretize, PayloadSizeLimit) {
   Assembler a = classic();
+  a.alu_imm(Mnemonic::ADD, Reg::RSP, 0x1400);  // 0x40000a: a 5 KiB frame
+  a.pop(Reg::RDI);
+  a.ret();
   Fixture f(a);
-  ConcretizeOptions opts;
-  opts.max_payload = 16;  // chain needs ~9 slots: must refuse
   const auto rax = f.find(0x400000, EndKind::Ret);
-  const auto rdi = f.find(0x400002, EndKind::Ret);
+  const auto far_rdi = f.find(0x40000a, EndKind::Ret);
   const auto rsi = f.find(0x400004, EndKind::Ret);
   const auto rdx = f.find(0x400006, EndKind::Ret);
   const auto sys = f.find(0x400008, EndKind::Syscall);
+  ASSERT_TRUE(far_rdi.has_value());
+  // rdi's slot lies past kMaxPayload bytes of stack: must refuse.
   const auto r = concretize(f.ctx, f.lib, f.img,
-                            {*rax, *rdi, *rsi, *rdx, *sys}, Goal::execve(),
-                            opts);
+                            {*rax, *far_rdi, *rsi, *rdx, *sys},
+                            Goal::execve());
   EXPECT_FALSE(r.chain.has_value());
   EXPECT_EQ(r.why, Refutation::TooBig);
 }

@@ -33,7 +33,7 @@ struct Scenario {
  private:
   Library make_lib(bool minimize_pool) {
     Extractor ex(ctx, img);
-    auto pool = ex.extract({});
+    auto pool = ex.extract();
     if (minimize_pool) pool = subsume::minimize(ctx, pool);
     return Library(std::move(pool));
   }

@@ -23,7 +23,6 @@ namespace gp {
 namespace {
 
 using gadget::EndKind;
-using gadget::ExtractOptions;
 using gadget::Extractor;
 using gadget::Library;
 using gadget::Record;
@@ -129,7 +128,7 @@ TEST(UnknownSoundness, MinimizeKeepsBothWhenInconclusive) {
   a.ret();
   auto img = make_image(a);
   Extractor ex(ctx, img);
-  auto pool = ex.extract({});
+  auto pool = ex.extract();
   const Record* base = nullptr;
   for (const Record& r : pool)
     if (r.addr == image::kCodeBase && r.end == EndKind::Ret) base = &r;
@@ -163,7 +162,7 @@ TEST(UnknownSoundness, ConcretizeTreatsUnknownAsFailureNotUnsat) {
   solver::Context ctx;
   auto img = make_image(a);
   Extractor ex(ctx, img);
-  Library lib(subsume::minimize(ctx, ex.extract({})));
+  Library lib(subsume::minimize(ctx, ex.extract()));
   std::vector<u32> seq;
   for (const u64 addr : {0x400000, 0x400002, 0x400004, 0x400006, 0x400008})
     for (u32 i = 0; i < lib.size(); ++i)
@@ -201,7 +200,7 @@ TEST(UnknownSoundness, ConcretizeSymStepBudgetCutsCleanly) {
   solver::Context ctx;
   auto img = make_image(a);
   Extractor ex(ctx, img);
-  Library lib(subsume::minimize(ctx, ex.extract({})));
+  Library lib(subsume::minimize(ctx, ex.extract()));
   std::vector<u32> seq;
   for (u32 i = 0; i < lib.size(); ++i)
     if (lib[i].addr == 0x400008) seq.push_back(i);
@@ -230,7 +229,7 @@ TEST(PlannerDeadline, ZeroBudgetStopsAtTheFirstPop) {
   solver::Context ctx;
   auto img = make_image(a);
   Extractor ex(ctx, img);
-  Library lib(subsume::minimize(ctx, ex.extract({})));
+  Library lib(subsume::minimize(ctx, ex.extract()));
 
   planner::Planner p(ctx, lib, img);
   planner::Options opts;
@@ -247,7 +246,7 @@ TEST(PlannerDeadline, CancelledGovernorStopsTheSearch) {
   solver::Context ctx;
   auto img = make_image(a);
   Extractor ex(ctx, img);
-  Library lib(subsume::minimize(ctx, ex.extract({})));
+  Library lib(subsume::minimize(ctx, ex.extract()));
 
   Governor gov;
   gov.cancel();
@@ -275,9 +274,7 @@ TEST(GovernorDegradation, SymStepBudgetYieldsReconciledPartialPool) {
   gopts.max_sym_steps = 3;
   Governor gov(gopts);
   Extractor ex(ctx, img);
-  ExtractOptions opts;
-  opts.governor = &gov;
-  auto pool = ex.extract(opts);
+  auto pool = ex.extract(&gov);
 
   const auto& st = ex.stats();
   EXPECT_EQ(st.offsets_scanned + st.offsets_skipped, code_size);
@@ -286,7 +283,7 @@ TEST(GovernorDegradation, SymStepBudgetYieldsReconciledPartialPool) {
   // A partial pool is usable, just smaller than the ungoverned one.
   solver::Context full_ctx;
   Extractor full_ex(full_ctx, img);
-  EXPECT_LT(pool.size(), full_ex.extract({}).size());
+  EXPECT_LT(pool.size(), full_ex.extract().size());
 }
 
 TEST(GovernorDegradation, ExprNodeBudgetCutsPathsNotTheProcess) {
@@ -299,9 +296,7 @@ TEST(GovernorDegradation, ExprNodeBudgetCutsPathsNotTheProcess) {
   Governor gov(gopts);
   ctx.set_governor(&gov);  // the extractor's context draws the node budget
   Extractor ex(ctx, img);
-  ExtractOptions opts;
-  opts.governor = &gov;
-  auto pool = ex.extract(opts);
+  auto pool = ex.extract(&gov);
   const auto& st = ex.stats();
   EXPECT_EQ(st.offsets_scanned + st.offsets_skipped, img.code().size());
   EXPECT_EQ(st.status.code(), StatusCode::BudgetExhausted);
@@ -346,7 +341,7 @@ TEST(DecoderFuzz, ExtractionOverRandomBytesReconciles) {
   image::Image img(buf, {}, image::kCodeBase);
   solver::Context ctx;
   Extractor ex(ctx, img);
-  auto pool = ex.extract({});
+  auto pool = ex.extract();
   const auto& st = ex.stats();
   EXPECT_EQ(st.offsets_scanned, buf.size());
   EXPECT_EQ(st.offsets_skipped, 0u);
@@ -362,7 +357,7 @@ TEST(DecoderFuzz, ForcedDecodeFailureAccountsEveryOffset) {
 
   fault::ScopedSpec scoped("decode=1");
   Extractor ex(ctx, img);
-  auto pool = ex.extract({});
+  auto pool = ex.extract();
   EXPECT_TRUE(pool.empty());
   const auto& st = ex.stats();
   EXPECT_EQ(st.offsets_scanned, img.code().size());
@@ -401,7 +396,6 @@ TEST(PipelineUnderFault, DegradesWithoutCrashingAndChainsStayValid) {
     popts.governor.max_expr_nodes = 6'000'000;
     popts.plan.time_budget_seconds = 3.0;
     popts.plan.max_expansions = 400;
-    popts.plan.restarts = 2;
     popts.plan.max_chains = 2;
 
     core::Session gp(core::Engine::shared(), img, popts);

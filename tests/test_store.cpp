@@ -195,7 +195,7 @@ TEST(ArtifactRoundTrip, GadgetPoolThroughAFreshContext) {
   const auto img = obfuscated_image();
   solver::Context ctx;
   gadget::Extractor ex(ctx, img);
-  auto pool = ex.extract({});
+  auto pool = ex.extract();
   ASSERT_GT(pool.size(), 10u);
 
   const auto records = gadget::encode_pool(ctx, pool);
@@ -254,7 +254,7 @@ TEST(ArtifactRoundTrip, CompactionEqualsTheRoundTrip) {
     const image::Image img = codegen::compile(prog);
 
     solver::Context ctx;
-    const auto raw = gadget::Extractor(ctx, img).extract({});
+    const auto raw = gadget::Extractor(ctx, img).extract();
     ASSERT_FALSE(raw.empty()) << label;
     solver::Context canon;
     const auto pool = check(ctx, raw, canon, label + " raw");
@@ -268,7 +268,7 @@ TEST(ArtifactRoundTrip, PoolDecodeRejectsBitFlipsAtRandomOffsets) {
   const auto img = obfuscated_image();
   solver::Context ctx;
   gadget::Extractor ex(ctx, img);
-  auto pool = ex.extract({});
+  auto pool = ex.extract();
   const auto records = gadget::encode_pool(ctx, pool);
 
   std::mt19937 rng(11);
@@ -696,7 +696,7 @@ TEST(CheckpointResume, UndecodableSubsumeCheckpointIsRecomputed) {
   material.put_u64(img.entry());
   material.put_bytes(img.code());
   material.put_bytes(img.data());
-  gadget::append_extract_key(material, opts.extract);
+  gadget::append_extract_key(material);
   material.put_u64(subsume::kSolverCheckBudget);
   store::ArtifactStore store(dir.str());
   ASSERT_TRUE(store.put(store.key("subsume", material), {{1, 2, 3}}).ok());
@@ -734,18 +734,22 @@ TEST(CheckpointResume, InterleavedSessionsOnOneStoreCountOnlyTheirOwnPuts) {
 
 // -- the stage supervisor -----------------------------------------------------
 
+// A clean extraction of obfuscated_image() takes ~62k symbolic steps. Each
+// of the supervisor's two retries widens the budget 4x, so 8k steps is cut
+// at x1 and x4 and clean at x16, and 40 steps is still cut at x16.
+constexpr u64 kStepsCleanAfterRetries = 8'000;
+constexpr u64 kStepsCutThroughRetries = 40;
+
 TEST(Supervisor, RetriesWithWidenedBudgetsUntilExtractionIsClean) {
   const auto img = obfuscated_image();
   core::PipelineOptions opts;
-  opts.governor.max_sym_steps = 40;  // starves the first attempt
-  opts.max_retries = 10;
+  opts.governor.max_sym_steps = kStepsCleanAfterRetries;
 
   core::Session gp(core::Engine::shared(), img, opts);
   gp.prepare();
   const auto& runs = gp.report().extract_runs;
-  EXPECT_GE(runs.attempts, 2u);
-  EXPECT_GE(runs.retries, 1u);
-  EXPECT_EQ(runs.attempts, runs.retries + 1);
+  EXPECT_EQ(runs.attempts, 3u);
+  EXPECT_EQ(runs.retries, 2u);
   EXPECT_TRUE(gp.report().extract_status.ok())
       << gp.report().extract_status.to_string();
   EXPECT_GT(gp.report().pool_raw, 0u);
@@ -756,12 +760,11 @@ TEST(Supervisor, RetriesWithWidenedBudgetsUntilExtractionIsClean) {
 TEST(Supervisor, RetriedExtractionMatchesACleanRun) {
   const auto img = obfuscated_image();
   core::PipelineOptions starved;
-  starved.governor.max_sym_steps = 40;
-  starved.max_retries = 10;
+  starved.governor.max_sym_steps = kStepsCleanAfterRetries;
   starved.run_subsumption = false;
   core::Session retried(core::Engine::shared(), img, starved);
   ASSERT_TRUE(retried.extract().ok());
-  ASSERT_GE(retried.report().extract_runs.retries, 1u);
+  ASSERT_EQ(retried.report().extract_runs.retries, 2u);
 
   core::PipelineOptions plain;
   plain.run_subsumption = false;
@@ -772,17 +775,16 @@ TEST(Supervisor, RetriedExtractionMatchesACleanRun) {
             gadget::encode_pool(clean.ctx(), clean.library().all()));
 }
 
-TEST(Supervisor, ZeroRetriesKeepsTheDegradedResult) {
+TEST(Supervisor, ExhaustedRetriesKeepTheDegradedResult) {
   const auto img = obfuscated_image();
   core::PipelineOptions opts;
-  opts.governor.max_sym_steps = 40;
-  opts.max_retries = 0;
+  opts.governor.max_sym_steps = kStepsCutThroughRetries;
 
   core::Session gp(core::Engine::shared(), img, opts);
   gp.prepare();
-  EXPECT_EQ(gp.report().extract_runs.attempts, 1u);
-  EXPECT_EQ(gp.report().extract_runs.retries, 0u);
-  EXPECT_FALSE(gp.report().extract_status.ok());  // degraded, not retried
+  EXPECT_EQ(gp.report().extract_runs.attempts, 3u);
+  EXPECT_EQ(gp.report().extract_runs.retries, 2u);
+  EXPECT_FALSE(gp.report().extract_status.ok());  // degraded after retries
 }
 
 TEST(Supervisor, DegradedResultsAreNeverCheckpointed) {
@@ -790,10 +792,10 @@ TEST(Supervisor, DegradedResultsAreNeverCheckpointed) {
   TempDir dir("nodegrade");
   core::PipelineOptions opts;
   opts.store_dir = dir.str();
-  opts.governor.max_sym_steps = 40;
-  opts.max_retries = 0;
+  opts.governor.max_sym_steps = kStepsCutThroughRetries;
   core::Session degraded(core::Engine::shared(), img, opts);
   degraded.prepare();
+  ASSERT_EQ(degraded.report().extract_runs.retries, 2u);
   ASSERT_FALSE(degraded.report().extract_status.ok());
   EXPECT_EQ(degraded.report().store.puts, 0u);
 
