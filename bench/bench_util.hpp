@@ -21,15 +21,12 @@ namespace gp::bench {
 
 inline bool full_sweep() { return config().bench_full; }
 
-/// Codegen options at the shared Engine's GP_OPT_LEVEL — the drivers that
-/// compile directly (fig1/table1/table7) use this so `GP_OPT_LEVEL=2 fig1`
-/// regenerates the table at -O2; campaign-based drivers resolve the same
-/// level inside Campaign::run.
-inline codegen::Options bench_codegen() {
-  codegen::Options opts;
-  opts.opt =
-      codegen::opt_level_from_int(core::Engine::shared().config().opt_level);
-  return opts;
+/// The shared Engine's GP_OPT_LEVEL — the drivers that compile directly
+/// (fig1/table1/table7/robustness_governor) pass it to core::compile_image
+/// so `GP_OPT_LEVEL=2 fig1` regenerates the table at -O2; campaign-based
+/// drivers resolve the same level inside Campaign::run.
+inline int bench_opt_level() {
+  return core::Engine::shared().config().opt_level;
 }
 
 /// Lanes for the benches that extract directly (fig1/table7): the shared
@@ -44,7 +41,8 @@ inline core::PipelineOptions bench_pipeline() {
 
 /// "O0"/"O1"/"O2" for table headers.
 inline const char* opt_label() {
-  return codegen::opt_level_name(bench_codegen().opt);
+  return codegen::opt_level_name(
+      codegen::opt_level_from_int(bench_opt_level()));
 }
 
 /// The benchmark programs a quick run uses (a representative third of the

@@ -4,9 +4,7 @@
 #include <cmath>
 
 #include "bench_util.hpp"
-#include "codegen/codegen.hpp"
 #include "gadget/gadget.hpp"
-#include "minic/minic.hpp"
 
 int main() {
   using namespace gp;
@@ -22,9 +20,9 @@ int main() {
     u64 counts[3] = {0, 0, 0};
     int idx = 0;
     for (const auto& row : bench::table4_rows()) {
-      auto prog = minic::compile_source(program.source);
-      obf::obfuscate(prog, row.options);
-      const auto img = codegen::compile(prog, bench::bench_codegen());
+      const auto img = core::compile_image(program.name, program.source,
+                                           row.options,
+                                           bench::bench_opt_level());
       solver::Context ctx;
       gadget::Extractor ex(ctx, img);
       counts[idx++] = ex.extract(nullptr, bench::bench_threads()).size();

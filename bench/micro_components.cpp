@@ -3,14 +3,10 @@
 // substrate costs underlying the stage times in Table VII.
 #include <benchmark/benchmark.h>
 
-#include "codegen/codegen.hpp"
-#include "core/engine.hpp"
-#include "gadget/gadget.hpp"
-#include "corpus/corpus.hpp"
+#include "core/campaign.hpp"
 #include "emu/emu.hpp"
+#include "gadget/gadget.hpp"
 #include "lift/lift.hpp"
-#include "minic/minic.hpp"
-#include "obfuscate/obfuscate.hpp"
 #include "solver/solver.hpp"
 #include "support/rng.hpp"
 #include "sym/exec.hpp"
@@ -21,11 +17,9 @@ namespace {
 using namespace gp;
 
 const image::Image& test_image() {
-  static const image::Image img = [] {
-    auto prog = minic::compile_source(corpus::by_name("hash_table").source);
-    obf::obfuscate(prog, obf::Options::llvm_obf(7));
-    return codegen::compile(prog);
-  }();
+  static const image::Image img =
+      core::compile_image("hash_table", "", obf::Options::llvm_obf(7),
+                          core::Engine::shared().config().opt_level);
   return img;
 }
 

@@ -5,8 +5,6 @@
 // cuts) and — the robustness claim — that every chain that still comes out
 // re-validates in a clean emulator with injection disabled.
 #include "bench_util.hpp"
-#include "codegen/codegen.hpp"
-#include "minic/minic.hpp"
 #include "support/fault.hpp"
 
 int main() {
@@ -41,9 +39,10 @@ int main() {
     u64 pool = 0, skipped = 0, paths_cut = 0, unknown = 0, deadline_cuts = 0;
     int chains_total = 0, valid_total = 0;
     for (const auto& program : programs) {
-      auto prog = minic::compile_source(program.source);
-      obf::obfuscate(prog, obf::Options::llvm_obf(7));
-      const auto img = codegen::compile(prog);
+      const auto img =
+          core::compile_image(program.name, program.source,
+                              obf::Options::llvm_obf(7),
+                              bench::bench_opt_level());
 
       std::optional<fault::ScopedSpec> scoped;
       if (cfg.fault_spec) {
@@ -73,7 +72,7 @@ int main() {
       std::vector<std::pair<payload::Chain, payload::Goal>> found;
       for (const auto& goal : payload::Goal::all())
         for (auto& c : gp.find_chains(goal)) found.emplace_back(c, goal);
-      deadline_cuts += gp.planner_stats().deadline_cuts;
+      deadline_cuts += gp.report().plan.deadline_cuts;
       chains_total += static_cast<int>(found.size());
 
       // The payoff: with injection off, every surviving chain still proves

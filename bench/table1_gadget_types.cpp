@@ -4,8 +4,6 @@
 // every offset until the first control transfer and classify by that
 // terminator (a Jcc followed by an indirect transfer is CIJ, otherwise CDJ).
 #include "bench_util.hpp"
-#include "codegen/codegen.hpp"
-#include "minic/minic.hpp"
 #include "x86/decoder.hpp"
 
 namespace {
@@ -58,17 +56,16 @@ int main() {
   u64 obfuscated[kNumTypes] = {};
 
   for (const auto& program : bench::bench_programs()) {
-    {
-      auto prog = minic::compile_source(program.source);
-      count_types(codegen::compile(prog, bench::bench_codegen()), original);
-    }
-    {
-      // "Obfuscated" aggregates the paper's all-options setting; we follow
-      // with the Tigress profile (all five methods).
-      auto prog = minic::compile_source(program.source);
-      obf::obfuscate(prog, obf::Options::tigress(7));
-      count_types(codegen::compile(prog, bench::bench_codegen()), obfuscated);
-    }
+    count_types(core::compile_image(program.name, program.source,
+                                    obf::Options::none(),
+                                    bench::bench_opt_level()),
+                original);
+    // "Obfuscated" aggregates the paper's all-options setting; we follow
+    // with the Tigress profile (all five methods).
+    count_types(core::compile_image(program.name, program.source,
+                                    obf::Options::tigress(7),
+                                    bench::bench_opt_level()),
+                obfuscated);
   }
 
   std::printf("Table I — gadget types, original vs obfuscated (summed over "

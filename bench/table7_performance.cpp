@@ -6,16 +6,16 @@
 
 #include "bench_util.hpp"
 #include "baselines/baselines.hpp"
-#include "codegen/codegen.hpp"
-#include "minic/minic.hpp"
 
 int main() {
   using namespace gp;
   using Clock = std::chrono::steady_clock;
 
-  auto prog = minic::compile_source(corpus::netperf().source);
-  obf::obfuscate(prog, obf::Options::llvm_obf(2023));
-  const auto img = codegen::compile(prog, bench::bench_codegen());
+  const corpus::ProgramSource& netperf = corpus::netperf();
+  const auto img =
+      core::compile_image(netperf.name, netperf.source,
+                          obf::Options::llvm_obf(2023),
+                          bench::bench_opt_level());
   std::printf("Table VII — per-stage cost on obfuscated netperf-like "
               "(%zu bytes of code, codegen %s)\n\n",
               img.code().size(), bench::opt_label());

@@ -48,6 +48,15 @@ lint "deleted env-reading option helper" \
 lint "deleted analysis knob" \
   "$(grep -rnwE 'ExtractOptions|merge_hash_bits|drop_wild_stores|max_retries|validation_trials|max_plan_gadgets|max_open_goals|max_concretize_failures' \
      src tools bench examples tests || true)"
+# One job path: core::compile_image is the one source -> obfuscate ->
+# compile path and core::plan_goals the one goal loop and result digest
+# (campaign.cpp), so no other program code encodes chains (session.cpp's
+# plan checkpoint aside) or compiles mini-C itself.
+lint "job path outside core::compile_image / core::plan_goals" \
+  "$(grep -rn 'encode_chains(' src tools bench \
+       | grep -vE '^(src/payload/|src/core/(campaign|session)\.cpp:)' || true
+     grep -rnE 'minic::compile_source|codegen::compile\(' src/serve tools bench \
+       || true)"
 [ "$lint_failed" -eq 0 ] || { echo "diagnostics lint failed"; exit 1; }
 echo "diagnostics lint ok"
 

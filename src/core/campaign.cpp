@@ -20,10 +20,6 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-double secs_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
 // JSON escaping is the shared gp::json_escape (support/str.hpp). The old
 // local version emitted a bare backslash before dropping control chars —
 // `"a\nb"` became the invalid literal `a\b` — and is gone.
@@ -31,12 +27,6 @@ double secs_since(Clock::time_point t0) {
 std::string format_double(double v) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%.4f", v);
-  return buf;
-}
-
-std::string hex16(u64 v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
   return buf;
 }
 
@@ -84,6 +74,32 @@ obf::Options profile_by_name(const std::string& name, u64 seed) {
               "encode-data, virtualize, llvm-obf, tigress)");
 }
 
+image::Image compile_image(const std::string& program,
+                           const std::string& source, const obf::Options& obf,
+                           int opt_level) {
+  auto prog = minic::compile_source(
+      source.empty() ? corpus::by_name(program).source : source);
+  obf::obfuscate(prog, obf);
+  codegen::Options copts;
+  copts.opt = codegen::opt_level_from_int(opt_level);
+  return codegen::compile(prog, copts);
+}
+
+void plan_goals(Session& session, const std::vector<payload::Goal>& goals,
+                JobResult& r) {
+  serial::Writer digest;
+  for (const auto& goal : goals) {
+    auto chains = session.find_chains(goal);
+    digest.put_str(goal.name);
+    for (const auto& rec : payload::encode_chains(chains))
+      serial::put_record(digest, rec);
+    r.goal_names.push_back(goal.name);
+    r.chains_per_goal.push_back(static_cast<int>(chains.size()));
+    r.chains.push_back(std::move(chains));
+  }
+  r.result_digest = serial::fnv1a(digest.bytes());
+}
+
 Campaign::Campaign(Engine& engine, Options opts)
     : engine_(engine), opts_(std::move(opts)) {
   opts_.concurrency = std::max(1, opts_.concurrency);
@@ -129,14 +145,8 @@ Campaign::Summary Campaign::run(const std::vector<Job>& jobs) {
   const int engine_level = engine_.config().opt_level;
   for (size_t i = 0; i < jobs.size(); ++i) {
     const Job& job = jobs[i];
-    const std::string& src =
-        job.source.empty() ? corpus::by_name(job.program).source : job.source;
-    auto prog = minic::compile_source(src);
-    obf::obfuscate(prog, job.obf);
     const int level = job.opt_level >= 0 ? job.opt_level : engine_level;
-    codegen::Options copts;
-    copts.opt = codegen::opt_level_from_int(level);
-    images[i] = codegen::compile(prog, copts);
+    images[i] = compile_image(job.program, job.source, job.obf, level);
     sum.results[i].opt_level = level;
   }
 
@@ -163,19 +173,9 @@ Campaign::Summary Campaign::run(const std::vector<Job>& jobs) {
           session.emplace(engine_, std::move(images[i]), popts);
           span.set_session(session->id());
           session->prepare();
-          serial::Writer digest;
-          for (const auto& goal : job.goals) {
-            auto chains = session->find_chains(goal);
-            digest.put_str(goal.name);
-            for (const auto& rec : payload::encode_chains(chains))
-              serial::put_record(digest, rec);
-            r.goal_names.push_back(goal.name);
-            r.chains_per_goal.push_back(static_cast<int>(chains.size()));
-            r.chains.push_back(std::move(chains));
-          }
+          plan_goals(*session, job.goals, r);
           r.stages = session->report();
           r.status = r.stages.worst_status();
-          r.result_digest = serial::fnv1a(digest.bytes());
         });
         if (!thrown.ok()) r.status = thrown;
         r.seconds = secs_since(j0);

@@ -73,9 +73,9 @@ struct JobResult {
   double start_seconds = 0;
   double end_seconds = 0;
 
-  /// fnv1a over the serialized chains of every goal: two runs produced
-  /// identical results iff their digests match, regardless of timing
-  /// noise. The campaign determinism drill compares exactly this.
+  /// fnv1a over the serialized chains of every goal (plan_goals): two runs
+  /// produced identical results iff their digests match, regardless of
+  /// timing noise. The campaign determinism drill compares exactly this.
   u64 result_digest = 0;
 
   /// This job's object in the gp-campaign-v1 "results" array: stage
@@ -84,6 +84,23 @@ struct JobResult {
   /// with '.' replaced by '_' ("plan.expansions" -> "plan_expansions").
   std::string to_json() const;
 };
+
+/// The one source -> obfuscate -> compile path of a job: mini-C `source`
+/// (when empty, corpus program `program`'s source) is obfuscated by `obf`,
+/// then compiled at codegen level `opt_level` (0..2), so the optimizer only
+/// sees obfuscated IR (DESIGN.md "Optimizer pass ordering"). Throws
+/// gp::Error on an unknown program, a compile error or a bad level.
+image::Image compile_image(const std::string& program,
+                           const std::string& source, const obf::Options& obf,
+                           int opt_level);
+
+/// The one goal loop and result digest of a job: plans `goals` on
+/// `session` in order, appending each goal's name, chain count and chains
+/// to `r`, then sets `r.result_digest` to fnv1a over every goal's name
+/// followed by its payload::encode_chains records. Campaign jobs and
+/// gp_serve jobs both digest here, so one spec gets one digest either way.
+void plan_goals(Session& session, const std::vector<payload::Goal>& goals,
+                JobResult& r);
 
 class Campaign {
  public:

@@ -14,12 +14,6 @@ namespace gp::core {
 
 using Clock = std::chrono::steady_clock;
 
-namespace {
-double secs_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-}  // namespace
-
 /// Stage-supervisor retry policy: a stage that fails for a *recoverable*
 /// reason (exhausted counted budget, injected fault, internal error) is
 /// re-run at once, up to kMaxRetries extra attempts, with every counted

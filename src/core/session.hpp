@@ -191,7 +191,6 @@ class Session {
   u64 id() const { return id_; }
 
   const StageReport& report() const { return report_; }
-  const planner::Stats& planner_stats() const { return report_.plan; }
   const gadget::ExtractStats& extract_stats() const { return report_.extract; }
   const subsume::Stats& subsume_stats() const { return report_.subsume; }
   /// The session's governor (never null). Cancel it from another thread to

@@ -62,6 +62,13 @@ const std::vector<Goal>& Goal::all() {
   return goals;
 }
 
+std::vector<Goal> Goal::by_name(const std::string& name) {
+  if (name == "all") return all();
+  for (const Goal& g : all())
+    if (g.name == name) return {g};
+  return {};
+}
+
 namespace {
 
 /// Re-execute a gadget's recorded path on a shared symbolic state,

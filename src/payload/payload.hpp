@@ -46,6 +46,9 @@ struct Goal {
   /// mmap(0, 0x1000, RWX, MAP_PRIVATE|ANON, -1, 0) — needs r10/r8/r9.
   static Goal mmap();
   static const std::vector<Goal>& all();
+  /// The goals a name selects: "all" -> every goal, a goal's name -> that
+  /// goal, anything else -> none.
+  static std::vector<Goal> by_name(const std::string& name);
 };
 
 /// A finished exploit chain.

@@ -14,13 +14,6 @@ namespace gp::serve {
 
 namespace {
 
-/// hex16 without the 0x prefix (filename-safe job ids).
-std::string hex16(u64 v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
 void put_type(serial::Writer& w, MsgType t) {
   w.put_u8(static_cast<u8>(t));
   w.put_u32(kProtocolVersion);

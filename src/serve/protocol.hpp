@@ -87,7 +87,7 @@ struct JobOutcome {
   std::string job_id;
   u8 status_code = 0;  // gp::StatusCode of the worst stage
   std::string status_msg;
-  u64 digest = 0;      // fnv1a over the serialized chains (campaign scheme)
+  u64 digest = 0;      // core::plan_goals' result digest (as a campaign's)
   double seconds = 0;  // analysis wall clock (queue wait excluded)
   /// True when any stage was served from a checkpoint (same-process cache
   /// hit or cross-process resume) — the drill's "resumed warm" signal.

@@ -10,11 +10,7 @@
 #include <chrono>
 #include <cstring>
 
-#include "codegen/codegen.hpp"
 #include "core/campaign.hpp"
-#include "corpus/corpus.hpp"
-#include "minic/minic.hpp"
-#include "payload/serialize.hpp"
 #include "support/fault.hpp"
 #include "support/metrics.hpp"
 #include "support/signal.hpp"
@@ -27,21 +23,10 @@ using Clock = std::chrono::steady_clock;
 
 namespace {
 
-double secs_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
 /// Done records kept for late re-attach before eviction. The artifact store
 /// makes an evicted job cheap to recompute (a resubmit resumes warm), so
 /// this only bounds registry memory, not correctness.
 constexpr size_t kDoneCap = 4096;
-
-std::vector<payload::Goal> resolve_goals(const std::string& name) {
-  if (name == "all") return payload::Goal::all();
-  for (const auto& g : payload::Goal::all())
-    if (g.name == name) return {g};
-  return {};
-}
 
 int close_quiet(int fd) {
   if (fd >= 0) ::close(fd);
@@ -625,16 +610,11 @@ void Server::run_job(const RecordPtr& rec) {
   try {
     trace::Span span("serve:" + rec->id, "job");
 
-    const std::string& src = spec.source.empty()
-                                 ? corpus::by_name(spec.program).source
-                                 : spec.source;
-    auto prog = minic::compile_source(src);
-    obf::obfuscate(prog, core::profile_by_name(spec.obf, spec.seed));
-    codegen::Options copts;
-    copts.opt = codegen::opt_level_from_int(engine_.config().opt_level);
-    image::Image img = codegen::compile(prog, copts);
+    image::Image img = core::compile_image(
+        spec.program, spec.source, core::profile_by_name(spec.obf, spec.seed),
+        engine_.config().opt_level);
 
-    const std::vector<payload::Goal> goals = resolve_goals(spec.goal);
+    const std::vector<payload::Goal> goals = payload::Goal::by_name(spec.goal);
     if (goals.empty()) throw Error("unknown goal '" + spec.goal + "'");
 
     // Per-request budget: the engine's configured governor, overridden by
@@ -660,19 +640,15 @@ void Server::run_job(const RecordPtr& rec) {
       rec->session = &session;
     }
 
-    // Same digest scheme as Campaign: goal name + serialized chains, in
-    // goal order — a served job and a gp_pipeline job over the same spec
-    // must agree byte-for-byte (tier1.sh's kill/restart drill compares
-    // them across daemon generations).
-    serial::Writer digest;
-    for (const auto& goal : goals) {
-      auto chains = session.find_chains(goal);
-      digest.put_str(goal.name);
-      for (const auto& chain_rec : payload::encode_chains(chains))
-        serial::put_record(digest, chain_rec);
-      out.chains_per_goal.emplace_back(goal.name,
-                                       static_cast<u32>(chains.size()));
-    }
+    // core::plan_goals is the campaign's own goal loop and digest, so a
+    // served job and a campaign job over the same spec agree byte for byte
+    // (ServeDaemon.ServedDigestMatchesCampaign checks it; tier1.sh's
+    // kill/restart drill compares digests across daemon generations).
+    core::JobResult planned;
+    core::plan_goals(session, goals, planned);
+    for (size_t g = 0; g < goals.size(); ++g)
+      out.chains_per_goal.emplace_back(
+          planned.goal_names[g], static_cast<u32>(planned.chains_per_goal[g]));
 
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -683,7 +659,7 @@ void Server::run_job(const RecordPtr& rec) {
     const Status worst = rep.worst_status();
     out.status_code = static_cast<u8>(worst.code());
     out.status_msg = worst.message();
-    out.digest = serial::fnv1a(digest.bytes());
+    out.digest = planned.result_digest;
     out.warm = (rep.extract_runs.cache_hits + rep.extract_runs.resumes +
                 rep.subsume_runs.cache_hits + rep.subsume_runs.resumes +
                 rep.plan_runs.cache_hits + rep.plan_runs.resumes) > 0;

@@ -14,12 +14,6 @@ namespace {
 
 constexpr u32 kArtifactMagic = 0x46415047;  // "GPAF"
 
-std::string hex16(u64 v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
-  return buf;
-}
-
 }  // namespace
 
 ArtifactStore::ArtifactStore(std::string dir, u32 version)

@@ -84,6 +84,12 @@ class Deadline {
   Clock::time_point at_{};
 };
 
+/// Seconds on the steady clock since `t0`: the stopwatch behind stage, job
+/// and campaign times.
+inline double secs_since(Deadline::Clock::time_point t0) {
+  return std::chrono::duration<double>(Deadline::Clock::now() - t0).count();
+}
+
 /// Atomic counted budget; lanes consume units concurrently. limit 0 means
 /// unlimited (the common "no governor configured" fast path never touches
 /// the counter's contended cache line beyond one relaxed add).

@@ -17,6 +17,14 @@ inline std::string hex(u64 v) {
   return buf;
 }
 
+/// Sixteen zero-padded hex digits, no 0x prefix: the filename-safe form of
+/// store keys, job ids and result digests.
+inline std::string hex16(u64 v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
 inline std::string hex_byte(u8 v) {
   char buf[8];
   std::snprintf(buf, sizeof buf, "%02x", v);

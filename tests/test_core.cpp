@@ -57,7 +57,7 @@ TEST(Session, FindsChainsOnObfuscatedProgram) {
     EXPECT_TRUE(payload::validate(img, c, payload::Goal::execve(),
                                   image::kStackTop - 0x2000, 0x5eed));
   }
-  EXPECT_GT(gp.planner_stats().validated, 0u);
+  EXPECT_GT(gp.report().plan.validated, 0u);
   EXPECT_GT(gp.report().plan_seconds, 0.0);
 }
 
@@ -524,7 +524,7 @@ TEST(Session, UnreachablePrecheckCountsMicroseconds) {
   Session session(Engine::shared(), codegen::compile(prog));
   for (const auto& goal : payload::Goal::all())
     (void)session.find_chains(goal);
-  EXPECT_GT(session.planner_stats().precheck_us, 0u);
+  EXPECT_GT(session.report().plan.precheck_us, 0u);
 
   const auto snap = metrics::registry().snapshot();
   ASSERT_TRUE(snap.counters.count("plan.precheck_us"));
@@ -592,12 +592,12 @@ TEST(Session, PlanStatusKeepsAnEarlierGoalsCut) {
       {{x86::Reg::RAX, payload::RegTarget::Kind::Const, 60, {}}}};
   EXPECT_TRUE(session.find_chains(set_rax).empty());
   ASSERT_EQ(session.report().plan_status.code(), StatusCode::DeadlineExceeded);
-  EXPECT_EQ(session.planner_stats().deadline_cuts, 1u);
+  EXPECT_EQ(session.report().plan.deadline_cuts, 1u);
 
   // The precheck rejects execve before any search: a clean plan() call.
   EXPECT_TRUE(session.find_chains(payload::Goal::execve()).empty());
-  EXPECT_EQ(session.planner_stats().unreachable_goals, 1u);
-  EXPECT_EQ(session.planner_stats().deadline_cuts, 1u);
+  EXPECT_EQ(session.report().plan.unreachable_goals, 1u);
+  EXPECT_EQ(session.report().plan.deadline_cuts, 1u);
   EXPECT_EQ(session.report().plan_status.code(), StatusCode::DeadlineExceeded);
   EXPECT_EQ(session.report().worst_status().code(),
             StatusCode::DeadlineExceeded);

@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/engine.hpp"
+#include "core/campaign.hpp"
 #include "serve/client.hpp"
 #include "serve/journal.hpp"
 #include "serve/protocol.hpp"
@@ -414,6 +414,61 @@ TEST(ServeDaemon, RestartOnSameStoreResumesWarmWithIdenticalDigest) {
     server.stop(/*drain=*/true);
   }
   std::system(("rm -rf " + dir).c_str());
+}
+
+TEST(ServeDaemon, ServedDigestMatchesCampaign) {
+  // A served job and a campaign job over the same spec share one goal loop
+  // and digest (core::plan_goals), so they must agree byte for byte. Both
+  // run without a store on a fresh default-config Engine with one lane;
+  // the llvm-obf profile makes the tiny program yield chains.
+  struct Case {
+    const char* goal;
+    std::vector<payload::Goal> goals;
+  };
+  const Case cases[] = {{"execve", {payload::Goal::execve()}},
+                        {"all", payload::Goal::all()}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.goal);
+    JobSpec spec = tiny_spec();
+    spec.obf = "llvm-obf";
+    spec.goal = c.goal;
+
+    JobOutcome served;
+    {
+      TestDaemon d(/*queue_limit=*/8, /*max_active=*/1, /*with_store=*/false);
+      auto client = Client::connect(d.sock());
+      ASSERT_TRUE(client.ok()) << client.status().to_string();
+      auto adm = client.value().submit(spec);
+      ASSERT_TRUE(adm.ok()) << adm.status().to_string();
+      auto outcome = client.value().wait_result();
+      ASSERT_TRUE(outcome.ok()) << outcome.status().to_string();
+      served = outcome.value();
+    }
+
+    core::Engine engine{Config{}};
+    core::Job job;
+    job.program = spec.program;
+    job.source = spec.source;
+    job.obf = core::profile_by_name(spec.obf, spec.seed);
+    job.goals = c.goals;
+    core::Campaign::Options copts;
+    copts.pipeline = core::PipelineOptions::from(engine.config());
+    const auto sum = core::Campaign(engine, copts).run({job});
+    ASSERT_EQ(sum.results.size(), 1u);
+    const core::JobResult& r = sum.results[0];
+
+    EXPECT_EQ(static_cast<StatusCode>(served.status_code), StatusCode::Ok);
+    EXPECT_TRUE(r.status.ok()) << r.status.to_string();
+    EXPECT_EQ(served.digest, r.result_digest);
+    ASSERT_EQ(served.chains_per_goal.size(), c.goals.size());
+    ASSERT_EQ(r.chains_per_goal.size(), c.goals.size());
+    for (size_t g = 0; g < c.goals.size(); ++g) {
+      EXPECT_EQ(served.chains_per_goal[g].first, c.goals[g].name);
+      EXPECT_EQ(static_cast<int>(served.chains_per_goal[g].second),
+                r.chains_per_goal[g]);
+    }
+    EXPECT_GT(r.total_chains(), 0);
+  }
 }
 
 TEST(ServeDaemon, SocketFaultsDegradeRequestsNeverTheDaemon) {

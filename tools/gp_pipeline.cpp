@@ -35,8 +35,6 @@
 
 #include "codegen/codegen.hpp"
 #include "core/campaign.hpp"
-#include "corpus/corpus.hpp"
-#include "minic/minic.hpp"
 #include "support/metrics.hpp"
 #include "support/serial.hpp"
 #include "support/trace.hpp"
@@ -163,14 +161,8 @@ int main(int argc, char** argv) {
 
   core::Engine& engine = core::Engine::shared();
 
-  std::vector<payload::Goal> goals;
-  if (goal_name == "all") {
-    goals = payload::Goal::all();
-  } else {
-    for (const auto& g : payload::Goal::all())
-      if (g.name == goal_name) goals.push_back(g);
-    if (goals.empty()) return usage(argv[0]);
-  }
+  const std::vector<payload::Goal> goals = payload::Goal::by_name(goal_name);
+  if (goals.empty()) return usage(argv[0]);
 
   if (campaign_mode) {
     // --opt-levels fans a third campaign axis; unset leaves one job per
@@ -247,12 +239,9 @@ int main(int argc, char** argv) {
     }
     img = std::move(loaded.value());
   } else {
-    auto prog = minic::compile_source(corpus::by_name(program).source);
-    obf::obfuscate(prog,
-                   core::profile_by_name(obf_name, static_cast<u64>(seed)));
-    codegen::Options copts;
-    copts.opt = codegen::opt_level_from_int(engine.config().opt_level);
-    img = codegen::compile(prog, copts);
+    img = core::compile_image(
+        program, "", core::profile_by_name(obf_name, static_cast<u64>(seed)),
+        engine.config().opt_level);
   }
   if (!save_image_path.empty()) {
     const Status st = image::save_file(img, save_image_path);
