@@ -4,6 +4,12 @@
 // cut (skipped offsets, cut paths, UNKNOWN solver answers, planner deadline
 // cuts) and — the robustness claim — that every chain that still comes out
 // re-validates in a clean emulator with injection disabled.
+//
+// Sessions run on a private one-lane engine, whatever GP_THREADS says: the
+// fault harness numbers each point's trials with one process-wide counter,
+// so on several lanes extraction and subsumption reach the fault points in
+// scheduling order and the faulted rows would differ from run to run. On
+// one lane every row is reproducible.
 #include "bench_util.hpp"
 #include "support/fault.hpp"
 
@@ -26,6 +32,10 @@ int main() {
       {"governed + faults s=33", true,
        "decode=0.002,solver=0.05,emu=0.0005,alloc=0.0002", 33},
   };
+
+  gp::Config one_lane = core::Engine::shared().config();
+  one_lane.threads = 1;
+  core::Engine engine(one_lane);
 
   const auto programs = bench::bench_programs();
   std::printf("Robustness — governed/faulted pipeline over %zu obfuscated "
@@ -51,7 +61,8 @@ int main() {
         scoped.emplace(spec);
       }
 
-      core::PipelineOptions popts = bench::bench_pipeline();
+      core::PipelineOptions popts =
+          core::PipelineOptions::from(engine.config());
       if (cfg.governed) {
         popts.governor.deadline_seconds = 20.0;
         popts.governor.max_solver_checks = 3'000;
@@ -62,7 +73,7 @@ int main() {
       popts.plan.time_budget_seconds = 8;
       // Sessions stay sequential here: the fault scope is process-global,
       // so each program's injected run must not overlap another's.
-      core::Session gp(core::Engine::shared(), img, popts);
+      core::Session gp(engine, img, popts);
       gp.prepare();
       pool += gp.library().size();
       skipped += gp.extract_stats().offsets_skipped;

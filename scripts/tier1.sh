@@ -152,6 +152,30 @@ print(f'campaign: {par["jobs"]} jobs ok, '
       f'4-way digests == sequential digests')
 PY
 
+echo "== tier-1: SAT identity (campaign digests == perfbench reference) =="
+# Every chain comes out of the SAT core's decisions and models, so a change
+# to the search (decision order, learned clauses, models) shows as a
+# changed result digest. The sequential llvm-obf campaign must reproduce
+# the digest.* lines of perfbench/reference/obf-plan.txt (read only): both
+# are fnv1a over the goal name and encode_chains of each job's chains.
+rc=0
+GP_THREADS=1 "$PIPELINE" --campaign --profiles llvm-obf --seed 7 --jobs 4 \
+  --goal execve --summary "$KR_TMP/sat-identity.json" >/dev/null || rc=$?
+[ "$rc" -eq 0 ] || [ "$rc" -eq 3 ]
+python3 - "$KR_TMP/sat-identity.json" perfbench/reference/obf-plan.txt <<'PY'
+import json, sys
+summary = json.load(open(sys.argv[1]))
+ref = {}
+for line in open(sys.argv[2]):
+    key, _, value = line.strip().partition(" ")
+    if key.startswith("digest."):
+        ref[key[len("digest."):]] = value
+got = {r["program"]: r["digest"] for r in summary["results"]}
+diff = sorted(set(got.items()) ^ set(ref.items()))
+assert ref and got == ref, f"SAT search changed campaign digests: {diff}"
+print(f"SAT identity: {len(got)} llvm-obf digests == perfbench reference")
+PY
+
 echo "== tier-1: planner index drill =="
 # Three claims over the campaign run:
 #  1. Unreachable goals fail fast: any job the reachability precheck

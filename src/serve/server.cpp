@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <optional>
 
 #include "core/campaign.hpp"
 #include "support/fault.hpp"
@@ -151,7 +152,6 @@ void Server::apply_replay(ReplayResult replay) {
       // it workers: pin a terminal `poisoned` answer that dedupe and
       // attach will serve, and that compaction keeps across restarts.
       rec->state = JobRecord::State::Done;
-      rec->stage = "done";
       rec->quarantined = true;
       rec->outcome.job_id = rec->id;
       rec->outcome.status_code = static_cast<u8>(StatusCode::Internal);
@@ -169,7 +169,6 @@ void Server::apply_replay(ReplayResult replay) {
       // them means a resubmit re-runs warm from the artifact store.
       if (job.done_status == static_cast<u8>(StatusCode::Cancelled)) continue;
       rec->state = JobRecord::State::Done;
-      rec->stage = "done";
       rec->outcome.job_id = rec->id;
       rec->outcome.status_code = job.done_status;
       rec->outcome.status_msg =
@@ -513,10 +512,13 @@ Server::RecordPtr Server::handle_attach(int fd, const std::string& job_id,
 
 bool Server::stream_job(int fd, const RecordPtr& rec) {
   u64 seen_gen = 0;
-  std::string last_stage_sent;
+  // Stages rec->stages[0, sent) are sent or skipped. The first wake-up
+  // starts at the current stage (none for a finished job); from then on
+  // every stage the job enters is sent, in order.
+  std::optional<size_t> sent;
   for (;;) {
     JobRecord::State state;
-    std::string stage;
+    std::vector<std::string> stages;
     JobOutcome outcome;
     {
       std::unique_lock<std::mutex> lock(mu_);
@@ -527,8 +529,20 @@ bool Server::stream_job(int fd, const RecordPtr& rec) {
         return false;
       seen_gen = rec->gen;
       state = rec->state;
-      stage = rec->stage;
+      const size_t n = rec->stages.size();
+      if (!sent) sent = state == JobRecord::State::Done ? n : n - 1;
+      stages.assign(rec->stages.begin() + *sent, rec->stages.end());
+      sent = n;
       if (state == JobRecord::State::Done) outcome = rec->outcome;
+    }
+    for (const std::string& stage : stages) {
+      if (!write_frame(fd, make_progress(rec->id, stage)).ok()) {
+        // Client went away mid-stream. The job is NOT cancelled — the
+        // worker finishes it into the registry/store and a later kAttach
+        // (or identical resubmit) picks the result up.
+        metrics::registry().counter("serve.disconnects").add();
+        return false;
+      }
     }
     if (state == JobRecord::State::Done) {
       if (!write_frame(fd, make_result(outcome)).ok()) {
@@ -537,16 +551,6 @@ bool Server::stream_job(int fd, const RecordPtr& rec) {
       }
       metrics::registry().counter("serve.results_streamed").add();
       return true;
-    }
-    if (stage != last_stage_sent) {
-      if (!write_frame(fd, make_progress(rec->id, stage)).ok()) {
-        // Client went away mid-stream. The job is NOT cancelled — the
-        // worker finishes it into the registry/store and a later kAttach
-        // (or identical resubmit) picks the result up.
-        metrics::registry().counter("serve.disconnects").add();
-        return false;
-      }
-      last_stage_sent = stage;
     }
   }
 }
@@ -566,7 +570,7 @@ void Server::worker_loop() {
       rec = queue_.front();
       queue_.pop_front();
       rec->state = JobRecord::State::Active;
-      rec->stage = "starting";
+      rec->stages.emplace_back("starting");
       rec->gen++;
       active_++;
       // Durable BEFORE the work begins: if this process dies mid-job, the
@@ -587,7 +591,7 @@ void Server::worker_loop() {
 void Server::set_stage(const RecordPtr& rec, const char* stage) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    rec->stage = stage;
+    rec->stages.emplace_back(stage);
     rec->gen++;
   }
   cv_.notify_all();
@@ -689,7 +693,6 @@ void Server::finish_job(const RecordPtr& rec, JobOutcome outcome) {
     std::lock_guard<std::mutex> lock(mu_);
     rec->outcome = std::move(outcome);
     rec->state = JobRecord::State::Done;
-    rec->stage = "done";
     rec->gen++;
     active_--;
     reg.gauge("serve.active").set(active_);

@@ -145,7 +145,10 @@ class Server {
     JobSpec spec;
     std::string id;
     enum class State : u8 { Queued, Active, Done } state = State::Queued;
-    std::string stage = "queued";
+    /// Every stage the job has entered, in order. A streamer sends each
+    /// stage it has not sent yet, so one that starts and ends between two
+    /// of its wake-ups is still reported.
+    std::vector<std::string> stages{"queued"};
     /// Bumped (under mu_) on every observable change; streamers wait on
     /// cv_ for it to advance.
     u64 gen = 1;

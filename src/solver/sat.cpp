@@ -16,7 +16,7 @@ u32 Sat::new_var() {
   watches_.emplace_back();
   watches_.emplace_back();
   heap_pos_.push_back(kNotInHeap);
-  heap_insert(v);
+  if (heap_built_) heap_insert(v);
   return v;
 }
 
@@ -24,6 +24,16 @@ void Sat::heap_insert(u32 v) {
   heap_pos_[v] = static_cast<u32>(heap_.size());
   heap_.push_back(v);
   sift_up(heap_pos_[v]);
+}
+
+void Sat::build_heap() {
+  heap_built_ = true;
+  heap_.reserve(assign_.size());
+  for (u32 v = 0; v < assign_.size(); ++v) {
+    if (assign_[v] != 2) continue;
+    heap_pos_[v] = static_cast<u32>(heap_.size());
+    heap_.push_back(v);
+  }
 }
 
 void Sat::sift_up(u32 pos) {
@@ -59,17 +69,23 @@ bool Sat::add_clause(std::span<const Lit> in) {
   if (unsat_) return false;
   GP_CHECK(trail_lim_.empty(), "add_clause only at decision level 0");
 
-  // Deduplicate; drop clauses containing both l and ~l (tautology) or
-  // literals already false at level 0. The kept literals are compacted to
-  // the front of scratch_, in sorted order.
-  scratch_.assign(in.begin(), in.end());
-  std::sort(scratch_.begin(), scratch_.end(),
-            [](Lit a, Lit b) { return a.code < b.code; });
+  // Copy into scratch_ sorted by code (insertion sort: blasted clauses
+  // have two or three literals), then deduplicate; drop clauses containing
+  // both l and ~l (tautology) or literals already false at level 0. The
+  // kept literals are compacted to the front of scratch_, in sorted order.
+  const size_t m = in.size();
+  if (scratch_.size() < m) scratch_.resize(m);
+  for (size_t i = 0; i < m; ++i) {
+    size_t j = i;
+    for (; j > 0 && scratch_[j - 1].code > in[i].code; --j)
+      scratch_[j] = scratch_[j - 1];
+    scratch_[j] = in[i];
+  }
   size_t n = 0;
   Lit prev{kNoReason};
-  for (size_t i = 0; i < scratch_.size(); ++i) {
+  for (size_t i = 0; i < m; ++i) {
     const Lit l = scratch_[i];
-    if (i + 1 < scratch_.size() && scratch_[i + 1].code == (l.code ^ 1))
+    if (i + 1 < m && scratch_[i + 1].code == (l.code ^ 1))
       return true;  // tautology
     if (l == prev) continue;
     prev = l;
@@ -101,9 +117,23 @@ u32 Sat::store(std::span<const Lit> ls, bool learned) {
   clauses_.push_back({static_cast<u32>(arena_.size()),
                       static_cast<u32>(ls.size()), learned});
   arena_.insert(arena_.end(), ls.begin(), ls.end());
-  watches_[(~ls[0]).code].push_back({idx, ls[1]});
-  watches_[(~ls[1]).code].push_back({idx, ls[0]});
+  watch((~ls[0]).code, {idx, ls[1]});
+  watch((~ls[1]).code, {idx, ls[0]});
   return idx;
+}
+
+void Sat::watch(u32 code, Watch w) {
+  WatchList& wl = watches_[code];
+  if (wl.size == wl.cap) {
+    const size_t start = pool_.size();
+    const u32 cap = wl.cap ? 2 * wl.cap : 4;
+    GP_CHECK(start + cap <= 0xffffffffu, "watch pool full");
+    pool_.resize(start + cap);
+    std::copy_n(pool_.begin() + wl.start, wl.size, pool_.begin() + start);
+    wl.start = static_cast<u32>(start);
+    wl.cap = cap;
+  }
+  pool_[wl.start + wl.size++] = w;
 }
 
 void Sat::enqueue(Lit l, u32 reason) {
@@ -117,12 +147,15 @@ void Sat::enqueue(Lit l, u32 reason) {
 u32 Sat::propagate() {
   while (qhead_ < trail_.size()) {
     const Lit p = trail_[qhead_++];  // p became true; scan watches of p
-    auto& ws = watches_[p.code];
-    size_t keep = 0;
-    for (size_t i = 0; i < ws.size(); ++i) {
-      const Watch w = ws[i];
+    // p's list neither moves nor grows during its own scan (every push
+    // below goes to another literal's list), but a push can reallocate the
+    // pool, so the scan indexes it from ws.
+    const u32 ws = watches_[p.code].start, n = watches_[p.code].size;
+    u32 keep = 0;
+    for (u32 i = 0; i < n; ++i) {
+      const Watch w = pool_[ws + i];
       if (value(w.blocker) == 1) {
-        ws[keep++] = w;
+        pool_[ws + keep++] = w;
         continue;
       }
       Lit* c = lits(w.clause);
@@ -130,7 +163,7 @@ u32 Sat::propagate() {
       // Ensure the false literal (~p) is at position 1.
       if (c[0] == ~p) std::swap(c[0], c[1]);
       if (value(c[0]) == 1) {
-        ws[keep++] = {w.clause, c[0]};
+        pool_[ws + keep++] = {w.clause, c[0]};
         continue;
       }
       // Look for a new literal to watch.
@@ -138,24 +171,24 @@ u32 Sat::propagate() {
       for (u32 k = 2; k < size; ++k) {
         if (value(c[k]) != 0) {
           std::swap(c[1], c[k]);
-          watches_[(~c[1]).code].push_back({w.clause, c[0]});
+          watch((~c[1]).code, {w.clause, c[0]});
           moved = true;
           break;
         }
       }
       if (moved) continue;
       // Unit or conflict.
-      ws[keep++] = w;
+      pool_[ws + keep++] = w;
       if (value(c[0]) == 0) {
         // Conflict: copy the remaining watches and report.
-        for (size_t j = i + 1; j < ws.size(); ++j) ws[keep++] = ws[j];
-        ws.resize(keep);
+        for (u32 j = i + 1; j < n; ++j) pool_[ws + keep++] = pool_[ws + j];
+        watches_[p.code].size = keep;
         qhead_ = trail_.size();
         return w.clause;
       }
       enqueue(c[0], w.clause);
     }
-    ws.resize(keep);
+    watches_[p.code].size = keep;
   }
   return kNoReason;
 }
@@ -242,6 +275,13 @@ void Sat::backtrack(u32 target) {
 }
 
 Lit Sat::decide() {
+  if (!heap_built_) {
+    // Index order: every variable below the cursor is assigned.
+    while (next_var_ < assign_.size() && assign_[next_var_] != 2) ++next_var_;
+    if (next_var_ == assign_.size()) return {kNoReason};
+    const u32 v = next_var_;
+    return polarity_[v] ? Lit::pos(v) : Lit::neg(v);
+  }
   // Pop the top until it is unassigned: variables assigned since they
   // were inserted are removed lazily, here.
   while (!heap_.empty()) {
@@ -273,6 +313,7 @@ SatResult Sat::solve(i64 conflict_budget, const Governor* governor) {
     }
     const u32 confl = propagate();
     if (confl != kNoReason) {
+      if (!heap_built_) build_heap();
       ++conflicts_;
       ++conflicts_since_restart;
       if (conflict_budget >= 0 &&

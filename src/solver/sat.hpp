@@ -10,18 +10,34 @@
 // unassigned variable with the highest activity, the lowest index among
 // equals. Every decision, and with it every conflict, learned clause and
 // model, depends on that tie-break, so the heap must keep it exactly:
-//  - every unassigned variable is in the heap (new_var inserts, backtrack
-//    reinserts); assigned ones may linger and are popped lazily by decide;
+//  - once built, every unassigned variable is in the heap (new_var
+//    inserts, backtrack reinserts); assigned ones may linger and are
+//    popped lazily by decide;
 //  - bump() only raises an activity, so a sift-up restores the order;
 //  - the 1e100 activity rescale can merge distinct activities into ties
 //    (or underflow them to 0), which can invert two entries under the
 //    index tie-break, so it rebuilds the heap.
+// The heap is built lazily, at the first conflict. Until then every
+// activity is 0, so the order is plain index order, and decide takes the
+// lowest-index unassigned variable from a forward cursor (nothing is
+// unassigned below it: only a conflict backtracks). At the first conflict,
+// before analyze bumps anything, the unassigned variables go into the heap
+// in index order, which is a valid heap when all activities are equal.
+// Because before() is a strict total order, decide returns the variable the
+// eagerly built heap would, whatever the heap's shape. Most bit-blasted
+// queries never conflict, so they do no heap work at all.
 //
 // Clause storage is flat (MiniSat's clause arena): every clause, original
 // or learned, is a run of literals in one arena plus a {start, size,
 // learned} header, so adding a clause allocates nothing once the arena has
-// grown. The search depends on the storage only through three orders,
-// which the arena keeps exactly:
+// grown. Watch lists are flat too: one pool of watches plus a {start,
+// size, cap} header per literal. A list that fills is moved to the pool's
+// end with doubled capacity (its old slots are left unused), so a query
+// allocates its watches in a few large blocks and frees them in as many.
+// propagate() indexes the pool and never holds a pointer into it, since a
+// push to another list can reallocate the pool; it never pushes to the
+// list it is scanning. The search depends on the storage only through
+// three orders, which the arena and the pool keep exactly:
 //  - clause index order: clause i is the i-th clause stored (units and
 //    clauses dropped by normalisation take no index), and watches name
 //    clauses by index;
@@ -29,7 +45,8 @@
 //    duplicates and level-0-false literals removed; propagation reorders
 //    them in place, only by swaps;
 //  - watch push order: a new clause pushes its watch for lits[0] before
-//    the one for lits[1], each at the back of the watched literal's list.
+//    the one for lits[1], each at the back of the watched literal's list,
+//    and moving a list keeps its order.
 #pragma once
 
 #include <initializer_list>
@@ -96,6 +113,13 @@ class Sat {
     u32 clause;
     Lit blocker;
   };
+  /// A literal's watches are pool_[start, start + size); the list owns
+  /// cap slots from start.
+  struct WatchList {
+    u32 start = 0;
+    u32 size = 0;
+    u32 cap = 0;
+  };
 
   // assign_: 0 = false, 1 = true, 2 = unassigned.
   i8 value(Lit l) const {
@@ -107,6 +131,8 @@ class Sat {
   /// Store `ls` (size >= 2) as the next clause and watch its first two
   /// literals; returns its index.
   u32 store(std::span<const Lit> ls, bool learned);
+  /// Append `w` to the watch list of literal code `code`.
+  void watch(u32 code, Watch w);
   void enqueue(Lit l, u32 reason);
   u32 propagate();  // returns conflicting clause index or kNoReason
   /// Build the 1-UIP clause of conflict `confl` in learnt_.
@@ -123,6 +149,8 @@ class Sat {
            (activity_[a] == activity_[b] && a < b);
   }
   void heap_insert(u32 v);
+  /// The first conflict's switch from the index cursor to the heap.
+  void build_heap();
   void sift_up(u32 pos);
   void sift_down(u32 pos);
 
@@ -130,7 +158,8 @@ class Sat {
   std::vector<Clause> clauses_;
   std::vector<Lit> scratch_;  // add_clause's normalised copy
   std::vector<Lit> learnt_;   // analyze's learned clause
-  std::vector<std::vector<Watch>> watches_;  // indexed by Lit.code
+  std::vector<Watch> pool_;
+  std::vector<WatchList> watches_;  // indexed by Lit.code
   std::vector<i8> assign_;
   std::vector<u32> level_;
   std::vector<u32> reason_;
@@ -141,6 +170,8 @@ class Sat {
   double activity_inc_ = 1.0;
   std::vector<u32> heap_;      // variables, heap-ordered by before()
   std::vector<u32> heap_pos_;  // indexed by variable
+  bool heap_built_ = false;    // false until the first conflict
+  u32 next_var_ = 0;  // decide's cursor while !heap_built_
   std::vector<u8> seen_;
   std::vector<u8> polarity_;  // phase saving
   u64 conflicts_ = 0;

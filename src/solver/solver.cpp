@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 
 #include "support/fault.hpp"
 #include "support/metrics.hpp"
@@ -25,18 +26,33 @@ void count_outcome(SatResult r) {
   }
 }
 
-/// The check-latency histogram of a caller tag; nullptr for untagged.
-metrics::Histogram* check_us(Caller c) {
-  static metrics::Histogram& subsume =
-      metrics::registry().histogram("solver.subsume.check_us");
-  static metrics::Histogram& concretize =
-      metrics::registry().histogram("solver.concretize.check_us");
+/// A caller tag's latency histograms: the whole query, blasting the
+/// constraints and variables, and the SAT search.
+struct Timings {
+  metrics::Histogram& check_us;
+  metrics::Histogram& blast_us;
+  metrics::Histogram& solve_us;
+  explicit Timings(const std::string& caller)
+      : check_us(metrics::registry().histogram(caller + ".check_us")),
+        blast_us(metrics::registry().histogram(caller + ".blast_us")),
+        solve_us(metrics::registry().histogram(caller + ".solve_us")) {}
+};
+
+/// The histograms of a caller tag; nullptr for untagged.
+const Timings* timings(Caller c) {
+  static const Timings subsume("solver.subsume");
+  static const Timings concretize("solver.concretize");
   switch (c) {
     case Caller::Subsume: return &subsume;
     case Caller::Concretize: return &concretize;
     case Caller::None: break;
   }
   return nullptr;
+}
+
+u64 micros(std::chrono::steady_clock::duration d) {
+  return static_cast<u64>(
+      std::chrono::duration_cast<std::chrono::microseconds>(d).count());
 }
 
 }  // namespace
@@ -77,9 +93,11 @@ SatResult Solver::check(std::span<const ExprRef> constraints, Model* model) {
   if (fault::enabled() && fault::should_fire(fault::Point::Solver))
     return unknown();
 
-  // The latency observation covers the whole query: blasting, the solve,
-  // model extraction and freeing the CNF.
-  const auto t0 = std::chrono::steady_clock::now();
+  // check_us covers the whole query: blasting, the solve, model extraction
+  // and freeing the CNF; blast_us and solve_us time the first two.
+  using Clock = std::chrono::steady_clock;
+  const auto t0 = Clock::now();
+  Clock::time_point blasted, solved;
   SatResult r = SatResult::Unknown;
   Model m;
   {
@@ -95,15 +113,17 @@ SatResult Solver::check(std::span<const ExprRef> constraints, Model* model) {
     // add clauses mid-model.
     for (const ExprRef v : vars) (void)bb.model_value(v);
 
+    blasted = Clock::now();
     r = bb.solve(conflict_budget_, governor_);
+    solved = Clock::now();
     if (r == SatResult::Sat && model)
       for (const ExprRef v : vars) m[v] = bb.model_value(v);
   }
-  if (metrics::Histogram* h = check_us(caller_))
-    h->observe(static_cast<u64>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count()));
+  if (const Timings* t = timings(caller_)) {
+    t->check_us.observe(micros(Clock::now() - t0));
+    t->blast_us.observe(micros(blasted - t0));
+    t->solve_us.observe(micros(solved - blasted));
+  }
   if (r == SatResult::Unknown) return unknown();
   count_outcome(r);
   if (r == SatResult::Sat && model) *model = std::move(m);

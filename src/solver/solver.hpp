@@ -25,7 +25,10 @@ using Model = std::unordered_map<ExprRef, u64>;
 
 /// The pipeline layer issuing a Solver's queries. A tagged solver times
 /// each query that reaches the bit-blaster (not the constant fast path)
-/// into the `solver.<caller>.check_us` histogram.
+/// into the `solver.<caller>.check_us` histogram (the whole query), and
+/// its phases into `solver.<caller>.blast_us` (blasting the constraints
+/// and variables) and `solver.<caller>.solve_us` (the SAT search). What
+/// check_us holds beyond the two is the model read and freeing the CNF.
 enum class Caller : u8 { None, Subsume, Concretize };
 
 class Solver {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
+#include <new>
 #include <optional>
 #include <span>
 #include <string>
@@ -11,11 +13,59 @@
 #include "solver/solver.hpp"
 #include "support/fault.hpp"
 #include "support/governor.hpp"
+#include "support/metrics.hpp"
 #include "support/rng.hpp"
 #include "support/serial.hpp"
 
+// Every operator new on this thread bumps a thread-local counter, so a test
+// can count the allocations one call makes (AllocationCount below). The
+// replacements cover the plain and nothrow forms and their deletes, which
+// must pair up: all of them go through malloc/free. (GCC flags free() in
+// a replaced operator delete once it inlines it next to operator new.)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+namespace {
+thread_local gp::u64 t_news = 0;
+void* counted_new(std::size_t n) noexcept {
+  ++t_news;
+  return std::malloc(n ? n : 1);
+}
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = counted_new(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_new(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_new(n);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  ::operator delete(p);
+}
+#pragma GCC diagnostic pop
+
 namespace gp::solver {
 namespace {
+
+/// The operator new calls made on this thread since construction.
+class AllocationCount {
+ public:
+  u64 calls() const { return t_news - start_; }
+
+ private:
+  u64 start_ = t_news;
+};
 
 class ExprTest : public ::testing::Test {
  protected:
@@ -834,6 +884,148 @@ TEST(SatCore, RandomAgainstBruteForce) {
   }
 }
 
+/// Every clause of `clauses` holds under s's model.
+bool model_satisfies(const Sat& s, const std::vector<std::vector<Lit>>& clauses) {
+  for (const auto& c : clauses)
+    if (std::none_of(c.begin(), c.end(), [&](Lit l) {
+          return s.model_value(l.var()) != l.sign();
+        }))
+      return false;
+  return true;
+}
+
+/// fnv1a over the model's bits, variable by variable.
+u64 model_hash(const Sat& s) {
+  std::vector<u8> bits(s.num_vars());
+  for (u32 v = 0; v < s.num_vars(); ++v) bits[v] = s.model_value(v);
+  return serial::fnv1a(bits);
+}
+
+/// One literal watched by 1,200 clauses (p | a_i | b_{i%8}). The first
+/// decision sets p false and scans p's watches; every clause moves its
+/// watch to one of eight ~b lists, which take 150 pushes each and so grow
+/// (and move) several times in the middle of that scan. The at-most-one
+/// over b and the exclusions (~a_i | ~a_{i+8}) then force conflicts,
+/// learned clauses and backtracks over the moved lists, until the solver
+/// learns p. The conflict count and model hash were recorded from the
+/// per-literal watch vectors that the watch pool replaced.
+TEST(SatCore, WatchListsRelocateDuringPropagation) {
+  constexpr int kClauses = 1'200, kBuckets = 8;
+  Sat s;
+  const u32 p = s.new_var();
+  std::vector<u32> a(kClauses), b(kBuckets);
+  for (u32& v : a) v = s.new_var();
+  for (u32& v : b) v = s.new_var();
+  std::vector<std::vector<Lit>> clauses;
+  for (int i = 0; i < kClauses; ++i)
+    clauses.push_back(
+        {Lit::pos(p), Lit::pos(a[i]), Lit::pos(b[i % kBuckets])});
+  for (int j = 0; j < kBuckets; ++j)
+    for (int k = j + 1; k < kBuckets; ++k)
+      clauses.push_back({Lit::neg(b[j]), Lit::neg(b[k])});
+  for (int i = 0; i + kBuckets < kClauses; i += 3)
+    clauses.push_back({Lit::neg(a[i]), Lit::neg(a[i + kBuckets])});
+  for (const auto& c : clauses) ASSERT_TRUE(s.add_clause(c));
+
+  ASSERT_EQ(s.solve(), SatResult::Sat);
+  EXPECT_TRUE(model_satisfies(s, clauses));
+  EXPECT_TRUE(s.model_value(p));
+  EXPECT_EQ(s.num_conflicts(), 2u);
+  EXPECT_EQ(model_hash(s), 11099912312383202993u);
+}
+
+/// Before the first conflict every activity is 0, so the search decides
+/// the lowest-index unassigned variable, with its initial phase false.
+/// A monotone instance (positive literals only) never conflicts: each
+/// decision only forces other variables true. Its model must equal that
+/// greedy order computed here. A second family puts a random 3-SAT core
+/// on the highest indices, behind ~400 conflict-free variables, so its
+/// first conflict comes after hundreds of decisions; its conflict total
+/// and model hash were recorded from the eager order heap.
+TEST(SatCore, ConflictFreeSearchDecidesByIndex) {
+  Rng rng(733);
+  constexpr int kFree = 400;
+  // Positive clauses of 2..4 literals over [0, kFree).
+  auto monotone = [&](std::vector<std::vector<Lit>>& out, int n) {
+    for (int c = 0; c < n; ++c) {
+      std::vector<Lit> lits;
+      const int len = 2 + static_cast<int>(rng.below(3));
+      for (int k = 0; k < len; ++k)
+        lits.push_back(Lit::pos(static_cast<u32>(rng.below(kFree))));
+      out.push_back(std::move(lits));
+    }
+  };
+  {
+    std::vector<std::vector<Lit>> clauses;
+    monotone(clauses, 600);
+    Sat s;
+    for (int v = 0; v < kFree; ++v) s.new_var();
+    for (const auto& c : clauses) ASSERT_TRUE(s.add_clause(c));
+    ASSERT_EQ(s.solve(), SatResult::Sat);
+    EXPECT_EQ(s.num_conflicts(), 0u);
+
+    // Lowest index first, false; a clause left with one unassigned
+    // literal and no true one forces it true. Forcing true makes no
+    // literal false, so one pass over the decided variable's clauses
+    // finds every forced one.
+    std::vector<std::vector<int>> occurs(kFree);
+    for (size_t i = 0; i < clauses.size(); ++i)
+      for (const Lit l : clauses[i]) occurs[l.var()].push_back(int(i));
+    std::vector<int> val(kFree, -1);
+    for (int v = 0; v < kFree; ++v) {
+      if (val[v] != -1) continue;
+      val[v] = 0;
+      for (const int i : occurs[v]) {
+        int open = -1, unassigned = 0;
+        bool sat = false;
+        for (const Lit l : clauses[i]) {
+          if (val[l.var()] == 1) sat = true;
+          if (val[l.var()] == -1 && open != int(l.var())) {
+            open = int(l.var());
+            ++unassigned;
+          }
+        }
+        if (!sat && unassigned == 1) val[open] = 1;
+      }
+    }
+    for (int v = 0; v < kFree; ++v)
+      ASSERT_EQ(s.model_value(v), val[v] == 1) << "var " << v;
+  }
+
+  constexpr int kInstances = 8, kCore = 100, kCoreClauses = 410;
+  u64 conflicts = 0, models = serial::fnv1a({});
+  int sat = 0;
+  for (int inst = 0; inst < kInstances; ++inst) {
+    std::vector<std::vector<Lit>> clauses;
+    monotone(clauses, 600);
+    for (int c = 0; c < kCoreClauses; ++c) {
+      std::vector<Lit> lits;
+      for (int k = 0; k < 3; ++k) {
+        const u32 var = kFree + static_cast<u32>(rng.below(kCore));
+        lits.push_back(rng.chance(0.5) ? Lit::pos(var) : Lit::neg(var));
+      }
+      clauses.push_back(std::move(lits));
+    }
+    Sat s;
+    for (int v = 0; v < kFree + kCore; ++v) s.new_var();
+    bool consistent = true;
+    for (const auto& c : clauses) consistent = s.add_clause(c) && consistent;
+    if (!consistent) continue;
+    const SatResult r = s.solve();
+    ASSERT_NE(r, SatResult::Unknown);
+    conflicts += s.num_conflicts();
+    if (r != SatResult::Sat) continue;
+    ++sat;
+    EXPECT_TRUE(model_satisfies(s, clauses));
+    std::vector<u8> bits(kFree + kCore);
+    for (int v = 0; v < kFree + kCore; ++v) bits[v] = s.model_value(v);
+    models = serial::fnv1a(bits, models);
+  }
+  EXPECT_EQ(sat, 6);
+  EXPECT_EQ(conflicts, 1'270u);
+  EXPECT_EQ(models, 16073033449851781877u);
+}
+
 // ---------------------------------------------------------------------------
 // Bit-blasting solver
 // ---------------------------------------------------------------------------
@@ -937,6 +1129,50 @@ TEST_F(SolverTest, BitblastEncodingPinned) {
     EXPECT_EQ(bl.conflicts, 929u);
     EXPECT_EQ(bl.model, 13233312698412964915u);
   }
+}
+
+/// One Solver::check of the BM_SatBitblasted64 query (~17k SAT variables)
+/// allocates per query, not per variable or literal: the SAT core keeps
+/// its watch lists in one pool, and the query's other buffers grow by
+/// doubling, so the check makes 346 operator new calls. With one vector
+/// per watch list the same check made 90,180.
+TEST_F(SolverTest, CheckAllocatesPerQuery) {
+  Rng rng(0x5a7b17);
+  const u64 k1 = rng.next() | 1, x0 = rng.next(), y0 = rng.next();
+  const ExprRef x = ctx.var("x", 64), y = ctx.var("y", 64);
+  std::vector<ExprRef> query = {
+      ctx.eq(ctx.add(ctx.mul(x, c(k1)), y), c(x0 * k1 + y0))};
+  for (int i = 0; i < 24; ++i) {
+    const ExprRef z = ctx.var("z" + std::to_string(i), 64);
+    query.push_back(ctx.ne(ctx.add(z, x), c(rng.next())));
+  }
+  Model m;
+  const AllocationCount count;
+  ASSERT_EQ(solver.check(query, &m), SatResult::Sat);
+  EXPECT_LE(count.calls(), 1'000u);
+}
+
+/// A tagged solver times each blasted query three ways: the whole check,
+/// the blast and the SAT search. The phases fit inside the whole.
+TEST_F(SolverTest, TaggedCheckTimesEachPhase) {
+  const bool was_enabled = metrics::enabled();
+  metrics::set_enabled(true);
+  auto& reg = metrics::registry();
+  const auto& check = reg.histogram("solver.concretize.check_us");
+  const auto& blast = reg.histogram("solver.concretize.blast_us");
+  const auto& solve = reg.histogram("solver.concretize.solve_us");
+  const u64 n0 = check.count(), nb = blast.count(), ns = solve.count();
+  const u64 s0 = check.sum(), sb = blast.sum(), ss = solve.sum();
+
+  Solver tagged(ctx, 2'000'000, nullptr, Caller::Concretize);
+  const ExprRef x = ctx.var("x", 64);
+  ASSERT_EQ(tagged.check(std::vector{ctx.eq(ctx.mul(x, c(7)), c(91))}),
+            SatResult::Sat);
+  EXPECT_EQ(check.count(), n0 + 1);
+  EXPECT_EQ(blast.count(), nb + 1);
+  EXPECT_EQ(solve.count(), ns + 1);
+  EXPECT_LE((blast.sum() - sb) + (solve.sum() - ss), check.sum() - s0);
+  metrics::set_enabled(was_enabled);
 }
 
 /// Enough distinct gates to double the gate table several times: the
