@@ -10,14 +10,15 @@ int main() {
 
   struct Config {
     const char* label;
-    bool subsume, cond, direct, indirect;
+    bool subsume;
+    planner::AdmissionFlags admission;
   };
   const Config configs[] = {
-      {"full pipeline", true, true, true, true},
-      {"no subsumption", false, true, true, true},
-      {"no conditional gadgets", true, false, true, true},
-      {"no direct-jump merge", true, true, false, true},
-      {"no indirect gadgets", true, true, true, false},
+      {"full pipeline", true, {}},
+      {"no subsumption", false, {}},
+      {"no conditional gadgets", true, {.use_cond_gadgets = false}},
+      {"no direct-jump merge", true, {.use_direct_merged = false}},
+      {"no indirect gadgets", true, {.use_indirect_gadgets = false}},
   };
 
   std::printf("Ablations — Gadget-Planner variants over %zu obfuscated "
@@ -31,11 +32,8 @@ int main() {
     // One campaign per ablation variant: same jobs, different pipeline.
     auto copts = bench::bench_campaign();
     copts.pipeline.run_subsumption = cfg.subsume;
-    copts.pipeline.plan.use_cond_gadgets = cfg.cond;
-    copts.pipeline.plan.use_direct_merged = cfg.direct;
-    copts.pipeline.plan.use_indirect_gadgets = cfg.indirect;
+    copts.pipeline.plan.admission = cfg.admission;
     copts.pipeline.plan.max_chains = 8;
-    copts.pipeline.plan.time_budget_seconds = 15;
     core::Campaign campaign(core::Engine::shared(), copts);
     const auto summary =
         campaign.run(bench::bench_jobs(obf::Options::llvm_obf(7), "llvm-obf"));

@@ -86,7 +86,6 @@ inline core::Campaign::Options bench_campaign() {
 inline core::Campaign::Options quick_campaign() {
   core::Campaign::Options opts = bench_campaign();
   opts.pipeline.plan.max_chains = 8;
-  opts.pipeline.plan.time_budget_seconds = 20;
   opts.pipeline.plan.max_expansions = 4000;
   return opts;
 }

@@ -23,7 +23,6 @@ int main() {
 
   auto copts = bench::bench_campaign();
   copts.pipeline.plan.max_chains = 8;
-  copts.pipeline.plan.time_budget_seconds = 15;
   core::Campaign campaign(core::Engine::shared(), copts);
 
   for (const char* method : methods) {

@@ -70,7 +70,6 @@ int main() {
         popts.governor.max_expr_nodes = 6'000'000;
       }
       popts.plan.max_chains = 4;
-      popts.plan.time_budget_seconds = 8;
       // Sessions stay sequential here: the fault scope is process-global,
       // so each program's injected run must not overlap another's.
       core::Session gp(engine, img, popts);
@@ -90,8 +89,7 @@ int main() {
       // out end-to-end in a fresh emulator.
       scoped.reset();
       for (const auto& [chain, goal] : found)
-        valid_total += payload::validate(img, chain, goal,
-                                         image::kStackTop - 0x2000,
+        valid_total += payload::validate(img, chain, goal, payload::kStackBase,
                                          0xabcdefULL ^ cfg.fault_seed);
     }
     std::printf("%-24s %7llu %7d %7d %8llu %7llu %7llu %7llu\n", cfg.label,

@@ -58,7 +58,6 @@ int main() {
 
   auto copts = bench::bench_campaign();
   copts.pipeline.plan.max_chains = 8;
-  copts.pipeline.plan.time_budget_seconds = 20;
   copts.on_job = [&](const core::Job& job, core::Session& s,
                      core::JobResult& r) {
     // Baselines share the session's context and library; the lock also
@@ -70,7 +69,7 @@ int main() {
       for (const auto& c : rg.chains) props[0].add(c);
       auto an = baselines::angrop(s.ctx(), s.library(), s.img(), goal);
       for (const auto& c : an.chains) props[1].add(c);
-      auto sg = baselines::sgc(s.ctx(), s.library(), s.img(), goal, 2, 10);
+      auto sg = baselines::sgc(s.ctx(), s.library(), s.img(), goal, 2);
       for (const auto& c : sg.chains) props[2].add(c);
       for (const auto& c : r.chains[g]) props[3].add(c);
     }

@@ -55,7 +55,7 @@ int main() {
     int chains = 0;
     for (const auto& goal : payload::Goal::all())
       chains += static_cast<int>(
-          baselines::sgc(ctx, lib, img, goal, 4, 20).chains.size());
+          baselines::sgc(ctx, lib, img, goal, 4).chains.size());
     const double synth_s = std::chrono::duration<double>(Clock::now() - t1).count();
     std::printf("%-16s %-22s %10.2f %10s\n", "SGC", "disassembly", dis_s,
                 core::format_rss_mb(core::current_rss_mb()).c_str());
@@ -69,7 +69,6 @@ int main() {
   {
     core::PipelineOptions popts = bench::bench_pipeline();
     popts.plan.max_chains = 16;
-    popts.plan.time_budget_seconds = 60;
     core::Session gp(core::Engine::shared(), img, popts);
     (void)gp.extract();
     (void)gp.subsume();

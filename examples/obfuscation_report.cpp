@@ -3,11 +3,8 @@
 // of the paper ("users must cautiously adopt these obfuscations").
 #include <cstdio>
 
-#include "codegen/codegen.hpp"
-#include "core/session.hpp"
+#include "core/campaign.hpp"
 #include "corpus/corpus.hpp"
-#include "minic/minic.hpp"
-#include "obfuscate/obfuscate.hpp"
 
 int main(int argc, char** argv) {
   using namespace gp;
@@ -34,16 +31,14 @@ int main(int argc, char** argv) {
       {"tigress", obf::Options::tigress(5)},
   };
 
+  core::Engine& engine = core::Engine::shared();
   u64 ckpt_served = 0, ckpt_written = 0;
   for (const auto& m : methods) {
-    auto prog = minic::compile_source(target.source);
-    obf::obfuscate(prog, m.options);
-    const auto img = codegen::compile(prog);
+    const auto img = core::compile_image(target.name, target.source,
+                                         m.options, engine.config().opt_level);
 
-    core::Engine& engine = core::Engine::shared();
     auto popts = core::PipelineOptions::from(engine.config());
     popts.plan.max_chains = 8;
-    popts.plan.time_budget_seconds = 15;
     core::Session session(engine, img, popts);
     session.prepare();
 

@@ -4,10 +4,7 @@
 //   $ ./quickstart
 #include <cstdio>
 
-#include "codegen/codegen.hpp"
-#include "core/session.hpp"
-#include "minic/minic.hpp"
-#include "obfuscate/obfuscate.hpp"
+#include "core/campaign.hpp"
 #include "support/str.hpp"
 
 int main() {
@@ -27,16 +24,16 @@ int main() {
     })";
 
   // 1. Compile and obfuscate (Obfuscator-LLVM profile: substitution +
-  //    bogus control flow + flattening).
-  auto program = minic::compile_source(source);
-  obf::obfuscate(program, obf::Options::llvm_obf(7));
-  const image::Image img = codegen::compile(program);
+  //    bogus control flow + flattening) at the engine's codegen level.
+  core::Engine& engine = core::Engine::shared();
+  const image::Image img =
+      core::compile_image("quickstart", source, obf::Options::llvm_obf(7),
+                          engine.config().opt_level);
   std::printf("obfuscated binary: %zu bytes of code, %zu bytes of data\n",
               img.code().size(), img.data().size());
 
   // 2. Extract + subsume + index gadgets. The session takes its budgets
   //    and store directory (GP_* knobs) from the engine's Config.
-  core::Engine& engine = core::Engine::shared();
   core::Session session(engine, img,
                         core::PipelineOptions::from(engine.config()));
   session.prepare();
@@ -68,7 +65,7 @@ int main() {
     std::printf("  payload: %zu bytes\n", c.payload.size());
     // Every chain was already emulator-validated; prove it once more.
     const bool ok = payload::validate(img, c, payload::Goal::execve(),
-                                      image::kStackTop - 0x2000, 0xabc);
+                                      payload::kStackBase, 0xabc);
     std::printf("  re-validation: %s\n", ok ? "PASS" : "FAIL");
   }
   return chains.empty() ? 1 : 0;

@@ -5,11 +5,8 @@
 #include <cstdio>
 
 #include "baselines/baselines.hpp"
-#include "codegen/codegen.hpp"
-#include "core/session.hpp"
+#include "core/campaign.hpp"
 #include "corpus/corpus.hpp"
-#include "minic/minic.hpp"
-#include "obfuscate/obfuscate.hpp"
 #include "support/str.hpp"
 
 int main() {
@@ -17,19 +14,19 @@ int main() {
 
   // Sweep the SPEC-like suite; report every program, and show the chain
   // detail for the first obfuscated build where Gadget-Planner succeeds.
+  core::Engine& engine = core::Engine::shared();
   bool shown_detail = false;
   for (const auto& target : corpus::spec())
   for (const bool obfuscate : {false, true}) {
-    auto program = minic::compile_source(target.source);
-    if (obfuscate) obf::obfuscate(program, obf::Options::llvm_obf(429));
-    const image::Image img = codegen::compile(program);
+    const image::Image img = core::compile_image(
+        target.name, target.source,
+        obfuscate ? obf::Options::llvm_obf(429) : obf::Options::none(),
+        engine.config().opt_level);
     std::printf("=== %s (%s), %zu bytes ===\n", target.name.c_str(),
                 obfuscate ? "LLVM-Obf" : "original", img.code().size());
 
-    core::Engine& engine = core::Engine::shared();
     auto popts = core::PipelineOptions::from(engine.config());
     popts.plan.max_chains = 6;
-    popts.plan.time_budget_seconds = 30;
     core::Session session(engine, img, popts);
     session.prepare();
 
@@ -37,7 +34,7 @@ int main() {
     auto rg = baselines::rop_gadget(img, goal);
     auto an = baselines::angrop(session.ctx(), session.library(), img, goal);
     auto sg =
-        baselines::sgc(session.ctx(), session.library(), img, goal, 2, 10);
+        baselines::sgc(session.ctx(), session.library(), img, goal, 2);
     auto chains = session.find_chains(goal);
 
     std::printf("  ROPGadget: %llu gadgets, %zu chains\n",
@@ -69,8 +66,8 @@ int main() {
           std::printf(" %s;", x86::to_string(s.inst).c_str());
         std::printf("\n");
       }
-      const bool ok = payload::validate(img, *best, goal,
-                                        image::kStackTop - 0x2000, 0x5eed);
+      const bool ok =
+          payload::validate(img, *best, goal, payload::kStackBase, 0x5eed);
       std::printf("  validation: %s\n", ok ? "PASS" : "FAIL");
       shown_detail = true;
     }

@@ -46,8 +46,13 @@ lint "deleted env-reading option helper" \
 # One configuration surface: an analysis bound with a single value in use
 # is a named constant, not an option field, so the deleted knobs stay gone.
 lint "deleted analysis knob" \
-  "$(grep -rnwE 'ExtractOptions|merge_hash_bits|drop_wild_stores|max_retries|validation_trials|max_plan_gadgets|max_open_goals|max_concretize_failures' \
+  "$(grep -rnwE 'ExtractOptions|merge_hash_bits|drop_wild_stores|max_retries|validation_trials|max_plan_gadgets|max_open_goals|max_concretize_failures|time_budget_seconds' \
      src tools bench examples tests || true)"
+# One stop clock: the governor's deadline is the only wall clock a stage
+# stops on, so no stage builds a private Deadline of its own.
+lint "private deadline outside support/governor.hpp" \
+  "$(grep -rn 'Deadline::after_seconds(' src \
+     | grep -v '^src/support/governor\.hpp:' || true)"
 # One job path: core::compile_image is the one source -> obfuscate ->
 # compile path and core::plan_goals the one goal loop and result digest
 # (campaign.cpp), so no other program code encodes chains (session.cpp's
@@ -56,7 +61,7 @@ lint "job path outside core::compile_image / core::plan_goals" \
   "$(grep -rn 'encode_chains(' src tools bench \
        | grep -vE '^(src/payload/|src/core/(campaign|session)\.cpp:)' || true
      grep -rnE 'minic::compile_source|codegen::compile\(' src/serve tools bench \
-       || true)"
+       examples || true)"
 [ "$lint_failed" -eq 0 ] || { echo "diagnostics lint failed"; exit 1; }
 echo "diagnostics lint ok"
 

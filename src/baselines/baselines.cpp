@@ -108,7 +108,6 @@ Result rop_gadget(const image::Image& img, const Goal& goal, int max_insts) {
   auto put64 = [&payload](u64 v) {
     for (int i = 0; i < 8; ++i) payload.push_back(static_cast<u8>(v >> (8 * i)));
   };
-  const u64 stack_base = image::kStackTop - 0x2000;
   // Pointer targets point past the chain; compute the layout first.
   const size_t n = goal.regs.size();
   const size_t chain_slots = 2 * n + 1;  // n (gadget,value) pairs + syscall
@@ -127,7 +126,7 @@ Result rop_gadget(const image::Image& img, const Goal& goal, int max_insts) {
     if (t.kind == RegTarget::Kind::Const) {
       put64(t.value);
     } else {
-      put64(stack_base + pointer_off);
+      put64(payload::kStackBase + pointer_off);
       pointer_data.emplace_back(pointer_off, t.bytes);
       pointer_off += 8;
     }
@@ -143,7 +142,7 @@ Result rop_gadget(const image::Image& img, const Goal& goal, int max_insts) {
   // ROPGadget has no Library; gadgets[] carries only the count.
   chain.gadgets.assign(goal.regs.size() + 1, 0);
 
-  if (payload::validate(img, chain, goal, stack_base, 0xbead1)) {
+  if (payload::validate(img, chain, goal, payload::kStackBase, 0xbead1)) {
     result.gadgets_used = chain.gadgets.size();
     result.chains.push_back(std::move(chain));
   }
@@ -220,7 +219,7 @@ Result angrop(solver::Context& ctx, const Library& lib,
 // ---------------------------------------------------------------------------
 
 Result sgc(solver::Context& ctx, const Library& lib, const image::Image& img,
-           const Goal& goal, int max_chains, double time_budget_seconds) {
+           const Goal& goal, int max_chains) {
   Result result;
   result.tool = "SGC";
 
@@ -231,12 +230,10 @@ Result sgc(solver::Context& ctx, const Library& lib, const image::Image& img,
 
   planner::Planner planner(ctx, lib, img);
   planner::Options opts;
-  opts.use_cond_gadgets = false;   // SGC's documented gap
-  opts.use_direct_merged = false;  // ditto
-  opts.use_indirect_gadgets = true;
+  // SGC's documented gap: no conditional or direct-jump gadgets.
+  opts.admission = {.use_cond_gadgets = false, .use_direct_merged = false};
   opts.max_chains = max_chains;
   opts.max_expansions = 1200;
-  opts.time_budget_seconds = time_budget_seconds;
   result.chains = planner.plan(goal, opts);
   for (const Chain& c : result.chains) result.gadgets_used += c.gadgets.size();
   return result;

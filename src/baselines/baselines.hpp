@@ -45,6 +45,6 @@ Result angrop(solver::Context& ctx, const gadget::Library& lib,
 /// conditional or direct-jump handling.
 Result sgc(solver::Context& ctx, const gadget::Library& lib,
            const image::Image& img, const payload::Goal& goal,
-           int max_chains = 4, double time_budget_seconds = 20.0);
+           int max_chains = 4);
 
 }  // namespace gp::baselines

@@ -237,11 +237,17 @@ Status Session::extract() {
     report_.extract_status =
         run_supervised("extract", report_.extract_runs, [&](Governor& g) {
           // Each attempt interns into a fresh context, so a retried pool
-          // does not depend on what a cut attempt left behind.
-          ctx_ = std::make_unique<solver::Context>();
-          ctx_->set_governor(&g);
-          gadget::Extractor extractor(*ctx_, *img_);
-          pool_ = extractor.extract(&g, engine_.config().threads);
+          // does not depend on what a cut attempt left behind. Context and
+          // pool are replaced together: an attempt that throws (a parallel
+          // shard's new context can hit an allocation fault) keeps the
+          // previous attempt's pair, never a pool whose refs point into a
+          // context it was not built in.
+          auto ctx = std::make_unique<solver::Context>();
+          ctx->set_governor(&g);
+          gadget::Extractor extractor(*ctx, *img_);
+          auto pool = extractor.extract(&g, engine_.config().threads);
+          ctx_ = std::move(ctx);
+          pool_ = std::move(pool);
           report_.extract = extractor.stats();
           metrics::publish("extract", report_.extract);
           return report_.extract.status;

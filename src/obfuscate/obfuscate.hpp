@@ -35,10 +35,6 @@ struct Options {
   bool encode_data = false;
   bool virtualize = false;
   u64 seed = 1;
-  /// Probability that bogus_cf instruments a given block.
-  double bogus_prob = 0.5;
-  /// Substitution rewrite rounds.
-  int substitution_rounds = 1;
 
   static Options llvm_obf(u64 seed = 1) {
     return {.substitution = true, .bogus_cf = true, .flatten = true,
@@ -58,6 +54,9 @@ struct Options {
 void obfuscate(cfg::Program& prog, const Options& opts);
 
 // Individual passes (exposed for the per-obfuscation experiment, Fig. 5).
+// obfuscate() runs one substitution round and instruments a block with
+// bogus control flow at probability 0.5 (kSubstitutionRounds and kBogusProb
+// in passes.cpp).
 void pass_substitution(cfg::Program& prog, Rng& rng, int rounds);
 void pass_bogus_cf(cfg::Program& prog, Rng& rng, double prob);
 void pass_flatten(cfg::Program& prog, Rng& rng);

@@ -352,13 +352,17 @@ void pass_encode_data(Program& prog, Rng& rng) {
 // Driver
 // ---------------------------------------------------------------------------
 
+/// Substitution rewrite rounds of every profile.
+constexpr int kSubstitutionRounds = 1;
+/// Probability that bogus_cf instruments a given block, in every profile.
+constexpr double kBogusProb = 0.5;
+
 void obfuscate(Program& prog, const Options& opts) {
   Rng rng(opts.seed * 0x9e3779b97f4a7c15ULL + 0xabcdef);
-  if (opts.substitution)
-    pass_substitution(prog, rng, opts.substitution_rounds);
+  if (opts.substitution) pass_substitution(prog, rng, kSubstitutionRounds);
   if (opts.encode_data) pass_encode_data(prog, rng);
   if (opts.virtualize) pass_virtualize(prog, rng);
-  if (opts.bogus_cf) pass_bogus_cf(prog, rng, opts.bogus_prob);
+  if (opts.bogus_cf) pass_bogus_cf(prog, rng, kBogusProb);
   if (opts.flatten) pass_flatten(prog, rng);
   cfg::verify(prog);
 }

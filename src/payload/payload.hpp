@@ -99,8 +99,11 @@ inline constexpr size_t kMaxPayload = 4096;
 /// registers.
 inline constexpr int kValidationTrials = 2;
 
+/// Where rsp points at the hijack (ASLR off): the payload's first byte.
+inline constexpr u64 kStackBase = image::kStackTop - 0x2000;
+
 struct ConcretizeOptions {
-  u64 stack_base = image::kStackTop - 0x2000;  // rsp at hijack (ASLR off)
+  u64 stack_base = kStackBase;
   /// Shared resource governor (optional; must outlive the call): bounds
   /// the composition re-execution (sym steps / expr nodes) and the payload
   /// solve (solver checks, deadline polls). Exhaustion fails the call

@@ -73,16 +73,16 @@ struct Candidate {
   }
 };
 
-/// Ablation subset of planner::Options that participates in admissibility
-/// (index-independent: the closure recomputes per option set).
+/// Ablation switches of planner::Options::admission: which gadget kinds the
+/// planner may use (index-independent: the closure recomputes per flag
+/// set).
 struct AdmissionFlags {
   bool use_cond_gadgets = true;
   bool use_indirect_gadgets = true;
   bool use_direct_merged = true;
 };
 
-/// Is `g` admissible under the ablation flags? (The single implementation;
-/// Planner::admissible delegates here.)
+/// Is `g` admissible under the ablation flags?
 bool admissible(const gadget::Record& g, const AdmissionFlags& f);
 
 class GadgetIndex {

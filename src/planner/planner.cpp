@@ -43,18 +43,12 @@ void Options::append_key(serial::Writer& w) const {
   w.put_u32(static_cast<u32>(kMaxOpenGoals));
   w.put_u32(static_cast<u32>(kMaxConcretizeFailures));
   w.put_u32(static_cast<u32>(kRestarts));
-  w.put_u64(concretize.stack_base);
+  w.put_u64(payload::kStackBase);
   w.put_u64(payload::kMaxPayload);
   w.put_u32(static_cast<u32>(payload::kValidationTrials));
-  w.put_bool(use_cond_gadgets);
-  w.put_bool(use_indirect_gadgets);
-  w.put_bool(use_direct_merged);
-}
-
-bool Planner::admissible(const Record& g, const Options& opts) const {
-  return planner::admissible(
-      g, {opts.use_cond_gadgets, opts.use_indirect_gadgets,
-          opts.use_direct_merged});
+  w.put_bool(admission.use_cond_gadgets);
+  w.put_bool(admission.use_indirect_gadgets);
+  w.put_bool(admission.use_direct_merged);
 }
 
 bool Planner::goal_const_match(Reg reg, u64 value) const {
@@ -99,7 +93,7 @@ bool Planner::reg_usable(Reg reg, const Options& opts) {
   if (it != usable_by_reg_.end()) return it->second;
   bool usable = false;
   for (const Candidate& c : index_->candidates(reg)) {
-    if (!admissible(lib_[c.gadget], opts)) continue;
+    if (!admissible(lib_[c.gadget], opts.admission)) continue;
     if (c.position_filtered()) continue;
     if ((c.flags & Candidate::kConstValue) &&
         !goal_const_match(reg, c.const_value))
@@ -168,7 +162,7 @@ std::vector<Planner::Plan> Planner::expand(const Plan& p,
     const Candidate& c = *cp;
     const u32 gi = c.gadget;
     const Record& g = lib_[gi];
-    if (!admissible(g, opts)) continue;
+    if (!admissible(g, opts.admission)) continue;
     // A chain's inner gadget must transfer control onward to a place the
     // payload can choose: not a syscall, not a ret with a symbolic stack
     // delta and no attacker-aimable rsp (a pivot such as lea rsp,[rbp-K]
@@ -313,13 +307,12 @@ bool Planner::terminal_feasible(const Record& s, const Goal& goal) const {
 bool Planner::precheck_unreachable(const Goal& goal, const Options& opts) {
   const auto t0 = std::chrono::steady_clock::now();
   trace::Span span("plan.precheck", "planner", opts.session_id);
-  const AdmissionFlags flags{opts.use_cond_gadgets, opts.use_indirect_gadgets,
-                             opts.use_direct_merged};
   const auto seeds_plan = [&](u32 si) {
-    return admissible(lib_[si], opts) && terminal_feasible(lib_[si], goal);
+    return admissible(lib_[si], opts.admission) &&
+           terminal_feasible(lib_[si], goal);
   };
   const bool unreachable =
-      index_->goal_unreachable(lib_, goal, flags) ||
+      index_->goal_unreachable(lib_, goal, opts.admission) ||
       std::ranges::none_of(lib_.syscalls(), seeds_plan);
   stats_.precheck_us = static_cast<u64>(
       std::chrono::duration_cast<std::chrono::microseconds>(
@@ -355,21 +348,14 @@ std::vector<Chain> Planner::plan(const Goal& goal, const Options& opts) {
   if (precheck_unreachable(goal, opts)) return chains;
 
   std::set<std::vector<u32>> seen_sequences;
-  // The round deadline is the tighter of the local time budget and the
-  // governor's global deadline; either one expiring (or a cancellation)
-  // stops the search at the next queue pop with best-so-far chains.
-  Deadline deadline = Deadline::after_seconds(opts.time_budget_seconds);
-  if (opts.governor)
-    deadline = Deadline::earlier(deadline, opts.governor->deadline());
   for (int round = 0; round < kRestarts; ++round) {
     rotation_ = round;
-    run_round(goal, opts, chains, seen_sequences, deadline);
+    run_round(goal, opts, chains, seen_sequences);
     if (static_cast<int>(chains.size()) >= opts.max_chains) break;
     if (failure_budget_spent()) {
       ++stats_.failure_budget_cuts;
       break;
     }
-    if (deadline.expired()) break;
     if (opts.governor && opts.governor->should_stop()) break;
   }
   return chains;
@@ -412,15 +398,14 @@ u64 Planner::visited_fingerprint(const Plan& p) const {
 
 void Planner::run_round(const Goal& goal, const Options& opts,
                         std::vector<Chain>& chains,
-                        std::set<std::vector<u32>>& seen_sequences,
-                        const Deadline& deadline) {
+                        std::set<std::vector<u32>>& seen_sequences) {
   std::set<u64> visited_plans;
 
   // Seed: one initial plan per syscall gadget (the terminal action).
   std::priority_queue<Plan> queue;
   for (const u32 si : lib_.syscalls()) {
     const Record& s = lib_[si];
-    if (!admissible(s, opts)) continue;
+    if (!admissible(s, opts.admission)) continue;
     if (!terminal_feasible(s, goal)) {
       ++stats_.dead_ends;
       continue;
@@ -437,14 +422,10 @@ void Planner::run_round(const Goal& goal, const Options& opts,
   try {
   while (!queue.empty() && expansions < round_budget &&
          static_cast<int>(chains.size()) < opts.max_chains) {
-    // Deadline/cancellation is enforced at EVERY pop, not on a sampled
-    // stride: one expansion can hide a slow concretize call, so a sampled
-    // check could overshoot the budget by orders of magnitude.
-    if (deadline.expired()) {
-      ++stats_.deadline_cuts;
-      stats_.status.merge(Status::deadline_exceeded("planner deadline"));
-      break;
-    }
+    // The governor's deadline and cancellation are polled at EVERY pop, not
+    // on a sampled stride: one expansion can hide a slow concretize call,
+    // so a sampled check could overshoot the deadline by orders of
+    // magnitude.
     if (opts.governor) {
       const Status s = opts.governor->poll();
       if (!s.ok()) {
@@ -470,9 +451,8 @@ void Planner::run_round(const Goal& goal, const Options& opts,
       seq.push_back(best.terminal);
       if (!seen_sequences.insert(seq).second) continue;
       ++stats_.concretize_calls;
-      payload::ConcretizeOptions copts = opts.concretize;
-      if (!copts.governor) copts.governor = opts.governor;
-      copts.session_id = opts.session_id;
+      const payload::ConcretizeOptions copts{.governor = opts.governor,
+                                             .session_id = opts.session_id};
       auto res = [&] {
         trace::Span span("plan.concretize", "planner", opts.session_id);
         return payload::concretize(ctx_, lib_, img_, seq, goal, copts);

@@ -13,11 +13,10 @@
 // open pre-conditions first, then fewest accumulated symbolic constraints.
 // Complete plans are linearized (topological sort of beta) and handed to
 // payload::concretize, whose solver + emulator validation is the final
-// arbiter; the planner keeps searching for more, diverse chains until the
-// budget or max_chains is reached.
+// arbiter; the planner keeps searching for more, diverse chains until a
+// counted bound, the governor or max_chains stops it.
 #pragma once
 
-#include <chrono>
 #include <optional>
 #include <set>
 #include <span>
@@ -61,27 +60,24 @@ struct Options {
   int max_expansions = 4000;       // plans popped from the queue
   int max_chains = 16;             // validated chains per goal
   int max_candidates_per_goal = 10;
-  double time_budget_seconds = 60.0;
-  /// Shared resource governor (optional; must outlive the call). Its
-  /// deadline is combined with time_budget_seconds — whichever expires
-  /// first stops the search at the next queue pop — and it is handed down
-  /// to concretize so solver calls inside validation are governed too.
-  /// Expiry always returns the best-so-far chains, never throws.
+  /// Shared resource governor (optional; must outlive the call), the
+  /// search's one wall clock: its poll() runs at every queue pop, and a
+  /// passed deadline or a cancellation stops the search there. It is handed
+  /// down to concretize so solver calls inside validation are governed
+  /// too. Without one, only the counted bounds (max_expansions, kRestarts,
+  /// kMaxConcretizeFailures, max_chains) end the search. A cut always
+  /// returns the best-so-far chains, never throws.
   Governor* governor = nullptr;
-  payload::ConcretizeOptions concretize;
-  // Ablation switches (the paper's thesis: baselines lack these).
-  bool use_cond_gadgets = true;    // CDJ/CIJ paths
-  bool use_indirect_gadgets = true;
-  bool use_direct_merged = true;   // gadgets spanning direct jumps
+  /// Ablation switches (the paper's thesis: baselines lack these).
+  AdmissionFlags admission;
 
   /// Owning session id for trace spans (0 = none).
   u64 session_id = 0;
 
   /// Append every field that determines the planner's *output* to an
-  /// artifact-store key writer. Time budget and governor are excluded on
-  /// purpose: results are only checkpointed when the search ran uncut, and
-  /// an uncut search is deterministic regardless of how much budget was
-  /// left over.
+  /// artifact-store key writer. The governor is excluded on purpose:
+  /// results are only checkpointed when the search ran uncut, and an uncut
+  /// search is deterministic regardless of how much budget was left over.
   void append_key(serial::Writer& w) const;
 };
 
@@ -100,9 +96,10 @@ struct Stats {
   u64 concretize_unknown = 0;
   u64 concretize_resource_cut = 0;
   u64 concretize_validation_failed = 0;
-  /// Search rounds cut short by the deadline / governor (checked at every
-  /// queue pop) or by an exhausted global budget mid-expansion or during
-  /// the index build. The chains found before the cut are still returned.
+  /// Search rounds cut short by the governor's deadline or cancellation
+  /// (polled at every queue pop) or by an exhausted global budget
+  /// mid-expansion or during the index build. The chains found before the
+  /// cut are still returned.
   u64 deadline_cuts = 0;
   /// Expansions served from prescored GadgetIndex buckets.
   u64 index_hits = 0;
@@ -195,7 +192,6 @@ class Planner {
     }
   };
 
-  bool admissible(const gadget::Record& g, const Options& opts) const;
   /// Is there any statically usable provider for `reg`? (memoized per
   /// plan() call; a constant provider counts only when it matches a Const
   /// goal target exactly)
@@ -204,8 +200,7 @@ class Planner {
   bool goal_const_match(x86::Reg reg, u64 value) const;
   void run_round(const payload::Goal& goal, const Options& opts,
                  std::vector<payload::Chain>& chains,
-                 std::set<std::vector<u32>>& seen_sequences,
-                 const Deadline& deadline);
+                 std::set<std::vector<u32>>& seen_sequences);
   /// Topological order of alpha respecting beta; nullopt on cycle.
   static std::optional<std::vector<int>> linearize(const Plan& p);
   std::vector<Plan> expand(const Plan& p, const Options& opts);

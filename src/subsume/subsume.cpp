@@ -1,7 +1,6 @@
 #include "subsume/subsume.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
 #include <unordered_map>
 
@@ -154,26 +153,16 @@ Verdict subsumes(solver::Context& ctx, solver::Solver& solver,
 
 namespace {
 
-/// Claim one unit of the shared solver-check budget. Lock-free so worker
-/// lanes split one budget without coordination.
-bool acquire_check(std::atomic<u64>& checks, u64 max_solver_checks) {
-  u64 cur = checks.load(std::memory_order_relaxed);
-  while (cur < max_solver_checks) {
-    if (checks.compare_exchange_weak(cur, cur + 1,
-                                     std::memory_order_relaxed))
-      return true;
-  }
-  return false;
-}
-
 /// Winnow one fingerprint bucket to its representatives. `ctx` is the main
 /// context in sequential mode or a worker lane's clone in parallel mode
 /// (record refs are valid in either; new terms from solver queries land in
 /// whichever context is passed). `keep[i]` receives whether the i-th
-/// candidate of the (sorted) group survived.
+/// candidate of the (sorted) group survived. `checks` is the solver-check
+/// budget every lane claims from; a limit of 0 means structural-only (it
+/// is never consumed, so Budget's "0 = unlimited" never applies).
 void winnow_group(solver::Context& ctx, std::vector<Record>& group,
-                  std::atomic<u64>& checks, u64 max_solver_checks,
-                  Stats& stats, std::vector<u8>& keep, Governor* governor) {
+                  Budget& checks, Stats& stats, std::vector<u8>& keep,
+                  Governor* governor) {
   solver::Solver solver(ctx, /*conflict_budget=*/50'000, governor,
                         solver::Caller::Subsume);
   // Prefer shorter gadgets as representatives.
@@ -185,7 +174,7 @@ void winnow_group(solver::Context& ctx, std::vector<Record>& group,
   keep.assign(group.size(), 0);
   // Cleared the first time the budget runs out: from then on this group is
   // winnowed structurally only, with no per-pair budget polling.
-  bool solver_ok = max_solver_checks > 0;
+  bool solver_ok = checks.limit() > 0;
   std::vector<const Record*> reps;
   for (size_t i = 0; i < group.size(); ++i) {
     Record& cand = group[i];
@@ -212,7 +201,7 @@ void winnow_group(solver::Context& ctx, std::vector<Record>& group,
         break;
       }
       if (!solver_ok) continue;  // structural-only mode
-      if (!acquire_check(checks, max_solver_checks)) {
+      if (!checks.try_consume()) {
         // Budget exhausted: short-circuit to structural-only mode for the
         // rest of this group instead of spinning over every remaining
         // representative re-testing the budget.
@@ -265,14 +254,13 @@ std::vector<Record> minimize(solver::Context& ctx, std::vector<Record> pool,
   std::vector<std::vector<Record>*> groups;
   for (const u64 fp : order) groups.push_back(&buckets[fp]);
 
-  std::atomic<u64> checks{0};
+  Budget checks(max_solver_checks);
   std::vector<std::vector<u8>> keeps(groups.size());
 
   const int nthreads = ThreadPool::granted_lanes(threads);
   if (nthreads <= 1 || groups.size() <= 1) {
     for (size_t gi = 0; gi < groups.size(); ++gi)
-      winnow_group(ctx, *groups[gi], checks, max_solver_checks, local,
-                   keeps[gi], governor);
+      winnow_group(ctx, *groups[gi], checks, local, keeps[gi], governor);
   } else {
     // Work on the biggest buckets first (the pool claims items in index
     // order) so one giant bucket doesn't trail every small one.
@@ -282,7 +270,7 @@ std::vector<Record> minimize(solver::Context& ctx, std::vector<Record> pool,
       return groups[a]->size() > groups[b]->size();
     });
     // One context clone per lane (identical refs, private interner), one
-    // Solver per bucket, one shared atomic budget across all lanes.
+    // Solver per bucket, one shared Budget across all lanes.
     std::vector<std::unique_ptr<solver::Context>> lane_ctx(
         static_cast<size_t>(nthreads));
     std::vector<Stats> lane_stats(static_cast<size_t>(nthreads));
@@ -293,7 +281,7 @@ std::vector<Record> minimize(solver::Context& ctx, std::vector<Record> pool,
           const u32 gi = by_size[item];
           auto& lc = lane_ctx[static_cast<size_t>(lane)];
           if (!lc) lc = std::make_unique<solver::Context>(ctx.clone());
-          winnow_group(*lc, *groups[gi], checks, max_solver_checks,
+          winnow_group(*lc, *groups[gi], checks,
                        lane_stats[static_cast<size_t>(lane)], keeps[gi],
                        governor);
         },

@@ -70,7 +70,8 @@ struct Stats {
 /// sequential path. Parallel mode processes fingerprint buckets
 /// concurrently — each worker lane owns a clone of `ctx` (identical refs,
 /// private interner) and each bucket its own Solver — and splits
-/// `max_solver_checks` across lanes via an atomic counter. Results are
+/// `max_solver_checks` across lanes through one shared gp::Budget (0 =
+/// structural-only: no pair gets a solver check). Results are
 /// identical to the sequential run whenever the budget is not exhausted;
 /// once it is, which pairs got a solver check before the cutoff depends on
 /// scheduling (the surviving pool is sound either way, at worst slightly

@@ -4,19 +4,25 @@
 //
 // Obfuscated inputs make every one of those stages pathological in its own
 // way — virtualized dispatch blows up symbolic summaries, flattened control
-// flow blows up SAT queries — so each stage historically grew a private
-// knob (solver conflict budgets, subsumption check caps, the planner's time
-// budget). The Governor unifies them:
+// flow blows up SAT queries — so every stage polls one Governor:
 //
-//   - Deadline: one wall-clock deadline shared by every stage; workers on
-//     thread-pool lanes poll the same deadline, so a pipeline with a 30 s
-//     budget stops in ~milliseconds of that mark no matter which stage it
-//     is in.
-//   - CancelToken: cooperative cancellation; cancel() from any thread is
-//     observed by every polling loop, including thread-pool workers.
+//   - Deadline: the pipeline's one wall clock. Every stage and every
+//     thread-pool lane polls the same deadline, so a pipeline with a 30 s
+//     budget stops within milliseconds of that mark whatever stage it is
+//     in. No stage keeps a clock of its own (the planner's search stops on
+//     the governor and its counted bounds), so a result never depends on
+//     how fast the host ran it.
+//   - CancelToken: the one cooperative cancel path; cancel() from any
+//     thread is observed by every polling loop, including thread-pool
+//     workers.
 //   - Counted budgets: solver checks (bit-blasting queries), symbolic
 //     execution steps, and expression-node allocations. Budgets are atomic,
 //     so parallel lanes split one budget without coordination.
+//
+// The per-call caps that are not the governor's are counted constants, not
+// clocks: subsumption's solver-check cap (subsume::kSolverCheckBudget) and
+// each Solver's SAT conflict budget (50k per subsume query, 500k per
+// concretize query).
 //
 // Exhaustion is a *result*, not a crash: stages observe a non-Ok poll() and
 // degrade (partial pool + skip accounting, structural-only subsumption,
@@ -62,22 +68,9 @@ class Deadline {
                 std::chrono::duration<double>(seconds));
     return d;
   }
-  static Deadline at(Clock::time_point tp) {
-    Deadline d;
-    d.unlimited_ = false;
-    d.at_ = tp;
-    return d;
-  }
 
   bool unlimited() const { return unlimited_; }
   bool expired() const { return !unlimited_ && Clock::now() > at_; }
-  Clock::time_point time_point() const { return at_; }
-  /// The earlier of two deadlines.
-  static Deadline earlier(const Deadline& a, const Deadline& b) {
-    if (a.unlimited_) return b;
-    if (b.unlimited_) return a;
-    return a.at_ < b.at_ ? a : b;
-  }
 
  private:
   bool unlimited_ = true;

@@ -401,7 +401,6 @@ TEST(Campaign, RunsAllToolsOnObfuscatedBenchmark) {
   job.obf = obf::Options::llvm_obf(7);
   Campaign::Options copts;
   copts.pipeline.plan.max_chains = 4;
-  copts.pipeline.plan.time_budget_seconds = 20;
   // The baselines ride along in the hook, on the job's context and library.
   std::vector<int> rop_gadget, angrop, sgc;  // chains per goal
   copts.on_job = [&](const Job& j, Session& s, JobResult&) {
@@ -582,8 +581,10 @@ TEST(Session, PlanStatusKeepsAnEarlierGoalsCut) {
   a.mov(x86::Reg::RDI, x86::Reg::RBX);  // rdi only from rbx, which no
   a.ret();                              // gadget sets: execve unreachable
   a.syscall();
+  Governor expired;  // every search is cut at its first pop
+  expired.set_deadline(Deadline::after_seconds(-1));
   PipelineOptions opts;
-  opts.plan.time_budget_seconds = 0;  // every search is cut at its first pop
+  opts.plan.governor = &expired;
   Session session(Engine::shared(),
                   image::Image(a.finish(), {}, image::kCodeBase), opts);
 
@@ -676,7 +677,6 @@ TEST(Campaign, OriginalProgramsYieldFewerChains) {
   }
   Campaign::Options copts;
   copts.pipeline.plan.max_chains = 4;
-  copts.pipeline.plan.time_budget_seconds = 10;
   const auto sum = Campaign(Engine::shared(), copts).run(jobs);
   ASSERT_EQ(sum.results.size(), 2u);
   const JobResult& original = sum.results[0];

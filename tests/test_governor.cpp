@@ -56,19 +56,11 @@ TEST(GovernorDeadline, NeverExpiresWhenUnlimited) {
   EXPECT_FALSE(d.expired());
 }
 
-TEST(GovernorDeadline, ExpiresAndCombines) {
+TEST(GovernorDeadline, ExpiresOncePassed) {
   const Deadline past = Deadline::after_seconds(-1.0);
   EXPECT_TRUE(past.expired());
   const Deadline far = Deadline::after_seconds(3600.0);
   EXPECT_FALSE(far.expired());
-
-  // earlier() picks the tighter bound; unlimited never wins.
-  EXPECT_TRUE(Deadline::earlier(past, far).expired());
-  EXPECT_TRUE(Deadline::earlier(far, past).expired());
-  EXPECT_FALSE(Deadline::earlier(Deadline::never(), far).expired());
-  EXPECT_FALSE(Deadline::earlier(far, Deadline::never()).unlimited());
-  EXPECT_TRUE(
-      Deadline::earlier(Deadline::never(), Deadline::never()).unlimited());
 }
 
 TEST(GovernorCancelToken, CopiesShareTheFlag) {

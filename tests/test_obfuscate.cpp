@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "codegen/codegen.hpp"
 #include "emu/emu.hpp"
 #include "minic/minic.hpp"
@@ -25,19 +27,36 @@ Outcome run(const cfg::Program& prog, u64 max_steps = 30'000'000) {
   return {r.exit_status, e.output_str(), r.steps, img.code().size()};
 }
 
+/// Apply `transform` and check the transformed program behaves
+/// identically; `label` names it in failure messages.
+void check_preserves(const std::string& src,
+                     const std::function<void(cfg::Program&)>& transform,
+                     const std::string& label, bool expect_growth = true) {
+  auto base = minic::compile_source(src);
+  auto obf = minic::compile_source(src);
+  transform(obf);
+  const Outcome a = run(base);
+  const Outcome b = run(obf);
+  EXPECT_EQ(a.exit_status, b.exit_status) << label;
+  EXPECT_EQ(a.output, b.output) << label;
+  if (expect_growth) {
+    EXPECT_GT(b.code_size, a.code_size) << label;
+  }
+}
+
 /// Apply `opts` and check the obfuscated program behaves identically.
 void check_preserves(const std::string& src, const Options& opts,
                      bool expect_growth = true) {
-  auto base = minic::compile_source(src);
-  auto obf = minic::compile_source(src);
-  obfuscate(obf, opts);
-  const Outcome a = run(base);
-  const Outcome b = run(obf);
-  EXPECT_EQ(a.exit_status, b.exit_status) << opts.name();
-  EXPECT_EQ(a.output, b.output) << opts.name();
-  if (expect_growth) {
-    EXPECT_GT(b.code_size, a.code_size) << opts.name();
-  }
+  check_preserves(
+      src, [&](cfg::Program& p) { obfuscate(p, opts); }, opts.name(),
+      expect_growth);
+}
+
+/// Bogus control flow on every block (obfuscate() instruments half).
+void bogus_cf_everywhere(cfg::Program& prog, u64 seed) {
+  Rng rng(seed);
+  pass_bogus_cf(prog, rng, 1.0);
+  cfg::verify(prog);
 }
 
 const char* kPrograms[] = {
@@ -177,17 +196,21 @@ TEST(Obfuscate, VirtualizeReplacesBodiesWithInterpreter) {
 
 TEST(Obfuscate, BogusBlocksNeverExecute) {
   // Instrument every block; output must still match.
-  Options opts{.bogus_cf = true, .seed = 9, .bogus_prob = 1.0};
-  check_preserves(kPrograms[0], opts);
-  check_preserves(kPrograms[3], opts);
+  const auto transform = [](cfg::Program& p) { bogus_cf_everywhere(p, 9); };
+  check_preserves(kPrograms[0], transform, "bcf on every block");
+  check_preserves(kPrograms[3], transform, "bcf on every block");
 }
 
 TEST(Obfuscate, SubstitutionRoundsCompound) {
-  Options opts{.substitution = true, .seed = 4, .substitution_rounds = 3};
-  check_preserves(kPrograms[0], opts);
+  const auto three_rounds = [](cfg::Program& p) {
+    Rng rng(4);
+    pass_substitution(p, rng, 3);
+    cfg::verify(p);
+  };
+  check_preserves(kPrograms[0], three_rounds, "sub x3");
   auto base = minic::compile_source(kPrograms[0]);
   auto obf = minic::compile_source(kPrograms[0]);
-  obfuscate(obf, opts);
+  three_rounds(obf);
   const size_t a = codegen::compile(base).code().size();
   const size_t b = codegen::compile(obf).code().size();
   EXPECT_GT(b, a * 3);  // three rounds blow up arithmetic heavily
@@ -223,7 +246,7 @@ TEST(Obfuscate, BogusCfUsesMultiplePredicateFamilies) {
   // With enough blocks the pass must draw from more than one family
   // (distinguished by the generated instruction shapes).
   auto prog = minic::compile_source(kPrograms[1]);
-  obfuscate(prog, Options{.bogus_cf = true, .seed = 3, .bogus_prob = 1.0});
+  bogus_cf_everywhere(prog, 3);
   int mul_preds = 0, nonmul_preds = 0;
   for (const auto& f : prog.functions)
     for (const auto& b : f.blocks) {

@@ -150,7 +150,7 @@ TEST(Planner, UsesConditionalGadgetWhenPopIsMissing) {
   // Ablation (the baselines' restriction): with conditional gadgets
   // disabled, no chain exists.
   Options no_cond = opts;
-  no_cond.use_cond_gadgets = false;
+  no_cond.admission.use_cond_gadgets = false;
   Planner p2(s.ctx, s.lib, s.img);
   EXPECT_TRUE(p2.plan(Goal::execve(), no_cond).empty());
 }
@@ -201,7 +201,7 @@ TEST(Planner, DirectJumpMergedGadgetsUsable) {
   ASSERT_FALSE(chains.empty());
 
   Options no_dj;
-  no_dj.use_direct_merged = false;
+  no_dj.admission.use_direct_merged = false;
   Planner p2(s.ctx, s.lib, s.img);
   EXPECT_TRUE(p2.plan(Goal::execve(), no_dj).empty());
 }

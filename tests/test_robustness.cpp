@@ -220,20 +220,22 @@ TEST(UnknownSoundness, ConcretizeSymStepBudgetCutsCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// Planner deadline: enforced at every queue pop (satellite of the governor
-// work — a single expansion can hide a slow concretize call).
+// Planner deadline: the governor is polled at every queue pop (a single
+// expansion can hide a slow concretize call).
 // ---------------------------------------------------------------------------
 
-TEST(PlannerDeadline, ZeroBudgetStopsAtTheFirstPop) {
+TEST(PlannerDeadline, ExpiredGovernorStopsAtTheFirstPop) {
   Assembler a = classic_rop();
   solver::Context ctx;
   auto img = make_image(a);
   Extractor ex(ctx, img);
   Library lib(subsume::minimize(ctx, ex.extract()));
 
+  Governor gov;
+  gov.set_deadline(Deadline::after_seconds(-1));
   planner::Planner p(ctx, lib, img);
   planner::Options opts;
-  opts.time_budget_seconds = 0.0;
+  opts.governor = &gov;
   auto chains = p.plan(Goal::execve(), opts);
   EXPECT_TRUE(chains.empty());
   EXPECT_EQ(p.stats().expansions, 0u);
@@ -394,7 +396,6 @@ TEST(PipelineUnderFault, DegradesWithoutCrashingAndChainsStayValid) {
     popts.governor.max_solver_checks = 3'000;
     popts.governor.max_sym_steps = 3'000'000;
     popts.governor.max_expr_nodes = 6'000'000;
-    popts.plan.time_budget_seconds = 3.0;
     popts.plan.max_expansions = 400;
     popts.plan.max_chains = 2;
 

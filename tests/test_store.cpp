@@ -554,7 +554,6 @@ TEST(CheckpointResume, WarmRunEmitsByteIdenticalPayloads) {
   const auto img = obfuscated_image();
   core::PipelineOptions base;  // cold reference: no checkpointing at all
   base.plan.max_chains = 2;
-  base.plan.time_budget_seconds = 60;
 
   core::Session cold(core::Engine::shared(), img, base);
   cold.prepare();
